@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-parallel bench-obs bench-serve bench-routing bench-mapping bench-dvfs serve-smoke trace-smoke quick-bench analyze analyze-adaptive verify examples doc clean
+.PHONY: all build test perfbench-smoke bench bench-json bench-parallel bench-obs bench-serve bench-routing bench-mapping bench-dvfs serve-smoke trace-smoke quick-bench analyze analyze-adaptive verify examples doc clean
 
 all: build
 
@@ -11,6 +11,14 @@ build:
 # suites.
 test:
 	dune runtest
+
+# The benchmark's own smoke test (perfbench/, declared in
+# BENCHMARK.json): every workload in quick mode, untraced and traced,
+# each result checked against the metric list BENCHMARK.json declares,
+# plus a committed schedule with a shifted start that must fail the
+# output check. Builds what it runs (~7 s).
+perfbench-smoke:
+	bash perfbench/run.sh --smoke
 
 # Every table and figure of the paper, full size (~1 min).
 bench:
@@ -143,8 +151,8 @@ analyze-adaptive: build
 # overhead/determinism gate, the scheduling-service latency gate, the
 # turn-model routing gate, the mapping-search delta-eval/Pareto gate,
 # the DVFS slack-reclamation gate, and the fault-campaign survivability
-# table written to BENCH_faults.json).
-verify: build test analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-routing bench-mapping bench-dvfs
+# table written to BENCH_faults.json), after the perfbench smoke test.
+verify: build test perfbench-smoke analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-routing bench-mapping bench-dvfs
 	dune exec bench/main.exe -- faults
 
 examples:

@@ -243,9 +243,13 @@ let with_obs obs f =
 (* ------------------------------------------------------------------ *)
 (* Certifier reporting shared by schedule, simulate and analyze.       *)
 
+(* Logs the verdict and returns whether the schedule certified (no
+   error-severity diagnostic). *)
 let report_certification ~label diagnostics =
   match diagnostics with
-  | [] -> Noc_obs.Log.infof "certifier: %s certified (independent re-verification)" label
+  | [] ->
+    Noc_obs.Log.infof "certifier: %s certified (independent re-verification)" label;
+    true
   | diagnostics ->
     List.iter
       (fun d ->
@@ -257,7 +261,15 @@ let report_certification ~label diagnostics =
       Noc_obs.Log.infof "certifier: %s certified with %d warning(s)" label warnings
     else
       Noc_obs.Log.errorf "certifier: %s NOT certified (%d error(s), %d warning(s))"
-        label errors warnings
+        label errors warnings;
+    errors = 0
+
+(* [schedule] and [simulate] fail loudly: once every output is written,
+   a schedule the certifier rejected makes the command exit 1. *)
+let exit_unless_certified = function
+  | Ok true -> Ok ()
+  | Ok false -> Stdlib.exit 1
+  | Error _ as e -> e
 
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
@@ -371,7 +383,7 @@ let schedule_cmd =
   in
   let run spec algo mesh tasks tightness routing gantt input save utilization svg
       file jobs map_search dvfs vf_levels obs =
-    with_obs obs @@ fun () ->
+    exit_unless_certified @@ with_obs obs @@ fun () ->
     (match jobs with
     | Some n when n < 1 -> failwith "--jobs must be at least 1"
     | Some _ | None -> ());
@@ -472,19 +484,23 @@ let schedule_cmd =
       Format.printf "%a@." Noc_sched.Utilization.pp
         (Noc_sched.Utilization.compute platform schedule);
     if gantt then print_string (Noc_sched.Gantt.render platform ctg schedule);
-    report_certification ~label:"schedule"
-      (Noc_analysis.Certify.check
-         ~claimed_energy:metrics.Noc_sched.Metrics.total_energy platform ctg
-         schedule);
-    (match dvfs_result with
-    | None -> ()
-    | Some (table, r) ->
-      report_certification ~label:"dvfs schedule"
-        (Noc_analysis.Certify.check_scaled
-           ~ratios:(Noc_dvfs.Vf_table.ratios table)
-           ~annotations:r.Noc_dvfs.Reclaim.annotations ~base:schedule platform ctg
-           r.Noc_dvfs.Reclaim.schedule));
-    Ok ()
+    let certified =
+      report_certification ~label:"schedule"
+        (Noc_analysis.Certify.check
+           ~claimed_energy:metrics.Noc_sched.Metrics.total_energy platform ctg
+           schedule)
+    in
+    let dvfs_certified =
+      match dvfs_result with
+      | None -> true
+      | Some (table, r) ->
+        report_certification ~label:"dvfs schedule"
+          (Noc_analysis.Certify.check_scaled
+             ~ratios:(Noc_dvfs.Vf_table.ratios table)
+             ~annotations:r.Noc_dvfs.Reclaim.annotations ~base:schedule platform ctg
+             r.Noc_dvfs.Reclaim.schedule)
+    in
+    Ok (certified && dvfs_certified)
   in
   Cmd.v
     (Cmd.info "schedule" ~doc:"Schedule a benchmark and print its metrics.")
@@ -603,10 +619,11 @@ let map_cmd =
         Noc_sched.Schedule_io.save ~path winner.schedule;
         Noc_obs.Log.infof "wrote schedule %s" path)
       save;
-    report_certification ~label:"map winner"
-      (Noc_analysis.Certify.check
-         ~claimed_energy:metrics.Noc_sched.Metrics.total_energy platform ctg
-         winner.schedule);
+    ignore
+      (report_certification ~label:"map winner"
+         (Noc_analysis.Certify.check
+            ~claimed_energy:metrics.Noc_sched.Metrics.total_energy platform ctg
+            winner.schedule));
     Ok ()
   in
   Cmd.v
@@ -662,7 +679,7 @@ let simulate_cmd =
   in
   let run spec algo mesh tasks tightness routing input self_timed fault_specs
       reschedule criticality obs =
-    with_obs obs @@ fun () ->
+    exit_unless_certified @@ with_obs obs @@ fun () ->
     let platform, ctg =
       match input with
       | None -> platform_and_ctg spec ~mesh ~tasks ~tightness ~routing
@@ -680,40 +697,44 @@ let simulate_cmd =
       let outcome = Noc_sim.Executor.run ~discipline ~faults platform ctg schedule in
       let planned = Noc_sched.Metrics.compute platform ctg schedule in
       Format.printf "planned : %a@." Noc_sched.Metrics.pp planned;
-      if Noc_fault.Fault_set.is_empty faults then begin
-        let realised =
-          Noc_sched.Metrics.compute platform ctg outcome.Noc_sim.Executor.realised
-        in
-        Format.printf "realised: %a@." Noc_sched.Metrics.pp realised;
-        Format.printf "time spent blocked on links: %.1f@."
-          outcome.Noc_sim.Executor.waiting_time
-      end
-      else begin
-        Format.printf "faults  : %a@." Noc_fault.Fault_set.pp faults;
-        report "naive replay" outcome;
-        if reschedule then begin
-          let resched = Noc_eas.Fault_resched.run platform ctg ~faults schedule in
-          let stats = resched.Noc_eas.Fault_resched.stats in
-          Format.printf
-            "rescheduled: %d tasks migrated, %d transactions rerouted%s@."
-            stats.Noc_eas.Fault_resched.migrated_tasks
-            stats.Noc_eas.Fault_resched.rerouted_transactions
-            (if stats.Noc_eas.Fault_resched.used_full_rerun then " (full re-run)"
-             else "");
-          report "rescheduled replay"
-            (Noc_sim.Executor.run ~discipline ~faults platform ctg
-               resched.Noc_eas.Fault_resched.schedule);
-          (* Detour routes legitimately diverge from the deterministic-route
-             energy of Metrics, so no claimed energy is cross-checked here. *)
-          report_certification ~label:"rescheduled schedule"
-            (Noc_analysis.Certify.check platform ctg
-               resched.Noc_eas.Fault_resched.schedule)
+      let rescheduled_certified =
+        if Noc_fault.Fault_set.is_empty faults then begin
+          let realised =
+            Noc_sched.Metrics.compute platform ctg outcome.Noc_sim.Executor.realised
+          in
+          Format.printf "realised: %a@." Noc_sched.Metrics.pp realised;
+          Format.printf "time spent blocked on links: %.1f@."
+            outcome.Noc_sim.Executor.waiting_time;
+          true
         end
-      end;
-      report_certification ~label:"planned schedule"
-        (Noc_analysis.Certify.check
-           ~claimed_energy:planned.Noc_sched.Metrics.total_energy platform ctg
-           schedule);
+        else begin
+          Format.printf "faults  : %a@." Noc_fault.Fault_set.pp faults;
+          report "naive replay" outcome;
+          if not reschedule then true
+          else begin
+            let resched = Noc_eas.Fault_resched.run platform ctg ~faults schedule in
+            let stats = resched.Noc_eas.Fault_resched.stats in
+            Format.printf "rescheduled: %d tasks migrated, %d transactions rerouted%s@."
+              stats.Noc_eas.Fault_resched.migrated_tasks
+              stats.Noc_eas.Fault_resched.rerouted_transactions
+              (if stats.Noc_eas.Fault_resched.used_full_rerun then " (full re-run)"
+               else "");
+            report "rescheduled replay"
+              (Noc_sim.Executor.run ~discipline ~faults platform ctg
+                 resched.Noc_eas.Fault_resched.schedule);
+            (* Detour routes legitimately diverge from the deterministic-route
+               energy of Metrics, so no claimed energy is cross-checked here. *)
+            report_certification ~label:"rescheduled schedule"
+              (Noc_analysis.Certify.check platform ctg
+                 resched.Noc_eas.Fault_resched.schedule)
+          end
+        end
+      in
+      let planned_certified =
+        report_certification ~label:"planned schedule"
+          (Noc_analysis.Certify.check
+             ~claimed_energy:planned.Noc_sched.Metrics.total_energy platform ctg schedule)
+      in
       Option.iter
         (fun n ->
           Format.printf "criticality (top %d):@." n;
@@ -722,7 +743,7 @@ let simulate_cmd =
           |> List.iter (fun c ->
                  Format.printf "  %a@." Noc_eas.Fault_resched.pp_criticality c))
         criticality;
-      Ok ()
+      Ok (rescheduled_certified && planned_certified)
   in
   Cmd.v
     (Cmd.info "simulate"

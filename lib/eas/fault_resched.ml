@@ -14,20 +14,6 @@ type stats = {
 
 type outcome = { schedule : Schedule.t; stats : stats }
 
-(* Same lexicographic score as the repair search: primarily missed
-   deadlines, refined by total lateness. *)
-let score ctg schedule =
-  Array.fold_left
-    (fun (count, lateness) (task : Noc_ctg.Task.t) ->
-      match task.deadline with
-      | None -> (count, lateness)
-      | Some d ->
-        let late = (Schedule.placement schedule task.id).Schedule.finish -. d in
-        if late > 1e-9 then (count + 1, lateness +. late) else (count, lateness))
-    (0, 0.) (Noc_ctg.Ctg.tasks ctg)
-
-let better (m2, l2) (m1, l1) = m2 < m1 || (m2 = m1 && l2 < l1 -. 1e-6)
-
 let count_rerouted original candidate =
   let originals = Schedule.transactions original in
   Array.fold_left
@@ -37,7 +23,7 @@ let count_rerouted original candidate =
     (Schedule.transactions candidate)
 
 let finish ~original ~migrated ~used_full_rerun ~repair schedule ctg =
-  let misses, lateness = score ctg schedule in
+  let misses, lateness = Repair.score ctg schedule in
   {
     schedule;
     stats =
@@ -91,7 +77,7 @@ let run ?comm_model ?max_evaluations platform ctg ~faults schedule =
       match rebuilt with
       | None -> None
       | Some s ->
-        if fst (score ctg s) = 0 then Some (s, None)
+        if fst (Repair.score ctg s) = 0 then Some (s, None)
         else
           let s', st =
             Repair.run ?comm_model ~degraded ~kernel ?max_evaluations platform ctg s
@@ -99,14 +85,15 @@ let run ?comm_model ?max_evaluations platform ctg ~faults schedule =
           Some (s', Some st)
     in
     match repaired with
-    | Some (s, repair) when fst (score ctg s) = 0 ->
+    | Some (s, repair) when fst (Repair.score ctg s) = 0 ->
       finish ~original:schedule ~migrated:!migrated ~used_full_rerun:false ~repair s ctg
     | _ ->
       let full =
         (Eas.schedule ?comm_model ~degraded ~kernel platform ctg).Eas.schedule
       in
       (match repaired with
-      | Some (s, repair) when better (score ctg s) (score ctg full) ->
+      | Some (s, repair)
+        when Repair.improves (Repair.score ctg s) (Repair.score ctg full) ->
         finish ~original:schedule ~migrated:!migrated ~used_full_rerun:false ~repair s
           ctg
       | _ ->

@@ -31,3 +31,75 @@ val of_schedule :
 (** Extracts [(assignment, rank)] from a schedule, ranking tasks by
     start time (ties by task id). Rebuilding from the result reproduces
     an equivalent execution order. *)
+
+(** {1 Checkpointed incumbent}
+
+    The repair search ({!Repair}) prices thousands of moves against one
+    incumbent [(assignment, rank)]. A move cannot change the steps of
+    {!run}'s list scheduler before the first one it touches, so an
+    incumbent records, per step, the task placed, a
+    {!Noc_sched.Resource_state.mark} taken before it and the misses so
+    far; a candidate then re-places only the suffix from its restart
+    step, through the same step function as {!run}, and stops as soon as
+    the caller's bound says it cannot win. One shared resource state
+    serves every candidate: it is rolled back or re-applied to the
+    restart step, never rebuilt. *)
+
+type incumbent
+
+type outcome =
+  | Completed  (** Every task placed; {!finish} and {!candidate} read it. *)
+  | Abandoned  (** The bound ruled the candidate out before it finished. *)
+  | Failed  (** A step raised [Invalid_argument], as {!run} would. *)
+
+val checkpoint :
+  ?comm_model:Noc_sched.Comm_sched.model ->
+  ?degraded:Noc_noc.Degraded.t ->
+  Noc_noc.Platform.t ->
+  Noc_ctg.Ctg.t ->
+  late:(int -> float -> float) ->
+  assignment:int array ->
+  rank:int array ->
+  incumbent
+(** Runs the list scheduler once on [(assignment, rank)] and records its
+    checkpoints. [late task finish] is the lateness a placement adds to
+    the objective, [0.] when it is no miss. An incumbent on which {!run}
+    would raise is recorded up to the step that raises; every candidate
+    that does not restart at or before that step fails. *)
+
+val rebase : incumbent -> assignment:int array -> rank:int array -> unit
+(** Re-records the incumbent for a new [(assignment, rank)], reusing
+    its resource state and arrays. *)
+
+val migration_restart : incumbent -> int -> int
+(** The first step a change of task [t]'s PE can alter: [t]'s own step
+    (the pop order does not depend on the assignment). *)
+
+val swap_restart : incumbent -> rank:int array -> int -> int -> int
+(** [swap_restart inc ~rank a b], with [rank] already holding the
+    swapped ranks of [a] and [b]: the first step whose pick can change,
+    the earlier of each task's own step and the first step of its ready
+    window whose incumbent pick it now precedes. *)
+
+val evaluate :
+  incumbent ->
+  assignment:int array ->
+  rank:int array ->
+  from:int ->
+  viable:(int -> float -> bool) ->
+  outcome * int
+(** List-schedules the candidate [(assignment, rank)] from step [from]
+    (which must be at or before the restart step of every change from
+    the incumbent), after restoring the incumbent's first [from] steps.
+    After each placement, [viable misses lateness] sees the running miss
+    count and the lateness summed in placement order; [false] abandons
+    the candidate. Returns the outcome and the number of tasks placed.
+    The candidate stays in place until the next [evaluate] or
+    {!rebase}. *)
+
+val finish : incumbent -> int -> float
+(** Finish time of a task in the last evaluated candidate. *)
+
+val candidate : incumbent -> Noc_sched.Schedule.t
+(** The last candidate as a schedule, bit-identical to {!run} on the
+    candidate's [(assignment, rank)]; meaningful after [Completed]. *)

@@ -4,20 +4,38 @@ type moves = Both | Lts_only | Gtm_only
 
 type stats = { accepted_swaps : int; accepted_migrations : int; evaluations : int }
 
-(* Search score: primarily the number of missed deadlines, refined by the
-   total lateness so the greedy search has a gradient to follow even when
-   one move cannot yet save a whole deadline. *)
-let score ctg schedule =
+(* Search score: primarily the number of missed deadlines, refined by
+   the total lateness so the greedy search has a gradient to follow even
+   when one move cannot yet save a whole deadline. [lateness_of] is one
+   task's share: how late it finishes, or 0 when it meets its deadline. *)
+let lateness_of (task : Noc_ctg.Task.t) finish =
+  match task.deadline with
+  | None -> 0.
+  | Some d ->
+    let late = finish -. d in
+    if late > 1e-9 then late else 0.
+
+(* Sums in task-id order, whatever order [finish] was computed in. *)
+let score_by ctg finish =
   Array.fold_left
     (fun (count, lateness) (task : Noc_ctg.Task.t) ->
-      match task.deadline with
-      | None -> (count, lateness)
-      | Some d ->
-        let late = (Schedule.placement schedule task.id).Schedule.finish -. d in
-        if late > 1e-9 then (count + 1, lateness +. late) else (count, lateness))
+      let late = lateness_of task (finish task.id) in
+      if late > 0. then (count + 1, lateness +. late) else (count, lateness))
     (0, 0.) (Noc_ctg.Ctg.tasks ctg)
 
+let score ctg schedule =
+  score_by ctg (fun i -> (Schedule.placement schedule i).Schedule.finish)
+
 let improves (m2, l2) (m1, l1) = m2 < m1 || (m2 = m1 && l2 < l1 -. 1e-6)
+
+(* Whether a candidate whose placed tasks tally [(m, l)] can still end
+   up improving on [(m1, l1)]. Placed tasks never move again, so [m] and
+   [l] only grow, and once this is false [improves] is false for the
+   final score too. [l] is summed in placement order and the final score
+   in task-id order; the relative margin covers that rounding gap, which
+   is of order n * epsilon * l1, far below 1e-9 * l1. *)
+let may_improve (m, l) (m1, l1) =
+  m < m1 || (m = m1 && l < l1 -. 1e-6 +. (1e-9 *. (1. +. Float.abs l1)))
 
 (* Candidate bounds keeping one repair pass polynomial on 500-task
    graphs; the evaluation cap is the hard safety net. *)
@@ -70,7 +88,9 @@ let incident_arcs_of ctg i =
       (Noc_ctg.Ctg.out_edges ctg i) )
 
 let c_moves_priced = Noc_obs.Counters.counter "eas.repair.moves_priced"
-let c_rebuilds = Noc_obs.Counters.counter "eas.repair.rebuilds"
+let c_evaluations = Noc_obs.Counters.counter "eas.repair.evaluations"
+let c_aborted = Noc_obs.Counters.counter "eas.repair.aborted"
+let c_replaced_tasks = Noc_obs.Counters.counter "eas.repair.replaced_tasks"
 let c_accepted_swaps = Noc_obs.Counters.counter "eas.repair.accepted_swaps"
 let c_accepted_migrations = Noc_obs.Counters.counter "eas.repair.accepted_migrations"
 
@@ -123,25 +143,41 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
   let current = ref schedule in
   let best_score = ref (score ctg schedule) in
   let swaps = ref 0 and migrations = ref 0 and evaluations = ref 0 in
-  let rebuild () =
-    incr evaluations;
-    Noc_obs.Counters.incr c_rebuilds;
-    (* A move that strands a transaction on a disconnected pair is
-       simply not an improvement. *)
-    try Some (Rebuild.run ?comm_model ?degraded platform ctg ~assignment ~rank)
-    with Invalid_argument _ -> None
+  (* Every candidate is priced against the checkpoints of the current
+     (assignment, rank): recorded on first use and again after each
+     accepted move. Neither recording counts as an evaluation. *)
+  let incumbent =
+    lazy
+      (Rebuild.checkpoint ?comm_model ?degraded platform ctg
+         ~late:(fun i finish -> lateness_of (Noc_ctg.Ctg.task ctg i) finish)
+         ~assignment ~rank)
   in
-  let try_apply mutate restore =
+  let viable misses lateness = may_improve (misses, lateness) !best_score in
+  (* [restart] names the first step the mutated move can change. A
+     candidate that strands a transaction on a disconnected pair is
+     simply not an improvement. *)
+  let try_apply ~restart mutate restore =
     if !evaluations >= max_evaluations then false
     else begin
+      let inc = Lazy.force incumbent in
       mutate ();
-      match rebuild () with
-      | None ->
-        restore ();
-        false
-      | Some candidate ->
-      let candidate_score = score ctg candidate in
-      if improves candidate_score !best_score then begin
+      incr evaluations;
+      Noc_obs.Counters.incr c_evaluations;
+      let outcome, replaced =
+        Rebuild.evaluate inc ~assignment ~rank ~from:(restart inc) ~viable
+      in
+      Noc_obs.Counters.add c_replaced_tasks replaced;
+      let candidate_score =
+        match outcome with
+        | Rebuild.Completed -> Some (score_by ctg (Rebuild.finish inc))
+        | Rebuild.Abandoned ->
+          Noc_obs.Counters.incr c_aborted;
+          None
+        | Rebuild.Failed -> None
+      in
+      match candidate_score with
+      | Some candidate_score when improves candidate_score !best_score ->
+        let candidate = Rebuild.candidate inc in
         current := candidate;
         best_score := candidate_score;
         (* Re-derive the compact representation from the realised
@@ -149,12 +185,11 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
         let assignment', rank' = Rebuild.of_schedule candidate in
         Array.blit assignment' 0 assignment 0 n;
         Array.blit rank' 0 rank 0 n;
+        Rebuild.rebase inc ~assignment ~rank;
         true
-      end
-      else begin
+      | Some _ | None ->
         restore ();
         false
-      end
     end
   in
   let swap_ranks a b =
@@ -180,7 +215,10 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
       in
       List.exists
         (fun t2 ->
-          try_apply (fun () -> swap_ranks t1 t2) (fun () -> swap_ranks t1 t2))
+          try_apply
+            ~restart:(fun inc -> Rebuild.swap_restart inc ~rank t1 t2)
+            (fun () -> swap_ranks t1 t2)
+            (fun () -> swap_ranks t1 t2))
         earlier_non_critical
     in
     List.exists try_critical
@@ -208,6 +246,7 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
       List.exists
         (fun k ->
           try_apply
+            ~restart:(fun inc -> Rebuild.migration_restart inc t1)
             (fun () -> assignment.(t1) <- k)
             (fun () -> assignment.(t1) <- home))
         destinations

@@ -26,8 +26,21 @@ type moves =
 type stats = {
   accepted_swaps : int;
   accepted_migrations : int;
-  evaluations : int;  (** Schedules rebuilt (accepted or not). *)
+  evaluations : int;
+      (** Candidate moves priced, accepted or not (each at most one
+          suffix re-placement; see {!Rebuild.evaluate}). *)
 }
+
+val score : Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> int * float
+(** The search objective: the number of tasks that finish more than
+    1e-9 past their deadline, and their total lateness summed in task-id
+    order. *)
+
+val improves : int * float -> int * float -> bool
+(** [improves candidate incumbent]: fewer misses, or as many and at
+    least 1e-6 less total lateness. The acceptance test of every move,
+    and {!Fault_resched}'s choice between its repaired and re-run
+    schedules. *)
 
 val critical_tasks : Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> bool array
 (** [critical_tasks ctg s] marks every task that misses its own deadline
@@ -55,7 +68,7 @@ val run :
   Noc_sched.Schedule.t * stats
 (** Returns the repaired schedule (the input when nothing helps) and the
     search statistics. [max_evaluations] (default 4000) bounds the
-    rebuilds as a safety net; [moves] (default [Both]) restricts the move
+    candidate evaluations as a safety net; [moves] (default [Both]) restricts the move
     set for the repair ablation. With [degraded], GTM only migrates onto
     alive PEs, rebuilds detour around failed links, and move energies
     are priced over the degraded routes — the engine behind

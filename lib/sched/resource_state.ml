@@ -27,6 +27,7 @@ let link_table t link = t.link_tables.(link_index t link)
 let c_reservations = Noc_obs.Counters.counter "sched.resource_state.reservations"
 let c_snapshots = Noc_obs.Counters.counter "sched.resource_state.snapshots"
 let c_rollbacks = Noc_obs.Counters.counter "sched.resource_state.rollbacks"
+let c_redos = Noc_obs.Counters.counter "sched.resource_state.redos"
 
 let journalled_reserve t table interval =
   Noc_util.Timeline.reserve table interval;
@@ -66,3 +67,21 @@ let rollback t m =
         undo rest
   in
   t.journal <- undo t.journal
+
+let redo t m =
+  Noc_obs.Counters.incr c_redos;
+  let current = t.journal in
+  (* The entries [m] holds beyond the current journal, oldest first;
+     collected before any table is touched, so a bad mark leaves the
+     state as it was. *)
+  let rec newer acc journal =
+    if journal == current then acc
+    else
+      match journal with
+      | [] -> invalid_arg "Resource_state.redo: mark does not extend the journal"
+      | entry :: rest -> newer (entry :: acc) rest
+  in
+  List.iter
+    (fun { table; interval } -> Noc_util.Timeline.reserve table interval)
+    (newer [] m);
+  t.journal <- m

@@ -6,7 +6,8 @@
     restored every time a F(i,k) is calculated"). To make that cheap,
     every reservation made through this module is journalled; a
     {!mark} / {!rollback} pair undoes everything reserved in between in
-    O(reservations undone). *)
+    O(reservations undone), and {!redo} re-applies a rolled-back stretch
+    of the journal in O(reservations redone). *)
 
 type t
 
@@ -34,3 +35,12 @@ val mark : t -> mark
 val rollback : t -> mark -> unit
 (** [rollback t m] releases every reservation made since [mark t]
     returned [m]. Marks must be rolled back innermost-first. *)
+
+val redo : t -> mark -> unit
+(** [redo t m] re-applies, oldest first, every reservation [m] holds
+    beyond the current journal, and makes [m] the current journal: after
+    a rollback to a mark taken before [m], [redo t m] restores the state
+    as it was when [m] was taken. Marks are immutable journal positions,
+    so one state can move back and forth between the marks of a single
+    journal. Raises [Invalid_argument], leaving the state untouched,
+    when [m] is not an extension of the current journal. *)

@@ -65,6 +65,28 @@ let test_simulate () =
   Alcotest.(check bool) "planned and realised" true
     (contains text "planned" && contains text "realised")
 
+(* Tightness 0.5 leaves deadlines no schedule can meet: the certifier
+   rejects the result, and schedule/simulate exit 1 — after still
+   writing every output asked for. *)
+let test_uncertified_exits_1 () =
+  let sched_file = Filename.temp_file "cli" ".sched" in
+  Sys.remove sched_file;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists sched_file then Sys.remove sched_file)
+    (fun () ->
+      let code, text =
+        run_capture
+          (Printf.sprintf
+             "schedule --benchmark tgff:1 --tasks 40 --tightness 0.5 --save-schedule %s"
+             sched_file)
+      in
+      Alcotest.(check int) "schedule exits 1" 1 code;
+      Alcotest.(check bool) "says why" true (contains text "NOT certified");
+      Alcotest.(check bool) "schedule file still written" true (Sys.file_exists sched_file);
+      let code, text = run_capture "simulate --benchmark tgff:1 --tasks 40 --tightness 0.5" in
+      Alcotest.(check int) "simulate exits 1" 1 code;
+      Alcotest.(check bool) "metrics still printed" true (contains text "realised"))
+
 let test_experiment_unknown () =
   let code, text = run_capture "experiment nonsense" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0);
@@ -281,6 +303,7 @@ let suite =
     Alcotest.test_case "schedule tgff" `Quick test_schedule_tgff;
     Alcotest.test_case "schedule msb with gantt" `Quick test_schedule_msb_gantt;
     Alcotest.test_case "file roundtrip" `Quick test_schedule_roundtrip_files;
+    Alcotest.test_case "uncertified schedule exits 1" `Quick test_uncertified_exits_1;
     Alcotest.test_case "simulate" `Quick test_simulate;
     Alcotest.test_case "unknown experiment" `Quick test_experiment_unknown;
     Alcotest.test_case "experiment --only" `Quick test_experiment_only;

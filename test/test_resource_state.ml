@@ -3,7 +3,9 @@
    The EAS inner loop leans hard on mark/rollback; these tests pin the
    journal semantics the indexed substrate must preserve: empty marks,
    nested marks, empty-interval reserves that skip the journal, and
-   marks invalidated by an enclosing rollback. *)
+   marks invalidated by an enclosing rollback — plus the redo law the
+   incremental repair search relies on: any mark of one journal can be
+   reached again by rollback or redo. *)
 
 module Resource_state = Noc_sched.Resource_state
 module Timeline = Noc_util.Timeline
@@ -110,6 +112,82 @@ let test_rollback_interleaved_resources () =
   Alcotest.(check (float 0.)) "gap after rollback" 10.
     (Resource_state.earliest_pe_gap state ~pe:0 ~after:0. ~duration:1.)
 
+(* Every PE and link table's busy list: the observable state. *)
+let tables state =
+  let n = Noc_noc.Platform.n_pes platform in
+  List.init n (fun pe -> Timeline.busy (Resource_state.pe_table state pe))
+  @ List.map
+      (fun l -> Timeline.busy (Resource_state.link_table state l))
+      (Noc_noc.Platform.all_links platform)
+
+let links = Array.of_list (Noc_noc.Platform.all_links platform)
+
+(* Reserves into the earliest free slot, so random requests never
+   overlap. [target] < n_pes picks a PE, above that a link. *)
+let reserve_random state (target, after, duration) =
+  let n = Noc_noc.Platform.n_pes platform in
+  let after = float_of_int after and duration = float_of_int duration in
+  if target < n then
+    let start = Resource_state.earliest_pe_gap state ~pe:target ~after ~duration in
+    Resource_state.reserve_pe state ~pe:target (iv start (start +. duration))
+  else
+    let link = links.((target - n) mod Array.length links) in
+    let start = Resource_state.earliest_route_gap state ~route:[ link ] ~after ~duration in
+    Resource_state.reserve_link state link (iv start (start +. duration))
+
+let raises f = try f (); false with Invalid_argument _ -> true
+
+(* Random reservations with a mark before each; then a random walk of
+   rollbacks and redos between the marks must show, at every stop, the
+   busy lists recorded when that mark was taken. Redo to a mark that
+   does not extend the current journal (an older one, or one of a
+   branch the journal left) must raise and change nothing. *)
+let qcheck_rollback_redo =
+  let reservation = QCheck.(triple (int_range 0 11) (int_range 0 30) (int_range 1 6)) in
+  let gen =
+    QCheck.(pair (list_of_size Gen.(1 -- 25) reservation) (list (int_range 0 100)))
+  in
+  QCheck.Test.make ~name:"rollback then redo restores every table" ~count:300 gen
+    (fun (reservations, walk) ->
+      let state = Resource_state.create platform in
+      let stops =
+        List.map
+          (fun r ->
+            let m = Resource_state.mark state in
+            let seen = tables state in
+            reserve_random state r;
+            (m, seen))
+          reservations
+      in
+      let stops = Array.of_list (stops @ [ (Resource_state.mark state, tables state) ]) in
+      let at = ref (Array.length stops - 1) in
+      let walk_ok =
+        List.for_all
+          (fun pick ->
+            let target = pick mod Array.length stops in
+            let m, seen = stops.(target) in
+            if target <= !at then Resource_state.rollback state m
+            else Resource_state.redo state m;
+            at := target;
+            tables state = seen)
+          walk
+      in
+      let first, seen_first = stops.(0) in
+      let last, _ = stops.(Array.length stops - 1) in
+      (* An older mark than the current journal. *)
+      Resource_state.rollback state first;
+      Resource_state.redo state last;
+      let older_raises = raises (fun () -> Resource_state.redo state first) in
+      (* A mark of a branch the journal left: back to the first stop,
+         then a new reservation. *)
+      Resource_state.rollback state first;
+      reserve_random state (0, 200, 1);
+      let branched = tables state in
+      let branch_raises = raises (fun () -> Resource_state.redo state last) in
+      let unchanged = tables state = branched in
+      Resource_state.rollback state first;
+      walk_ok && older_raises && branch_raises && unchanged && tables state = seen_first)
+
 let suite =
   [
     Alcotest.test_case "rollback to empty mark" `Quick test_rollback_to_empty_mark;
@@ -123,4 +201,5 @@ let suite =
     Alcotest.test_case "unknown mark raises" `Quick test_unknown_mark_raises;
     Alcotest.test_case "interleaved PE/link rollback" `Quick
       test_rollback_interleaved_resources;
+    QCheck_alcotest.to_alcotest qcheck_rollback_redo;
   ]

@@ -20,12 +20,16 @@ test:
 perfbench-smoke:
 	bash perfbench/run.sh --smoke
 
-# Every table and figure of the paper, full size (~1 min).
+# Every table and figure of the paper, full size: all campaigns of
+# `nocsched experiment` (the one campaign table; see DESIGN.md §2).
 bench:
-	dune exec bench/main.exe
+	dune exec bin/nocsched.exe -- experiment
 
-# Scaled-down random suites for a fast smoke run.
+# Fast smoke run: every campaign with scaled-down random suites, then
+# every persisted bench gate of bench/main.exe in quick mode (each
+# rewrites its BENCH_*.json).
 quick-bench:
+	dune exec bin/nocsched.exe -- experiment --quick
 	dune exec bench/main.exe -- --quick
 
 # Persisted bench gate: timeline micro-benchmark medians plus end-to-end

@@ -990,7 +990,7 @@ let experiment_cmd =
   let which_arg =
     let doc =
       "Campaign id: fig5, fig6, tab1, tab2, tab3, fig7, split, ablation, topo, \
-       weights, repairmoves, dvs, baselines, buffering, faults or mapping. Omit \
+       weights, repairmoves, dvfs, baselines, buffering, faults or mapping. Omit \
        the id to run every campaign (optionally filtered by $(b,--only))."
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
@@ -1082,10 +1082,6 @@ let experiment_cmd =
               print_string
                 (Noc_experiments.Repair_ablation.render
                    (Noc_experiments.Repair_ablation.run ?jobs ?scale ())) );
-          ( "dvs",
-            fun () ->
-              print_string
-                (Noc_experiments.Dvs_extension.render (Noc_experiments.Dvs_extension.run ())) );
           ( "dvfs",
             fun () ->
               let rows =

@@ -78,48 +78,33 @@ let pp ppf d =
     Format.fprintf ppf "%s %s [%s]: %s" (severity_name d.severity) d.rule
       (location_to_string loc) d.message
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?(routing = "xy") ?(faults = []) diagnostics =
+  let open Noc_obs.Json in
   let diagnostics = sort diagnostics in
   let errors, warnings, infos = count diagnostics in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"nocsched/analysis/v2\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"routing\": \"%s\",\n" (json_escape routing));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"faults\": {\"count\": %d, \"elements\": [%s]},\n"
-       (List.length faults)
-       (String.concat ", "
-          (List.map (fun f -> Printf.sprintf "\"%s\"" (json_escape f)) faults)));
-  Buffer.add_string buf "  \"diagnostics\": [\n";
-  List.iteri
-    (fun i d ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"rule\": \"%s\", \"severity\": \"%s\", \"location\": \"%s\", \
-            \"message\": \"%s\"}%s\n"
-           (json_escape d.rule)
-           (severity_name d.severity)
-           (json_escape (location_to_string d.location))
-           (json_escape d.message)
-           (if i = List.length diagnostics - 1 then "" else ",")))
-    diagnostics;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"summary\": {\"errors\": %d, \"warnings\": %d, \"infos\": %d}\n"
-       errors warnings infos);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let diagnostic d =
+    Obj
+      [
+        ("rule", String d.rule);
+        ("severity", String (severity_name d.severity));
+        ("location", String (location_to_string d.location));
+        ("message", String d.message);
+      ]
+  in
+  to_string
+    (Obj
+       [
+         ("schema", String "nocsched/analysis/v2");
+         ("routing", String routing);
+         ( "faults",
+           Obj
+             [
+               ("count", int (List.length faults));
+               ("elements", List (List.map (fun f -> String f) faults));
+             ] );
+         ("diagnostics", List (List.map diagnostic diagnostics));
+         ( "summary",
+           Obj [ ("errors", int errors); ("warnings", int warnings); ("infos", int infos) ]
+         );
+       ])
+  ^ "\n"

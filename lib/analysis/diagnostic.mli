@@ -52,7 +52,8 @@ val pp : Format.formatter -> t -> unit
 (** ["severity rule [location]: message"]. *)
 
 val to_json : ?routing:string -> ?faults:string list -> t list -> string
-(** The machine-readable report (schema [nocsched/analysis/v2]):
+(** The machine-readable report (schema [nocsched/analysis/v2]), printed
+    by the canonical {!Noc_obs.Json.to_string} plus a newline:
     diagnostics in {!sort} order plus an error/warning/info summary.
     The v2 header records the analyzed routing function ([routing],
     default ["xy"]) and a fault-set summary ([faults], the canonical

@@ -7,11 +7,11 @@
     [float array]s indexed [task * n_pes + pe] and [src * n_pes + dst].
 
     Every value is produced by exactly the float expression the probing
-    path ({!Level_sched_reference}, {!Noc_sched.Comm_sched}) evaluates —
-    same operands, same operation order — so schedules computed through
-    the kernel are bit-identical to the reference. The differential
-    suite ([test_kernel_diff]) and the qcheck matrix properties
-    ([test_kernel]) enforce this.
+    path (the test-only [Level_sched_reference], {!Noc_sched.Comm_sched})
+    evaluates — same operands, same operation order — so schedules
+    computed through the kernel are bit-identical to the reference. The
+    differential suite ([test_kernel_diff]) and the qcheck matrix
+    properties ([test_kernel]) enforce this.
 
     On a degraded platform the matrices are built over the surviving
     routes; a disconnected (src, dst) pair is stored with [hops = -1]

@@ -16,9 +16,9 @@
       on its cheapest deadline-respecting PE. A task whose list has a
       single PE has infinite regret and is scheduled first.
 
-    Unlike {!Level_sched_reference} — the original reserve-then-rollback
-    implementation, kept as the differential oracle — the probes here
-    are read-only {!Kernel.finish_time} evaluations whose results are
+    Unlike [Level_sched_reference] — the original reserve-then-rollback
+    implementation, kept in test/ as the differential oracle — the probes
+    here are read-only {!Kernel.finish_time} evaluations whose results are
     memoized and revalidated against the {!Noc_util.Timeline.version}s
     of the tables each probe consulted, so each commit only re-probes
     the (i,k) pairs it actually invalidated. Both paths produce

@@ -203,47 +203,39 @@ let render result =
   Printf.sprintf "%s\n%s\n%s\n" table (String.concat "\n" summary_lines) cdg_line
 
 let to_json result =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"nocsched/bench-faults/v2\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"scale\": %g,\n" result.scale);
-  Buffer.add_string buf "  \"trials\": [\n";
-  let algo_json a =
-    let replay_json = function
-      | None -> "null"
-      | Some { misses; lost } ->
-        Printf.sprintf "{\"misses\": %d, \"lost\": %d}" misses lost
-    in
-    Printf.sprintf
-      "{\"naive\": %s, \"resched\": %s, \"valid\": %b, \"migrated\": %d, \
-       \"rerouted\": %d}"
-      (replay_json (Some a.naive))
-      (replay_json a.resched) a.resched_valid a.migrated a.rerouted
+  let open Noc_obs.Json in
+  let replay { misses; lost } = Obj [ ("misses", int misses); ("lost", int lost) ] in
+  let algo a =
+    Obj
+      [
+        ("naive", replay a.naive);
+        ("resched", Option.fold ~none:Null ~some:replay a.resched);
+        ("valid", Bool a.resched_valid);
+        ("migrated", int a.migrated);
+        ("rerouted", int a.rerouted);
+      ]
   in
-  List.iteri
-    (fun i t ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"graph\": %d, \"seed\": %d, \"faults\": %S, \"cyclic_cdg\": %b,\n\
-           \     \"eas\": %s,\n\
-           \     \"edf\": %s}%s\n"
-           t.graph t.seed t.faults t.cyclic_cdg (algo_json t.eas) (algo_json t.edf)
-           (if i = List.length result.trials - 1 then "" else ",")))
-    result.trials;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"summaries\": [\n";
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"algo\": %S, \"trials\": %d, \"naive_survived\": %d, \
-            \"resched_survived\": %d, \"migrated\": %d, \"rerouted\": %d}%s\n"
-           (Runner.algo_name s.algo) s.trials s.naive_survived s.resched_survived
-           s.total_migrated s.total_rerouted
-           (if i = List.length result.summaries - 1 then "" else ",")))
-    result.summaries;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cyclic_routesets\": %d\n" result.cyclic_routesets);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let trial t =
+    Obj
+      [
+        ("graph", int t.graph); ("seed", int t.seed); ("faults", String t.faults);
+        ("cyclic_cdg", Bool t.cyclic_cdg); ("eas", algo t.eas); ("edf", algo t.edf);
+      ]
+  in
+  let summary s =
+    Obj
+      [
+        ("algo", String (Runner.algo_name s.algo)); ("trials", int s.trials);
+        ("naive_survived", int s.naive_survived);
+        ("resched_survived", int s.resched_survived);
+        ("migrated", int s.total_migrated); ("rerouted", int s.total_rerouted);
+      ]
+  in
+  Obj
+    [
+      ("schema", String "nocsched/bench-faults/v2");
+      ("scale", Number result.scale);
+      ("trials", List (List.map trial result.trials));
+      ("summaries", List (List.map summary result.summaries));
+      ("cyclic_routesets", int result.cyclic_routesets);
+    ]

@@ -65,5 +65,6 @@ val run :
     is identical at every job count. *)
 
 val render : result -> string
-val to_json : result -> string
-(** Machine-readable form persisted as [BENCH_faults.json]. *)
+val to_json : result -> Noc_obs.Json.t
+(** Machine-readable form (schema [nocsched/bench-faults/v2]) persisted
+    as [BENCH_faults.json]. *)

@@ -228,28 +228,25 @@ let render_pareto p =
     (Noc_util.Text_table.render ~header rows)
 
 let pareto_to_json p =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"index\": %d,\n" p.index);
-  Buffer.add_string b (Printf.sprintf "  \"scale\": %g,\n" p.scale);
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"mesh\": \"%dx%d\", \"n_tasks\": %d, \"n_edges\": %d, \"points\": [\n"
-           (fst r.mesh) (snd r.mesh) r.pareto_n_tasks r.n_edges);
-      List.iteri
-        (fun j pt ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "      {\"label\": \"%s\", \"balance_frac\": %g, \"energy\": %.6f, \
-                \"makespan\": %.6f, \"misses\": %d, \"cert_errors\": %d}%s\n"
-               pt.label pt.balance_frac pt.energy pt.makespan pt.misses pt.cert_errors
-               (if j = List.length r.points - 1 then "" else ",")))
-        r.points;
-      Buffer.add_string b
-        (Printf.sprintf "    ]}%s\n" (if i = List.length p.rows - 1 then "" else ",")))
-    p.rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let open Noc_obs.Json in
+  let point pt =
+    Obj
+      [
+        ("label", String pt.label); ("balance_frac", Number pt.balance_frac);
+        ("energy", fixed 6 pt.energy); ("makespan", fixed 6 pt.makespan);
+        ("misses", int pt.misses); ("cert_errors", int pt.cert_errors);
+      ]
+  in
+  let row r =
+    Obj
+      [
+        ("mesh", String (Printf.sprintf "%dx%d" (fst r.mesh) (snd r.mesh)));
+        ("n_tasks", int r.pareto_n_tasks); ("n_edges", int r.n_edges);
+        ("points", List (List.map point r.points));
+      ]
+  in
+  Obj
+    [
+      ("index", int p.index); ("scale", Number p.scale);
+      ("rows", List (List.map row p.rows));
+    ]

@@ -85,6 +85,6 @@ val pareto :
 
 val render_pareto : pareto -> string
 
-val pareto_to_json : pareto -> string
+val pareto_to_json : pareto -> Noc_obs.Json.t
 (** The persisted energy/latency Pareto table (one object per mesh,
     one entry per point) — the payload BENCH_mapping.json embeds. *)

@@ -10,6 +10,9 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | Null | Bool _ | Number _ | String _ | List _ -> None
 
+let int n = Number (float_of_int n)
+let fixed digits f = Number (float_of_string (Printf.sprintf "%.*f" digits f))
+
 let escape_string s =
   let buf = Buffer.create (String.length s + 2) in
   Buffer.add_char buf '"';

@@ -32,6 +32,14 @@ val to_string : t -> string
     and ["nan"] (the {!number} convention), which parse back as
     [String]s. *)
 
+val int : int -> t
+(** [int n] is [Number (float_of_int n)]. *)
+
+val fixed : int -> float -> t
+(** [fixed digits f] is [f] rounded to [digits] decimals (as [%.*f]
+    would print it) as a [Number], for reports that record measurements
+    at a fixed precision rather than every bit of the float. *)
+
 val escape_string : string -> string
 (** [escape_string s] is [s] as a quoted JSON string literal. *)
 

@@ -90,30 +90,25 @@ let reset () =
 (* Chrome trace-event JSON export.                                     *)
 
 let value_json = function
-  | String s -> Json.escape_string s
-  | Int i -> string_of_int i
-  | Float f -> Json.number f
-  | Bool b -> string_of_bool b
+  | String s -> Json.String s
+  | Int i -> Json.int i
+  | Float f -> Json.Number f
+  | Bool b -> Json.Bool b
 
-let args_json args =
-  "{"
-  ^ String.concat ", "
-      (List.map (fun (k, v) -> Json.escape_string k ^ ": " ^ value_json v) args)
-  ^ "}"
+let args_json args = Json.Obj (List.map (fun (k, v) -> (k, value_json v)) args)
 
 let event_json ~domain e =
   let common =
-    Printf.sprintf "\"name\": %s, \"cat\": %s, \"pid\": %d, \"tid\": %d, \"ts\": %s"
-      (Json.escape_string e.name) (Json.escape_string e.cat) domain domain
-      (Json.number e.ts)
+    [
+      ("name", Json.String e.name); ("cat", Json.String e.cat);
+      ("pid", Json.int domain); ("tid", Json.int domain);
+      ("ts", Json.Number e.ts); ("args", args_json e.args);
+    ]
   in
-  match e.phase with
-  | Complete ->
-    Printf.sprintf "{\"ph\": \"X\", %s, \"dur\": %s, \"args\": %s}" common
-      (Json.number e.dur) (args_json e.args)
-  | Instant ->
-    Printf.sprintf "{\"ph\": \"i\", %s, \"s\": \"t\", \"args\": %s}" common
-      (args_json e.args)
+  Json.Obj
+    (match e.phase with
+    | Complete -> ("ph", Json.String "X") :: ("dur", Json.Number e.dur) :: common
+    | Instant -> ("ph", Json.String "i") :: ("s", Json.String "t") :: common)
 
 let export () =
   let per_domain =
@@ -121,19 +116,19 @@ let export () =
   in
   let counters = Counters.snapshot () in
   let histograms = Counters.summaries () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n\"traceEvents\": [\n";
-  let lines = ref [] in
-  List.iter
-    (fun (domain, events) ->
-      lines :=
-        Printf.sprintf
-          "{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": %d, \"tid\": %d, \
-           \"ts\": 0, \"args\": {\"name\": \"domain %d\"}}"
-          domain domain domain
-        :: !lines;
-      List.iter (fun e -> lines := event_json ~domain e :: !lines) events)
-    per_domain;
+  let events =
+    List.concat_map
+      (fun (domain, events) ->
+        Json.Obj
+          [
+            ("ph", Json.String "M"); ("name", Json.String "process_name");
+            ("pid", Json.int domain); ("tid", Json.int domain); ("ts", Json.int 0);
+            ( "args",
+              Json.Obj [ ("name", Json.String (Printf.sprintf "domain %d" domain)) ] );
+          ]
+        :: List.map (event_json ~domain) events)
+      per_domain
+  in
   (* One final counter event so Perfetto renders the totals as a track. *)
   let last_ts =
     List.fold_left
@@ -141,35 +136,39 @@ let export () =
         List.fold_left (fun acc e -> Float.max acc (e.ts +. e.dur)) acc events)
       0. per_domain
   in
-  if counters <> [] then
-    lines :=
-      Printf.sprintf
-        "{\"ph\": \"C\", \"name\": \"nocsched counters\", \"pid\": 0, \"tid\": 0, \
-         \"ts\": %s, \"args\": %s}"
-        (Json.number last_ts)
-        (args_json (List.map (fun (k, v) -> (k, Int v)) counters))
-      :: !lines;
-  Buffer.add_string buf (String.concat ",\n" (List.rev !lines));
-  Buffer.add_string buf "\n],\n\"displayTimeUnit\": \"ms\",\n";
-  Buffer.add_string buf "\"otherData\": {\n  \"schema\": \"nocsched/trace/v1\",\n";
-  Buffer.add_string buf "  \"counters\": {";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun (k, v) -> Json.escape_string k ^ ": " ^ string_of_int v)
-          counters));
-  Buffer.add_string buf "},\n  \"histograms\": {";
-  Buffer.add_string buf
-    (String.concat ", "
-       (List.map
-          (fun (k, (s : Counters.summary)) ->
-            Printf.sprintf
-              "%s: {\"count\": %d, \"min\": %s, \"max\": %s, \"mean\": %s, \
-               \"p50\": %s, \"p95\": %s, \"p99\": %s}"
-              (Json.escape_string k) s.Counters.count (Json.number s.Counters.min)
-              (Json.number s.Counters.max) (Json.number s.Counters.mean)
-              (Json.number s.Counters.p50) (Json.number s.Counters.p95)
-              (Json.number s.Counters.p99))
-          histograms));
-  Buffer.add_string buf "}\n}\n}\n";
-  Buffer.contents buf
+  let counter_args = List.map (fun (k, v) -> (k, Json.int v)) counters in
+  let counter_event =
+    if counters = [] then []
+    else
+      [
+        Json.Obj
+          [
+            ("ph", Json.String "C"); ("name", Json.String "nocsched counters");
+            ("pid", Json.int 0); ("tid", Json.int 0); ("ts", Json.Number last_ts);
+            ("args", Json.Obj counter_args);
+          ];
+      ]
+  in
+  let histogram (k, (s : Counters.summary)) =
+    ( k,
+      Json.Obj
+        [
+          ("count", Json.int s.count); ("min", Json.Number s.min);
+          ("max", Json.Number s.max); ("mean", Json.Number s.mean); ("p50", Json.Number s.p50);
+          ("p95", Json.Number s.p95); ("p99", Json.Number s.p99);
+        ] )
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("traceEvents", Json.List (events @ counter_event));
+         ("displayTimeUnit", Json.String "ms");
+         ( "otherData",
+           Json.Obj
+             [
+               ("schema", Json.String "nocsched/trace/v1");
+               ("counters", Json.Obj counter_args);
+               ("histograms", Json.Obj (List.map histogram histograms));
+             ] );
+       ])
+  ^ "\n"

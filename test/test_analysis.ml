@@ -673,7 +673,25 @@ let test_diagnostic_order_and_exit_codes () =
     (Diagnostic.exit_code [ Diagnostic.info ~rule:"i" Diagnostic.Nowhere "i" ]);
   Alcotest.(check int) "clean exit 0" 0 (Diagnostic.exit_code [])
 
+let parse_report text =
+  match Noc_obs.Json.parse text with
+  | Ok doc -> doc
+  | Error msg -> Alcotest.failf "report does not parse: %s" msg
+
+(* [path] of nested object members, e.g. [["faults"; "count"]]. *)
+let rec json_at doc = function
+  | [] -> doc
+  | key :: rest -> (
+    match Noc_obs.Json.member key doc with
+    | Some v -> json_at v rest
+    | None -> Alcotest.failf "report has no member %S" key)
+
+let check_json what expected actual =
+  Alcotest.(check string) what (Noc_obs.Json.to_string expected)
+    (Noc_obs.Json.to_string actual)
+
 let test_diagnostic_json_stable () =
+  let open Noc_obs.Json in
   let a =
     Diagnostic.to_json ~routing:"odd-even" ~faults:[ "link:5-6"; "pe:1" ]
       (sample_diagnostics ())
@@ -683,25 +701,54 @@ let test_diagnostic_json_stable () =
       (List.rev (sample_diagnostics ()))
   in
   Alcotest.(check string) "order-independent report" a b;
-  let contains_in haystack needle =
-    let n = String.length needle and h = String.length haystack in
-    let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-    go 0
-  in
-  let contains = contains_in a in
-  Alcotest.(check bool) "schema tag" true (contains "nocsched/analysis/v2");
+  let doc = parse_report a in
+  check_json "schema tag" (String "nocsched/analysis/v2") (json_at doc [ "schema" ]);
   (* The v2 header records the analyzed routing function and the fault
      set; everything a v1 reader consumed is still present unchanged. *)
-  Alcotest.(check bool) "routing header" true (contains "\"routing\": \"odd-even\"");
-  Alcotest.(check bool) "fault summary" true
-    (contains "\"faults\": {\"count\": 2, \"elements\": [\"link:5-6\", \"pe:1\"]}");
-  Alcotest.(check bool) "summary counts" true
-    (contains "\"errors\": 2, \"warnings\": 1, \"infos\": 1");
-  let defaults = Diagnostic.to_json (sample_diagnostics ()) in
-  Alcotest.(check bool) "default routing is xy" true
-    (contains_in defaults "\"routing\": \"xy\"");
-  Alcotest.(check bool) "default fault set is empty" true
-    (contains_in defaults "\"faults\": {\"count\": 0, \"elements\": []}")
+  check_json "routing header" (String "odd-even") (json_at doc [ "routing" ]);
+  check_json "fault summary"
+    (Obj
+       [
+         ("count", Number 2.);
+         ("elements", List [ String "link:5-6"; String "pe:1" ]);
+       ])
+    (json_at doc [ "faults" ]);
+  check_json "summary counts"
+    (Obj [ ("errors", Number 2.); ("warnings", Number 1.); ("infos", Number 1.) ])
+    (json_at doc [ "summary" ]);
+  (match json_at doc [ "diagnostics" ] with
+  | List ds ->
+    check_rules "diagnostics in canonical order"
+      [ "ctg/cycle"; "sched/precedence"; "sched/energy-mismatch"; "platform/unused-link" ]
+      (List.map
+         (fun d ->
+           match member "rule" d with Some (String r) -> r | _ -> "?")
+         ds)
+  | _ -> Alcotest.fail "diagnostics is not a list");
+  let defaults = parse_report (Diagnostic.to_json (sample_diagnostics ())) in
+  check_json "default routing is xy" (String "xy") (json_at defaults [ "routing" ]);
+  check_json "default fault set is empty"
+    (Obj [ ("count", Number 0.); ("elements", List []) ])
+    (json_at defaults [ "faults" ])
+
+let test_diagnostic_json_escapes () =
+  (* Messages may carry anything a model file or fault spec contained:
+     quotes, backslashes, newlines and raw control bytes must survive
+     the report verbatim. *)
+  let message = "quote \" backslash \\ newline \n bell \007 end" in
+  let report =
+    Diagnostic.to_json ~routing:"x\"y"
+      [ Diagnostic.error ~rule:"ctg/odd" (Diagnostic.Task 4) "%s" message ]
+  in
+  let doc = parse_report report in
+  check_json "routing round-trips" (Noc_obs.Json.String "x\"y")
+    (json_at doc [ "routing" ]);
+  match json_at doc [ "diagnostics" ] with
+  | Noc_obs.Json.List [ d ] ->
+    check_json "message round-trips" (Noc_obs.Json.String message)
+      (json_at d [ "message" ]);
+    check_json "location" (Noc_obs.Json.String "task 4") (json_at d [ "location" ])
+  | _ -> Alcotest.fail "expected exactly one diagnostic"
 
 (* ------------------------------------------------------------------ *)
 (* Fault-spec parse errors carry character positions (satellite).      *)
@@ -789,6 +836,8 @@ let suite =
       test_same_tile_io_round_trip;
     Alcotest.test_case "diagnostics sort and exit codes" `Quick
       test_diagnostic_order_and_exit_codes;
+    Alcotest.test_case "JSON report escapes round-trip" `Quick
+      test_diagnostic_json_escapes;
     Alcotest.test_case "JSON report is stable" `Quick test_diagnostic_json_stable;
     Alcotest.test_case "fault parse errors carry positions" `Quick
       test_fault_parse_positions;

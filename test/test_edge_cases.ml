@@ -78,15 +78,6 @@ let test_gantt_on_honeycomb () =
   Alcotest.(check bool) "svg gantt renders" true
     (String.length (Noc_sched.Svg_gantt.render platform ctg s) > 0)
 
-let test_dvs_unit_stretch_is_noop () =
-  let platform = Noc_tgff.Category.platform in
-  let params = { Noc_tgff.Params.default with n_tasks = 30 } in
-  let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed:0 in
-  let s = (Noc_eas.Eas.schedule platform ctg).Noc_eas.Eas.schedule in
-  let report = Noc_eas.Dvs.plan ~max_stretch:1. ctg s in
-  Alcotest.(check (float 1e-9)) "no saving at stretch cap 1" 0.
-    (Noc_eas.Dvs.saving report)
-
 let test_control_only_graph () =
   (* Every arc is control-only (volume 0): zero comm energy, but the
      ordering constraints still hold. *)
@@ -130,7 +121,6 @@ let suite =
     Alcotest.test_case "long chain" `Quick test_long_chain;
     Alcotest.test_case "wide fan" `Quick test_wide_fan;
     Alcotest.test_case "gantt on honeycomb" `Quick test_gantt_on_honeycomb;
-    Alcotest.test_case "dvs unit stretch" `Quick test_dvs_unit_stretch_is_noop;
     Alcotest.test_case "control-only graph" `Quick test_control_only_graph;
     Alcotest.test_case "impossible deadlines terminate" `Slow
       test_saturated_deadlines_all_schedulers_terminate;

@@ -112,6 +112,45 @@ let test_ablation_shape () =
   Alcotest.(check bool) "render works" true
     (contains_substring (Ablation.render rows) "Contention ablation")
 
+(* Every member path of a document with the type of the value there,
+   list elements collapsed to [[]]: ["trials[].eas.valid:bool"]. *)
+let key_paths doc =
+  let rec go prefix acc = function
+    | Noc_obs.Json.Obj fields ->
+      List.fold_left
+        (fun acc (k, v) ->
+          go (if prefix = "" then k else prefix ^ "." ^ k) acc v)
+        acc fields
+    | Noc_obs.Json.List items -> List.fold_left (go (prefix ^ "[]")) acc items
+    | Noc_obs.Json.Null -> (prefix ^ ":null") :: acc
+    | Noc_obs.Json.Bool _ -> (prefix ^ ":bool") :: acc
+    | Noc_obs.Json.Number _ -> (prefix ^ ":number") :: acc
+    | Noc_obs.Json.String _ -> (prefix ^ ":string") :: acc
+  in
+  List.sort_uniq compare (go "" [] doc)
+
+let test_fault_campaign_json_schema () =
+  (* The report a quick campaign builds has exactly the members, nesting
+     and value types of the committed full-size BENCH_faults.json. *)
+  let committed =
+    match
+      Noc_obs.Json.parse
+        (In_channel.with_open_text "../BENCH_faults.json" In_channel.input_all)
+    with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "BENCH_faults.json does not parse: %s" msg
+  in
+  let quick =
+    Noc_experiments.Fault_campaign.to_json
+      (Noc_experiments.Fault_campaign.run ~scale:0.08 ~n_graphs:2 ~n_trials:2 ())
+  in
+  Alcotest.(check (list string)) "key paths" (key_paths committed) (key_paths quick);
+  Alcotest.(check (option string)) "schema tag"
+    (Some "nocsched/bench-faults/v2")
+    (match Noc_obs.Json.member "schema" quick with
+    | Some (Noc_obs.Json.String s) -> Some s
+    | _ -> None)
+
 let suite =
   [
     Alcotest.test_case "runner names" `Quick test_runner_names;
@@ -122,4 +161,6 @@ let suite =
     Alcotest.test_case "tradeoff shape" `Slow test_tradeoff_shape;
     Alcotest.test_case "energy split shape" `Slow test_energy_split_shape;
     Alcotest.test_case "ablation shape" `Slow test_ablation_shape;
+    Alcotest.test_case "fault campaign JSON matches BENCH_faults.json" `Quick
+      test_fault_campaign_json_schema;
   ]

@@ -6,7 +6,7 @@
    platform, at every job count. *)
 
 module Level_sched = Noc_eas.Level_sched
-module Reference = Noc_eas.Level_sched_reference
+module Reference = Level_sched_reference
 module Budget = Noc_eas.Budget
 module Schedule = Noc_sched.Schedule
 module Category = Noc_tgff.Category

@@ -49,9 +49,10 @@ let test_fault_campaign_jobs_invariant () =
   (* The campaign's JSON report carries no timing fields, so whole-string
      equality is the exact field-wise comparison. *)
   let run jobs =
-    Noc_experiments.Fault_campaign.to_json
-      (Noc_experiments.Fault_campaign.run ~jobs ~scale:0.08 ~n_graphs:2
-         ~n_trials:3 ())
+    Noc_obs.Json.to_string
+      (Noc_experiments.Fault_campaign.to_json
+         (Noc_experiments.Fault_campaign.run ~jobs ~scale:0.08 ~n_graphs:2
+            ~n_trials:3 ()))
   in
   let serial = run 1 in
   List.iter

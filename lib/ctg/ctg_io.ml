@@ -43,6 +43,7 @@ type partial_task = {
 type state = {
   mutable n_pes : int option;
   mutable tasks_rev : partial_task list;
+  mutable next_task : int;
   mutable edges_rev : Edge.t list;
   mutable next_edge : int;
   mutable version_seen : bool;
@@ -92,7 +93,7 @@ let handle_line st line_no words =
     match rest with
     | id :: "name" :: name :: tail ->
       let id = parse_int line_no "task id" id in
-      if id <> List.length st.tasks_rev then
+      if id <> st.next_task then
         fail line_no "task ids must be dense and ordered (got %d)" id;
       let release, deadline =
         match tail with
@@ -105,7 +106,8 @@ let handle_line st line_no words =
         | _ -> fail line_no "malformed task line"
       in
       st.tasks_rev <-
-        { id; name; release; deadline; times = None; energies = None } :: st.tasks_rev
+        { id; name; release; deadline; times = None; energies = None } :: st.tasks_rev;
+      st.next_task <- id + 1
     | _ ->
       fail line_no
         "malformed task line (task <id> name <name> [release <r>] [deadline <d>])")
@@ -134,7 +136,14 @@ let handle_line st line_no words =
 
 let of_string text =
   let st =
-    { n_pes = None; tasks_rev = []; edges_rev = []; next_edge = 0; version_seen = false }
+    {
+      n_pes = None;
+      tasks_rev = [];
+      next_task = 0;
+      edges_rev = [];
+      next_edge = 0;
+      version_seen = false;
+    }
   in
   try
     List.iteri

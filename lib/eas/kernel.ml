@@ -148,6 +148,32 @@ let overlay_table (ov : overlay) idx =
     ov := (idx, tl) :: !ov;
     tl
 
+(* The tables a probe's window must be free on: each route link's
+   shared table, followed by its overlay table when the probe reserved
+   on that link. [route] is non-empty (the caller handles same-tile
+   transactions); one counting pass sizes the array. *)
+let probe_tables state (ov : overlay) n route =
+  let shared l = Resource_state.link_table state l in
+  let scratch (l : Noc_noc.Routing.link) =
+    overlay_find ov ((l.Noc_noc.Routing.from_node * n) + l.to_node)
+  in
+  let extra =
+    Array.fold_left (fun c l -> if Option.is_some (scratch l) then c + 1 else c) 0 route
+  in
+  let tables = Array.make (Array.length route + extra) (shared route.(0)) in
+  let k = ref 0 in
+  Array.iter
+    (fun l ->
+      tables.(!k) <- shared l;
+      incr k;
+      match scratch l with
+      | Some tl ->
+        tables.(!k) <- tl;
+        incr k
+      | None -> ())
+    route;
+  tables
+
 let data_ready ?(model = Comm_sched.Contention_aware) t state ~pendings ~pe =
   let n = t.n_pes in
   let ov : overlay = ref [] in
@@ -173,16 +199,7 @@ let data_ready ?(model = Comm_sched.Contention_aware) t state ~pendings ~pe =
             | Comm_sched.Fixed_delay -> p.Comm_sched.sender_finish
             | Comm_sched.Contention_aware ->
               let route = t.links.(pair) in
-              let tables =
-                Array.fold_left
-                  (fun acc (l : Noc_noc.Routing.link) ->
-                    let idx = (l.Noc_noc.Routing.from_node * n) + l.to_node in
-                    let shared = Resource_state.link_table state l in
-                    match overlay_find ov idx with
-                    | None -> shared :: acc
-                    | Some scratch -> scratch :: shared :: acc)
-                  [] route
-              in
+              let tables = probe_tables state ov n route in
               let start =
                 Timeline.earliest_gap_multi tables
                   ~after:p.Comm_sched.sender_finish ~duration

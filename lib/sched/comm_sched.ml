@@ -4,68 +4,76 @@ type pending = { edge : int; src_pe : int; sender_finish : float; bits : float }
 
 let c_transactions = Noc_obs.Counters.counter "sched.comm.transactions"
 
-let place ?(model = Contention_aware) ?degraded state pending ~dst_pe =
+let nontrivial = function
+  | Some view when not (Noc_noc.Degraded.is_trivial view) -> Some view
+  | Some _ | None -> None
+
+let transmit ?(model = Contention_aware) ?degraded state ~src_pe ~dst_pe ~sender_finish
+    ~bits =
   Noc_obs.Counters.incr c_transactions;
-  let platform = Resource_state.platform state in
-  let src_pe = pending.src_pe in
-  if src_pe = dst_pe then
-    {
-      Schedule.edge = pending.edge;
-      src_pe;
-      dst_pe;
-      route = [ src_pe ];
-      start = pending.sender_finish;
-      finish = pending.sender_finish;
-    }
-  else begin
-    (* Both hit the platform's (or degraded view's) memoized route
-       table. On a degraded platform, detours around failed links are
-       taken and priced by their real length. *)
-    let route_nodes, links, duration =
-      match degraded with
-      | Some view when not (Noc_noc.Degraded.is_trivial view) ->
-        ( Noc_noc.Degraded.route view ~src:src_pe ~dst:dst_pe,
-          Noc_noc.Degraded.route_links view ~src:src_pe ~dst:dst_pe,
-          Noc_noc.Degraded.comm_duration view ~src:src_pe ~dst:dst_pe
-            ~bits:pending.bits )
-      | Some _ | None ->
-        ( Noc_noc.Platform.route platform ~src:src_pe ~dst:dst_pe,
-          Noc_noc.Platform.route_links platform ~src:src_pe ~dst:dst_pe,
-          Noc_noc.Platform.comm_duration platform ~src:src_pe ~dst:dst_pe
-            ~bits:pending.bits )
+  if src_pe = dst_pe then Noc_util.Interval.make ~start:sender_finish ~stop:sender_finish
+  else
+    (* Degraded views detour around failed links, priced by their real
+       length; their queries raise [Invalid_argument] on a disconnected
+       pair. Platform routes read the state's per-pair table memo. *)
+    let view = nontrivial degraded in
+    let duration =
+      match view with
+      | None ->
+        Noc_noc.Platform.comm_duration (Resource_state.platform state) ~src:src_pe
+          ~dst:dst_pe ~bits
+      | Some view -> Noc_noc.Degraded.comm_duration view ~src:src_pe ~dst:dst_pe ~bits
     in
-    let start =
-      match model with
-      | Fixed_delay -> pending.sender_finish
-      | Contention_aware ->
-        Resource_state.earliest_route_gap state ~route:links
-          ~after:pending.sender_finish ~duration
-    in
-    let interval = Noc_util.Interval.make ~start ~stop:(start +. duration) in
-    (match model with
-    | Fixed_delay -> ()
+    match model with
+    | Fixed_delay ->
+      Noc_util.Interval.make ~start:sender_finish ~stop:(sender_finish +. duration)
     | Contention_aware ->
-      List.iter (fun link -> Resource_state.reserve_link state link interval) links);
-    {
-      Schedule.edge = pending.edge;
-      src_pe;
-      dst_pe;
-      route = route_nodes;
-      start;
-      finish = start +. duration;
-    }
-  end
+      let tables =
+        match view with
+        | None -> Resource_state.route_tables state ~src:src_pe ~dst:dst_pe
+        | Some view ->
+          Array.of_list
+            (List.map (Resource_state.link_table state)
+               (Noc_noc.Degraded.route_links view ~src:src_pe ~dst:dst_pe))
+      in
+      Resource_state.reserve_route_gap state tables ~after:sender_finish ~duration
+
+let route ?degraded platform ~src_pe ~dst_pe =
+  if src_pe = dst_pe then [ src_pe ]
+  else
+    match nontrivial degraded with
+    | Some view -> Noc_noc.Degraded.route view ~src:src_pe ~dst:dst_pe
+    | None -> Noc_noc.Platform.route platform ~src:src_pe ~dst:dst_pe
+
+let place ?model ?degraded state pending ~dst_pe =
+  let src_pe = pending.src_pe in
+  let window =
+    transmit ?model ?degraded state ~src_pe ~dst_pe ~sender_finish:pending.sender_finish
+      ~bits:pending.bits
+  in
+  {
+    Schedule.edge = pending.edge;
+    src_pe;
+    dst_pe;
+    route = route ?degraded (Resource_state.platform state) ~src_pe ~dst_pe;
+    start = window.Noc_util.Interval.start;
+    finish = window.Noc_util.Interval.stop;
+  }
+
+let compare_sends ~finish_a ~edge_a ~finish_b ~edge_b =
+  let c = Float.compare finish_a finish_b in
+  if c <> 0 then c else Int.compare edge_a edge_b
 
 let sort_pendings lct =
   List.sort
     (fun a b ->
-      let c = Float.compare a.sender_finish b.sender_finish in
-      if c <> 0 then c else compare a.edge b.edge)
+      compare_sends ~finish_a:a.sender_finish ~edge_a:a.edge ~finish_b:b.sender_finish
+        ~edge_b:b.edge)
     lct
 
-let schedule_incoming ?(model = Contention_aware) ?degraded state lct ~dst_pe =
+let schedule_incoming ?model ?degraded state lct ~dst_pe =
   let sorted = sort_pendings lct in
-  let placed = List.map (fun p -> place ~model ?degraded state p ~dst_pe) sorted in
+  let placed = List.map (fun p -> place ?model ?degraded state p ~dst_pe) sorted in
   let drt =
     List.fold_left (fun acc tr -> Float.max acc tr.Schedule.finish) 0. placed
   in

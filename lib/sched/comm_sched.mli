@@ -25,6 +25,37 @@ type pending = {
 }
 (** One receiving transaction still to be scheduled. *)
 
+val transmit :
+  ?model:model ->
+  ?degraded:Noc_noc.Degraded.t ->
+  Resource_state.t ->
+  src_pe:int ->
+  dst_pe:int ->
+  sender_finish:float ->
+  bits:float ->
+  Noc_util.Interval.t
+(** The one transaction-placement routine: schedules [bits] from
+    [src_pe] to [dst_pe], sent at [sender_finish], and returns its
+    window [[start, finish)] (default model [Contention_aware]).
+    Same-tile transactions complete instantaneously at the sender's
+    finish and reserve nothing. Otherwise the window is the earliest one
+    free on every link of the route at or after the sender's finish, and
+    it is reserved on all those links through the state's journal.
+    With [degraded], routes, durations and link reservations follow the
+    degraded view's detours around failed links; raises
+    [Invalid_argument] when the fault set disconnects the pair. Every
+    other function of this module places through this one. *)
+
+val route :
+  ?degraded:Noc_noc.Degraded.t ->
+  Noc_noc.Platform.t ->
+  src_pe:int ->
+  dst_pe:int ->
+  int list
+(** The routers a transaction placed by {!transmit} visits: [[src_pe]]
+    on one tile, else the platform's (or non-trivial degraded view's)
+    route. *)
+
 val place :
   ?model:model ->
   ?degraded:Noc_noc.Degraded.t ->
@@ -32,17 +63,19 @@ val place :
   pending ->
   dst_pe:int ->
   Schedule.transaction
-(** Schedules a single transaction towards [dst_pe] (default model
-    [Contention_aware]). Same-tile transactions complete instantaneously
-    at the sender's finish and reserve nothing. With [degraded], routes,
-    durations and link reservations follow the degraded view's detours
-    around failed links; raises [Invalid_argument] when the fault set
-    disconnects the pair. *)
+(** Schedules a single transaction towards [dst_pe] with {!transmit}
+    and records it with its {!route}. *)
+
+val compare_sends :
+  finish_a:float -> edge_a:int -> finish_b:float -> edge_b:int -> int
+(** The Fig. 3 evaluation order over [(sender finish, edge id)] pairs:
+    the earlier sender finish first, ties by edge id. Every caller that
+    orders a task's incoming transactions uses this comparison. *)
 
 val sort_pendings : pending list -> pending list
-(** The Fig. 3 evaluation order: sender finish time, ties by edge id.
-    {!schedule_incoming} sorts with this; the EAS kernel pre-sorts each
-    task's pending list once so its probes can skip the re-sort. *)
+(** Sorts by {!compare_sends}. {!schedule_incoming} sorts with this; the
+    EAS kernel pre-sorts each task's pending list once so its probes can
+    skip the re-sort. *)
 
 val schedule_incoming :
   ?model:model ->

@@ -4,6 +4,8 @@ type t = {
   platform : Noc_noc.Platform.t;
   pe_tables : Noc_util.Timeline.t array;
   link_tables : Noc_util.Timeline.t array;  (* indexed by src * n + dst *)
+  route_tables : Noc_util.Timeline.t array array;
+      (* indexed by src * n + dst; [[||]] until the pair is first used *)
   mutable journal : entry list;
 }
 
@@ -13,6 +15,7 @@ let create platform =
     platform;
     pe_tables = Array.init n (fun _ -> Noc_util.Timeline.create ());
     link_tables = Array.init (n * n) (fun _ -> Noc_util.Timeline.create ());
+    route_tables = Array.make (n * n) [||];
     journal = [];
   }
 
@@ -46,8 +49,32 @@ let earliest_route_gap t ~route ~after ~duration =
   match route with
   | [] -> after
   | links ->
-    let tables = List.map (link_table t) links in
+    let tables = Array.of_list (List.map (link_table t) links) in
     Noc_util.Timeline.earliest_gap_multi tables ~after ~duration
+
+let route_tables t ~src ~dst =
+  let idx = (src * Noc_noc.Platform.n_pes t.platform) + dst in
+  let tables = t.route_tables.(idx) in
+  if Array.length tables > 0 || src = dst then tables
+  else begin
+    let tables =
+      Array.of_list
+        (List.map (link_table t) (Noc_noc.Platform.route_links t.platform ~src ~dst))
+    in
+    t.route_tables.(idx) <- tables;
+    tables
+  end
+
+(* The journal gets the entries [reserve_link] would have pushed over
+   the route, in the same order. *)
+let reserve_route_gap t tables ~after ~duration =
+  let interval = Noc_util.Timeline.reserve_gap_multi tables ~after ~duration in
+  if not (Noc_util.Interval.is_empty interval) then
+    for k = 0 to Array.length tables - 1 do
+      Noc_obs.Counters.incr c_reservations;
+      t.journal <- { table = tables.(k); interval } :: t.journal
+    done;
+  interval
 
 type mark = entry list
 
@@ -57,16 +84,23 @@ let mark t =
 
 let rollback t m =
   Noc_obs.Counters.incr c_rollbacks;
+  (* The mark is located before any table is touched, so an unknown or
+     stale mark leaves the state as it was. *)
+  let rec known journal =
+    journal == m
+    || match journal with [] -> false | _ :: rest -> known rest
+  in
+  if not (known t.journal) then invalid_arg "Resource_state.rollback: unknown mark";
   let rec undo journal =
-    if journal == m then journal
-    else
+    if journal != m then
       match journal with
-      | [] -> invalid_arg "Resource_state.rollback: unknown mark"
+      | [] -> assert false
       | { table; interval } :: rest ->
         Noc_util.Timeline.release table interval;
         undo rest
   in
-  t.journal <- undo t.journal
+  undo t.journal;
+  t.journal <- m
 
 let redo t m =
   Noc_obs.Counters.incr c_redos;

@@ -29,12 +29,29 @@ val earliest_route_gap :
     paper's merged path schedule table (Fig. 3). With an empty route the
     answer is [after]. *)
 
+val route_tables : t -> src:int -> dst:int -> Noc_util.Timeline.t array
+(** The link tables of the platform's route from [src] to [dst], in
+    route order ([[||]] when [src = dst]). Memoised per pair on first
+    use, so the communication scheduler's inner loop reads one array
+    instead of a route list. *)
+
+val reserve_route_gap :
+  t -> Noc_util.Timeline.t array -> after:float -> duration:float -> Noc_util.Interval.t
+(** [reserve_route_gap t tables ~after ~duration] finds the earliest
+    window of [duration] at or after [after] free on every table (as
+    {!earliest_route_gap}), reserves it on each table in array order
+    with one journal entry per table (as {!reserve_link} over the
+    route), and returns the window. *)
+
 type mark
 
 val mark : t -> mark
 val rollback : t -> mark -> unit
 (** [rollback t m] releases every reservation made since [mark t]
-    returned [m]. Marks must be rolled back innermost-first. *)
+    returned [m]. Marks must be rolled back innermost-first. Raises
+    [Invalid_argument], leaving the state untouched, when [m] is not a
+    prefix of the current journal (a mark of another state, or one a
+    rollback to an older mark already discarded). *)
 
 val redo : t -> mark -> unit
 (** [redo t m] re-applies, oldest first, every reservation [m] holds

@@ -22,8 +22,9 @@ let busy t =
   List.init t.len (fun i -> Interval.make ~start:t.starts.(i) ~stop:t.stops.(i))
 
 (* First index whose slot ends strictly after [x] (slots ending at or
-   before [x] cannot constrain anything at or after it), or [len]. *)
-let first_stop_after t x =
+   before [x] cannot constrain anything at or after it), or [len].
+   Inlined so the float argument is never boxed on the hot paths. *)
+let[@inline] first_stop_after t x =
   let lo = ref 0 and hi = ref t.len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -65,34 +66,38 @@ let ensure_capacity t n =
     t.stops <- stops
   end
 
+(* Inserts [iv] at index [i], which must be [first_stop_after t
+   iv.start]: every slot before [i] ends at or before [iv.start], so
+   slot [i] is the only candidate overlap. *)
+let insert t i (iv : Interval.t) =
+  if i < t.len && t.starts.(i) < iv.Interval.stop then
+    invalid_arg
+      (Format.asprintf "Timeline.reserve: %a overlaps %a" Interval.pp iv Interval.pp
+         (Interval.make ~start:t.starts.(i) ~stop:t.stops.(i)));
+  ensure_capacity t (t.len + 1);
+  if i < t.len then begin
+    Array.blit t.starts i t.starts (i + 1) (t.len - i);
+    Array.blit t.stops i t.stops (i + 1) (t.len - i)
+  end;
+  t.starts.(i) <- iv.Interval.start;
+  t.stops.(i) <- iv.Interval.stop;
+  t.len <- t.len + 1;
+  t.version <- t.version + 1
+
 let reserve t (iv : Interval.t) =
-  if not (Interval.is_empty iv) then begin
-    let i = first_stop_after t iv.Interval.start in
-    (* Every slot before [i] ends at or before [iv.start]; slot [i] is the
-       only candidate overlap, and [i] is also the insertion point. *)
-    if i < t.len && t.starts.(i) < iv.Interval.stop then
-      invalid_arg
-        (Format.asprintf "Timeline.reserve: %a overlaps %a" Interval.pp iv
-           Interval.pp
-           (Interval.make ~start:t.starts.(i) ~stop:t.stops.(i)));
-    ensure_capacity t (t.len + 1);
-    if i < t.len then begin
-      Array.blit t.starts i t.starts (i + 1) (t.len - i);
-      Array.blit t.stops i t.stops (i + 1) (t.len - i)
-    end;
-    t.starts.(i) <- iv.Interval.start;
-    t.stops.(i) <- iv.Interval.stop;
-    t.len <- t.len + 1;
-    t.version <- t.version + 1
-  end
+  if not (Interval.is_empty iv) then insert t (first_stop_after t iv.Interval.start) iv
 
 let release t (iv : Interval.t) =
   if not (Interval.is_empty iv) then begin
     let i = first_stop_after t iv.Interval.start in
     if i < t.len && t.starts.(i) = iv.Interval.start && t.stops.(i) = iv.Interval.stop
     then begin
-      Array.blit t.starts (i + 1) t.starts i (t.len - i - 1);
-      Array.blit t.stops (i + 1) t.stops i (t.len - i - 1);
+      (* Rollbacks release newest-first, so the slot is often the last
+         one: skip the empty shift. *)
+      if i < t.len - 1 then begin
+        Array.blit t.starts (i + 1) t.starts i (t.len - i - 1);
+        Array.blit t.stops (i + 1) t.stops i (t.len - i - 1)
+      end;
       t.len <- t.len - 1;
       t.version <- t.version + 1
     end
@@ -161,29 +166,50 @@ let merged_busy tls ~after =
   in
   List.rev_map (fun (s, e) -> Interval.make ~start:s ~stop:e) coalesced
 
+(* Candidate advance: probe every table for a slot overlapping
+   [candidate, candidate + duration); any hit pushes the candidate to
+   that slot's stop. Each advance retires at least one slot of one table
+   for good, so the loop does O(total slots) probes worst case and
+   typically just one round of binary searches. The last round probes
+   every table at the answer, so a non-empty [at] ends up holding each
+   table's insertion point for it; a search alone passes [[||]]. *)
+let gap_multi tls at ~after ~duration =
+  let candidate = ref after in
+  let moved = ref true in
+  let record = Array.length at > 0 in
+  while !moved do
+    moved := false;
+    for k = 0 to Array.length tls - 1 do
+      let tl = tls.(k) in
+      let i = first_stop_after tl !candidate in
+      if record then at.(k) <- i;
+      if i < tl.len && tl.starts.(i) < !candidate +. duration then begin
+        candidate := tl.stops.(i);
+        moved := true
+      end
+    done
+  done;
+  !candidate
+
 let earliest_gap_multi tls ~after ~duration =
   assert (duration >= 0.);
   if duration = 0. then after
+  else gap_multi tls [||] ~after ~duration
+
+let reserve_gap_multi tls ~after ~duration =
+  assert (duration >= 0.);
+  if duration = 0. then Interval.make ~start:after ~stop:(after +. duration)
   else begin
-    (* Candidate advance: probe every table for a slot overlapping
-       [candidate, candidate + duration); any hit pushes the candidate to
-       that slot's stop. Each advance retires at least one slot of one
-       table for good, so the loop does O(total slots) probes worst case
-       and typically just one round of binary searches. *)
-    let candidate = ref after in
-    let moved = ref true in
-    while !moved do
-      moved := false;
-      List.iter
-        (fun tl ->
-          let i = first_stop_after tl !candidate in
-          if i < tl.len && tl.starts.(i) < !candidate +. duration then begin
-            candidate := tl.stops.(i);
-            moved := true
-          end)
-        tls
-    done;
-    !candidate
+    let at = Array.make (Array.length tls) 0 in
+    let start = gap_multi tls at ~after ~duration in
+    let iv = Interval.make ~start ~stop:(start +. duration) in
+    (* As [reserve], an empty window (a duration lost to rounding)
+       reserves nothing. *)
+    if not (Interval.is_empty iv) then
+      for k = 0 to Array.length tls - 1 do
+        insert tls.(k) at.(k) iv
+      done;
+    iv
   end
 
 let pp ppf t =

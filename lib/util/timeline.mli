@@ -12,8 +12,9 @@
     mid-table insert. Snapshots copy the live prefix (O(n)); the hot
     tentative-[F(i,k)] path of EAS Step 2 instead undoes its reservations
     through [Noc_sched.Resource_state]'s journal, which never snapshots.
-    Behavioural equivalence with the naive {!Timeline_reference} model is
-    enforced by qcheck differential tests over random operation traces. *)
+    Behavioural equivalence with a naive sorted-list model (the test-only
+    [Timeline_reference]) is enforced by qcheck differential tests over
+    random operation traces. *)
 
 type t
 
@@ -67,8 +68,18 @@ val merged_busy : t list -> after:float -> Interval.t list
     is the paper's "path schedule table" obtained by merging the occupied
     slots of a route's links (Fig. 3). *)
 
-val earliest_gap_multi : t list -> after:float -> duration:float -> float
+val earliest_gap_multi : t array -> after:float -> duration:float -> float
 (** Earliest [s >= after] such that [s, s + duration) is simultaneously
-    free on every timeline in the list. *)
+    free on every timeline in the array. The answer does not depend on
+    the order of the array. *)
+
+val reserve_gap_multi : t array -> after:float -> duration:float -> Interval.t
+(** [reserve_gap_multi tls ~after ~duration] is the window [[s, s +
+    duration)] with [s = earliest_gap_multi tls ~after ~duration],
+    reserved on every timeline in array order as by {!reserve}, overlap
+    check included. The gap search already locates each table's
+    insertion point, so no table is searched twice. The timelines must
+    be distinct (a route's links): a repeated one fails the overlap
+    check after the earlier ones were reserved. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,6 +1,7 @@
 module Schedule = Noc_sched.Schedule
 module Comm_sched = Noc_sched.Comm_sched
 module Resource_state = Noc_sched.Resource_state
+module Rebuild_reference = Noc_oracle.Rebuild_reference
 
 type partial = {
   state : Resource_state.t;
@@ -31,8 +32,8 @@ let incoming_pendings ctg partial i =
    per candidate PE. *)
 let place ?comm_model ?degraded ~pendings ctg partial i k =
   let transactions, drt =
-    Comm_sched.schedule_incoming ?model:comm_model ?degraded partial.state pendings
-      ~dst_pe:k
+    Rebuild_reference.schedule_incoming ?model:comm_model ?degraded partial.state
+      pendings ~dst_pe:k
   in
   let task = Noc_ctg.Ctg.task ctg i in
   let exec_time = task.Noc_ctg.Task.exec_times.(k) in

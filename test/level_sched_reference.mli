@@ -6,7 +6,10 @@
     receiving transactions on the shared link tables through
     {!Noc_sched.Resource_state} and rolling the journal back afterwards
     ("the schedule tables of both links and the PEs will be restored
-    every time a F(i,k) is calculated"). This is the semantics the
+    every time a F(i,k) is calculated"). Transactions are placed by the
+    frozen route-list copy of Fig. 3 in
+    {!Noc_oracle.Rebuild_reference.schedule_incoming}, so the optimised
+    {!Noc_sched.Comm_sched} is checked too. This is the semantics the
     flat-array kernel path must reproduce bit for bit; the
     [test_kernel_diff] suite runs both implementations over a 50-seed
     corpus and asserts identical placements, transactions and decision

@@ -1,7 +1,8 @@
 (* Test-only oracle for the Step-3 repair search: every candidate move
-   is priced by a full from-scratch Rebuild.run of all tasks, the search
-   as it stood before candidates were re-placed incrementally from
-   checkpoints. Noc_eas.Repair must agree with it bit for bit — same
+   is priced by a full from-scratch rebuild of all tasks through the
+   frozen list scheduler (Rebuild_reference), the search as it stood
+   before candidates were re-placed incrementally from checkpoints.
+   Noc_eas.Repair must agree with it bit for bit — same
    accepted moves, same stats, byte-identical schedules — and
    [fault_resched] runs Noc_eas.Fault_resched's pipeline on top of it
    (see test_repair_diff). *)
@@ -9,6 +10,7 @@
 module Schedule = Noc_sched.Schedule
 module Repair = Noc_eas.Repair
 module Rebuild = Noc_eas.Rebuild
+module Rebuild_reference = Noc_oracle.Rebuild_reference
 module Kernel = Noc_eas.Kernel
 module Degraded = Noc_noc.Degraded
 module Fault_set = Noc_fault.Fault_set
@@ -63,7 +65,8 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Repai
   let swaps = ref 0 and migrations = ref 0 and evaluations = ref 0 in
   let rebuild () =
     incr evaluations;
-    try Some (Rebuild.run ?comm_model ?degraded platform ctg ~assignment ~rank)
+    try
+      Some (Rebuild_reference.run ?comm_model ?degraded platform ctg ~assignment ~rank)
     with Invalid_argument _ ->
       incr failed_rebuilds;
       None
@@ -208,7 +211,8 @@ let fault_resched ?comm_model ?max_evaluations platform ctg ~faults schedule =
         end)
       (Array.copy assignment);
     let rebuilt =
-      try Some (Rebuild.run ?comm_model ~degraded platform ctg ~assignment ~rank)
+      try
+        Some (Rebuild_reference.run ?comm_model ~degraded platform ctg ~assignment ~rank)
       with Invalid_argument _ -> None
     in
     let repaired =

@@ -81,6 +81,12 @@ let test_ctg_parse_errors () =
   expect_parse_error "ctg 2\n" "version";
   expect_parse_error "ctg 1\ntask 0 name a\n times 1\n energies 1\n" "pes";
   expect_parse_error "ctg 1\npes 2\ntask 5 name a\n" "dense";
+  (* The id counter follows the accepted lines: a repeated or skipped id
+     after valid ones is rejected too. *)
+  expect_parse_error
+    "ctg 1\npes 1\ntask 0 name a\n  times 1\n  energies 1\ntask 0 name b\n" "got 0";
+  expect_parse_error
+    "ctg 1\npes 1\ntask 0 name a\n  times 1\n  energies 1\ntask 2 name b\n" "got 2";
   expect_parse_error "ctg 1\npes 2\ntask 0 name a\n  times 1 2\n" "energies";
   expect_parse_error
     "ctg 1\npes 2\ntask 0 name a\n  times 1\n  energies 1\n" "expected 2";

@@ -90,6 +90,16 @@ let test_category_corpus () =
   (* 18 of the 80 cases need repair. *)
   Alcotest.(check bool) "the corpus runs the search" true (!active >= 10)
 
+(* One full-size instance of the paper's category-II suite (index 4),
+   where the search runs 139 evaluations over a ~500-task graph. *)
+let test_category_ii_full_size () =
+  let ctg = Category.benchmark Category.Category_ii ~index:4 in
+  let evaluations =
+    check_repair ~label:"cat-ii/full/index-4" Category.platform ctg
+      (base Category.platform ctg)
+  in
+  Alcotest.(check int) "evaluations" 139 evaluations
+
 let test_tgff_corpus () =
   let active = ref 0 in
   for seed = 1 to 6 do
@@ -277,11 +287,45 @@ let qcheck_suffix_replay =
           want = got)
         moves)
 
+(* The flat-array list scheduler against the frozen list-based one, on
+   arbitrary (assignment, rank) pairs: byte-identical schedules, or both
+   raise [Invalid_argument]. Each case draws the communication model and
+   the fabric: intact, one failed link, or PE 4 cut off (so assignments
+   onto it must fail). *)
+let link_fault_view =
+  Degraded.make small_platform ~failed_pes:[]
+    ~failed_links:[ List.nth (Platform.all_links small_platform) 3 ]
+
+let qcheck_rebuild_vs_reference =
+  let module Rebuild = Noc_eas.Rebuild in
+  let module Comm_sched = Noc_sched.Comm_sched in
+  QCheck.Test.make ~name:"Rebuild.run equals the list-based reference" ~count:300
+    QCheck.(triple (int_range 0 10_000) bool (int_range 0 2))
+    (fun (seed, fixed_delay, fabric) ->
+      let params = { Params.default with n_tasks = 8 + (seed mod 40) } in
+      let ctg = Noc_tgff.Generate.generate ~params ~platform:small_platform ~seed in
+      let n = Noc_ctg.Ctg.n_tasks ctg and n_pes = Platform.n_pes small_platform in
+      let comm_model = if fixed_delay then Some Comm_sched.Fixed_delay else None in
+      let degraded =
+        match fabric with 0 -> None | 1 -> Some link_fault_view | _ -> Some cut_off_view
+      in
+      let rng = Random.State.make [| seed |] in
+      let assignment = Array.init n (fun _ -> Random.State.int rng n_pes) in
+      let rank = Array.init n (fun _ -> Random.State.int rng (2 * n)) in
+      let build run =
+        match run ?comm_model ?degraded small_platform ctg ~assignment ~rank with
+        | schedule -> Some (Schedule_io.to_string schedule)
+        | exception Invalid_argument _ -> None
+      in
+      build Noc_oracle.Rebuild_reference.run = build Rebuild.run)
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest qcheck_rebuild_vs_reference;
     QCheck_alcotest.to_alcotest qcheck_suffix_replay;
     Alcotest.test_case "category I/II 40-task corpus, every move set" `Quick
       test_category_corpus;
+    Alcotest.test_case "category II full-size instance" `Quick test_category_ii_full_size;
     Alcotest.test_case "tgff 200-task corpus, every move set" `Quick test_tgff_corpus;
     Alcotest.test_case "max_evaluations cap" `Quick test_evaluation_cap;
     Alcotest.test_case "degraded platform, PE and link faults" `Quick test_degraded;

@@ -80,7 +80,12 @@ let test_rollback_after_outer_rollback_raises () =
     (try
        Resource_state.rollback state inner;
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  Alcotest.(check int) "the raise released nothing" 0 (busy_count state 0);
+  (* The state still works: a fresh reservation rolls back to [outer]. *)
+  Resource_state.reserve_pe state ~pe:0 (iv 3. 4.);
+  Resource_state.rollback state outer;
+  Alcotest.(check int) "later rollback to a valid mark" 0 (busy_count state 0)
 
 let test_unknown_mark_raises () =
   let state = Resource_state.create platform in
@@ -88,11 +93,18 @@ let test_unknown_mark_raises () =
   Resource_state.reserve_pe state ~pe:0 (iv 0. 1.);
   Resource_state.reserve_pe other ~pe:0 (iv 0. 1.);
   let foreign = Resource_state.mark other in
+  let valid = Resource_state.mark state in
+  Resource_state.reserve_pe state ~pe:0 (iv 1. 2.);
   Alcotest.(check bool) "foreign mark raises" true
     (try
        Resource_state.rollback state foreign;
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* Checked before anything is released: the state is unchanged and a
+     rollback to a valid mark still finds every slot it journalled. *)
+  Alcotest.(check int) "the raise released nothing" 2 (busy_count state 0);
+  Resource_state.rollback state valid;
+  Alcotest.(check int) "later rollback to a valid mark" 1 (busy_count state 0)
 
 let test_rollback_interleaved_resources () =
   (* Rollback releases across PE and link tables in reverse reservation
@@ -188,6 +200,42 @@ let qcheck_rollback_redo =
       Resource_state.rollback state first;
       walk_ok && older_raises && branch_raises && unchanged && tables state = seen_first)
 
+(* The memoised-route fast path against the route-list one: on equal
+   states, [reserve_route_gap] over [route_tables] takes the window
+   [earliest_route_gap] finds and journals it as [reserve_link] over the
+   route does, so a rollback undoes either the same way. *)
+let qcheck_reserve_route_gap =
+  let reservation = QCheck.(triple (int_range 0 11) (int_range 0 30) (int_range 1 6)) in
+  let gen =
+    QCheck.(
+      pair (list_of_size Gen.(0 -- 25) reservation)
+        (quad (int_range 0 3) (int_range 0 3) (int_range 0 40) (int_range 0 6)))
+  in
+  QCheck.Test.make ~name:"reserve_route_gap equals a route-list reservation" ~count:300
+    gen (fun (reservations, (src, dst, after, duration)) ->
+      let fast = Resource_state.create platform and slow = Resource_state.create platform in
+      List.iter
+        (fun r ->
+          reserve_random fast r;
+          reserve_random slow r)
+        reservations;
+      let mark_fast = Resource_state.mark fast and mark_slow = Resource_state.mark slow in
+      let after = float_of_int after and duration = float_of_int duration in
+      let window =
+        Resource_state.reserve_route_gap fast
+          (Resource_state.route_tables fast ~src ~dst)
+          ~after ~duration
+      in
+      let route = Noc_noc.Platform.route_links platform ~src ~dst in
+      let start = Resource_state.earliest_route_gap slow ~route ~after ~duration in
+      let interval = iv start (start +. duration) in
+      List.iter (fun l -> Resource_state.reserve_link slow l interval) route;
+      let same_window = Interval.equal window interval in
+      let same_tables = tables fast = tables slow in
+      Resource_state.rollback fast mark_fast;
+      Resource_state.rollback slow mark_slow;
+      same_window && same_tables && tables fast = tables slow)
+
 let suite =
   [
     Alcotest.test_case "rollback to empty mark" `Quick test_rollback_to_empty_mark;
@@ -202,4 +250,5 @@ let suite =
     Alcotest.test_case "interleaved PE/link rollback" `Quick
       test_rollback_interleaved_resources;
     QCheck_alcotest.to_alcotest qcheck_rollback_redo;
+    QCheck_alcotest.to_alcotest qcheck_reserve_route_gap;
   ]

@@ -140,13 +140,13 @@ let test_multi_gap () =
   Timeline.reserve b (iv 12. 20.);
   (* Free on both only in [10, 12) and after 20. *)
   Alcotest.(check (float 0.)) "short fits between" 10.
-    (Timeline.earliest_gap_multi [ a; b ] ~after:0. ~duration:2.);
+    (Timeline.earliest_gap_multi [| a; b |] ~after:0. ~duration:2.);
   Alcotest.(check (float 0.)) "long goes after both" 20.
-    (Timeline.earliest_gap_multi [ a; b ] ~after:0. ~duration:3.)
+    (Timeline.earliest_gap_multi [| a; b |] ~after:0. ~duration:3.)
 
 let test_multi_gap_empty_list () =
   Alcotest.(check (float 0.)) "no timelines: immediately" 4.
-    (Timeline.earliest_gap_multi [] ~after:4. ~duration:100.)
+    (Timeline.earliest_gap_multi [||] ~after:4. ~duration:100.)
 
 (* Property: repeatedly reserving at the earliest gap never raises and
    leaves the timeline consistent (disjoint sorted slots). *)

@@ -9,7 +9,7 @@
    exact-duration fits all occur constantly. *)
 
 module Timeline = Noc_util.Timeline
-module Reference = Noc_util.Timeline_reference
+module Reference = Noc_oracle.Timeline_reference
 module Interval = Noc_util.Interval
 
 type op =
@@ -126,7 +126,8 @@ let qcheck_traces =
     ~count:1000 trace_arb agree
 
 (* Multi-timeline operations: reserve across several tables, then compare
-   merged_busy and earliest_gap_multi. *)
+   merged_busy and earliest_gap_multi, and reserve the gap with
+   reserve_gap_multi. *)
 let multi_arb =
   QCheck.make
     QCheck.Gen.(
@@ -148,14 +149,22 @@ let qcheck_multi =
             Reference.reserve rfs.(which) interval
           end)
         reserves;
-      let tls = Array.to_list tls and rfs = Array.to_list rfs in
       let after = float_of_int a and duration = float_of_int d in
-      let merged_tl = Timeline.merged_busy tls ~after in
-      let merged_rf = Reference.merged_busy rfs ~after in
-      List.length merged_tl = List.length merged_rf
-      && List.for_all2 Interval.equal merged_tl merged_rf
-      && Timeline.earliest_gap_multi tls ~after ~duration
-         = Reference.earliest_gap_multi rfs ~after ~duration)
+      let merged_tl = Timeline.merged_busy (Array.to_list tls) ~after in
+      let merged_rf = Reference.merged_busy (Array.to_list rfs) ~after in
+      let gap = Reference.earliest_gap_multi (Array.to_list rfs) ~after ~duration in
+      let same_merge =
+        List.length merged_tl = List.length merged_rf
+        && List.for_all2 Interval.equal merged_tl merged_rf
+      in
+      let same_gap = Timeline.earliest_gap_multi tls ~after ~duration = gap in
+      (* The fused search-and-reserve takes the same window and leaves
+         every table as a reserve of it would. *)
+      let window = Timeline.reserve_gap_multi tls ~after ~duration in
+      Array.iter (fun rf -> Reference.reserve rf (iv gap (gap +. duration))) rfs;
+      same_merge && same_gap
+      && Interval.equal window (iv gap (gap +. duration))
+      && Array.for_all2 same_busy tls rfs)
 
 (* Regression for the old non-tail-recursive coalesce: merging tables
    whose combined slot count would overflow the stack under non-tail

@@ -13,15 +13,7 @@ open Cmdliner
 (* Shared argument parsing.                                            *)
 
 let mesh_conv =
-  let parse s =
-    match String.split_on_char 'x' (String.lowercase_ascii s) with
-    | [ c; r ] -> (
-      match (int_of_string_opt c, int_of_string_opt r) with
-      | Some cols, Some rows when cols > 0 && rows > 0 -> Ok (cols, rows)
-      | Some _, Some _ | None, Some _ | Some _, None | None, None ->
-        Error (`Msg "mesh must be COLSxROWS with positive integers"))
-    | _ :: _ | [] -> Error (`Msg "mesh must look like 4x4")
-  in
+  let parse s = Result.map_error (fun msg -> `Msg msg) (Noc_serve.Protocol.parse_mesh s) in
   let print ppf (c, r) = Format.fprintf ppf "%dx%d" c r in
   Arg.conv (parse, print)
 

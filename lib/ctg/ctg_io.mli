@@ -18,13 +18,21 @@
 
     [ctg 1] is the format version; [pes N] fixes the cost-array length;
     tasks and edges must appear in id order (ids are dense, as in
-    {!Ctg}). Blank lines and [#]-comments are ignored. Task names must
-    not contain whitespace. Floats round-trip exactly. *)
+    {!Ctg}). Blank lines and [#]-comments are ignored; fields are
+    separated by spaces or tabs. Task names must not contain whitespace
+    or [#]. Floats round-trip exactly: they are written by
+    {!Noc_util.Scan.float_to_string} and read by
+    {!Noc_util.Scan.float_sub}, which agrees with [float_of_string] bit
+    for bit. *)
 
 val to_string : Ctg.t -> string
 
 val of_string : string -> (Ctg.t, string) result
-(** Parse errors carry a line number and a description. The graph is
+(** An error about one token reads ["line L, col C: <description>"]
+    (1-based, counting bytes), e.g.
+    [line 4, col 11: times: not a number ("x")]. Errors about the text
+    as a whole ([missing header line (ctg 1)], [task 3 lacks times],
+    anything {!Ctg.make} rejects) carry no position. The graph is
     re-validated through {!Ctg.make}. *)
 
 val save : path:string -> Ctg.t -> unit

@@ -31,25 +31,30 @@ let default =
   | Error msg -> failwith msg
 
 let of_string s =
-  let tokens = String.split_on_char ',' s |> List.map String.trim in
-  let rec parse acc = function
-    | [] -> Ok (List.rev acc)
-    | "" :: _ -> Error "empty level token (stray comma?)"
-    | tok :: rest -> (
-      match float_of_string_opt tok with
-      | Some r -> parse (r :: acc) rest
-      | None -> Error (Printf.sprintf "level %S is not a number" tok))
+  let module Scan = Noc_util.Scan in
+  let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
+  let n = String.length s in
+  (* Comma-separated tokens, each trimmed of surrounding blanks. *)
+  let rec tokens start acc =
+    let stop = match Scan.find s ',' start n with -1 -> n | j -> j in
+    let a = ref start and b = ref stop in
+    while !a < !b && is_space s.[!a] do incr a done;
+    while !b > !a && is_space s.[!b - 1] do decr b done;
+    if !a = !b then Error (Scan.located s !a "empty level token (stray comma?)")
+    else
+      match Scan.float_sub s !a (!b - !a) with
+      | r -> if stop = n then Ok (List.rev (r :: acc)) else tokens (stop + 1) (r :: acc)
+      | exception Scan.Malformed ->
+        Error
+          (Scan.located s !a
+             (Printf.sprintf "level %S is not a number" (String.sub s !a (!b - !a))))
   in
-  match parse [] tokens with
+  match tokens 0 [] with
   | Error _ as e -> e
   | Ok ratios -> of_ratios (Array.of_list ratios)
 
-let float_to_string v =
-  let short = Printf.sprintf "%.12g" v in
-  if float_of_string short = v then short else Printf.sprintf "%.17g" v
-
 let to_string t =
-  String.concat "," (List.map float_to_string (Array.to_list t.ladder))
+  String.concat "," (List.map Noc_util.Scan.float_to_string (Array.to_list t.ladder))
 
 let hex t =
   String.concat ","

@@ -23,9 +23,10 @@ val of_ratios : float array -> (t, string) result
     must include 1.0 so level 0 is f_max) and sorted descending. *)
 
 val of_string : string -> (t, string) result
-(** Parses a comma-separated ratio list, e.g. ["1,0.8,0.6,0.5"]. Errors
-    name the offending token: the CLI surfaces them verbatim through
-    [--vf-levels]. *)
+(** Parses a comma-separated ratio list, e.g. ["1,0.8,0.6,0.5"]; blanks
+    around a ratio are ignored. A malformed token is named with its
+    line and column ([line 1, col 3: level "x" is not a number]); the
+    CLI surfaces errors verbatim through [--vf-levels]. *)
 
 val to_string : t -> string
 (** Canonical comma-separated form; [of_string (to_string t)] is [t]. *)

@@ -40,9 +40,7 @@ let compare a b =
    bound omitted — "pe:2@100:" fails PE 2 from t=100 on, "link:3-7@10:20"
    takes the link down during [10, 20). *)
 
-let float_to_string v =
-  let short = Printf.sprintf "%.12g" v in
-  if float_of_string short = v then short else Printf.sprintf "%.17g" v
+let float_to_string = Noc_util.Scan.float_to_string
 
 let window_to_string t =
   if t.from_time = 0. && t.until_time = infinity then ""
@@ -57,77 +55,82 @@ let to_string t =
   | Link l -> Printf.sprintf "link:%d-%d" l.Noc_noc.Routing.from_node l.to_node)
   ^ window_to_string t
 
-(* Position-tracked parsing: every failure names the offending token and
-   the 0-based character position where it starts in the original input,
-   so a typo deep inside "link:12-1x@100:200" is pinpointed rather than
-   reported as a generic bad spec. *)
-let of_string spec0 =
+(* Position-tracked parsing: every failure names the offending token,
+   the 0-based character position where it starts in the original input
+   and its line and column, so a typo deep inside "link:12-1x@100:200"
+   is pinpointed rather than reported as a generic bad spec. Offsets
+   below are into the untrimmed input. *)
+let of_string spec =
+  let module Scan = Noc_util.Scan in
   let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\012' in
-  let leading =
-    let n = String.length spec0 in
-    let rec skip i = if i < n && is_space spec0.[i] then skip (i + 1) else i in
+  let first =
+    let rec skip i = if i < String.length spec && is_space spec.[i] then skip (i + 1) else i in
     skip 0
   in
-  let spec = String.trim spec0 in
-  (* [at] is an offset into the trimmed spec; report it in the input's
-     own coordinates. *)
-  let fail ~at ~token what =
-    Error (Printf.sprintf "%s %S at character %d" what token (leading + at))
+  let stop =
+    let rec back i = if i > first && is_space spec.[i - 1] then back (i - 1) else i in
+    back (String.length spec)
   in
-  let parse_window () =
-    match String.index_opt spec '@' with
-    | None -> Ok (spec, 0., infinity)
-    | Some at_sign -> (
-      let body = String.sub spec 0 at_sign in
-      let window = String.sub spec (at_sign + 1) (String.length spec - at_sign - 1) in
-      match String.split_on_char ':' window with
-      | [ from_s; until_s ] -> (
-        let bound ~at ~what s default =
-          if s = "" then Ok default
-          else
-            match float_of_string_opt s with
-            | Some v -> Ok v
-            | None -> fail ~at ~token:s what
-        in
-        let from_at = at_sign + 1 in
-        let until_at = at_sign + 2 + String.length from_s in
+  let sub a b = String.sub spec a (b - a) in
+  let fail ~at ~until what =
+    Error
+      (Scan.located spec at (Printf.sprintf "%s %S at character %d" what (sub at until) at))
+  in
+  (* Exactly one [c] in [a, b). *)
+  let single c a b =
+    let i = Scan.find spec c a b in
+    if i >= 0 && Scan.find spec c (i + 1) b < 0 then Some i else None
+  in
+  let int a b = try Some (Scan.int_sub spec a (b - a)) with Scan.Malformed -> None in
+  let bound ~what a b default =
+    if a = b then Ok default
+    else try Ok (Scan.float_sub spec a (b - a)) with Scan.Malformed -> fail ~at:a ~until:b what
+  in
+  let window =
+    match Scan.find spec '@' first stop with
+    | -1 -> Ok (stop, 0., infinity)
+    | at_sign -> (
+      let w = at_sign + 1 in
+      match single ':' w stop with
+      | None -> fail ~at:w ~until:stop "bad fault window (want @FROM:UNTIL)"
+      | Some colon -> (
         match
-          ( bound ~at:from_at ~what:"bad fault onset time" from_s 0.,
-            bound ~at:until_at ~what:"bad fault end time" until_s infinity )
+          ( bound ~what:"bad fault onset time" w colon 0.,
+            bound ~what:"bad fault end time" (colon + 1) stop infinity )
         with
         | Ok f, Ok u ->
-          if f >= 0. && u > f then Ok (body, f, u)
+          if f >= 0. && u > f then Ok (at_sign, f, u)
           else
-            fail ~at:from_at ~token:window
+            fail ~at:w ~until:stop
               "empty or negative fault window (need 0 <= FROM < UNTIL)"
-        | (Error _ as e), _ | _, (Error _ as e) -> e)
-      | [ _ ] | [] | _ ->
-        fail ~at:(at_sign + 1) ~token:window "bad fault window (want @FROM:UNTIL)")
+        | (Error _ as e), _ | _, (Error _ as e) -> e))
   in
-  match parse_window () with
+  match window with
   | Error _ as e -> e
-  | Ok (body, from_time, until_time) -> (
-    match String.split_on_char ':' body with
-    | [ "pe"; index ] -> (
-      match int_of_string_opt index with
+  | Ok (body_stop, from_time, until_time) -> (
+    let element = single ':' first body_stop in
+    match element with
+    | Some colon when sub first colon = "pe" -> (
+      match int (colon + 1) body_stop with
       | Some i when i >= 0 -> Ok { element = Pe i; from_time; until_time }
-      | Some _ | None -> fail ~at:3 ~token:index "bad PE index")
-    | [ "link"; ends ] -> (
-      let ends_at = 5 in
-      match String.split_on_char '-' ends with
-      | [ a; b ] -> (
-        match (int_of_string_opt a, int_of_string_opt b) with
-        | None, _ -> fail ~at:ends_at ~token:a "bad link endpoint"
-        | _, None -> fail ~at:(ends_at + String.length a + 1) ~token:b "bad link endpoint"
+      | Some _ | None -> fail ~at:(colon + 1) ~until:body_stop "bad PE index")
+    | Some colon when sub first colon = "link" -> (
+      let ends = colon + 1 in
+      match single '-' ends body_stop with
+      | None -> fail ~at:ends ~until:body_stop "bad link endpoints (want A-B)"
+      | Some dash -> (
+        match (int ends dash, int (dash + 1) body_stop) with
+        | None, _ -> fail ~at:ends ~until:dash "bad link endpoint"
+        | _, None -> fail ~at:(dash + 1) ~until:body_stop "bad link endpoint"
         | Some from_node, Some to_node ->
-          if from_node < 0 then fail ~at:ends_at ~token:a "negative link endpoint"
+          if from_node < 0 then fail ~at:ends ~until:dash "negative link endpoint"
           else if to_node < 0 then
-            fail ~at:(ends_at + String.length a + 1) ~token:b "negative link endpoint"
+            fail ~at:(dash + 1) ~until:body_stop "negative link endpoint"
           else if from_node = to_node then
-            fail ~at:ends_at ~token:ends "link endpoints must differ"
-          else Ok { element = Link { from_node; to_node }; from_time; until_time })
-      | _ -> fail ~at:ends_at ~token:ends "bad link endpoints (want A-B)")
-    | _ -> fail ~at:0 ~token:body "bad fault element (want pe:N or link:A-B)")
+            fail ~at:ends ~until:body_stop "link endpoints must differ"
+          else Ok { element = Link { from_node; to_node }; from_time; until_time }))
+    | Some _ | None ->
+      fail ~at:first ~until:body_stop "bad fault element (want pe:N or link:A-B)")
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 

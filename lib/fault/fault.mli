@@ -33,9 +33,10 @@ val of_string : string -> (t, string) result
     [@FROM:UNTIL] with either bound omitted. ["pe:2@100:"] fails PE 2
     from t = 100 on; ["link:3-7@10:20"] takes the directed link 3->7
     down during [10, 20); bare ["pe:2"] is permanent from time 0.
-    Parse errors name the offending token and the character position
-    where it starts: parsing ["link:12-1x"] fails with
-    [bad link endpoint "1x" at character 8]. *)
+    Parse errors name the offending token, its line and column and the
+    0-based character position where it starts: parsing
+    ["link:12-1x"] fails with
+    [line 1, col 9: bad link endpoint "1x" at character 8]. *)
 
 val to_string : t -> string
 (** Canonical inverse of {!of_string}. *)

@@ -87,24 +87,32 @@ let to_string v =
 
 exception Fail of int * string
 
+let is_number_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
 let parse text =
   let n = String.length text in
   let pos = ref 0 in
   let fail msg = raise (Fail (!pos, msg)) in
-  let peek () = if !pos < n then Some text.[!pos] else None in
+  (* [peek] is only meaningful before the end; callers test [at_end]
+     first wherever a NUL byte could be mistaken for it. *)
+  let at_end () = !pos >= n in
+  let peek () = if !pos < n then String.unsafe_get text !pos else '\000' in
   let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some _ | None -> ()
+  let skip_ws () =
+    while
+      match peek () with
+      | ' ' | '\t' | '\n' | '\r' -> true
+      | _ -> false
+    do
+      advance ()
+    done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %c, found %c" c c')
-    | None -> fail (Printf.sprintf "expected %c, found end of input" c)
+    if at_end () then fail (Printf.sprintf "expected %c, found end of input" c)
+    else if peek () = c then advance ()
+    else fail (Printf.sprintf "expected %c, found %c" c (peek ()))
   in
   let literal word value =
     let len = String.length word in
@@ -114,81 +122,94 @@ let parse text =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* End of the run of plain bytes starting at [i]: the next quote,
+     backslash or the end of the text. *)
+  let rec run_end i =
+    if i >= n then n
+    else
+      match String.unsafe_get text i with
+      | '"' | '\\' -> i
+      | _ -> run_end (i + 1)
+  in
+  let escape buf =
+    if at_end () then fail "unterminated escape";
+    let c = peek () in
+    advance ();
+    match c with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'u' ->
+      if !pos + 4 > n then fail "truncated \\u escape";
+      let hex = String.sub text !pos 4 in
+      pos := !pos + 4;
+      let code =
+        match int_of_string_opt ("0x" ^ hex) with
+        | Some code -> code
+        | None -> fail "bad \\u escape"
+      in
+      (* Byte-wise UTF-8 encoding; enough for the ASCII traces we
+         emit and check. *)
+      if code < 0x80 then Buffer.add_char buf (Char.chr code)
+      else if code < 0x800 then begin
+        Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
+      end
+      else begin
+        Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
+        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
+        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
+      end
+    | c -> fail (Printf.sprintf "bad escape \\%c" c)
+  in
+  (* Plain runs are copied whole; a string without escapes is a single
+     [String.sub]. *)
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
+    let start = !pos in
+    let stop = run_end start in
+    if stop < n && String.unsafe_get text stop = '"' then begin
+      pos := stop + 1;
+      String.sub text start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create (2 * (stop - start) + 16) in
+      let rec go start stop =
+        Buffer.add_substring buf text start (stop - start);
+        pos := stop;
+        if at_end () then fail "unterminated string";
         advance ();
-        match peek () with
-        | None -> fail "unterminated escape"
-        | Some c ->
-          advance ();
-          (match c with
-          | '"' -> Buffer.add_char buf '"'
-          | '\\' -> Buffer.add_char buf '\\'
-          | '/' -> Buffer.add_char buf '/'
-          | 'b' -> Buffer.add_char buf '\b'
-          | 'f' -> Buffer.add_char buf '\012'
-          | 'n' -> Buffer.add_char buf '\n'
-          | 'r' -> Buffer.add_char buf '\r'
-          | 't' -> Buffer.add_char buf '\t'
-          | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub text !pos 4 in
-            pos := !pos + 4;
-            let code =
-              match int_of_string_opt ("0x" ^ hex) with
-              | Some code -> code
-              | None -> fail "bad \\u escape"
-            in
-            (* Byte-wise UTF-8 encoding; enough for the ASCII traces we
-               emit and check. *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xc0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xe0 lor (code lsr 12)));
-              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3f)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3f)))
-            end
-          | c -> fail (Printf.sprintf "bad escape \\%c" c));
-          go ())
-      | Some c ->
-        advance ();
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
+        if String.unsafe_get text stop = '\\' then begin
+          escape buf;
+          go !pos (run_end !pos)
+        end
+      in
+      go start stop;
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
-    let is_number_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_number_char c | None -> false) do
+    while (not (at_end ())) && is_number_char (peek ()) do
       advance ()
     done;
     if !pos = start then fail "expected a number";
-    match float_of_string_opt (String.sub text start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
+    try Noc_util.Scan.float_sub text start (!pos - start)
+    with Noc_util.Scan.Malformed -> fail "malformed number"
   in
   let rec parse_value () =
     skip_ws ();
+    if at_end () then fail "expected a value, found end of input";
     match peek () with
-    | None -> fail "expected a value, found end of input"
-    | Some '{' ->
+    | '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if (not (at_end ())) && peek () = '}' then begin
         advance ();
         Obj []
       end
@@ -200,22 +221,22 @@ let parse text =
           expect ':';
           let value = parse_value () in
           skip_ws ();
+          if at_end () then fail "unterminated object";
           match peek () with
-          | Some ',' ->
+          | ',' ->
             advance ();
             fields ((key, value) :: acc)
-          | Some '}' ->
+          | '}' ->
             advance ();
             List.rev ((key, value) :: acc)
-          | Some c -> fail (Printf.sprintf "expected , or } in object, found %c" c)
-          | None -> fail "unterminated object"
+          | c -> fail (Printf.sprintf "expected , or } in object, found %c" c)
         in
         Obj (fields [])
       end
-    | Some '[' ->
+    | '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if (not (at_end ())) && peek () = ']' then begin
         advance ();
         List []
       end
@@ -223,23 +244,23 @@ let parse text =
         let rec elements acc =
           let value = parse_value () in
           skip_ws ();
+          if at_end () then fail "unterminated array";
           match peek () with
-          | Some ',' ->
+          | ',' ->
             advance ();
             elements (value :: acc)
-          | Some ']' ->
+          | ']' ->
             advance ();
             List.rev (value :: acc)
-          | Some c -> fail (Printf.sprintf "expected , or ] in array, found %c" c)
-          | None -> fail "unterminated array"
+          | c -> fail (Printf.sprintf "expected , or ] in array, found %c" c)
         in
         List (elements [])
       end
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Number (parse_number ())
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> Number (parse_number ())
   in
   match
     let v = parse_value () in
@@ -248,4 +269,6 @@ let parse text =
     v
   with
   | v -> Ok v
-  | exception Fail (at, msg) -> Error (Printf.sprintf "at byte %d: %s" at msg)
+  | exception Fail (at, msg) ->
+    let line, col = Noc_util.Scan.position text at in
+    Error (Printf.sprintf "at byte %d, line %d, col %d: %s" at line col msg)

@@ -14,7 +14,9 @@ val parse : string -> (t, string) result
 (** Strict RFC-8259 subset: objects, arrays, strings (with the standard
     escapes incl. [\uXXXX], decoded byte-wise without surrogate-pair
     recombination), numbers, [true]/[false]/[null]. Trailing garbage is
-    an error. Errors carry the byte offset. *)
+    an error. Errors read ["at byte N, line L, col C: <description>"].
+    Numbers are read by {!Noc_util.Scan.float_sub}, so they get exactly
+    the bits [float_of_string] would give. *)
 
 val member : string -> t -> t option
 (** Field lookup on [Obj]; [None] on other constructors. *)

@@ -1,6 +1,6 @@
-let float_to_string v =
-  let short = Printf.sprintf "%.12g" v in
-  if float_of_string short = v then short else Printf.sprintf "%.17g" v
+module Scan = Noc_util.Scan
+
+let float_to_string = Scan.float_to_string
 
 type annotation = { task : int; level : int; freq : float; energy : float }
 
@@ -48,23 +48,40 @@ let to_string ?dvfs schedule =
       annotations);
   Buffer.contents buf
 
-exception Parse_error of int * string
+(* Line and column of the offending token; line 0 for errors about the
+   whole text. *)
+exception Parse_error of int * int * string
 
-let fail line fmt = Printf.ksprintf (fun msg -> raise (Parse_error (line, msg))) fmt
+let fail_at sc ~col fmt =
+  Printf.ksprintf (fun msg -> raise (Parse_error (Scan.line sc, col, msg))) fmt
 
-let parse_float line what s =
-  match float_of_string_opt s with
-  | Some v -> v
-  | None -> fail line "%s: not a number (%S)" what s
+(* [fail sc i] reports an error at token [i] of the current line. *)
+let fail sc i fmt = fail_at sc ~col:(Scan.col sc i) fmt
+let whole_text msg = raise (Parse_error (0, 0, msg))
 
-let parse_int line what s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> fail line "%s: not an integer (%S)" what s
+let parse_float sc i what =
+  try Scan.float sc i
+  with Scan.Malformed -> fail sc i "%s: not a number (%S)" what (Scan.token sc i)
 
-let parse_route line s =
-  String.split_on_char ',' s
-  |> List.map (fun w -> parse_int line "route node" w)
+let parse_int sc i what =
+  try Scan.int sc i
+  with Scan.Malformed -> fail sc i "%s: not an integer (%S)" what (Scan.token sc i)
+
+(* Token [i] as comma-separated node ids. *)
+let parse_route sc i =
+  let s = Scan.token sc i in
+  let len = String.length s in
+  let rec nodes start acc =
+    let stop = match Scan.find s ',' start len with -1 -> len | j -> j in
+    let node =
+      try Scan.int_sub s start (stop - start)
+      with Scan.Malformed ->
+        fail_at sc ~col:(Scan.col sc i + start) "route node: not an integer (%S)"
+          (String.sub s start (stop - start))
+    in
+    if stop = len then List.rev (node :: acc) else nodes (stop + 1) (node :: acc)
+  in
+  nodes 0 []
 
 let of_string_full platform ctg text =
   let n = Noc_ctg.Ctg.n_tasks ctg and m = Noc_ctg.Ctg.n_edges ctg in
@@ -73,94 +90,91 @@ let of_string_full platform ctg text =
   let annotations : annotation option array = Array.make n None in
   let any_dvfs = ref false in
   let version = ref 0 in
+  let sc = Scan.of_string text in
+  let add_transaction edge_id ~route ~start ~finish =
+    if edge_id < 0 || edge_id >= m then fail sc 1 "unknown edge %d" edge_id;
+    if transactions.(edge_id) <> None then fail sc 1 "duplicate transaction %d" edge_id;
+    let e = Noc_ctg.Ctg.edge ctg edge_id in
+    match (placements.(e.Noc_ctg.Edge.src), placements.(e.Noc_ctg.Edge.dst)) with
+    | Some sp, Some dp ->
+      let src_pe = sp.Schedule.pe and dst_pe = dp.Schedule.pe in
+      let route =
+        (* Version-1 files carry no routes: re-derive the platform's
+           deterministic one. *)
+        match route with
+        | Some route -> route
+        | None -> Noc_noc.Platform.route platform ~src:src_pe ~dst:dst_pe
+      in
+      transactions.(edge_id) <-
+        Some { Schedule.edge = edge_id; src_pe; dst_pe; route; start; finish }
+    | None, _ | _, None -> fail sc 1 "transaction %d before both endpoint placements" edge_id
+  in
+  let handle_line () =
+    let count = Scan.count sc in
+    (* Keywords at the even token positions, one value after each. *)
+    let shape keywords =
+      let rec from i = function
+        | [] -> i = count
+        | word :: rest -> i + 1 < count && Scan.is sc i word && from (i + 2) rest
+      in
+      from 0 keywords
+    in
+    if count = 0 then ()
+    else if count = 2 && Scan.is sc 0 "schedule"
+            && (Scan.is sc 1 "1" || Scan.is sc 1 "2" || Scan.is sc 1 "3")
+    then version := Scan.int sc 1
+    else if shape [ "place"; "pe"; "start"; "finish" ] then begin
+      let task = parse_int sc 1 "task" in
+      if task < 0 || task >= n then fail sc 1 "unknown task %d" task;
+      if placements.(task) <> None then fail sc 1 "duplicate placement %d" task;
+      let pe = parse_int sc 3 "pe" in
+      let start = parse_float sc 5 "start" in
+      let finish = parse_float sc 7 "finish" in
+      placements.(task) <- Some { Schedule.task; pe; start; finish }
+    end
+    else if shape [ "trans"; "start"; "finish" ] then begin
+      let edge = parse_int sc 1 "edge" in
+      let start = parse_float sc 3 "start" in
+      let finish = parse_float sc 5 "finish" in
+      add_transaction edge ~route:None ~start ~finish
+    end
+    else if shape [ "trans"; "via"; "start"; "finish" ] then begin
+      let edge = parse_int sc 1 "edge" in
+      let route = parse_route sc 3 in
+      let start = parse_float sc 5 "start" in
+      let finish = parse_float sc 7 "finish" in
+      add_transaction edge ~route:(Some route) ~start ~finish
+    end
+    else if shape [ "dvfs"; "level"; "freq"; "energy" ] then begin
+      if !version < 3 then fail sc 0 "dvfs annotations need a schedule 3 header";
+      let task = parse_int sc 1 "task" in
+      if task < 0 || task >= n then fail sc 1 "unknown task %d" task;
+      if annotations.(task) <> None then fail sc 1 "duplicate dvfs annotation %d" task;
+      let level = parse_int sc 3 "level" in
+      if level < 0 then fail sc 3 "level %d is negative" level;
+      let freq = parse_float sc 5 "freq" in
+      if not (freq > 0. && freq <= 1.) then
+        fail sc 5 "freq %s is outside (0, 1]" (float_to_string freq);
+      let energy = parse_float sc 7 "energy" in
+      if not (Float.is_finite energy && energy >= 0.) then
+        fail sc 7 "energy %s is not a finite non-negative number" (float_to_string energy);
+      any_dvfs := true;
+      annotations.(task) <- Some { task; level; freq; energy }
+    end
+    else fail sc 0 "unknown keyword %S" (Scan.token sc 0)
+  in
   try
-    List.iteri
-      (fun i line ->
-        let line_no = i + 1 in
-        let words =
-          (match String.index_opt line '#' with
-          | Some j -> String.sub line 0 j
-          | None -> line)
-          |> String.split_on_char ' '
-          |> List.filter (fun w -> w <> "")
-        in
-        let add_transaction edge_id ~route ~start ~finish =
-          if edge_id < 0 || edge_id >= m then fail line_no "unknown edge %d" edge_id;
-          if transactions.(edge_id) <> None then
-            fail line_no "duplicate transaction %d" edge_id;
-          let e = Noc_ctg.Ctg.edge ctg edge_id in
-          let src_placement = placements.(e.Noc_ctg.Edge.src) in
-          let dst_placement = placements.(e.Noc_ctg.Edge.dst) in
-          match (src_placement, dst_placement) with
-          | Some sp, Some dp ->
-            let src_pe = sp.Schedule.pe and dst_pe = dp.Schedule.pe in
-            let route =
-              (* Version-1 files carry no routes: re-derive the
-                 platform's deterministic one. *)
-              match route with
-              | Some route -> route
-              | None -> Noc_noc.Platform.route platform ~src:src_pe ~dst:dst_pe
-            in
-            transactions.(edge_id) <-
-              Some { Schedule.edge = edge_id; src_pe; dst_pe; route; start; finish }
-          | None, _ | _, None ->
-            fail line_no "transaction %d before both endpoint placements" edge_id
-        in
-        match words with
-        | [] -> ()
-        | [ "schedule"; (("1" | "2" | "3") as v) ] -> version := int_of_string v
-        | [ "place"; task; "pe"; pe; "start"; start; "finish"; finish ] ->
-          let task = parse_int line_no "task" task in
-          if task < 0 || task >= n then fail line_no "unknown task %d" task;
-          if placements.(task) <> None then fail line_no "duplicate placement %d" task;
-          placements.(task) <-
-            Some
-              {
-                Schedule.task;
-                pe = parse_int line_no "pe" pe;
-                start = parse_float line_no "start" start;
-                finish = parse_float line_no "finish" finish;
-              }
-        | [ "trans"; edge; "start"; start; "finish"; finish ] ->
-          add_transaction
-            (parse_int line_no "edge" edge)
-            ~route:None
-            ~start:(parse_float line_no "start" start)
-            ~finish:(parse_float line_no "finish" finish)
-        | [ "trans"; edge; "via"; route; "start"; start; "finish"; finish ] ->
-          add_transaction
-            (parse_int line_no "edge" edge)
-            ~route:(Some (parse_route line_no route))
-            ~start:(parse_float line_no "start" start)
-            ~finish:(parse_float line_no "finish" finish)
-        | [ "dvfs"; task; "level"; level; "freq"; freq; "energy"; energy ] ->
-          if !version < 3 then
-            fail line_no "dvfs annotations need a schedule 3 header";
-          let task = parse_int line_no "task" task in
-          if task < 0 || task >= n then fail line_no "unknown task %d" task;
-          if annotations.(task) <> None then
-            fail line_no "duplicate dvfs annotation %d" task;
-          let level = parse_int line_no "level" level in
-          if level < 0 then fail line_no "level %d is negative" level;
-          let freq = parse_float line_no "freq" freq in
-          if not (freq > 0. && freq <= 1.) then
-            fail line_no "freq %s is outside (0, 1]" (float_to_string freq);
-          let energy = parse_float line_no "energy" energy in
-          if not (Float.is_finite energy && energy >= 0.) then
-            fail line_no "energy %s is not a finite non-negative number"
-              (float_to_string energy);
-          any_dvfs := true;
-          annotations.(task) <- Some { task; level; freq; energy }
-        | keyword :: _ -> fail line_no "unknown keyword %S" keyword)
-      (String.split_on_char '\n' text);
+    while Scan.next_line sc do
+      (* A platform lookup that rejects a line's ids still names it. *)
+      try handle_line () with Invalid_argument msg -> fail sc 0 "%s" msg
+    done;
     if !version = 0 then Error "missing header line (schedule 1, 2 or 3)"
     else begin
       Array.iteri
-        (fun i p -> if p = None then raise (Parse_error (0, Printf.sprintf "task %d missing" i)))
+        (fun i p -> if p = None then whole_text (Printf.sprintf "task %d missing" i))
         placements;
       Array.iteri
-        (fun e t ->
-          if t = None then raise (Parse_error (0, Printf.sprintf "transaction %d missing" e)))
+        (fun e t -> if t = None then whole_text (Printf.sprintf "transaction %d missing" e))
         transactions;
       let dvfs =
         if not !any_dvfs then None
@@ -168,7 +182,7 @@ let of_string_full platform ctg text =
           Array.iteri
             (fun i a ->
               if a = None then
-                raise (Parse_error (0, Printf.sprintf "dvfs annotation for task %d missing" i)))
+                whole_text (Printf.sprintf "dvfs annotation for task %d missing" i))
             annotations;
           Some (Array.map Option.get annotations)
         end
@@ -180,8 +194,8 @@ let of_string_full platform ctg text =
           dvfs )
     end
   with
-  | Parse_error (0, msg) -> Error msg
-  | Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
+  | Parse_error (0, _, msg) -> Error msg
+  | Parse_error (line, col, msg) -> Error (Printf.sprintf "line %d, col %d: %s" line col msg)
   | Invalid_argument msg -> Error msg
 
 let of_string platform ctg text =

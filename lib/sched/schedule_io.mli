@@ -41,8 +41,12 @@ val to_string : ?dvfs:annotation array -> Schedule.t -> string
 
 val of_string :
   Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> string -> (Schedule.t, string) result
-(** Structural errors (wrong counts, unknown ids, bad numbers) are
-    reported with line numbers. The result is {e not} validated for
+(** Fields are separated by spaces or tabs; [#] starts a comment.
+    Structural errors (unknown ids, bad numbers, a route through a
+    missing node) read ["line L, col C: <description>"], naming the
+    offending token; a line of unknown shape is reported as
+    [unknown keyword "<first token>"], and missing lines (e.g.
+    [task 3 missing]) carry no position. The result is {e not} validated for
     feasibility — run {!Validate.check} for that. Accepts versions 1-3;
     any DVFS annotations are parsed (and structurally checked) but
     dropped — use {!of_string_full} to keep them. *)

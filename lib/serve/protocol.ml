@@ -61,12 +61,29 @@ let string_list_field name obj =
   | Some _ -> Error (Printf.sprintf "field %S must be a list of strings" name)
 
 let parse_mesh s =
-  match String.split_on_char 'x' (String.lowercase_ascii s) with
-  | [ c; r ] -> (
-    match (int_of_string_opt c, int_of_string_opt r) with
-    | Some cols, Some rows when cols > 0 && rows > 0 -> Ok (cols, rows)
-    | _ -> Error (Printf.sprintf "mesh %S must be COLSxROWS with positive integers" s))
-  | _ -> Error (Printf.sprintf "mesh %S must look like 4x4" s)
+  let module Scan = Noc_util.Scan in
+  let x = ref (-1) and separators = ref 0 in
+  String.iteri
+    (fun i c ->
+      if c = 'x' || c = 'X' then begin
+        x := i;
+        incr separators
+      end)
+    s;
+  if !separators <> 1 then
+    Error (Scan.located s 0 (Printf.sprintf "mesh %S must look like 4x4" s))
+  else
+    let dim start stop =
+      match Scan.int_sub s start (stop - start) with
+      | v when v > 0 -> Ok v
+      | _ | (exception Scan.Malformed) ->
+        Error
+          (Scan.located s start
+             (Printf.sprintf "mesh %S must be COLSxROWS with positive integers" s))
+    in
+    match (dim 0 !x, dim (!x + 1) (String.length s)) with
+    | Ok cols, Ok rows -> Ok (cols, rows)
+    | (Error _ as e), _ | _, (Error _ as e) -> e
 
 let parse_algo s =
   match String.lowercase_ascii s with

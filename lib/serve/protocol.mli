@@ -71,6 +71,9 @@ type request =
 val op_name : request -> string
 (** The wire verb: ["schedule"], ["simulate"], ... *)
 
+val parse_mesh : string -> (int * int, string) result
+(** ["COLSxROWS"] (either case of [x]) with positive integer sides. *)
+
 val mesh_name : int * int -> string
 (** [(4, 4)] as ["4x4"]. *)
 

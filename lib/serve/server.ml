@@ -602,21 +602,40 @@ let handle_batch state lines =
 (* ------------------------------------------------------------------ *)
 (* Socket loop.                                                        *)
 
-type conn = { fd : Unix.file_descr; buf : Buffer.t }
+module Line_buffer = struct
+  (* The unterminated tail of the stream. Only newly read bytes are
+     searched for newlines and a completed line is copied out once, so a
+     request costs time linear in its length however it is chunked. *)
+  type t = Buffer.t
 
-(* Complete lines accumulated so far; the unterminated tail stays in the
-   buffer for the next read. *)
-let drain_lines buf =
-  let s = Buffer.contents buf in
-  let rec go start acc =
-    match String.index_from_opt s start '\n' with
-    | Some i -> go (i + 1) (String.sub s start (i - start) :: acc)
-    | None ->
-      Buffer.clear buf;
-      Buffer.add_substring buf s start (String.length s - start);
-      List.rev acc
-  in
-  go 0 []
+  let create () = Buffer.create 4096
+
+  let rec newline chunk i stop =
+    if i >= stop then -1 else if Bytes.unsafe_get chunk i = '\n' then i else newline chunk (i + 1) stop
+
+  let feed tail chunk off len =
+    let stop = off + len in
+    let rec go start acc =
+      match newline chunk start stop with
+      | -1 ->
+        Buffer.add_subbytes tail chunk start (stop - start);
+        List.rev acc
+      | i ->
+        let line =
+          if Buffer.length tail = 0 then Bytes.sub_string chunk start (i - start)
+          else begin
+            Buffer.add_subbytes tail chunk start (i - start);
+            let line = Buffer.contents tail in
+            Buffer.reset tail;
+            line
+          end
+        in
+        go (i + 1) (line :: acc)
+    in
+    go off []
+end
+
+type conn = { fd : Unix.file_descr; tail : Line_buffer.t }
 
 let write_all fd s =
   let bytes = Bytes.of_string s in
@@ -670,7 +689,7 @@ let run ?on_ready config =
         if fd = listen_fd then begin
           match Unix.accept listen_fd with
           | client, _ ->
-            Hashtbl.replace conns client { fd = client; buf = Buffer.create 4096 }
+            Hashtbl.replace conns client { fd = client; tail = Line_buffer.create () }
           | exception Unix.Unix_error _ -> ()
         end
         else
@@ -680,8 +699,9 @@ let run ?on_ready config =
             match Unix.read fd chunk 0 (Bytes.length chunk) with
             | 0 -> close_conn fd
             | n ->
-              Buffer.add_subbytes conn.buf chunk 0 n;
-              List.iter (fun line -> batch := (conn, line) :: !batch) (drain_lines conn.buf)
+              List.iter
+                (fun line -> batch := (conn, line) :: !batch)
+                (Line_buffer.feed conn.tail chunk 0 n)
             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
             | exception Unix.Unix_error _ -> close_conn fd))
       readable;

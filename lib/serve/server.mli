@@ -57,6 +57,19 @@ val handle_line : state -> string -> string * bool
     shutdown. Never raises: internal failures become structured error
     replies. *)
 
+(** Splits a connection's byte stream into request lines. *)
+module Line_buffer : sig
+  type t
+
+  val create : unit -> t
+
+  val feed : t -> Bytes.t -> int -> int -> string list
+  (** [feed t chunk off len] appends [len] bytes of [chunk] from [off]
+      and returns the lines they complete, in order and without their
+      newlines; an unterminated tail waits for the next call. Linear in
+      [len] plus the length of the lines it returns. *)
+end
+
 val run : ?on_ready:(unit -> unit) -> config -> unit
 (** Binds [socket_path] (unlinking any stale socket file first),
     listens, serves until a [shutdown] request, then closes every

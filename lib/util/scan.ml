@@ -1,0 +1,296 @@
+exception Malformed
+
+(* ------------------------------------------------------------------ *)
+(* Numbers                                                             *)
+
+let[@inline] digit_at s i = Char.code (String.unsafe_get s i) - 48
+let[@inline] is_digit d = d lor (9 - d) >= 0
+
+(* 10^0 .. 10^22: every one is exact in a double. *)
+let exact_pow10 =
+  [|
+    1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13;
+    1e14; 1e15; 1e16; 1e17; 1e18; 1e19; 1e20; 1e21; 1e22;
+  |]
+
+(* Number of significant bits of [x > 0]. *)
+let bit_length x =
+  let n = ref 1 and x = ref x in
+  if !x lsr 32 <> 0 then (n := !n + 32; x := !x lsr 32);
+  if !x lsr 16 <> 0 then (n := !n + 16; x := !x lsr 16);
+  if !x lsr 8 <> 0 then (n := !n + 8; x := !x lsr 8);
+  if !x lsr 4 <> 0 then (n := !n + 4; x := !x lsr 4);
+  if !x lsr 2 <> 0 then (n := !n + 2; x := !x lsr 2);
+  if !x lsr 1 <> 0 then n := !n + 1;
+  !n
+
+(* High 64 bits of the unsigned 128-bit product [a * b]. *)
+let[@inline] umul_hi a b =
+  let mask = 0xFFFF_FFFFL in
+  let a0 = Int64.logand a mask and a1 = Int64.shift_right_logical a 32 in
+  let b0 = Int64.logand b mask and b1 = Int64.shift_right_logical b 32 in
+  let p00 = Int64.mul a0 b0 and p01 = Int64.mul a0 b1 in
+  let p10 = Int64.mul a1 b0 and p11 = Int64.mul a1 b1 in
+  let mid =
+    Int64.add
+      (Int64.shift_right_logical p00 32)
+      (Int64.add (Int64.logand p01 mask) (Int64.logand p10 mask))
+  in
+  Int64.add p11
+    (Int64.add
+       (Int64.shift_right_logical p01 32)
+       (Int64.add (Int64.shift_right_logical p10 32) (Int64.shift_right_logical mid 32)))
+
+let[@inline] unsigned_lt (a : int64) (b : int64) =
+  Int64.add a Int64.min_int < Int64.add b Int64.min_int
+
+(* Eisel-Lemire: the double nearest to [w * 10^q] for [0 < w < 2^62],
+   or [nan] when the result would be subnormal or infinite, [q] is
+   outside the table, or the 128-bit product cannot settle the rounding.
+   The steps and constants follow fast_float's [compute_float] for
+   binary64 (mantissa 52 explicit bits, exponent bias 1023). *)
+let eisel_lemire ~negative w q =
+  if q < Pow5.min_exponent || q > Pow5.max_exponent then Float.nan
+  else
+    let lz = 64 - bit_length w in
+    let w = Int64.shift_left (Int64.of_int w) lz in
+    let index = 2 * (q - Pow5.min_exponent) in
+    let t_hi = Array.unsafe_get Pow5.table index in
+    let first_lo = Int64.mul w t_hi and first_hi = umul_hi w t_hi in
+    (* 55 bits (mantissa, hidden bit, rounding bit and one spare) are
+       needed; only when the 9 bits below them are all ones can the low
+       word of the table entry change them. *)
+    let second_hi =
+      if Int64.logand first_hi 0x1FFL = 0x1FFL then
+        umul_hi w (Array.unsafe_get Pow5.table (index + 1))
+      else 0L
+    in
+    let lo = Int64.add first_lo second_hi in
+    let hi = if unsigned_lt lo second_hi then Int64.succ first_hi else first_hi in
+    if lo = -1L && (q < -27 || q > 55) then Float.nan
+    else
+      let upperbit = Int64.to_int (Int64.shift_right_logical hi 63) in
+      let shift = upperbit + 9 in
+      let mantissa = Int64.to_int (Int64.shift_right_logical hi shift) in
+      let power2 = (((152170 + 65536) * q) asr 16) + 63 + upperbit - lz + 1023 in
+      if power2 <= 0 then Float.nan
+      else
+        (* An exact halfway case: only zeros were shifted out, so round
+           to even instead of up. *)
+        let mantissa =
+          if (lo = 0L || lo = 1L) && q >= -4 && q <= 23 && mantissa land 3 = 1
+             && Int64.shift_left (Int64.of_int mantissa) shift = hi
+          then mantissa land lnot 1
+          else mantissa
+        in
+        let mantissa = (mantissa + (mantissa land 1)) lsr 1 in
+        let carry = mantissa >= 1 lsl 53 in
+        let power2 = if carry then power2 + 1 else power2 in
+        if power2 >= 0x7FF then Float.nan
+        else
+          let mantissa = if carry then 0 else mantissa land ((1 lsl 52) - 1) in
+          let bits =
+            Int64.logor (Int64.of_int mantissa) (Int64.shift_left (Int64.of_int power2) 52)
+          in
+          Int64.float_of_bits (if negative then Int64.logor bits Int64.min_int else bits)
+
+(* [s.[start .. stop - 1]] read as [-+]?d*[.d*][eE[-+]d+] with at least
+   one mantissa digit and at most 18 significant ones; [nan] for any
+   other token and for every value the fast paths cannot settle. *)
+let fast_float s start stop =
+  let i = ref start in
+  let negative = stop > start && String.unsafe_get s start = '-' in
+  if stop > start && (negative || String.unsafe_get s start = '+') then incr i;
+  let int_start = !i in
+  (* Leading zeros are not significant. Past 18 significant digits [w]
+     may overflow; the count below sends such tokens to the fallback. *)
+  while !i < stop && String.unsafe_get s !i = '0' do incr i done;
+  let w = ref 0 and significant_start = !i in
+  while !i < stop && is_digit (digit_at s !i) do
+    w := (!w * 10) + digit_at s !i;
+    incr i
+  done;
+  let digits = ref (!i - int_start) and significant = ref (!i - significant_start) in
+  let exp10 = ref 0 in
+  if !i < stop && String.unsafe_get s !i = '.' then begin
+    incr i;
+    let frac_start = !i in
+    if !significant = 0 then while !i < stop && String.unsafe_get s !i = '0' do incr i done;
+    let significant_start = !i in
+    while !i < stop && is_digit (digit_at s !i) do
+      w := (!w * 10) + digit_at s !i;
+      incr i
+    done;
+    digits := !digits + (!i - frac_start);
+    significant := !significant + (!i - significant_start);
+    exp10 := frac_start - !i
+  end;
+  let ok = ref (!significant <= 18) in
+  if !i < stop && (String.unsafe_get s !i = 'e' || String.unsafe_get s !i = 'E') then begin
+    incr i;
+    let exp_negative = !i < stop && String.unsafe_get s !i = '-' in
+    if !i < stop && (exp_negative || String.unsafe_get s !i = '+') then incr i;
+    let e = ref 0 and exp_start = !i in
+    while !i < stop && is_digit (digit_at s !i) do
+      if !e < 100_000 then e := (!e * 10) + digit_at s !i;
+      incr i
+    done;
+    if !i = exp_start then ok := false;
+    exp10 := if exp_negative then !exp10 - !e else !exp10 + !e
+  end;
+  if (not !ok) || !i <> stop || !digits = 0 then Float.nan
+  else if !w = 0 then if negative then -0. else 0.
+  else
+    let q = !exp10 in
+    if !w <= 1 lsl 53 && q >= -22 && q <= 22 then
+      (* Clinger: both operands are exact, so one rounding is correct. *)
+      let v =
+        if q >= 0 then float_of_int !w *. Array.unsafe_get exact_pow10 q
+        else float_of_int !w /. Array.unsafe_get exact_pow10 (-q)
+      in
+      if negative then -.v else v
+    else eisel_lemire ~negative !w q
+
+let float_sub s start len =
+  let v = fast_float s start (start + len) in
+  if v = v then v
+  else
+    match float_of_string_opt (String.sub s start len) with
+    | Some v -> v
+    | None -> raise Malformed
+
+let rec decimal_int s stop i acc =
+  if i = stop then acc
+  else
+    let d = digit_at s i in
+    if is_digit d then decimal_int s stop (i + 1) ((acc * 10) + d) else -1
+
+let int_sub s start len =
+  let stop = start + len in
+  let negative = len > 0 && String.unsafe_get s start = '-' in
+  let first = if negative then start + 1 else start in
+  (* 18 digits cannot overflow a 63-bit int. *)
+  let v = if stop > first && stop - first <= 18 then decimal_int s stop first 0 else -1 in
+  if v >= 0 then if negative then -v else v
+  else
+    match int_of_string_opt (String.sub s start len) with
+    | Some v -> v
+    | None -> raise Malformed
+
+(* The C-level printf conversion behind [Printf.sprintf "%.12g"],
+   without the format interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let float_to_string v =
+  let short = format_float "%.12g" v in
+  if float_sub short 0 (String.length short) = v then short else format_float "%.17g" v
+
+(* ------------------------------------------------------------------ *)
+(* Positions                                                           *)
+
+let position text offset =
+  let line = ref 1 and line_start = ref 0 in
+  for i = 0 to min offset (String.length text) - 1 do
+    if String.unsafe_get text i = '\n' then begin
+      incr line;
+      line_start := i + 1
+    end
+  done;
+  (!line, offset - !line_start + 1)
+
+let located text offset msg =
+  let line, col = position text offset in
+  Printf.sprintf "line %d, col %d: %s" line col msg
+
+let rec find text c start stop =
+  if start >= stop then -1
+  else if String.unsafe_get text start = c then start
+  else find text c (start + 1) stop
+
+(* ------------------------------------------------------------------ *)
+(* Line cursor                                                         *)
+
+type t = {
+  text : string;
+  mutable next : int;
+  mutable line : int;
+  mutable line_start : int;
+  mutable count : int;
+  mutable spans : int array;
+}
+
+let of_string text =
+  { text; next = 0; line = 0; line_start = 0; count = 0; spans = Array.make 32 0 }
+
+let push t start len =
+  let k = 2 * t.count in
+  if k + 1 >= Array.length t.spans then begin
+    let spans = Array.make (2 * Array.length t.spans) 0 in
+    Array.blit t.spans 0 spans 0 k;
+    t.spans <- spans
+  end;
+  Array.unsafe_set t.spans k start;
+  Array.unsafe_set t.spans (k + 1) len;
+  t.count <- t.count + 1
+
+(* Byte classes of the line grammar: 0 token, 1 blank, 2 newline,
+   3 comment start. *)
+let classes =
+  String.init 256 (fun c ->
+      match Char.chr c with
+      | ' ' | '\t' -> '\001'
+      | '\n' -> '\002'
+      | '#' -> '\003'
+      | _ -> '\000')
+
+let[@inline] class_at text i =
+  Char.code (String.unsafe_get classes (Char.code (String.unsafe_get text i)))
+
+let next_line t =
+  let text = t.text in
+  let n = String.length text in
+  if t.next > n then false
+  else begin
+    t.line <- t.line + 1;
+    t.line_start <- t.next;
+    t.count <- 0;
+    let i = ref t.next and line_end = ref (-1) in
+    while !line_end < 0 do
+      if !i >= n then line_end := n
+      else
+        match class_at text !i with
+        | 0 ->
+          let start = !i in
+          incr i;
+          while !i < n && class_at text !i = 0 do incr i done;
+          push t start (!i - start)
+        | 1 -> incr i
+        | 2 -> line_end := !i
+        | _ -> line_end := (match String.index_from_opt text !i '\n' with Some j -> j | None -> n)
+    done;
+    t.next <- !line_end + 1;
+    true
+  end
+
+let line t = t.line
+let count t = t.count
+
+let[@inline] span_start t i =
+  if i < 0 || i >= t.count then invalid_arg "Scan: token index out of range";
+  Array.unsafe_get t.spans (2 * i)
+
+let[@inline] span_len t i = Array.unsafe_get t.spans ((2 * i) + 1)
+let col t i = span_start t i - t.line_start + 1
+
+let rec same_bytes text start keyword k =
+  k = String.length keyword
+  || String.unsafe_get text (start + k) = String.unsafe_get keyword k
+     && same_bytes text start keyword (k + 1)
+
+let is t i keyword =
+  let start = span_start t i in
+  span_len t i = String.length keyword && same_bytes t.text start keyword 0
+
+let token t i = String.sub t.text (span_start t i) (span_len t i)
+let int t i = int_sub t.text (span_start t i) (span_len t i)
+let float t i = float_sub t.text (span_start t i) (span_len t i)

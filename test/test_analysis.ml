@@ -759,20 +759,20 @@ let test_fault_parse_positions () =
     | Ok _ -> Alcotest.failf "%S unexpectedly parsed" spec
     | Error msg -> Alcotest.(check string) spec expected msg
   in
-  check_error "link:12-1x" {|bad link endpoint "1x" at character 8|};
-  check_error "pe:2@1x:" {|bad fault onset time "1x" at character 5|};
-  check_error "pe:2@10:9x" {|bad fault end time "9x" at character 8|};
+  check_error "link:12-1x" {|line 1, col 9: bad link endpoint "1x" at character 8|};
+  check_error "pe:2@1x:" {|line 1, col 6: bad fault onset time "1x" at character 5|};
+  check_error "pe:2@10:9x" {|line 1, col 9: bad fault end time "9x" at character 8|};
   check_error "  pe:-3"
-    {|bad PE index "-3" at character 5|};
-  check_error "link:3-3" {|link endpoints must differ "3-3" at character 5|};
+    {|line 1, col 6: bad PE index "-3" at character 5|};
+  check_error "link:3-3" {|line 1, col 6: link endpoints must differ "3-3" at character 5|};
   check_error "pe:1@20:10"
-    {|empty or negative fault window (need 0 <= FROM < UNTIL) "20:10" at character 5|};
-  check_error "dma:4" {|bad fault element (want pe:N or link:A-B) "dma:4" at character 0|};
+    {|line 1, col 6: empty or negative fault window (need 0 <= FROM < UNTIL) "20:10" at character 5|};
+  check_error "dma:4" {|line 1, col 1: bad fault element (want pe:N or link:A-B) "dma:4" at character 0|};
   match Noc_fault.Fault_set.of_strings [ "pe:0"; "link:7-7x" ] with
   | Ok _ -> Alcotest.fail "bad set unexpectedly parsed"
   | Error msg ->
     Alcotest.(check string) "set error names the spec"
-      {|fault "link:7-7x": bad link endpoint "7x" at character 7|} msg
+      {|fault "link:7-7x": line 1, col 8: bad link endpoint "7x" at character 7|} msg
 
 let suite =
   [

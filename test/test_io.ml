@@ -318,6 +318,47 @@ let test_v3_parse_errors () =
     (text ^ "dvfs 0 level 1 freq 0x1.999999999999ap-1 energy 0x1p+0\n")
     "duplicate"
 
+(* Errors about a token name its line and column. *)
+let test_error_positions () =
+  let check_error label expected = function
+    | Ok _ -> Alcotest.failf "%s unexpectedly parsed" label
+    | Error msg -> Alcotest.(check string) label expected msg
+  in
+  check_error "ctg number" {|line 4, col 11: times: not a number ("x")|}
+    (Ctg_io.of_string "ctg 1\npes 2\ntask 0 name a\n  times 1 x\n  energies 1 1\n");
+  check_error "ctg keyword" {|line 2, col 3: unknown keyword "bogus"|}
+    (Ctg_io.of_string "ctg 1\n\t bogus line\n");
+  check_error "ctg id" "line 3, col 6: task ids must be dense and ordered (got 5)"
+    (Ctg_io.of_string "ctg 1\npes 2\ntask 5 name a\n");
+  check_error "ctg whole-text errors stay unpositioned" "missing header line (ctg 1)"
+    (Ctg_io.of_string "pes 2\n");
+  check_error "schedule route" {|line 4, col 15: route node: not an integer ("")|}
+    (Schedule_io.of_string detour_platform detour_ctg
+       "schedule 2\nplace 0 pe 0 start 0 finish 10\nplace 1 pe 3 start 20 finish 30\n\
+        trans 0 via 0,,3 start 10 finish 15\n");
+  check_error "schedule platform lookup" "line 4, col 1: index out of bounds"
+    (Schedule_io.of_string detour_platform detour_ctg
+       "schedule 1\nplace 0 pe 0 start 0 finish 10\nplace 1 pe 99 start 20 finish 30\n\
+        trans 0 start 10 finish 15\n");
+  check_error "json" "at byte 8, line 2, col 3: expected , or } in object, found x"
+    (Noc_obs.Json.parse "{\"a\":\n 1x}");
+  check_error "vf levels" {|line 1, col 3: level "x" is not a number|}
+    (Noc_dvfs.Vf_table.of_string "1,x");
+  check_error "mesh" {|line 1, col 3: mesh "4x" must be COLSxROWS with positive integers|}
+    (Noc_serve.Protocol.parse_mesh "4x")
+
+(* Schedule lines may separate their fields with tabs as well as
+   spaces, like every other text format. *)
+let test_schedule_tabs () =
+  let text =
+    "schedule 2\nplace 0\tpe 0 start 0 finish 10\nplace 1 pe 3 start 20 finish 30\n\
+     trans 0 via 0,2,3\tstart 10 finish 15\n"
+  in
+  match Schedule_io.of_string detour_platform detour_ctg text with
+  | Error msg -> Alcotest.fail msg
+  | Ok s ->
+    Alcotest.(check bool) "tab-separated schedule parses" true (schedules_equal detour_schedule s)
+
 (* ------------------------------------------------------------------ *)
 (* Utilization *)
 
@@ -387,6 +428,8 @@ let suite =
     Alcotest.test_case "v3 dvfs file roundtrip" `Quick test_v3_file_roundtrip;
     Alcotest.test_case "v2 loads at f_max" `Quick test_v2_loads_at_fmax;
     Alcotest.test_case "v3 parse errors" `Quick test_v3_parse_errors;
+    Alcotest.test_case "errors name line and column" `Quick test_error_positions;
+    Alcotest.test_case "schedule fields split on tabs" `Quick test_schedule_tabs;
     Alcotest.test_case "utilization accounting" `Quick test_utilization;
     Alcotest.test_case "utilization links" `Quick test_utilization_links;
   ]

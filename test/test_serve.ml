@@ -522,6 +522,109 @@ let test_dvfs_no_cache_aliasing () =
   Alcotest.(check bool) "other ladder has its own key" true
     (str_member "key" other <> str_member "key" scaled)
 
+(* ------------------------------------------------------------------ *)
+(* Request framing.                                                    *)
+
+(* Feeds [stream] to a line buffer in chunks of the sizes [next ()]
+   returns. *)
+let feed_in_chunks stream next =
+  let lines = Server.Line_buffer.create () in
+  let bytes = Bytes.unsafe_of_string stream in
+  let rec go off acc =
+    if off >= Bytes.length bytes then List.concat (List.rev acc)
+    else
+      let len = min (next ()) (Bytes.length bytes - off) in
+      go (off + len) (Server.Line_buffer.feed lines bytes off len :: acc)
+  in
+  go 0 []
+
+let test_multi_megabyte_request () =
+  let g = graph 3 in
+  (* A small graph behind ~2.5 MB of comment lines. *)
+  let padding =
+    String.concat ""
+      (List.init 40_000 (fun i ->
+           Printf.sprintf "# filler %06d ...............................................\n" i))
+  in
+  let request ctg_text =
+    Protocol.request_to_line
+      (Protocol.Schedule
+         { ctg_text; mesh = (4, 4); algo = Runner.Eas; decisions = false; dvfs = None })
+  in
+  let big = request (padding ^ Ctg_io.to_string g) in
+  let small = {|{"op":"bogus"}|} in
+  Alcotest.(check bool) "request is multi-megabyte" true (String.length big > 2_000_000);
+  let stream = String.concat "\n" [ big; small; ""; big ] ^ "\n" ^ "{\"op\":" in
+  let expected = [ big; small; ""; big ] in
+  let rng = Noc_util.Prng.create ~seed:9 in
+  List.iter
+    (fun (label, next) ->
+      Alcotest.(check bool) label true (feed_in_chunks stream next = expected))
+    [
+      ("64 KiB chunks", fun () -> 65536);
+      ("odd chunks", fun () -> 65535);
+      ("small prime chunks", fun () -> 4093);
+      ("random chunks", fun () -> 1 + Noc_util.Prng.int rng ~bound:200_000);
+      ("one to three bytes at a time", fun () -> 1 + Noc_util.Prng.int rng ~bound:3);
+    ];
+  let reply line = fst (Server.handle_line (mk_state ()) line) in
+  let padded = parse_reply (reply (List.hd (feed_in_chunks stream (fun () -> 4093)))) in
+  let plain = parse_reply (reply (request (Ctg_io.to_string g))) in
+  Alcotest.(check bool) "padded request answered" true (is_ok padded);
+  Alcotest.(check string) "same schedule as without the comments"
+    (str_member "schedule" plain) (str_member "schedule" padded)
+
+(* Garbage on one connection leaves the daemon serving the others. *)
+let test_daemon_survives_garbage () =
+  let socket_path =
+    Printf.sprintf "%s/nocsched-test-garbage-%d.sock" (Filename.get_temp_dir_name ())
+      (Unix.getpid ())
+  in
+  let ready = Atomic.make false in
+  let daemon =
+    Domain.spawn (fun () ->
+        Server.run
+          ~on_ready:(fun () -> Atomic.set ready true)
+          { Server.socket_path; capacity = 4; jobs = None })
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.002
+  done;
+  let rng = Noc_util.Prng.create ~seed:77 in
+  let burst =
+    String.init 65536 (fun _ ->
+        if Noc_util.Prng.int rng ~bound:1000 = 0 then '\n'
+        else Char.chr (Noc_util.Prng.int rng ~bound:256))
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  let bytes = Bytes.of_string burst in
+  let rec write off =
+    if off < Bytes.length bytes then write (off + Unix.write fd bytes off (Bytes.length bytes - off))
+  in
+  write 0;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  (* One error reply per complete line, then the daemon hangs up. *)
+  let replies = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes replies chunk 0 n;
+      drain ()
+  in
+  drain ();
+  Unix.close fd;
+  let count c s = String.fold_left (fun n x -> if x = c then n + 1 else n) 0 s in
+  Alcotest.(check int) "one reply per garbage line" (count '\n' burst)
+    (count '\n' (Buffer.contents replies));
+  let stats =
+    parse_reply (Client.one_shot ~retries:10 ~socket_path (Protocol.request_to_line Protocol.Stats))
+  in
+  Alcotest.(check bool) "stats still answered" true (is_ok stats);
+  ignore (Client.one_shot ~retries:10 ~socket_path (Protocol.request_to_line Protocol.Shutdown));
+  Domain.join daemon
+
 let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
@@ -537,6 +640,9 @@ let suite =
     Alcotest.test_case "stats shape" `Quick test_stats_shape;
     Alcotest.test_case "one-shot differential" `Quick test_one_shot_differential;
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
+    Alcotest.test_case "multi-megabyte request in awkward chunks" `Quick
+      test_multi_megabyte_request;
+    Alcotest.test_case "daemon survives a garbage burst" `Quick test_daemon_survives_garbage;
     Alcotest.test_case "dvfs never aliases the unscaled cache" `Quick
       test_dvfs_no_cache_aliasing;
   ]

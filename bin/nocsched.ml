@@ -50,6 +50,45 @@ let tightness_arg =
        & info [ "tightness" ] ~docv:"T"
            ~doc:"Deadline tightness relative to the fastest critical path.")
 
+let input_arg =
+  Arg.(value & opt (some string) None
+       & info [ "input"; "i" ] ~docv:"FILE"
+           ~doc:"Load the task graph from FILE (text format; $(b,-) reads stdin) \
+                 instead of a built-in benchmark; the platform comes from \
+                 $(b,--mesh).")
+
+let file_arg =
+  Arg.(value & pos 0 (some string) None
+       & info [] ~docv:"FILE"
+           ~doc:"Task-graph file (text format; $(b,-) reads stdin); shorthand for \
+                 $(b,--input) FILE.")
+
+let save_arg =
+  Arg.(value & opt (some string) None
+       & info [ "save-schedule" ] ~docv:"FILE"
+           ~doc:"Write the resulting schedule ($(b,map): the winner's pinned-EAS \
+                 schedule) in the library's text format.")
+
+let jobs_arg =
+  Arg.(value & opt (some int) None
+       & info [ "jobs"; "j" ] ~docv:"N"
+           ~doc:"Fan the command's independent work (EAS candidate evaluations, \
+                 annealing chains, campaign trials, concurrent schedule \
+                 requests) over N domains. Results are bit-identical at every \
+                 job count.")
+
+let fault_arg =
+  Arg.(value & opt_all string []
+       & info [ "fault" ] ~docv:"SPEC"
+           ~doc:"Inject a fault (repeatable): $(b,pe:N) or $(b,link:A-B), optionally \
+                 windowed as $(b,SPEC@FROM:UNTIL) with either bound omitted. \
+                 $(b,pe:2@100:) fails PE 2 from t = 100 on; $(b,link:3-7) takes \
+                 the directed link 3->7 down permanently.")
+
+let self_timed_arg =
+  Arg.(value & flag & info [ "self-timed" ]
+         ~doc:"Use work-conserving dispatch instead of the tabled times.")
+
 type bench_spec =
   | Tgff of int  (* seed *)
   | Msb of Noc_experiments.Msb_tables.which * Noc_msb.Profile.clip
@@ -316,18 +355,6 @@ let schedule_cmd =
   let gantt_arg =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Draw an ASCII Gantt chart.")
   in
-  let input_arg =
-    Arg.(value & opt (some string) None
-         & info [ "input"; "i" ] ~docv:"FILE"
-             ~doc:"Schedule a graph loaded from FILE (text format; $(b,-) reads \
-                   stdin) instead of a built-in benchmark; the platform still \
-                   comes from $(b,--mesh).")
-  in
-  let save_arg =
-    Arg.(value & opt (some string) None
-         & info [ "save-schedule" ] ~docv:"FILE"
-             ~doc:"Write the resulting schedule in the library's text format.")
-  in
   let utilization_arg =
     Arg.(value & flag
          & info [ "utilization" ] ~doc:"Print per-PE and per-link loads.")
@@ -335,18 +362,6 @@ let schedule_cmd =
   let svg_arg =
     Arg.(value & opt (some string) None
          & info [ "svg" ] ~docv:"FILE" ~doc:"Render the schedule as an SVG Gantt chart.")
-  in
-  let file_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"FILE"
-             ~doc:"Task-graph file to schedule (text format; $(b,-) reads stdin); \
-                   shorthand for $(b,--input) FILE.")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Fan the EAS candidate evaluations out over N domains. The \
-                   schedule is bit-identical at every job count.")
   in
   let map_search_arg =
     Arg.(value & flag
@@ -506,19 +521,6 @@ let schedule_cmd =
 (* map                                                                 *)
 
 let map_cmd =
-  let input_arg =
-    Arg.(value & opt (some string) None
-         & info [ "input"; "i" ] ~docv:"FILE"
-             ~doc:"Map a graph loaded from FILE (text format; $(b,-) reads \
-                   stdin) instead of a built-in benchmark; the platform still \
-                   comes from $(b,--mesh).")
-  in
-  let file_arg =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"FILE"
-             ~doc:"Task-graph file to map (text format; $(b,-) reads stdin); \
-                   shorthand for $(b,--input) FILE.")
-  in
   let chains_arg =
     Arg.(value & opt int Noc_map.Search.default_params.Noc_map.Search.chains
          & info [ "chains" ] ~docv:"K"
@@ -552,18 +554,6 @@ let map_cmd =
          & info [ "latency" ] ~docv:"W"
              ~doc:"Static communication-latency weight (per-arc serialisation \
                    plus router hops).")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Fan the chains out over N domains. Results are bit-identical \
-                   at every job count.")
-  in
-  let save_arg =
-    Arg.(value & opt (some string) None
-         & info [ "save-schedule" ] ~docv:"FILE"
-             ~doc:"Write the winner's pinned-EAS schedule in the library's \
-                   text format.")
   in
   let run spec mesh tasks tightness routing input file chains iters survivors
       sa_seed balance latency jobs save obs =
@@ -631,25 +621,6 @@ let map_cmd =
 (* simulate                                                            *)
 
 let simulate_cmd =
-  let self_timed_arg =
-    Arg.(value & flag & info [ "self-timed" ]
-           ~doc:"Use work-conserving dispatch instead of the tabled times.")
-  in
-  let input_arg =
-    Arg.(value & opt (some string) None
-         & info [ "input"; "i" ] ~docv:"FILE"
-             ~doc:"Simulate a graph loaded from FILE (text format; $(b,-) reads \
-                   stdin) instead of a built-in benchmark; the platform still \
-                   comes from $(b,--mesh).")
-  in
-  let fault_arg =
-    Arg.(value & opt_all string []
-         & info [ "fault" ] ~docv:"SPEC"
-             ~doc:"Inject a fault (repeatable): $(b,pe:N) or $(b,link:A-B), optionally \
-                   windowed as $(b,SPEC\\@FROM:UNTIL) with either bound omitted. \
-                   $(b,pe:2\\@100:) fails PE 2 from t = 100 on; $(b,link:3-7) takes \
-                   the directed link 3->7 down permanently.")
-  in
   let reschedule_arg =
     Arg.(value & flag
          & info [ "reschedule" ]
@@ -819,14 +790,6 @@ let analyze_cmd =
          & info [ "schedule" ] ~docv:"FILE"
              ~doc:"Also certify the schedule loaded from FILE against the graph and \
                    platform (independent re-verification).")
-  in
-  let fault_arg =
-    Arg.(value & opt_all string []
-         & info [ "fault" ] ~docv:"SPEC"
-             ~doc:"Analyze the degraded detour route set under the injected fault \
-                   (repeatable); syntax as in $(b,simulate). The channel-dependency \
-                   graph then covers the BFS detours, which carry no deadlock-freedom \
-                   guarantee.")
   in
   let json_arg =
     Arg.(value & opt (some string) None
@@ -1003,14 +966,6 @@ let experiment_cmd =
              ~doc:"Add an annealed task-to-tile mapping row to the $(b,topo) \
                    campaign (pinned-EAS evaluation of the search winner).")
   in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Domains to fan the campaign's trials over. Defaults to \
-                   $(b,NOCSCHED_JOBS) when set, otherwise the recommended \
-                   domain count of the machine. Results are identical at \
-                   every job count.")
-  in
   let run which only quick map_search jobs obs =
     with_obs obs @@ fun () ->
     let scale = if quick then Some 0.2 else None in
@@ -1160,12 +1115,6 @@ let serve_cmd =
          & info [ "cache" ] ~docv:"N"
              ~doc:"Certified-schedule cache capacity (LRU entries).")
   in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Fan concurrent pure schedule requests over N domains. \
-                   Replies are bit-identical at every job count.")
-  in
   let call_arg =
     Arg.(value & opt (some string) None
          & info [ "call" ] ~docv:"OP"
@@ -1179,22 +1128,6 @@ let serve_cmd =
          & info [ "raw" ] ~docv:"LINE"
              ~doc:"Client mode: send LINE verbatim (one protocol JSON object) \
                    and print the reply.")
-  in
-  let input_arg =
-    Arg.(value & opt (some string) None
-         & info [ "input"; "i" ] ~docv:"FILE"
-             ~doc:"Task graph for $(b,--call) schedule/simulate/reschedule (text \
-                   format; $(b,-) reads stdin).")
-  in
-  let fault_arg =
-    Arg.(value & opt_all string []
-         & info [ "fault" ] ~docv:"SPEC"
-             ~doc:"Fault spec for $(b,--call) simulate/reschedule (repeatable); \
-                   syntax as in $(b,simulate).")
-  in
-  let self_timed_arg =
-    Arg.(value & flag & info [ "self-timed" ]
-           ~doc:"Work-conserving dispatch for $(b,--call) simulate.")
   in
   let decisions_arg =
     Arg.(value & flag

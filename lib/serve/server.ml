@@ -602,35 +602,48 @@ let handle_batch state lines =
 (* ------------------------------------------------------------------ *)
 (* Socket loop.                                                        *)
 
+let max_request_bytes = 32 * 1024 * 1024
+
 module Line_buffer = struct
   (* The unterminated tail of the stream. Only newly read bytes are
      searched for newlines and a completed line is copied out once, so a
-     request costs time linear in its length however it is chunked. *)
-  type t = Buffer.t
+     request costs time linear in its length however it is chunked. A
+     line longer than [max_request_bytes] drops the tail and poisons the
+     buffer: the connection is refused, not buffered without bound. *)
+  type t = { tail : Buffer.t; mutable overflowed : bool }
 
-  let create () = Buffer.create 4096
+  let create () = { tail = Buffer.create 4096; overflowed = false }
+  let overflowed t = t.overflowed
 
   let rec newline chunk i stop =
     if i >= stop then -1 else if Bytes.unsafe_get chunk i = '\n' then i else newline chunk (i + 1) stop
 
-  let feed tail chunk off len =
+  let feed t chunk off len =
     let stop = off + len in
     let rec go start acc =
-      match newline chunk start stop with
-      | -1 ->
-        Buffer.add_subbytes tail chunk start (stop - start);
-        List.rev acc
-      | i ->
-        let line =
-          if Buffer.length tail = 0 then Bytes.sub_string chunk start (i - start)
-          else begin
-            Buffer.add_subbytes tail chunk start (i - start);
-            let line = Buffer.contents tail in
-            Buffer.reset tail;
-            line
-          end
-        in
-        go (i + 1) (line :: acc)
+      if t.overflowed then List.rev acc
+      else
+        let eol = match newline chunk start stop with -1 -> stop | i -> i in
+        if Buffer.length t.tail + (eol - start) > max_request_bytes then begin
+          t.overflowed <- true;
+          Buffer.reset t.tail;
+          List.rev acc
+        end
+        else if eol = stop then begin
+          Buffer.add_subbytes t.tail chunk start (stop - start);
+          List.rev acc
+        end
+        else
+          let line =
+            if Buffer.length t.tail = 0 then Bytes.sub_string chunk start (eol - start)
+            else begin
+              Buffer.add_subbytes t.tail chunk start (eol - start);
+              let line = Buffer.contents t.tail in
+              Buffer.reset t.tail;
+              line
+            end
+          in
+          go (eol + 1) (line :: acc)
     in
     go off []
 end
@@ -683,7 +696,7 @@ let run ?on_ready config =
     (* Collect every complete request line that arrived this round,
        keeping (connection, line) pairs aligned so each reply goes back
        to the connection that asked, in request order. *)
-    let batch = ref [] in
+    let batch = ref [] and refused = ref [] in
     List.iter
       (fun fd ->
         if fd = listen_fd then begin
@@ -701,7 +714,8 @@ let run ?on_ready config =
             | n ->
               List.iter
                 (fun line -> batch := (conn, line) :: !batch)
-                (Line_buffer.feed conn.tail chunk 0 n)
+                (Line_buffer.feed conn.tail chunk 0 n);
+              if Line_buffer.overflowed conn.tail then refused := conn :: !refused
             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
             | exception Unix.Unix_error _ -> close_conn fd))
       readable;
@@ -717,5 +731,20 @@ let run ?on_ready config =
             try write_all conn.fd (reply ^ "\n")
             with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
               close_conn conn.fd)
-        batch replies)
+        batch replies);
+    (* An oversized request is answered after the lines that preceded it
+       on its connection, and only that connection is closed. *)
+    List.iter
+      (fun conn ->
+        (try
+           write_all conn.fd
+             (Protocol.error_line
+                (Printf.sprintf
+                   "request-too-large: a request line exceeds %d bytes; closing \
+                    the connection"
+                   max_request_bytes)
+             ^ "\n")
+         with Unix.Unix_error _ -> ());
+        close_conn conn.fd)
+      !refused
   done

@@ -57,6 +57,13 @@ val handle_line : state -> string -> string * bool
     shutdown. Never raises: internal failures become structured error
     replies. *)
 
+val max_request_bytes : int
+(** The longest request line the daemon accepts: 32 MiB, above the
+    ~20 MB text of a 2000-task graph on the 16x16 mesh. A connection
+    whose line grows past it gets one structured error reply whose
+    message starts with ["request-too-large"] and is then closed; other
+    connections are served as before. *)
+
 (** Splits a connection's byte stream into request lines. *)
 module Line_buffer : sig
   type t
@@ -67,7 +74,12 @@ module Line_buffer : sig
   (** [feed t chunk off len] appends [len] bytes of [chunk] from [off]
       and returns the lines they complete, in order and without their
       newlines; an unterminated tail waits for the next call. Linear in
-      [len] plus the length of the lines it returns. *)
+      [len] plus the length of the lines it returns. A line longer than
+      {!max_request_bytes} (terminated or not) is dropped and marks [t]
+      {!overflowed}: the lines before it are still returned, and every
+      later [feed] returns [[]]. *)
+
+  val overflowed : t -> bool
 end
 
 val run : ?on_ready:(unit -> unit) -> config -> unit

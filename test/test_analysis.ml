@@ -268,6 +268,69 @@ let test_two_fault_case_odd_even_falls_back () =
   Alcotest.(check bool) "cycle still reported" true
     (List.mem "deadlock/cyclic-cdg" (rules diagnostics))
 
+let test_detour_survival_sweep () =
+  (* The turn-model soundness law on degraded views, over a fixed sweep:
+     twelve sampled two-link fault sets (seeds 700-711) plus the
+     two-fault pair above, on the 4x4 mesh under each routing model.
+     Whenever every degraded route stays inside the model's turn-legal
+     walk set, the route set must be acyclic (Glass & Ni); sets that
+     force a BFS fallback carry no guarantee. The survival counts are
+     pinned, so a change to the detour search shows up here. *)
+  let sample_platform = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~cols:4 ~rows:4 () in
+  let fault_sets =
+    List.init 12 (fun i ->
+        Noc_fault.Fault_set.sample ~seed:(700 + i) ~platform:sample_platform
+          ~n_link_faults:2 ~n_pe_faults:0 ())
+    @ [ faults_exn pr3_fault_specs ]
+  in
+  let all_turn_legal routing topo routes =
+    let rec legal = function
+      | prev :: (via :: next :: _ as rest) ->
+        Turn_model.turn_legal routing topo ~prev ~via ~next && legal rest
+      | _ -> true
+    in
+    List.for_all legal routes
+  in
+  List.iter
+    (fun (routing, expected_acyclic, expected_legal) ->
+      let name = Turn_model.name routing in
+      let platform =
+        Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~routing ~cols:4 ~rows:4 ()
+      in
+      let topo = Noc_noc.Platform.topology platform in
+      let verdicts =
+        List.map
+          (fun faults ->
+            let acyclic =
+              count_rule "deadlock/cyclic-cdg" (Deadlock.check_degraded platform faults)
+              = 0
+            in
+            let routes, _ =
+              Deadlock.degraded_routes (Noc_fault.Fault_set.degraded faults platform)
+            in
+            (all_turn_legal routing topo routes, acyclic))
+          fault_sets
+      in
+      List.iteri
+        (fun i (legal, acyclic) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s fault set %d: turn-legal implies acyclic" name i)
+            true
+            ((not legal) || acyclic))
+        verdicts;
+      let count f = List.length (List.filter f verdicts) in
+      Alcotest.(check int) (name ^ ": acyclic sets of 13") expected_acyclic (count snd);
+      Alcotest.(check int) (name ^ ": fully turn-legal sets of 13") expected_legal
+        (count fst))
+    [ (Turn_model.Xy, 5, 0); (Turn_model.West_first, 8, 5); (Turn_model.Odd_even, 5, 3) ];
+  (* And the fault-free relation proofs on the 8x8 acceptance mesh. *)
+  let proof_platform = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~cols:8 ~rows:8 () in
+  List.iter
+    (fun routing ->
+      check_rules (Turn_model.name routing ^ " relation proof on 8x8") []
+        (rules (Deadlock.check_routing ~routing proof_platform)))
+    Turn_model.all
+
 (* ------------------------------------------------------------------ *)
 (* CTG lint: one minimal failing fixture per rule.                     *)
 
@@ -799,6 +862,8 @@ let suite =
       test_two_fault_case_solved_by_west_first;
     Alcotest.test_case "odd-even falls back to BFS on the two-fault case" `Quick
       test_two_fault_case_odd_even_falls_back;
+    Alcotest.test_case "turn-legal detours are acyclic (13 fault sets)" `Quick
+      test_detour_survival_sweep;
     Alcotest.test_case "qos: XY rejects an oversubscribed flow" `Quick
       test_qos_xy_rejects_oversubscribed_flow;
     Alcotest.test_case "qos: adaptive relations split the same flow" `Quick

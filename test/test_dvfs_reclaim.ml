@@ -251,27 +251,46 @@ let test_reclaim_records_decisions () =
 (* ------------------------------------------------------------------ *)
 (* Campaign determinism *)
 
+(* Two inputs: category benchmark 0 at scale 0.2, and the full
+   campaign (category I/II suites and the MSB A/V benchmarks at the
+   paper's size). Each runs at --jobs 1/2/4 with identical rows, and
+   every row obeys the reclamation gates: energy never grows, no scaled
+   schedule misses more deadlines than its base, every scaled schedule
+   passes [Certify.check_scaled], and every category-I row reclaims
+   energy (the paper's sparse suites leave real slack). *)
 let test_campaign_jobs_invariant () =
   let module C = Noc_experiments.Dvfs_campaign in
   let digest rows =
     List.map
       (fun (r : C.row) ->
-        ( r.name, r.eas_energy, r.dvfs_energy, r.downclocked, r.base_misses,
-          r.scaled_misses, r.certified ))
+        ( r.name, r.tasks, r.eas_energy, r.dvfs_energy, r.downclocked,
+          r.base_misses, r.scaled_misses, r.certified ))
       rows
   in
-  let run jobs = C.run ~jobs ~indices:[ 0 ] ~scale:0.2 () in
-  let r1 = digest (run 1) in
-  Alcotest.(check bool) "rows identical at --jobs 1 and 2" true
-    (digest (run 2) = r1);
-  List.iter2
-    (fun (_, eas_nj, dvfs_nj, _, base_m, scaled_m, certified)
-         (r : C.row) ->
-      ignore r;
-      Alcotest.(check bool) "energy never grows" true (dvfs_nj <= eas_nj);
-      Alcotest.(check bool) "no new misses" true (scaled_m <= base_m);
-      Alcotest.(check bool) "certified" true certified)
-    r1 (run 1)
+  List.iter
+    (fun (label, run) ->
+      let rows = run 1 in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: rows identical at --jobs 1 and %d" label jobs)
+            true
+            (digest (run jobs) = digest rows))
+        [ 2; 4 ];
+      let cat1 = List.filter (fun (r : C.row) -> r.category = "cat1") rows in
+      Alcotest.(check bool) (label ^ ": has category-I rows") true (cat1 <> []);
+      List.iter
+        (fun (r : C.row) ->
+          let check what = Alcotest.(check bool) (label ^ " " ^ r.name ^ ": " ^ what) true in
+          check "energy never grows" (r.dvfs_energy <= r.eas_energy);
+          check "no new misses" (r.scaled_misses <= r.base_misses);
+          check "scaled schedule certified" r.certified;
+          if r.category = "cat1" then check "reclaims energy" (r.reclaimed > 0.))
+        rows)
+    [
+      ("benchmark 0 (scale 0.2)", fun jobs -> C.run ~jobs ~indices:[ 0 ] ~scale:0.2 ());
+      ("full campaign", fun jobs -> C.run ~jobs ());
+    ]
 
 let suite =
   [

@@ -112,26 +112,11 @@ let test_ablation_shape () =
   Alcotest.(check bool) "render works" true
     (contains_substring (Ablation.render rows) "Contention ablation")
 
-(* Every member path of a document with the type of the value there,
-   list elements collapsed to [[]]: ["trials[].eas.valid:bool"]. *)
-let key_paths doc =
-  let rec go prefix acc = function
-    | Noc_obs.Json.Obj fields ->
-      List.fold_left
-        (fun acc (k, v) ->
-          go (if prefix = "" then k else prefix ^ "." ^ k) acc v)
-        acc fields
-    | Noc_obs.Json.List items -> List.fold_left (go (prefix ^ "[]")) acc items
-    | Noc_obs.Json.Null -> (prefix ^ ":null") :: acc
-    | Noc_obs.Json.Bool _ -> (prefix ^ ":bool") :: acc
-    | Noc_obs.Json.Number _ -> (prefix ^ ":number") :: acc
-    | Noc_obs.Json.String _ -> (prefix ^ ":string") :: acc
-  in
-  List.sort_uniq compare (go "" [] doc)
-
 let test_fault_campaign_json_schema () =
-  (* The report a quick campaign builds has exactly the members, nesting
-     and value types of the committed full-size BENCH_faults.json. *)
+  (* A full-size campaign reproduces the committed BENCH_faults.json by
+     value: the canonical printer sorts keys, so equal documents print
+     identically. On a mismatch the fresh document is printed; it is the
+     file to commit when the change is intended. *)
   let committed =
     match
       Noc_obs.Json.parse
@@ -140,14 +125,16 @@ let test_fault_campaign_json_schema () =
     | Ok doc -> doc
     | Error msg -> Alcotest.failf "BENCH_faults.json does not parse: %s" msg
   in
-  let quick =
-    Noc_experiments.Fault_campaign.to_json
-      (Noc_experiments.Fault_campaign.run ~scale:0.08 ~n_graphs:2 ~n_trials:2 ())
+  let fresh =
+    Noc_obs.Json.to_string
+      (Noc_experiments.Fault_campaign.to_json (Noc_experiments.Fault_campaign.run ()))
   in
-  Alcotest.(check (list string)) "key paths" (key_paths committed) (key_paths quick);
+  if fresh <> Noc_obs.Json.to_string committed then
+    Alcotest.failf "fault campaign differs from BENCH_faults.json; fresh report:\n%s"
+      fresh;
   Alcotest.(check (option string)) "schema tag"
     (Some "nocsched/bench-faults/v2")
-    (match Noc_obs.Json.member "schema" quick with
+    (match Noc_obs.Json.member "schema" committed with
     | Some (Noc_obs.Json.String s) -> Some s
     | _ -> None)
 

@@ -124,26 +124,48 @@ let search_case () =
   let ctg = random_ctg mesh_platform ~n_tasks:60 ~seed:5 in
   (mesh_platform, ctg)
 
+(* The mapping bench's instance: category-III benchmark 1 at scale 0.25
+   on the 8x8 mesh, searched with the default parameters. *)
+let category_iii_case () =
+  let platform = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~cols:8 ~rows:8 () in
+  let module Category = Noc_tgff.Category in
+  let params = Category.scaled_params Category.Category_iii ~scale:0.25 in
+  let seed = Category.seed_of Category.Category_iii 1 in
+  (platform, Noc_tgff.Generate.generate ~params ~platform ~seed)
+
+let search_inputs =
+  [
+    ("60 tasks on 4x4", search_case, small_params);
+    ("category III on 8x8", category_iii_case, Search.default_params);
+  ]
+
 let test_jobs_invariance () =
-  let platform, ctg = search_case () in
-  let run jobs = Search.run ~jobs ~params:small_params platform ctg in
-  let r1 = digest (run 1) in
-  Alcotest.(check bool) "jobs 1 = jobs 2" true (r1 = digest (run 2));
-  Alcotest.(check bool) "jobs 1 = jobs 4" true (r1 = digest (run 4))
+  List.iter
+    (fun (label, case, params) ->
+      let platform, ctg = case () in
+      let run jobs = Search.run ~jobs ~params platform ctg in
+      let r1 = digest (run 1) in
+      Alcotest.(check bool) (label ^ ": jobs 1 = jobs 2") true (r1 = digest (run 2));
+      Alcotest.(check bool) (label ^ ": jobs 1 = jobs 4") true (r1 = digest (run 4)))
+    search_inputs
 
 let test_chain_prefix () =
-  let platform, ctg = search_case () in
-  let chains c =
-    (Search.run ~jobs:1 ~params:{ small_params with chains = c } platform ctg)
-      .chain_results
-  in
-  let narrow = chains 2 and wide = chains 4 in
-  let prefix = List.filteri (fun i _ -> i < List.length narrow) wide in
-  Alcotest.(check bool) "first 2 of 4 chains = 2-chain run" true
-    (List.map (fun (c : Search.chain_result) -> (c.chain, c.value, c.accepted))
-       prefix
-    = List.map (fun (c : Search.chain_result) -> (c.chain, c.value, c.accepted))
-        narrow)
+  List.iter
+    (fun (label, case, params) ->
+      let platform, ctg = case () in
+      let chains c =
+        (Search.run ~jobs:1 ~params:{ params with chains = c } platform ctg)
+          .chain_results
+      in
+      let narrow = chains 2 and wide = chains 4 in
+      let prefix = List.filteri (fun i _ -> i < List.length narrow) wide in
+      let digests =
+        List.map (fun (c : Search.chain_result) ->
+            (c.chain, c.value, c.accepted, Array.to_list c.best_mapping))
+      in
+      Alcotest.(check bool) (label ^ ": first 2 of 4 chains = 2-chain run") true
+        (digests prefix = digests narrow))
+    search_inputs
 
 (* Under the pure-energy objective the best static survivor can never
    cost more pinned-EAS energy than the identity mapping: chain 0
@@ -170,6 +192,28 @@ let test_never_loses_to_identity () =
         true
         (Noc_util.Stats.fequal ~eps:1e-6 c.static_value c.energy))
     r.candidates
+
+(* The same guarantee on the full big-mesh Pareto sweep (category-III
+   benchmark 1 at full size on 8x8 and 16x16): the annealed balance=0
+   point never costs more pinned-EAS energy than the identity placement.
+   The tiny relative epsilon covers summation order: the two pinned-EAS
+   totals are summed in schedule order, the static objective in table
+   order. *)
+let test_pareto_never_loses_to_identity () =
+  let module T = Noc_experiments.Topology_compare in
+  let pareto = T.pareto () in
+  Alcotest.(check (list (pair int int))) "swept meshes" [ (8, 8); (16, 16) ]
+    (List.map (fun (r : T.pareto_row) -> r.mesh) pareto.rows);
+  List.iter
+    (fun (r : T.pareto_row) ->
+      let find label = List.find (fun (p : T.point) -> p.label = label) r.points in
+      let identity = find "identity" and sa = find "sa/balance=0" in
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d: sa/balance=0 %.1f nJ <= identity %.1f nJ" (fst r.mesh)
+           (snd r.mesh) sa.energy identity.energy)
+        true
+        (sa.energy <= identity.energy *. (1. +. 1e-9)))
+    pareto.rows
 
 let test_capacity_respected () =
   let platform, ctg = search_case () in
@@ -233,6 +277,8 @@ let suite =
     Alcotest.test_case "search is jobs-invariant" `Quick test_jobs_invariance;
     Alcotest.test_case "chain prefixes reproduce" `Quick test_chain_prefix;
     Alcotest.test_case "never loses to identity" `Quick test_never_loses_to_identity;
+    Alcotest.test_case "Pareto sweep never loses to identity" `Slow
+      test_pareto_never_loses_to_identity;
     Alcotest.test_case "capacity respected" `Quick test_capacity_respected;
     Alcotest.test_case "pinned EAS respects the mapping" `Quick
       test_pinned_eas_respects_mapping;

@@ -6,6 +6,17 @@
 
 let job_counts = [ 1; 2; 4 ]
 
+(* [run jobs] renders a result exactly; every job count must render the
+   same string as --jobs 1. *)
+let check_jobs_invariant label run =
+  let serial = run 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s identical at jobs=%d" label jobs)
+        serial (run jobs))
+    (List.tl job_counts)
+
 (* Exact (hex-float) rendering of an evaluation minus its runtime. *)
 let evaluation_fingerprint (e : Noc_experiments.Runner.evaluation) =
   let m = e.Noc_experiments.Runner.metrics in
@@ -29,83 +40,74 @@ let suite_fingerprint (r : Noc_experiments.Random_suite.result) =
           r.Noc_experiments.Random_suite.rows)
 
 let test_random_suite_jobs_invariant () =
-  (* The 50-seed corpus at a small scale: wide enough that the pool's
-     chunk claiming actually interleaves, small enough for CI. *)
-  let indices = List.init 50 Fun.id in
-  let run jobs =
-    suite_fingerprint
-      (Noc_experiments.Random_suite.run ~jobs ~indices ~scale:0.1
-         Noc_tgff.Category.Category_i)
-  in
-  let serial = run 1 in
+  (* Two inputs: the 50-seed corpus at a small scale, wide enough that
+     the pool's chunk claiming actually interleaves, and the full
+     category-I suite at the paper's size (the parallel bench's
+     workload). *)
   List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "random suite identical at jobs=%d" jobs)
-        serial (run jobs))
-    (List.tl job_counts)
+    (fun (label, indices, scale) ->
+      check_jobs_invariant label (fun jobs ->
+          suite_fingerprint
+            (Noc_experiments.Random_suite.run ~jobs ?indices ?scale
+               Noc_tgff.Category.Category_i)))
+    [
+      ("50-seed corpus (scale 0.1)", Some (List.init 50 Fun.id), Some 0.1);
+      ("full category-I suite", None, None);
+    ]
 
 let test_fault_campaign_jobs_invariant () =
   (* The campaign's JSON report carries no timing fields, so whole-string
      equality is the exact field-wise comparison. *)
-  let run jobs =
-    Noc_obs.Json.to_string
-      (Noc_experiments.Fault_campaign.to_json
-         (Noc_experiments.Fault_campaign.run ~jobs ~scale:0.08 ~n_graphs:2
-            ~n_trials:3 ()))
-  in
-  let serial = run 1 in
   List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "fault campaign identical at jobs=%d" jobs)
-        serial (run jobs))
-    (List.tl job_counts)
+    (fun n_trials ->
+      check_jobs_invariant (Printf.sprintf "fault campaign (%d trials)" n_trials)
+        (fun jobs ->
+          Noc_obs.Json.to_string
+            (Noc_experiments.Fault_campaign.to_json
+               (Noc_experiments.Fault_campaign.run ~jobs ~scale:0.08 ~n_graphs:2
+                  ~n_trials ()))))
+    [ 2; 3 ]
 
 let test_obs_jobs_invariant () =
   (* Observability must not break determinism: the counter totals and the
      sorted decision log captured around a campaign are bit-identical at
-     every job count. Routes are warmed by an untracked run first so the
-     shared route memo starts from the same state for every job count. *)
-  let indices = List.init 20 Fun.id in
-  let run jobs =
-    ignore
-      (Noc_experiments.Random_suite.run ~jobs ~indices ~scale:0.08
-         Noc_tgff.Category.Category_i)
-  in
-  run 1;
-  let capture jobs =
-    Noc_obs.Counters.reset ();
-    Noc_obs.Decisions.reset ();
-    Noc_obs.Counters.set_enabled true;
-    Noc_obs.Decisions.set_enabled true;
-    Fun.protect
-      ~finally:(fun () ->
-        Noc_obs.Counters.set_enabled false;
-        Noc_obs.Decisions.set_enabled false)
-      (fun () ->
-        run jobs;
-        let counters =
-          String.concat "\n"
-            (List.map
-               (fun (name, v) -> Printf.sprintf "%s=%d" name v)
-               (Noc_obs.Counters.snapshot ()))
-        in
-        (counters, Noc_obs.Decisions.export_jsonl ()))
-  in
-  let serial_counters, serial_decisions = capture 1 in
-  Alcotest.(check bool) "counters were collected" true (serial_counters <> "");
-  Alcotest.(check bool) "decisions were collected" true (serial_decisions <> "");
+     every job count. Two inputs: 20 category-I seeds at scale 0.08, and
+     the observability bench's workload, the category-I suite at scale
+     0.2. Routes are warmed by an untracked run first so the shared route
+     memo starts from the same state for every job count. *)
   List.iter
-    (fun jobs ->
-      let counters, decisions = capture jobs in
-      Alcotest.(check string)
-        (Printf.sprintf "counters identical at jobs=%d" jobs)
-        serial_counters counters;
-      Alcotest.(check string)
-        (Printf.sprintf "decision log identical at jobs=%d" jobs)
-        serial_decisions decisions)
-    (List.tl job_counts)
+    (fun (indices, scale) ->
+      let run jobs =
+        ignore
+          (Noc_experiments.Random_suite.run ~jobs ?indices ~scale
+             Noc_tgff.Category.Category_i)
+      in
+      run 1;
+      let capture jobs =
+        Noc_obs.Counters.reset ();
+        Noc_obs.Decisions.reset ();
+        Noc_obs.Counters.set_enabled true;
+        Noc_obs.Decisions.set_enabled true;
+        Fun.protect
+          ~finally:(fun () ->
+            Noc_obs.Counters.set_enabled false;
+            Noc_obs.Decisions.set_enabled false)
+          (fun () ->
+            run jobs;
+            let counters =
+              List.map
+                (fun (name, v) -> Printf.sprintf "%s=%d" name v)
+                (Noc_obs.Counters.snapshot ())
+            in
+            let decisions = Noc_obs.Decisions.export_jsonl () in
+            Alcotest.(check bool) "counters were collected" true (counters <> []);
+            Alcotest.(check bool) "decisions were collected" true (decisions <> "");
+            String.concat "\n" counters ^ "\n" ^ decisions)
+      in
+      check_jobs_invariant
+        (Printf.sprintf "scale %g: counters and decision log" scale)
+        capture)
+    [ (Some (List.init 20 Fun.id), 0.08); (None, 0.2) ]
 
 let test_schedule_path_jobs_invariant () =
   (* The schedule path itself (nocsched schedule --jobs N): the inner
@@ -133,18 +135,10 @@ let test_schedule_path_jobs_invariant () =
   List.iter
     (fun seed ->
       let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
-      let run jobs =
-        schedule_fingerprint
-          (Noc_experiments.Runner.schedule_of ~jobs Noc_experiments.Runner.Eas
-             platform ctg)
-      in
-      let serial = run 1 in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check string)
-            (Printf.sprintf "seed %d schedule identical at jobs=%d" seed jobs)
-            serial (run jobs))
-        (List.tl job_counts))
+      check_jobs_invariant (Printf.sprintf "seed %d schedule" seed) (fun jobs ->
+          schedule_fingerprint
+            (Noc_experiments.Runner.schedule_of ~jobs Noc_experiments.Runner.Eas
+               platform ctg)))
     [ 0; 1; 2 ]
 
 let suite =

@@ -431,9 +431,10 @@ let test_one_shot_differential () =
 (* ------------------------------------------------------------------ *)
 (* Live daemon: concurrent clients over the Unix socket.               *)
 
-let test_concurrent_clients () =
+(* A daemon on a private socket, in its own domain, once it listens. *)
+let start_daemon ~name ~capacity ~jobs =
   let socket_path =
-    Printf.sprintf "%s/nocsched-test-serve-%d.sock" (Filename.get_temp_dir_name ())
+    Printf.sprintf "%s/nocsched-test-%s-%d.sock" (Filename.get_temp_dir_name ()) name
       (Unix.getpid ())
   in
   let ready = Atomic.make false in
@@ -441,11 +442,15 @@ let test_concurrent_clients () =
     Domain.spawn (fun () ->
         Server.run
           ~on_ready:(fun () -> Atomic.set ready true)
-          { Server.socket_path; capacity = 16; jobs = Some 2 })
+          { Server.socket_path; capacity; jobs })
   in
   while not (Atomic.get ready) do
     Unix.sleepf 0.002
   done;
+  (socket_path, daemon)
+
+let test_concurrent_clients () =
+  let socket_path, daemon = start_daemon ~name:"serve" ~capacity:16 ~jobs:(Some 2) in
   (* Expected energies, computed directly. *)
   let energy_of g =
     let s = Runner.schedule_of Runner.Eas platform g in
@@ -574,22 +579,97 @@ let test_multi_megabyte_request () =
   Alcotest.(check string) "same schedule as without the comments"
     (str_member "schedule" plain) (str_member "schedule" padded)
 
+(* A line longer than the cap is dropped, not buffered: the lines before
+   it still come out, a line of exactly the cap is accepted, and a
+   poisoned buffer returns nothing more. The stream is fed as one 64 KiB
+   block repeated, so the test never holds the oversized line itself. *)
+let test_line_buffer_cap () =
+  let block = Bytes.make 65536 'x' in
+  let blocks = Server.max_request_bytes / Bytes.length block in
+  Alcotest.(check int) "cap is a whole number of blocks" Server.max_request_bytes
+    (blocks * Bytes.length block);
+  let fill lines n =
+    for _ = 1 to n do
+      Alcotest.(check (list string)) "no line yet" []
+        (Server.Line_buffer.feed lines block 0 (Bytes.length block))
+    done
+  in
+  let feed_string lines s =
+    Server.Line_buffer.feed lines (Bytes.of_string s) 0 (String.length s)
+  in
+  let at_cap = Server.Line_buffer.create () in
+  fill at_cap blocks;
+  (match feed_string at_cap "\nnext\n" with
+  | [ line; "next" ] ->
+    Alcotest.(check int) "a line of exactly the cap is accepted"
+      Server.max_request_bytes (String.length line)
+  | lines -> Alcotest.failf "expected two lines, got %d" (List.length lines));
+  Alcotest.(check bool) "not overflowed" false (Server.Line_buffer.overflowed at_cap);
+  let over = Server.Line_buffer.create () in
+  Alcotest.(check (list string)) "lines before the oversized one" [ "a"; "b" ]
+    (feed_string over "a\nb\nx");
+  fill over (blocks - 1);
+  Alcotest.(check (list string)) "one byte past the cap" []
+    (Server.Line_buffer.feed over block 0 (Bytes.length block));
+  Alcotest.(check bool) "overflowed" true (Server.Line_buffer.overflowed over);
+  Alcotest.(check (list string)) "poisoned buffer returns nothing" []
+    (feed_string over "\nc\n");
+  let terminated = Server.Line_buffer.create () in
+  fill terminated blocks;
+  Alcotest.(check (list string)) "a terminated oversized line is dropped too" []
+    (feed_string terminated "y\nz\n");
+  Alcotest.(check bool) "overflowed" true (Server.Line_buffer.overflowed terminated)
+
+(* An oversized unterminated request gets a structured refusal and its
+   connection is closed, while another client is served before, during
+   and after. *)
+let test_oversized_request_refused () =
+  let socket_path, daemon = start_daemon ~name:"oversized" ~capacity:4 ~jobs:None in
+  let stats () =
+    is_ok
+      (parse_reply
+         (Client.one_shot ~retries:10 ~socket_path (Protocol.request_to_line Protocol.Stats)))
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  let block = Bytes.make 65536 'x' in
+  let rec write_block off =
+    if off < Bytes.length block then
+      write_block (off + Unix.write fd block off (Bytes.length block - off))
+  in
+  let half = Server.max_request_bytes / 2 / Bytes.length block in
+  for _ = 1 to half do
+    write_block 0
+  done;
+  Alcotest.(check bool) "other client served while a request is pending" true (stats ());
+  (* The daemon may hang up before the last block is fully written. *)
+  (try
+     for _ = 1 to half + 1 do
+       write_block 0
+     done
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  let reply = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes reply chunk 0 n;
+      drain ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
+  in
+  drain ();
+  Unix.close fd;
+  let refusal = parse_reply (String.trim (Buffer.contents reply)) in
+  Alcotest.(check bool) "refused" false (is_ok refusal);
+  Alcotest.(check bool) "request-too-large error" true
+    (String.starts_with ~prefix:"request-too-large" (str_member "error" refusal));
+  Alcotest.(check bool) "other client served after the refusal" true (stats ());
+  ignore (Client.one_shot ~retries:10 ~socket_path (Protocol.request_to_line Protocol.Shutdown));
+  Domain.join daemon
+
 (* Garbage on one connection leaves the daemon serving the others. *)
 let test_daemon_survives_garbage () =
-  let socket_path =
-    Printf.sprintf "%s/nocsched-test-garbage-%d.sock" (Filename.get_temp_dir_name ())
-      (Unix.getpid ())
-  in
-  let ready = Atomic.make false in
-  let daemon =
-    Domain.spawn (fun () ->
-        Server.run
-          ~on_ready:(fun () -> Atomic.set ready true)
-          { Server.socket_path; capacity = 4; jobs = None })
-  in
-  while not (Atomic.get ready) do
-    Unix.sleepf 0.002
-  done;
+  let socket_path, daemon = start_daemon ~name:"garbage" ~capacity:4 ~jobs:None in
   let rng = Noc_util.Prng.create ~seed:77 in
   let burst =
     String.init 65536 (fun _ ->
@@ -643,6 +723,9 @@ let suite =
     Alcotest.test_case "multi-megabyte request in awkward chunks" `Quick
       test_multi_megabyte_request;
     Alcotest.test_case "daemon survives a garbage burst" `Quick test_daemon_survives_garbage;
+    Alcotest.test_case "line buffer caps a request" `Quick test_line_buffer_cap;
+    Alcotest.test_case "oversized request refused, others served" `Quick
+      test_oversized_request_refused;
     Alcotest.test_case "dvfs never aliases the unscaled cache" `Quick
       test_dvfs_no_cache_aliasing;
   ]

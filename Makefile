@@ -129,12 +129,13 @@ analyze-adaptive: build
 # The full gate CI runs: build, the complete test suite (which holds
 # every deterministic gate: job-count invariance, DVFS reclamation,
 # routing proofs and detour survival, the mapping Pareto guarantee and
-# the committed fault table), the static analysis sweeps (deterministic
-# and adaptive routing), the trace and daemon smokes, the perfbench
-# smoke test, then the timing gates of bench/main.exe (timeline and
-# category-I EAS, parallel speedup, observability overhead, the
-# scheduling-service latencies and mapping delta-eval).
-verify: build test perfbench-smoke analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-mapping
+# the committed fault table), every example program, the perfbench
+# smoke test, the static analysis sweeps (deterministic and adaptive
+# routing), the trace and daemon smokes, then the timing gates of
+# bench/main.exe (timeline and category-I EAS, parallel speedup,
+# observability overhead, the scheduling-service latencies and mapping
+# delta-eval).
+verify: build test examples perfbench-smoke analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-mapping
 
 examples:
 	dune exec examples/quickstart.exe

@@ -14,7 +14,7 @@ let () =
       let eas = Noc_eas.Eas.schedule platform ctg in
       let edf = Noc_edf.Edf.schedule platform ctg in
       let m s = Noc_sched.Metrics.compute platform ctg s in
-      let me = m eas.Noc_eas.Eas.schedule and md = m edf.Noc_edf.Edf.schedule in
+      let me = m eas.Noc_eas.Eas.schedule and md = m edf in
       Format.printf
         "clip %-8s EAS %8.0f nJ (comp %7.0f + comm %6.0f, %d misses)@."
         (Noc_msb.Profile.clip_name clip)

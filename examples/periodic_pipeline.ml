@@ -106,5 +106,5 @@ let () =
       Format.printf "  %-4s : %.0f frames/s@." name max_rate)
     [
       ("EAS", fun g -> (Noc_eas.Eas.schedule platform g).Noc_eas.Eas.schedule);
-      ("EDF", fun g -> (Noc_edf.Edf.schedule platform g).Noc_edf.Edf.schedule);
+      ("EDF", fun g -> Noc_edf.Edf.schedule platform g);
     ]

@@ -61,7 +61,7 @@ let () =
   print_string (Noc_sched.Gantt.render ~width:64 platform ctg schedule);
 
   (* Compare with the performance-greedy EDF baseline. *)
-  let edf = (Noc_edf.Edf.schedule platform ctg).Noc_edf.Edf.schedule in
+  let edf = Noc_edf.Edf.schedule platform ctg in
   let eas_energy = (Noc_sched.Metrics.compute platform ctg schedule).total_energy in
   let edf_energy = (Noc_sched.Metrics.compute platform ctg edf).total_energy in
   Format.printf "@.EAS energy %.0f nJ vs EDF %.0f nJ: %.1f%% saved.@." eas_energy

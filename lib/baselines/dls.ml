@@ -1,6 +1,4 @@
-module Schedule = Noc_sched.Schedule
-module Comm_sched = Noc_sched.Comm_sched
-module Resource_state = Noc_sched.Resource_state
+module List_sched = Noc_sched.List_sched
 
 let static_levels ctg =
   let n = Noc_ctg.Ctg.n_tasks ctg in
@@ -15,50 +13,16 @@ let static_levels ctg =
   done;
   sl
 
-type stats = { runtime_seconds : float; misses : int }
-type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
-
 let schedule ?comm_model platform ctg =
-  let t0 = Noc_util.Clock.wall_s () in
   let n = Noc_ctg.Ctg.n_tasks ctg in
   let n_pes = Noc_noc.Platform.n_pes platform in
   let sl = static_levels ctg in
-  let state = Resource_state.create platform in
-  let placements = Array.make n None in
-  let transactions = Array.make (Noc_ctg.Ctg.n_edges ctg) None in
+  let ls = List_sched.make ?comm_model platform ctg in
   let unscheduled_preds = Array.init n (fun i -> List.length (Noc_ctg.Ctg.preds ctg i)) in
   let ready = ref [] in
   for i = n - 1 downto 0 do
     if unscheduled_preds.(i) = 0 then ready := i :: !ready
   done;
-  let pendings_of i =
-    List.map
-      (fun (e : Noc_ctg.Edge.t) ->
-        match placements.(e.src) with
-        | None -> assert false
-        | Some (p : Schedule.placement) ->
-          {
-            Comm_sched.edge = e.id;
-            src_pe = p.pe;
-            sender_finish = p.finish;
-            bits = e.volume;
-          })
-      (Noc_ctg.Ctg.in_edges ctg i)
-  in
-  let ready_after i drt =
-    match (Noc_ctg.Ctg.task ctg i).Noc_ctg.Task.release with
-    | None -> drt
-    | Some release -> Float.max drt release
-  in
-  (* Tentative start time of task [i] on PE [k]. *)
-  let start_time i k =
-    let mark = Resource_state.mark state in
-    let _, drt = Comm_sched.schedule_incoming ?model:comm_model state (pendings_of i) ~dst_pe:k in
-    let exec = (Noc_ctg.Ctg.task ctg i).Noc_ctg.Task.exec_times.(k) in
-    let start = Resource_state.earliest_pe_gap state ~pe:k ~after:(ready_after i drt) ~duration:exec in
-    Resource_state.rollback state mark;
-    start
-  in
   for _ = 1 to n do
     (* Highest dynamic level over all (ready task, PE) pairs. *)
     let best = ref None in
@@ -68,21 +32,14 @@ let schedule ?comm_model platform ctg =
         let mean = Noc_ctg.Task.mean_exec_time task in
         for k = 0 to n_pes - 1 do
           let delta = mean -. task.Noc_ctg.Task.exec_times.(k) in
-          let dl = sl.(i) -. start_time i k +. delta in
+          let dl = sl.(i) -. List_sched.probe ls i k +. delta in
           match !best with
           | Some (best_dl, bi, bk) when (best_dl, -bi, -bk) >= (dl, -i, -k) -> ()
           | Some _ | None -> best := Some (dl, i, k)
         done)
       !ready;
-    let _, i, k = match !best with Some b -> b | None -> assert false in
-    (* Commit. *)
-    let placed, drt = Comm_sched.schedule_incoming ?model:comm_model state (pendings_of i) ~dst_pe:k in
-    let exec = (Noc_ctg.Ctg.task ctg i).Noc_ctg.Task.exec_times.(k) in
-    let start = Resource_state.earliest_pe_gap state ~pe:k ~after:(ready_after i drt) ~duration:exec in
-    Resource_state.reserve_pe state ~pe:k
-      (Noc_util.Interval.make ~start ~stop:(start +. exec));
-    placements.(i) <- Some { Schedule.task = i; pe = k; start; finish = start +. exec };
-    List.iter (fun (tr : Schedule.transaction) -> transactions.(tr.edge) <- Some tr) placed;
+    let _, i, k = Option.get !best in
+    List_sched.place ls i k;
     ready := List.filter (fun j -> j <> i) !ready;
     List.iter
       (fun j ->
@@ -90,22 +47,4 @@ let schedule ?comm_model platform ctg =
         if unscheduled_preds.(j) = 0 then ready := !ready @ [ j ])
       (Noc_ctg.Ctg.succs ctg i)
   done;
-  let schedule =
-    Schedule.make
-      ~placements:(Array.map Option.get placements)
-      ~transactions:(Array.map Option.get transactions)
-  in
-  let misses =
-    Array.fold_left
-      (fun acc (task : Noc_ctg.Task.t) ->
-        match task.deadline with
-        | None -> acc
-        | Some d ->
-          if (Schedule.placement schedule task.id).Schedule.finish > d +. 1e-9 then
-            acc + 1
-          else acc)
-      0 (Noc_ctg.Ctg.tasks ctg)
-  in
-  { schedule; stats = { runtime_seconds = Noc_util.Clock.wall_s () -. t0; misses } }
-
-let name = "DLS"
+  List_sched.schedule ls

@@ -1,73 +1,20 @@
-module Schedule = Noc_sched.Schedule
-module Comm_sched = Noc_sched.Comm_sched
-module Resource_state = Noc_sched.Resource_state
-
-type stats = { runtime_seconds : float; misses : int }
-type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
+module List_sched = Noc_sched.List_sched
 
 let schedule ?comm_model platform ctg =
-  let t0 = Noc_util.Clock.wall_s () in
-  let n = Noc_ctg.Ctg.n_tasks ctg in
   let n_pes = Noc_noc.Platform.n_pes platform in
-  let state = Resource_state.create platform in
-  let placements = Array.make n None in
-  let transactions = Array.make (Noc_ctg.Ctg.n_edges ctg) None in
+  let ls = List_sched.make ?comm_model platform ctg in
   Array.iter
     (fun i ->
       let task = Noc_ctg.Ctg.task ctg i in
-      let pendings =
-        List.map
-          (fun (e : Noc_ctg.Edge.t) ->
-            match placements.(e.src) with
-            | None -> assert false
-            | Some (p : Schedule.placement) ->
-              {
-                Comm_sched.edge = e.id;
-                src_pe = p.pe;
-                sender_finish = p.finish;
-                bits = e.volume;
-              })
-          (Noc_ctg.Ctg.in_edges ctg i)
-      in
       let energy k =
         task.Noc_ctg.Task.energies.(k)
         +. List.fold_left
-             (fun acc (p : Comm_sched.pending) ->
+             (fun acc (e : Noc_ctg.Edge.t) ->
                acc
-               +. Noc_noc.Platform.comm_energy platform ~src:p.Comm_sched.src_pe
-                    ~dst:k ~bits:p.Comm_sched.bits)
-             0. pendings
+               +. Noc_noc.Platform.comm_energy platform ~src:ls.pe.(e.src) ~dst:k
+                    ~bits:e.volume)
+             0. (Noc_ctg.Ctg.in_edges ctg i)
       in
-      let k = Noc_util.Stats.argmin (Array.init n_pes energy) in
-      let placed, drt = Comm_sched.schedule_incoming ?model:comm_model state pendings ~dst_pe:k in
-      let ready =
-        match task.Noc_ctg.Task.release with
-        | None -> drt
-        | Some release -> Float.max drt release
-      in
-      let exec = task.Noc_ctg.Task.exec_times.(k) in
-      let start = Resource_state.earliest_pe_gap state ~pe:k ~after:ready ~duration:exec in
-      Resource_state.reserve_pe state ~pe:k
-        (Noc_util.Interval.make ~start ~stop:(start +. exec));
-      placements.(i) <- Some { Schedule.task = i; pe = k; start; finish = start +. exec };
-      List.iter (fun (tr : Schedule.transaction) -> transactions.(tr.edge) <- Some tr) placed)
+      List_sched.place ls i (Noc_util.Stats.argmin (Array.init n_pes energy)))
     (Noc_ctg.Ctg.topological_order ctg);
-  let schedule =
-    Schedule.make
-      ~placements:(Array.map Option.get placements)
-      ~transactions:(Array.map Option.get transactions)
-  in
-  let misses =
-    Array.fold_left
-      (fun acc (task : Noc_ctg.Task.t) ->
-        match task.deadline with
-        | None -> acc
-        | Some d ->
-          if (Schedule.placement schedule task.id).Schedule.finish > d +. 1e-9 then
-            acc + 1
-          else acc)
-      0 (Noc_ctg.Ctg.tasks ctg)
-  in
-  { schedule; stats = { runtime_seconds = Noc_util.Clock.wall_s () -. t0; misses } }
-
-let name = "Energy-greedy"
+  List_sched.schedule ls

@@ -4,23 +4,16 @@
     minimising its own computation energy plus the communication energy
     of its already-placed incoming arcs (exactly EAS's rule-4 energy
     metric, but with no deadline constraint and no regret ordering).
-    Timing still goes through the contention-aware communication
-    scheduler, so the schedule is resource-feasible — it just ignores
-    deadlines entirely.
+    Timing still goes through the step every scheduler shares,
+    {!Noc_sched.List_sched.place}, so the schedule is
+    resource-feasible — it just ignores deadlines entirely.
 
     Together with {!Dls} this brackets EAS: when deadlines are loose EAS
     should approach this heuristic's energy; when they are tight EAS
     must spend more, while this heuristic starts missing deadlines. *)
 
-type stats = { runtime_seconds : float; misses : int }
-
-type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
-
 val schedule :
   ?comm_model:Noc_sched.Comm_sched.model ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
-  outcome
-
-val name : string
-(** ["Energy-greedy"]. *)
+  Noc_sched.Schedule.t

@@ -10,13 +10,9 @@ type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
 let count_misses ctg schedule =
   Array.fold_left
     (fun acc (task : Noc_ctg.Task.t) ->
-      match task.deadline with
-      | None -> acc
-      | Some d ->
-        if (Noc_sched.Schedule.placement schedule task.id).Noc_sched.Schedule.finish
-           > d +. 1e-9
-        then acc + 1
-        else acc)
+      let p = Noc_sched.Schedule.placement schedule task.id in
+      if Noc_sched.List_sched.lateness task p.Noc_sched.Schedule.finish > 0. then acc + 1
+      else acc)
     0 (Noc_ctg.Ctg.tasks ctg)
 
 let schedule ?(repair = true) ?comm_model ?degraded ?weighting ?kernel ?pinned

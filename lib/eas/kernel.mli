@@ -6,9 +6,10 @@
     per-(src, dst) route hops, bit energy and link arrays — flat
     [float array]s indexed [task * n_pes + pe] and [src * n_pes + dst].
 
-    Every value is produced by exactly the float expression the probing
-    path (the test-only [Level_sched_reference], {!Noc_sched.Comm_sched})
-    evaluates — same operands, same operation order — so schedules
+    Every value is produced by exactly the float expression the placing
+    path ({!Noc_sched.List_sched.place} through
+    {!Noc_sched.Comm_sched.transmit}, and the test-only
+    [Level_sched_reference]) evaluates — same operands, same operation order — so schedules
     computed through the kernel are bit-identical to the reference. The
     differential suite ([test_kernel_diff]) and the qcheck matrix
     properties ([test_kernel]) enforce this.
@@ -26,7 +27,7 @@ val build : ?degraded:Noc_noc.Degraded.t -> Noc_noc.Platform.t -> Noc_ctg.Ctg.t 
 (** Builds the matrices. With a non-trivial [degraded] view, routes,
     hops and energies follow the view's detours and disconnections; a
     trivial view mirrors the platform (same convention as
-    {!Noc_sched.Comm_sched.place}). *)
+    {!Noc_sched.Comm_sched.transmit}). *)
 
 val n_tasks : t -> int
 val n_pes : t -> int
@@ -73,8 +74,9 @@ val data_ready :
   pe:int ->
   float
 (** Read-only DRT probe: schedules the receiving transactions of
-    [pendings] (which must already be sorted by [(sender_finish,
-    edge)], the {!Noc_sched.Comm_sched.schedule_incoming} order)
+    [pendings] (which must already be sorted by
+    {!Noc_sched.Comm_sched.sort_pendings}, the order in which
+    {!Noc_sched.List_sched.place} sends them)
     towards [pe] against the shared link tables without mutating them —
     tentative reservations go to private per-probe overlay timelines,
     and feasibility is checked on shared table plus overlay, which sees

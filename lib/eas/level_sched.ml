@@ -1,27 +1,7 @@
-module Schedule = Noc_sched.Schedule
 module Comm_sched = Noc_sched.Comm_sched
+module List_sched = Noc_sched.List_sched
 module Resource_state = Noc_sched.Resource_state
 module Timeline = Noc_util.Timeline
-
-type partial = {
-  state : Resource_state.t;
-  placements : Schedule.placement option array;
-  transactions : Schedule.transaction option array;
-}
-
-let incoming_pendings ctg partial i =
-  List.map
-    (fun (e : Noc_ctg.Edge.t) ->
-      match partial.placements.(e.src) with
-      | None -> invalid_arg "Level_sched: predecessor not yet scheduled"
-      | Some (p : Schedule.placement) ->
-        {
-          Comm_sched.edge = e.id;
-          src_pe = p.pe;
-          sender_finish = p.finish;
-          bits = e.volume;
-        })
-    (Noc_ctg.Ctg.in_edges ctg i)
 
 let c_fik = Noc_obs.Counters.counter "eas.finish_time.evaluations"
 let c_fik_reused = Noc_obs.Counters.counter "eas.finish_time.reused"
@@ -35,49 +15,15 @@ let c_energy = Noc_obs.Counters.counter "eas.assignment_energy.evaluations"
    raising — such a PE sorts last in the candidate order and can only
    be a Rule 4 member for a deadline-free task, which no generated
    graph produces. *)
-let assignment_energy kernel ctg partial i k =
+let assignment_energy kernel (ls : List_sched.t) i k =
   let comm =
     List.fold_left
       (fun acc (e : Noc_ctg.Edge.t) ->
-        match partial.placements.(e.src) with
-        | None -> acc
-        | Some p ->
-          acc
-          +. Kernel.comm_energy_inf kernel ~src:p.Schedule.pe ~dst:k ~bits:e.volume)
+        acc +. Kernel.comm_energy_inf kernel ~src:ls.pe.(e.src) ~dst:k ~bits:e.volume)
       0.
-      (Noc_ctg.Ctg.in_edges ctg i)
+      (Noc_ctg.Ctg.in_edges ls.ctg i)
   in
   Kernel.exec_energy kernel ~task:i ~pe:k +. comm
-
-(* Committing is the only writer of shared state and stays on the
-   probing machinery: transactions are placed for real (reserving link
-   and PE slots through the journal), which also bumps the mutated
-   timelines' versions and thereby invalidates exactly the cached
-   F(i,k) values those tables fed. *)
-let commit ?comm_model ?degraded ctg partial i k =
-  let pendings = incoming_pendings ctg partial i in
-  let transactions, drt =
-    Comm_sched.schedule_incoming ?model:comm_model ?degraded partial.state pendings
-      ~dst_pe:k
-  in
-  let task = Noc_ctg.Ctg.task ctg i in
-  let exec_time = task.Noc_ctg.Task.exec_times.(k) in
-  let ready =
-    match task.Noc_ctg.Task.release with
-    | None -> drt
-    | Some release -> Float.max drt release
-  in
-  let start =
-    Resource_state.earliest_pe_gap partial.state ~pe:k ~after:ready
-      ~duration:exec_time
-  in
-  let placement = { Schedule.task = i; pe = k; start; finish = start +. exec_time } in
-  Resource_state.reserve_pe partial.state ~pe:k
-    (Noc_util.Interval.make ~start ~stop:placement.Schedule.finish);
-  partial.placements.(i) <- Some placement;
-  List.iter
-    (fun (tr : Schedule.transaction) -> partial.transactions.(tr.edge) <- Some tr)
-    transactions
 
 let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
     (budget : Budget.t) =
@@ -113,13 +59,7 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
   let kernel =
     match kernel with Some k -> k | None -> Kernel.build ?degraded platform ctg
   in
-  let partial =
-    {
-      state = Resource_state.create platform;
-      placements = Array.make n None;
-      transactions = Array.make (Noc_ctg.Ctg.n_edges ctg) None;
-    }
-  in
+  let ls = List_sched.make ?comm_model ?degraded platform ctg in
   let unscheduled_preds = Array.init n (fun i -> List.length (Noc_ctg.Ctg.preds ctg i)) in
   let ready = ref [] in
   for i = n - 1 downto 0 do
@@ -138,7 +78,18 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
     match pendings_cache.(i) with
     | Some pendings -> pendings
     | None ->
-      let pendings = Comm_sched.sort_pendings (incoming_pendings ctg partial i) in
+      let pendings =
+        Comm_sched.sort_pendings
+          (List.map
+             (fun (e : Noc_ctg.Edge.t) ->
+               {
+                 Comm_sched.edge = e.id;
+                 src_pe = ls.pe.(e.src);
+                 sender_finish = ls.finish.(e.src);
+                 bits = e.volume;
+               })
+             (Noc_ctg.Ctg.in_edges ctg i))
+      in
       pendings_cache.(i) <- Some pendings;
       pendings
   in
@@ -151,7 +102,7 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
       for k = n_pes - 1 downto 0 do
         if allowed i k then begin
           Noc_obs.Counters.incr c_energy;
-          row.(k) <- assignment_energy kernel ctg partial i k;
+          row.(k) <- assignment_energy kernel ls i k;
           order := (row.(k), k) :: !order
         end
       done;
@@ -191,7 +142,7 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
       !ok
   in
   let valid idx =
-    pe_version.(idx) = Timeline.version (Resource_state.pe_table partial.state (idx mod n_pes))
+    pe_version.(idx) = Timeline.version (Resource_state.pe_table ls.state (idx mod n_pes))
     && drt_valid idx
   in
   (* Probes neither read nor write any shared mutable state besides the
@@ -205,17 +156,17 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
       let pendings = Option.get pendings_cache.(i) in
       Noc_obs.Counters.incr c_fik;
       drt.(idx) <-
-        Kernel.data_ready ?model:comm_model kernel partial.state ~pendings ~pe:k;
+        Kernel.data_ready ?model:comm_model kernel ls.state ~pendings ~pe:k;
       match drt_deps.(idx) with
       | Some (tables, versions) ->
         Array.iteri (fun j tl -> versions.(j) <- Timeline.version tl) tables
       | None ->
         let tables =
-          Kernel.drt_deps ?model:comm_model kernel partial.state ~pendings ~pe:k
+          Kernel.drt_deps ?model:comm_model kernel ls.state ~pendings ~pe:k
         in
         drt_deps.(idx) <- Some (tables, Array.map Timeline.version tables)
     end;
-    let pe_table = Resource_state.pe_table partial.state k in
+    let pe_table = Resource_state.pe_table ls.state k in
     let d = drt.(idx) in
     f.(idx) <-
       (if d = infinity then infinity
@@ -404,7 +355,10 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
       Noc_obs.Decisions.record ~task:chosen_task ~rule:chosen_rule ~chosen:chosen_pe
         ~budgeted_deadline:(bd chosen_task)
         ~finishes:(Array.sub f (chosen_task * n_pes) n_pes);
-    commit ?comm_model ?degraded ctg partial chosen_task chosen_pe;
+    (* Placing is the only writer of shared state: its reservations
+       bump the mutated timelines' versions and thereby invalidate
+       exactly the cached F(i,k) values those tables fed. *)
+    List_sched.place ls chosen_task chosen_pe;
     decr remaining;
     ready := List.filter (fun i -> i <> chosen_task) !ready;
     List.iter
@@ -413,6 +367,4 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
         if unscheduled_preds.(j) = 0 then ready := !ready @ [ j ])
       (Noc_ctg.Ctg.succs ctg chosen_task)
   done;
-  let placements = Array.map Option.get partial.placements in
-  let transactions = Array.map Option.get partial.transactions in
-  Schedule.make ~placements ~transactions
+  List_sched.schedule ls

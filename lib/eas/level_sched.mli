@@ -21,9 +21,10 @@
     here are read-only {!Kernel.finish_time} evaluations whose results are
     memoized and revalidated against the {!Noc_util.Timeline.version}s
     of the tables each probe consulted, so each commit only re-probes
-    the (i,k) pairs it actually invalidated. Both paths produce
-    bit-identical schedules and decision logs; [test_kernel_diff]
-    enforces this. *)
+    the (i,k) pairs it actually invalidated. A commit places the chosen
+    task through {!Noc_sched.List_sched.place}, the step every other
+    scheduler places with. Both paths produce bit-identical schedules
+    and decision logs; [test_kernel_diff] enforces this. *)
 
 val run :
   ?comm_model:Noc_sched.Comm_sched.model ->

@@ -1,4 +1,5 @@
 module Schedule = Noc_sched.Schedule
+module List_sched = Noc_sched.List_sched
 
 type moves = Both | Lts_only | Gtm_only
 
@@ -6,20 +7,12 @@ type stats = { accepted_swaps : int; accepted_migrations : int; evaluations : in
 
 (* Search score: primarily the number of missed deadlines, refined by
    the total lateness so the greedy search has a gradient to follow even
-   when one move cannot yet save a whole deadline. [lateness_of] is one
-   task's share: how late it finishes, or 0 when it meets its deadline. *)
-let lateness_of (task : Noc_ctg.Task.t) finish =
-  match task.deadline with
-  | None -> 0.
-  | Some d ->
-    let late = finish -. d in
-    if late > 1e-9 then late else 0.
-
-(* Sums in task-id order, whatever order [finish] was computed in. *)
+   when one move cannot yet save a whole deadline. Sums in task-id
+   order, whatever order [finish] was computed in. *)
 let score_by ctg finish =
   Array.fold_left
     (fun (count, lateness) (task : Noc_ctg.Task.t) ->
-      let late = lateness_of task (finish task.id) in
+      let late = List_sched.lateness task (finish task.id) in
       if late > 0. then (count + 1, lateness +. late) else (count, lateness))
     (0, 0.) (Noc_ctg.Ctg.tasks ctg)
 
@@ -61,11 +54,8 @@ let critical_tasks ctg schedule =
   in
   Array.iter
     (fun (task : Noc_ctg.Task.t) ->
-      match task.deadline with
-      | None -> ()
-      | Some d ->
-        if (Schedule.placement schedule task.id).Schedule.finish > d +. 1e-9 then
-          mark task.id)
+      let finish = (Schedule.placement schedule task.id).Schedule.finish in
+      if List_sched.lateness task finish > 0. then mark task.id)
     (Noc_ctg.Ctg.tasks ctg);
   critical
 
@@ -149,7 +139,7 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
   let incumbent =
     lazy
       (Rebuild.checkpoint ?comm_model ?degraded platform ctg
-         ~late:(fun i finish -> lateness_of (Noc_ctg.Ctg.task ctg i) finish)
+         ~late:(fun i finish -> List_sched.lateness (Noc_ctg.Ctg.task ctg i) finish)
          ~assignment ~rank)
   in
   let viable misses lateness = may_improve (misses, lateness) !best_score in

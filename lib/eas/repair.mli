@@ -32,9 +32,9 @@ type stats = {
 }
 
 val score : Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> int * float
-(** The search objective: the number of tasks that finish more than
-    1e-9 past their deadline, and their total lateness summed in task-id
-    order. *)
+(** The search objective: the number of tasks
+    {!Noc_sched.List_sched.lateness} finds late, and their total
+    lateness summed in task-id order. *)
 
 val improves : int * float -> int * float -> bool
 (** [improves candidate incumbent]: fewer misses, or as many and at

@@ -1,6 +1,4 @@
-module Schedule = Noc_sched.Schedule
-module Comm_sched = Noc_sched.Comm_sched
-module Resource_state = Noc_sched.Resource_state
+module List_sched = Noc_sched.List_sched
 
 let effective_deadlines ctg =
   let n = Noc_ctg.Ctg.n_tasks ctg in
@@ -26,17 +24,11 @@ let effective_deadlines ctg =
   done;
   ed
 
-type stats = { runtime_seconds : float; misses : int }
-type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
-
 let schedule ?comm_model platform ctg =
-  let t0 = Noc_util.Clock.wall_s () in
   let n = Noc_ctg.Ctg.n_tasks ctg in
   let n_pes = Noc_noc.Platform.n_pes platform in
   let ed = effective_deadlines ctg in
-  let state = Resource_state.create platform in
-  let placements = Array.make n None in
-  let transactions = Array.make (Noc_ctg.Ctg.n_edges ctg) None in
+  let ls = List_sched.make ?comm_model platform ctg in
   let unscheduled_preds = Array.init n (fun i -> List.length (Noc_ctg.Ctg.preds ctg i)) in
   let module Ready = Set.Make (struct
     type t = float * int  (* effective deadline, task *)
@@ -50,70 +42,21 @@ let schedule ?comm_model platform ctg =
   for _ = 1 to n do
     let ((_, i) as elt) = Ready.min_elt !ready in
     ready := Ready.remove elt !ready;
-    let pendings =
-      List.map
-        (fun (e : Noc_ctg.Edge.t) ->
-          match placements.(e.src) with
-          | None -> assert false
-          | Some (p : Schedule.placement) ->
-            {
-              Comm_sched.edge = e.id;
-              src_pe = p.pe;
-              sender_finish = p.finish;
-              bits = e.volume;
-            })
-        (Noc_ctg.Ctg.in_edges ctg i)
-    in
-    (* Earliest finish over all PEs, each evaluated tentatively. *)
-    let task = Noc_ctg.Ctg.task ctg i in
-    let ready_after drt =
-      match task.Noc_ctg.Task.release with
-      | None -> drt
-      | Some release -> Float.max drt release
-    in
-    let best = ref None in
+    (* Earliest finish over all PEs, the lowest index on ties. *)
+    let exec_times = (Noc_ctg.Ctg.task ctg i).Noc_ctg.Task.exec_times in
+    let best = ref 0 and best_finish = ref infinity in
     for k = 0 to n_pes - 1 do
-      let mark = Resource_state.mark state in
-      let _, drt = Comm_sched.schedule_incoming ?model:comm_model state pendings ~dst_pe:k in
-      let exec_time = task.Noc_ctg.Task.exec_times.(k) in
-      let start = Resource_state.earliest_pe_gap state ~pe:k ~after:(ready_after drt) ~duration:exec_time in
-      Resource_state.rollback state mark;
-      let finish = start +. exec_time in
-      match !best with
-      | Some (best_finish, _) when best_finish <= finish -> ()
-      | Some _ | None -> best := Some (finish, k)
+      let finish = List_sched.probe ls i k +. exec_times.(k) in
+      if k = 0 || finish < !best_finish then begin
+        best := k;
+        best_finish := finish
+      end
     done;
-    let k = match !best with Some (_, k) -> k | None -> assert false in
-    (* Commit on the winning PE. *)
-    let placed, drt = Comm_sched.schedule_incoming ?model:comm_model state pendings ~dst_pe:k in
-    let exec_time = task.Noc_ctg.Task.exec_times.(k) in
-    let start = Resource_state.earliest_pe_gap state ~pe:k ~after:(ready_after drt) ~duration:exec_time in
-    Resource_state.reserve_pe state ~pe:k
-      (Noc_util.Interval.make ~start ~stop:(start +. exec_time));
-    placements.(i) <- Some { Schedule.task = i; pe = k; start; finish = start +. exec_time };
-    List.iter (fun (tr : Schedule.transaction) -> transactions.(tr.edge) <- Some tr) placed;
+    List_sched.place ls i !best;
     List.iter
       (fun j ->
         unscheduled_preds.(j) <- unscheduled_preds.(j) - 1;
         if unscheduled_preds.(j) = 0 then ready := Ready.add (ed.(j), j) !ready)
       (Noc_ctg.Ctg.succs ctg i)
   done;
-  let schedule =
-    Schedule.make
-      ~placements:(Array.map Option.get placements)
-      ~transactions:(Array.map Option.get transactions)
-  in
-  let misses =
-    Array.fold_left
-      (fun acc (task : Noc_ctg.Task.t) ->
-        match task.deadline with
-        | None -> acc
-        | Some d ->
-          if (Schedule.placement schedule task.id).Schedule.finish > d +. 1e-9 then
-            acc + 1
-          else acc)
-      0 (Noc_ctg.Ctg.tasks ctg)
-  in
-  { schedule; stats = { runtime_seconds = Noc_util.Clock.wall_s () -. t0; misses } }
-
-let name = "EDF"
+  List_sched.schedule ls

@@ -9,22 +9,17 @@
     (tasks from which no deadline is reachable sort last). At each step
     the ready task with the earliest effective deadline is scheduled on
     the PE where it finishes earliest — the classic performance-greedy,
-    energy-oblivious policy. It uses the same contention-aware
-    communication machinery as EAS so the comparison isolates the
-    optimisation objective, exactly as the paper intends. *)
+    energy-oblivious policy. It places every task through the same step
+    as EAS, {!Noc_sched.List_sched.place}, so the comparison isolates
+    the optimisation objective, exactly as the paper intends. *)
 
 val effective_deadlines : Noc_ctg.Ctg.t -> float array
 (** The propagated deadlines ([infinity] when unconstrained). *)
-
-type stats = { runtime_seconds : float; misses : int }
-
-type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
 
 val schedule :
   ?comm_model:Noc_sched.Comm_sched.model ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
-  outcome
-
-val name : string
-(** ["EDF"]. *)
+  Noc_sched.Schedule.t
+(** Each task's finish on every PE comes from
+    {!Noc_sched.List_sched.probe}; ties go to the lower PE index. *)

@@ -12,13 +12,11 @@ type row = {
 let miss_stats ctg schedule =
   Array.fold_left
     (fun (count, worst) (task : Noc_ctg.Task.t) ->
-      match task.deadline with
-      | None -> (count, worst)
-      | Some d ->
-        let late =
-          (Noc_sched.Schedule.placement schedule task.id).Noc_sched.Schedule.finish -. d
-        in
-        if late > 1e-9 then (count + 1, Float.max worst late) else (count, worst))
+      let late =
+        Noc_sched.List_sched.lateness task
+          (Noc_sched.Schedule.placement schedule task.id).Noc_sched.Schedule.finish
+      in
+      if late > 0. then (count + 1, Float.max worst late) else (count, worst))
     (0, 0.) (Noc_ctg.Ctg.tasks ctg)
 
 let max_deviation planned realised =

@@ -14,12 +14,11 @@ let evaluate name platform ctg =
   let entries =
     [
       entry_of "EAS" platform ctg (Noc_eas.Eas.schedule platform ctg).Noc_eas.Eas.schedule;
-      entry_of "EDF" platform ctg (Noc_edf.Edf.schedule platform ctg).Noc_edf.Edf.schedule;
+      entry_of "EDF" platform ctg (Noc_edf.Edf.schedule platform ctg);
       entry_of "DLS" platform ctg
-        (Noc_baselines.Dls.schedule platform ctg).Noc_baselines.Dls.schedule;
+        (Noc_baselines.Dls.schedule platform ctg);
       entry_of "Energy-greedy" platform ctg
-        (Noc_baselines.Energy_greedy.schedule platform ctg)
-          .Noc_baselines.Energy_greedy.schedule;
+        (Noc_baselines.Energy_greedy.schedule platform ctg);
     ]
   in
   { name; entries }

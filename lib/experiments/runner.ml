@@ -34,7 +34,7 @@ let schedule_of ?comm_model ?pinned ?jobs algo platform ctg =
   | Edf ->
     if pinned <> None then
       invalid_arg "Runner.schedule_of: EDF does not take a pinned mapping";
-    (Noc_edf.Edf.schedule ?comm_model platform ctg).schedule
+    Noc_edf.Edf.schedule ?comm_model platform ctg
 
 let evaluate ?comm_model ?pinned ?jobs algo platform ctg =
   Noc_obs.Log.debugf "evaluate %s: %d tasks on %d PEs" (algo_name algo)

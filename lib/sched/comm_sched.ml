@@ -45,21 +45,6 @@ let route ?degraded platform ~src_pe ~dst_pe =
     | Some view -> Noc_noc.Degraded.route view ~src:src_pe ~dst:dst_pe
     | None -> Noc_noc.Platform.route platform ~src:src_pe ~dst:dst_pe
 
-let place ?model ?degraded state pending ~dst_pe =
-  let src_pe = pending.src_pe in
-  let window =
-    transmit ?model ?degraded state ~src_pe ~dst_pe ~sender_finish:pending.sender_finish
-      ~bits:pending.bits
-  in
-  {
-    Schedule.edge = pending.edge;
-    src_pe;
-    dst_pe;
-    route = route ?degraded (Resource_state.platform state) ~src_pe ~dst_pe;
-    start = window.Noc_util.Interval.start;
-    finish = window.Noc_util.Interval.stop;
-  }
-
 let compare_sends ~finish_a ~edge_a ~finish_b ~edge_b =
   let c = Float.compare finish_a finish_b in
   if c <> 0 then c else Int.compare edge_a edge_b
@@ -70,11 +55,3 @@ let sort_pendings lct =
       compare_sends ~finish_a:a.sender_finish ~edge_a:a.edge ~finish_b:b.sender_finish
         ~edge_b:b.edge)
     lct
-
-let schedule_incoming ?model ?degraded state lct ~dst_pe =
-  let sorted = sort_pendings lct in
-  let placed = List.map (fun p -> place ?model ?degraded state p ~dst_pe) sorted in
-  let drt =
-    List.fold_left (fun acc tr -> Float.max acc tr.Schedule.finish) 0. placed
-  in
-  (placed, drt)

@@ -23,7 +23,8 @@ type pending = {
   sender_finish : float;
   bits : float;
 }
-(** One receiving transaction still to be scheduled. *)
+(** One receiving transaction still to be scheduled: the input of the
+    EAS kernel's read-only probes. *)
 
 val transmit :
   ?model:model ->
@@ -43,8 +44,8 @@ val transmit :
     it is reserved on all those links through the state's journal.
     With [degraded], routes, durations and link reservations follow the
     degraded view's detours around failed links; raises
-    [Invalid_argument] when the fault set disconnects the pair. Every
-    other function of this module places through this one. *)
+    [Invalid_argument] when the fault set disconnects the pair.
+    {!List_sched.place} sends every transaction through this one. *)
 
 val route :
   ?degraded:Noc_noc.Degraded.t ->
@@ -56,16 +57,6 @@ val route :
     on one tile, else the platform's (or non-trivial degraded view's)
     route. *)
 
-val place :
-  ?model:model ->
-  ?degraded:Noc_noc.Degraded.t ->
-  Resource_state.t ->
-  pending ->
-  dst_pe:int ->
-  Schedule.transaction
-(** Schedules a single transaction towards [dst_pe] with {!transmit}
-    and records it with its {!route}. *)
-
 val compare_sends :
   finish_a:float -> edge_a:int -> finish_b:float -> edge_b:int -> int
 (** The Fig. 3 evaluation order over [(sender finish, edge id)] pairs:
@@ -73,19 +64,5 @@ val compare_sends :
     orders a task's incoming transactions uses this comparison. *)
 
 val sort_pendings : pending list -> pending list
-(** Sorts by {!compare_sends}. {!schedule_incoming} sorts with this; the
-    EAS kernel pre-sorts each task's pending list once so its probes can
-    skip the re-sort. *)
-
-val schedule_incoming :
-  ?model:model ->
-  ?degraded:Noc_noc.Degraded.t ->
-  Resource_state.t ->
-  pending list ->
-  dst_pe:int ->
-  Schedule.transaction list * float
-(** [schedule_incoming state lct ~dst_pe] runs Fig. 3: sorts [lct] by
-    sender finish time (ties by edge id), places every transaction, and
-    returns them (in input order of the sorted list) together with the
-    data-ready time [DRT] — the latest arrival, or [0.] when the task
-    receives nothing. *)
+(** Sorts by {!compare_sends}. The EAS kernel pre-sorts each task's
+    pending list once with this, so its probes can skip the re-sort. *)

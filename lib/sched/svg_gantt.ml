@@ -73,11 +73,7 @@ let render ?(width = 960) ?(lane_height = 28) ?(show_links = true) platform ctg
     List.iter
       (fun (p : Schedule.placement) ->
         let task = Noc_ctg.Ctg.task ctg p.task in
-        let missed =
-          match task.Noc_ctg.Task.deadline with
-          | Some d -> p.finish > d +. 1e-9
-          | None -> false
-        in
+        let missed = List_sched.lateness task p.finish > 0. in
         let x = x_of p.start and w = Float.max 1. (x_of p.finish -. x_of p.start) in
         add
           "<rect x=\"%.1f\" y=\"%d\" width=\"%.1f\" height=\"%d\" fill=\"%s\" \

@@ -2,7 +2,7 @@
    rebuild: Rebuild.run over a ready Set, Ctg adjacency lists and
    Comm_sched's route-list transaction placement, kept verbatim over the
    public Resource_state list APIs. Noc_eas.Rebuild and
-   Noc_sched.Comm_sched must agree with it bit for bit. *)
+   Noc_sched.List_sched must agree with it bit for bit. *)
 
 module Schedule = Noc_sched.Schedule
 module Comm_sched = Noc_sched.Comm_sched

@@ -1,6 +1,6 @@
 (** Frozen list-based list scheduler: the executable specification of
-    {!Noc_eas.Rebuild.run} and of {!Noc_sched.Comm_sched}'s transaction
-    placement.
+    {!Noc_eas.Rebuild.run} and of the shared step it places through,
+    {!Noc_sched.List_sched.place}.
 
     This is the Step-3 step as it stood before it moved onto flat arrays:
     a [Set] of ready tasks, the graph's adjacency lists, and per
@@ -18,7 +18,9 @@ val schedule_incoming :
   Noc_sched.Comm_sched.pending list ->
   dst_pe:int ->
   Noc_sched.Schedule.transaction list * float
-(** Fig. 3 as {!Noc_sched.Comm_sched.schedule_incoming} specifies it. *)
+(** Fig. 3: the pendings sorted by sender finish (ties by edge id), each
+    placed in the earliest window free on every link of its route, and
+    the latest arrival as the data-ready time ([0.] for none). *)
 
 val run :
   ?comm_model:Noc_sched.Comm_sched.model ->

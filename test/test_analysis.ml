@@ -479,13 +479,12 @@ let corpus_ctg seed =
 let corpus_schedulers =
   [
     ("EAS", fun ctg -> (Noc_eas.Eas.schedule corpus_platform ctg).Noc_eas.Eas.schedule);
-    ("EDF", fun ctg -> (Noc_edf.Edf.schedule corpus_platform ctg).Noc_edf.Edf.schedule);
+    ("EDF", fun ctg -> Noc_edf.Edf.schedule corpus_platform ctg);
     ( "DLS",
-      fun ctg -> (Noc_baselines.Dls.schedule corpus_platform ctg).Noc_baselines.Dls.schedule );
+      fun ctg -> Noc_baselines.Dls.schedule corpus_platform ctg );
     ( "energy-greedy",
       fun ctg ->
-        (Noc_baselines.Energy_greedy.schedule corpus_platform ctg)
-          .Noc_baselines.Energy_greedy.schedule );
+        Noc_baselines.Energy_greedy.schedule corpus_platform ctg );
   ]
 
 let test_golden_corpus_certifies () =

@@ -42,9 +42,8 @@ let test_static_levels_branching () =
 let test_dls_feasible () =
   for seed = 0 to 4 do
     let ctg = random_ctg seed in
-    let outcome = Dls.schedule platform ctg in
     Alcotest.(check bool) "resource-feasible" true
-      (resource_feasible ctg outcome.Dls.schedule)
+      (resource_feasible ctg (Dls.schedule platform ctg))
   done
 
 let test_dls_prefers_fast_pe () =
@@ -64,7 +63,7 @@ let test_dls_prefers_fast_pe () =
   let b = Builder.create ~n_pes:2 in
   let t = Builder.add_task b ~exec_times:[| 100.; 10. |] ~energies:[| 1.; 999. |] () in
   let ctg = Builder.build_exn b in
-  let s = (Dls.schedule p2 ctg).Dls.schedule in
+  let s = Dls.schedule p2 ctg in
   Alcotest.(check int) "fastest PE wins" 1 (Schedule.placement s t).Schedule.pe
 
 let test_dls_good_makespan () =
@@ -73,7 +72,7 @@ let test_dls_good_makespan () =
   let better = ref 0 in
   for seed = 0 to 4 do
     let ctg = random_ctg seed in
-    let dls = (Dls.schedule platform ctg).Dls.schedule in
+    let dls = Dls.schedule platform ctg in
     let eas = (Noc_eas.Eas.schedule platform ctg).Noc_eas.Eas.schedule in
     if Schedule.makespan dls < Schedule.makespan eas then incr better
   done;
@@ -81,16 +80,15 @@ let test_dls_good_makespan () =
 
 let test_dls_deterministic () =
   let ctg = random_ctg 3 in
-  let a = (Dls.schedule platform ctg).Dls.schedule in
-  let b = (Dls.schedule platform ctg).Dls.schedule in
+  let a = Dls.schedule platform ctg in
+  let b = Dls.schedule platform ctg in
   Alcotest.(check bool) "same schedule" true (Schedule.placements a = Schedule.placements b)
 
 let test_greedy_feasible () =
   for seed = 0 to 4 do
     let ctg = random_ctg seed in
-    let outcome = Energy_greedy.schedule platform ctg in
     Alcotest.(check bool) "resource-feasible" true
-      (resource_feasible ctg outcome.Energy_greedy.schedule)
+      (resource_feasible ctg (Energy_greedy.schedule platform ctg))
   done
 
 let test_greedy_is_energy_lower_bound_in_practice () =
@@ -98,7 +96,7 @@ let test_greedy_is_energy_lower_bound_in_practice () =
      EAS's (which optimises the same metric under constraints). *)
   for seed = 0 to 4 do
     let ctg = random_ctg seed in
-    let greedy = (Energy_greedy.schedule platform ctg).Energy_greedy.schedule in
+    let greedy = Energy_greedy.schedule platform ctg in
     let eas = (Noc_eas.Eas.schedule platform ctg).Noc_eas.Eas.schedule in
     let e s = (Metrics.compute platform ctg s).Metrics.total_energy in
     Alcotest.(check bool) "greedy <= EAS energy" true (e greedy <= e eas +. 1e-6)
@@ -116,7 +114,7 @@ let test_greedy_clusters_communication () =
     prev := next
   done;
   let ctg = Builder.build_exn b in
-  let s = (Energy_greedy.schedule p ctg).Energy_greedy.schedule in
+  let s = Energy_greedy.schedule p ctg in
   let pes =
     Array.to_list (Schedule.placements s)
     |> List.map (fun (p : Schedule.placement) -> p.pe)

@@ -231,7 +231,7 @@ let test_eas_beats_edf_on_energy () =
   for seed = 0 to 7 do
     let ctg = random_ctg ~n_tasks:60 seed in
     let eas = (Eas.schedule category_platform ctg).Eas.schedule in
-    let edf = (Noc_edf.Edf.schedule category_platform ctg).Noc_edf.Edf.schedule in
+    let edf = Noc_edf.Edf.schedule category_platform ctg in
     let e s = (Metrics.compute category_platform ctg s).Metrics.total_energy in
     if e eas < e edf then incr wins;
     total_eas := !total_eas +. e eas;

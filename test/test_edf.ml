@@ -50,7 +50,7 @@ let test_urgent_task_scheduled_first () =
   let relaxed = Builder.add_uniform_task b ~time:10. ~energy:1. ~deadline:100. () in
   let urgent = Builder.add_uniform_task b ~time:10. ~energy:1. ~deadline:25. () in
   let ctg = Builder.build_exn b in
-  let s = (Edf.schedule single_pe ctg).Edf.schedule in
+  let s = Edf.schedule single_pe ctg in
   Alcotest.(check bool) "urgent first" true
     ((Schedule.placement s urgent).Schedule.start
     < (Schedule.placement s relaxed).Schedule.start)
@@ -72,7 +72,7 @@ let test_picks_fastest_pe () =
   let b = Builder.create ~n_pes:2 in
   ignore (Builder.add_task b ~exec_times:[| 100.; 25. |] ~energies:[| 10.; 99. |] ());
   let ctg = Builder.build_exn b in
-  let s = (Edf.schedule platform2 ctg).Edf.schedule in
+  let s = Edf.schedule platform2 ctg in
   Alcotest.(check int) "fast PE regardless of energy" 1
     (Schedule.placement s 0).Schedule.pe
 
@@ -80,8 +80,8 @@ let test_deterministic () =
   let params = { Noc_tgff.Params.default with n_tasks = 50 } in
   let cat = Noc_tgff.Category.platform in
   let ctg = Noc_tgff.Generate.generate ~params ~platform:cat ~seed:4 in
-  let s1 = (Edf.schedule cat ctg).Edf.schedule in
-  let s2 = (Edf.schedule cat ctg).Edf.schedule in
+  let s1 = Edf.schedule cat ctg in
+  let s2 = Edf.schedule cat ctg in
   Alcotest.(check bool) "same schedule" true
     (Schedule.placements s1 = Schedule.placements s2)
 
@@ -92,21 +92,9 @@ let qcheck_edf_feasible =
       let params = { Noc_tgff.Params.default with n_tasks = 40 } in
       let cat = Noc_tgff.Category.platform in
       let ctg = Noc_tgff.Generate.generate ~params ~platform:cat ~seed in
-      let s = (Edf.schedule cat ctg).Edf.schedule in
+      let s = Edf.schedule cat ctg in
       Validate.check cat ctg s
       |> List.for_all (function Validate.Deadline_miss _ -> true | _ -> false))
-
-let test_stats () =
-  let params = { Noc_tgff.Params.default with n_tasks = 30 } in
-  let cat = Noc_tgff.Category.platform in
-  let ctg = Noc_tgff.Generate.generate ~params ~platform:cat ~seed:9 in
-  let outcome = Edf.schedule cat ctg in
-  let misses =
-    (Noc_sched.Metrics.compute cat ctg outcome.Edf.schedule).Noc_sched.Metrics.deadline_misses
-  in
-  Alcotest.(check int) "stats match metrics" (List.length misses)
-    outcome.Edf.stats.Edf.misses;
-  Alcotest.(check string) "name" "EDF" Edf.name
 
 let suite =
   [
@@ -119,5 +107,4 @@ let suite =
     Alcotest.test_case "picks fastest PE" `Quick test_picks_fastest_pe;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     QCheck_alcotest.to_alcotest qcheck_edf_feasible;
-    Alcotest.test_case "stats" `Quick test_stats;
   ]

@@ -60,7 +60,7 @@ let test_wide_fan () =
     Builder.connect b ~src ~dst:c ~volume:10.
   done;
   let ctg = Builder.build_exn b in
-  let s = (Noc_edf.Edf.schedule platform ctg).Noc_edf.Edf.schedule in
+  let s = Noc_edf.Edf.schedule platform ctg in
   Alcotest.(check bool) "fan feasible" true
     (Noc_sched.Validate.is_feasible platform ctg s);
   (* EDF spreads: the makespan must beat serial execution by far. *)
@@ -112,8 +112,8 @@ let test_saturated_deadlines_all_schedulers_terminate () =
     Alcotest.(check int) (name ^ " complete") 40 (Schedule.n_tasks s)
   in
   check "eas" (Noc_eas.Eas.schedule platform ctg).Noc_eas.Eas.schedule;
-  check "edf" (Noc_edf.Edf.schedule platform ctg).Noc_edf.Edf.schedule;
-  check "dls" (Noc_baselines.Dls.schedule platform ctg).Noc_baselines.Dls.schedule
+  check "edf" (Noc_edf.Edf.schedule platform ctg);
+  check "dls" (Noc_baselines.Dls.schedule platform ctg)
 
 let suite =
   [

@@ -126,7 +126,7 @@ let test_schedule_roundtrip () =
 
 let test_schedule_file_roundtrip () =
   let g = random_ctg 4 in
-  let s = (Noc_edf.Edf.schedule platform g).Noc_edf.Edf.schedule in
+  let s = Noc_edf.Edf.schedule platform g in
   let path = Filename.temp_file "nocsched" ".sched" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -401,7 +401,7 @@ let test_utilization () =
 
 let test_utilization_links () =
   let g = random_ctg 8 in
-  let s = (Noc_edf.Edf.schedule platform g).Noc_edf.Edf.schedule in
+  let s = Noc_edf.Edf.schedule platform g in
   let u = Utilization.compute platform s in
   (match Utilization.busiest_link u with
   | None -> Alcotest.fail "EDF on a random graph must use some link"

@@ -135,8 +135,8 @@ let qcheck_homogeneous_computation_energy =
       let ctg = Noc_tgff.Generate.generate ~params ~platform:p ~seed in
       let comp s = (Metrics.compute p ctg s).Metrics.computation_energy in
       let e = comp (Noc_eas.Eas.schedule p ctg).Noc_eas.Eas.schedule in
-      let d = comp (Noc_edf.Edf.schedule p ctg).Noc_edf.Edf.schedule in
-      let l = comp (Noc_baselines.Dls.schedule p ctg).Noc_baselines.Dls.schedule in
+      let d = comp (Noc_edf.Edf.schedule p ctg) in
+      let l = comp (Noc_baselines.Dls.schedule p ctg) in
       Noc_util.Stats.fequal ~eps:1e-6 e d && Noc_util.Stats.fequal ~eps:1e-6 d l)
 
 (* Unrolling one copy is the identity (modulo names). *)

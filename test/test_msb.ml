@@ -96,7 +96,7 @@ let test_eas_saves_energy_on_all_msb () =
     (fun clip ->
       let check name platform g =
         let eas = (Noc_eas.Eas.schedule platform g).Noc_eas.Eas.schedule in
-        let edf = (Noc_edf.Edf.schedule platform g).Noc_edf.Edf.schedule in
+        let edf = Noc_edf.Edf.schedule platform g in
         let e s = (Noc_sched.Metrics.compute platform g s).Noc_sched.Metrics.total_energy in
         Alcotest.(check bool)
           (Printf.sprintf "%s/%s saves energy" name (Profile.clip_name clip))

@@ -544,7 +544,7 @@ let fuzz_properties =
         let rng = Prng.create ~seed in
         let schedule =
           Noc_sched.Schedule_io.to_string
-            (Noc_edf.Edf.schedule fuzz_platform fuzz_ctg).Noc_edf.Edf.schedule
+            (Noc_edf.Edf.schedule fuzz_platform fuzz_ctg)
         in
         let request =
           Noc_serve.Protocol.request_to_line

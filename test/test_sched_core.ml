@@ -1,10 +1,13 @@
-(* Tests for the scheduling substrate: Schedule, Resource_state and
-   Comm_sched (the Fig. 3 communication scheduler). *)
+(* Tests for the scheduling substrate: Schedule, Resource_state,
+   Comm_sched (the Fig. 3 communication scheduler) and List_sched (the
+   placement step every scheduler shares). *)
 
 module Schedule = Noc_sched.Schedule
 module Resource_state = Noc_sched.Resource_state
 module Comm_sched = Noc_sched.Comm_sched
+module List_sched = Noc_sched.List_sched
 module Platform = Noc_noc.Platform
+module Degraded = Noc_noc.Degraded
 module Interval = Noc_util.Interval
 
 (* Homogeneous 3x3 with bandwidth 100 bits per time unit. *)
@@ -116,40 +119,40 @@ let pending edge src_pe sender_finish bits = { Comm_sched.edge; src_pe; sender_f
 
 let test_same_tile_transaction () =
   let st = Resource_state.create platform in
-  let tr = Comm_sched.place st (pending 0 4 12. 1_000.) ~dst_pe:4 in
+  let tr = Comm_sched_reference.place st (pending 0 4 12. 1_000.) ~dst_pe:4 in
   Alcotest.(check (float 0.)) "instantaneous" 12. tr.Schedule.start;
   Alcotest.(check (float 0.)) "zero duration" 12. tr.Schedule.finish;
   Alcotest.(check (list int)) "route is the tile" [ 4 ] tr.Schedule.route
 
 let test_transaction_duration () =
   let st = Resource_state.create platform in
-  let tr = Comm_sched.place st (pending 0 0 5. 300.) ~dst_pe:2 in
+  let tr = Comm_sched_reference.place st (pending 0 0 5. 300.) ~dst_pe:2 in
   Alcotest.(check (float 1e-9)) "starts at sender finish" 5. tr.Schedule.start;
   Alcotest.(check (float 1e-9)) "duration = bits / bandwidth" 8. tr.Schedule.finish;
   Alcotest.(check (list int)) "xy route" [ 0; 1; 2 ] tr.Schedule.route
 
 let test_contention_serialises () =
   let st = Resource_state.create platform in
-  let tr1 = Comm_sched.place st (pending 0 0 0. 500.) ~dst_pe:2 in
+  let tr1 = Comm_sched_reference.place st (pending 0 0 0. 500.) ~dst_pe:2 in
   (* Second transaction shares link 1->2; must wait for the first. *)
-  let tr2 = Comm_sched.place st (pending 1 1 0. 500.) ~dst_pe:2 in
+  let tr2 = Comm_sched_reference.place st (pending 1 1 0. 500.) ~dst_pe:2 in
   Alcotest.(check (float 1e-9)) "first at time 0" 0. tr1.Schedule.start;
   Alcotest.(check (float 1e-9)) "second serialised" 5. tr2.Schedule.start
 
 let test_disjoint_routes_parallel () =
   let st = Resource_state.create platform in
-  let tr1 = Comm_sched.place st (pending 0 0 0. 500.) ~dst_pe:1 in
-  let tr2 = Comm_sched.place st (pending 1 3 0. 500.) ~dst_pe:4 in
+  let tr1 = Comm_sched_reference.place st (pending 0 0 0. 500.) ~dst_pe:1 in
+  let tr2 = Comm_sched_reference.place st (pending 1 3 0. 500.) ~dst_pe:4 in
   Alcotest.(check (float 0.)) "both at 0 (a)" 0. tr1.Schedule.start;
   Alcotest.(check (float 0.)) "both at 0 (b)" 0. tr2.Schedule.start
 
 let test_fixed_delay_ignores_contention () =
   let st = Resource_state.create platform in
   let tr1 =
-    Comm_sched.place ~model:Comm_sched.Fixed_delay st (pending 0 0 0. 500.) ~dst_pe:2
+    Comm_sched_reference.place ~model:Comm_sched.Fixed_delay st (pending 0 0 0. 500.) ~dst_pe:2
   in
   let tr2 =
-    Comm_sched.place ~model:Comm_sched.Fixed_delay st (pending 1 1 0. 500.) ~dst_pe:2
+    Comm_sched_reference.place ~model:Comm_sched.Fixed_delay st (pending 1 1 0. 500.) ~dst_pe:2
   in
   Alcotest.(check (float 0.)) "first at 0" 0. tr1.Schedule.start;
   Alcotest.(check (float 0.)) "second also at 0 (conflict ignored)" 0. tr2.Schedule.start
@@ -158,7 +161,7 @@ let test_schedule_incoming_sorts_and_drt () =
   let st = Resource_state.create platform in
   (* Two senders finishing at 10 and 2; Fig. 3 sorts by sender finish. *)
   let lct = [ pending 0 0 10. 300.; pending 1 1 2. 300. ] in
-  let transactions, drt = Comm_sched.schedule_incoming st lct ~dst_pe:2 in
+  let transactions, drt = Comm_sched_reference.schedule_incoming st lct ~dst_pe:2 in
   (match transactions with
   | [ first; second ] ->
     Alcotest.(check int) "earlier sender scheduled first" 1 first.Schedule.edge;
@@ -172,14 +175,138 @@ let test_schedule_incoming_sorts_and_drt () =
 
 let test_schedule_incoming_empty () =
   let st = Resource_state.create platform in
-  let transactions, drt = Comm_sched.schedule_incoming st [] ~dst_pe:0 in
+  let transactions, drt = Comm_sched_reference.schedule_incoming st [] ~dst_pe:0 in
   Alcotest.(check int) "no transactions" 0 (List.length transactions);
   Alcotest.(check (float 0.)) "DRT zero" 0. drt
 
 let test_zero_volume_transaction () =
   let st = Resource_state.create platform in
-  let tr = Comm_sched.place st (pending 0 0 3. 0.) ~dst_pe:8 in
+  let tr = Comm_sched_reference.place st (pending 0 0 3. 0.) ~dst_pe:8 in
   Alcotest.(check (float 0.)) "instantaneous" 3. tr.Schedule.finish
+
+(* ------------------------------------------------------------------ *)
+(* List_sched against the list-based path it replaced *)
+
+let diff_platform = Platform.heterogeneous_mesh ~seed:3 ~cols:3 ~rows:3 ()
+
+(* No view, a trivial one, a cut link and a failed PE: both faulty views
+   leave every alive pair connected through detours. *)
+let diff_views =
+  let link = List.nth (Platform.all_links diff_platform) 3 in
+  [|
+    None;
+    Some (Degraded.make diff_platform ~failed_pes:[] ~failed_links:[]);
+    Some (Degraded.make diff_platform ~failed_pes:[] ~failed_links:[ link ]);
+    Some (Degraded.make diff_platform ~failed_pes:[ 4 ] ~failed_links:[]);
+  |]
+
+(* A TGFF graph, or two pipelined frames of one so that tasks carry
+   release times. *)
+let diff_ctg ~seed ~periodic =
+  let params = { Noc_tgff.Params.default with n_tasks = 30; max_layer_width = 5 } in
+  let ctg = Noc_tgff.Generate.generate ~params ~platform:diff_platform ~seed in
+  if periodic then
+    Noc_ctg.Unroll.periodic ctg ~period:(Noc_ctg.Ctg.mean_critical_path ctg /. 2.) ~copies:2
+  else ctg
+
+let busy_sets state =
+  List.init (Platform.n_pes diff_platform) (fun pe ->
+      Noc_util.Timeline.busy (Resource_state.pe_table state pe))
+  @ List.map
+      (fun link -> Noc_util.Timeline.busy (Resource_state.link_table state link))
+      (Platform.all_links diff_platform)
+
+(* Everything a probe must leave as it found it. *)
+let snapshot (ls : List_sched.t) =
+  ( Array.copy ls.pe,
+    Array.copy ls.start,
+    Array.copy ls.finish,
+    (Array.copy ls.tx_start, Array.copy ls.tx_finish),
+    busy_sets ls.state )
+
+(* Places every task of a random graph, in topological order on random
+   alive PEs, through List_sched.place and through the moved
+   schedule_incoming + earliest_pe_gap path side by side. Before each
+   placement, two probes (one on the PE about to be used) must leave the
+   partial schedule and every table unchanged, and the first must
+   predict the start. Placements, transaction windows, the final
+   schedules and the tables' busy sets must agree exactly. *)
+let qcheck_list_sched_matches_reference =
+  QCheck.Test.make ~name:"List_sched.place matches schedule_incoming + earliest_pe_gap"
+    ~count:40
+    QCheck.(quad (int_range 0 10_000) bool (int_range 0 3) bool)
+    (fun (seed, periodic, view, fixed) ->
+      let degraded = diff_views.(view) in
+      let model = if fixed then Comm_sched.Fixed_delay else Comm_sched.Contention_aware in
+      let ctg = diff_ctg ~seed ~periodic in
+      let alive =
+        Array.of_list
+          (match degraded with
+          | None -> List.init (Platform.n_pes diff_platform) Fun.id
+          | Some v -> Degraded.alive_pes v)
+      in
+      let rng = Noc_util.Prng.create ~seed in
+      let ls = List_sched.make ~comm_model:model ?degraded diff_platform ctg in
+      let state = Resource_state.create diff_platform in
+      let placements = Array.make (Noc_ctg.Ctg.n_tasks ctg) None in
+      let transactions = Array.make (Noc_ctg.Ctg.n_edges ctg) None in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      Array.iter
+        (fun i ->
+          let k = Noc_util.Prng.choose rng alive in
+          let other = Noc_util.Prng.choose rng alive in
+          let before = snapshot ls in
+          let probed = List_sched.probe ls i k in
+          expect (compare (snapshot ls) before = 0);
+          ignore (List_sched.probe ls i other);
+          expect (compare (snapshot ls) before = 0);
+          List_sched.place ls i k;
+          let pendings =
+            List.map
+              (fun (e : Noc_ctg.Edge.t) ->
+                let p = Option.get placements.(e.src) in
+                {
+                  Comm_sched.edge = e.id;
+                  src_pe = p.Schedule.pe;
+                  sender_finish = p.Schedule.finish;
+                  bits = e.volume;
+                })
+              (Noc_ctg.Ctg.in_edges ctg i)
+          in
+          let placed, drt =
+            Comm_sched_reference.schedule_incoming ~model ?degraded state pendings
+              ~dst_pe:k
+          in
+          let task = Noc_ctg.Ctg.task ctg i in
+          let exec = task.Noc_ctg.Task.exec_times.(k) in
+          let after =
+            match task.Noc_ctg.Task.release with
+            | None -> drt
+            | Some release -> Float.max drt release
+          in
+          let start = Resource_state.earliest_pe_gap state ~pe:k ~after ~duration:exec in
+          Resource_state.reserve_pe state ~pe:k (iv start (start +. exec));
+          let finish = start +. exec in
+          placements.(i) <- Some { Schedule.task = i; pe = k; start; finish };
+          List.iter
+            (fun (tr : Schedule.transaction) ->
+              let e = tr.edge in
+              transactions.(e) <- Some tr;
+              expect (ls.tx_start.(e) = tr.start && ls.tx_finish.(e) = tr.finish))
+            placed;
+          expect (ls.pe.(i) = k && ls.start.(i) = start && ls.finish.(i) = finish);
+          expect (probed = start))
+        (Noc_ctg.Ctg.topological_order ctg);
+      let want =
+        Schedule.make
+          ~placements:(Array.map Option.get placements)
+          ~transactions:(Array.map Option.get transactions)
+      in
+      !ok
+      && Noc_sched.Schedule_io.to_string (List_sched.schedule ls)
+         = Noc_sched.Schedule_io.to_string want
+      && compare (busy_sets ls.state) (busy_sets state) = 0)
 
 let suite =
   [
@@ -199,4 +326,5 @@ let suite =
     Alcotest.test_case "incoming sorted, DRT" `Quick test_schedule_incoming_sorts_and_drt;
     Alcotest.test_case "incoming empty" `Quick test_schedule_incoming_empty;
     Alcotest.test_case "zero volume" `Quick test_zero_volume_transaction;
+    QCheck_alcotest.to_alcotest qcheck_list_sched_matches_reference;
   ]

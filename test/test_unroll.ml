@@ -34,11 +34,10 @@ let test_schedulers_respect_release () =
       ((Schedule.placement s 0).Schedule.start >= 50.)
   in
   check "eas" (Noc_eas.Eas.schedule platform2 ctg).Noc_eas.Eas.schedule;
-  check "edf" (Noc_edf.Edf.schedule platform2 ctg).Noc_edf.Edf.schedule;
-  check "dls" (Noc_baselines.Dls.schedule platform2 ctg).Noc_baselines.Dls.schedule;
+  check "edf" (Noc_edf.Edf.schedule platform2 ctg);
+  check "dls" (Noc_baselines.Dls.schedule platform2 ctg);
   check "greedy"
     (Noc_baselines.Energy_greedy.schedule platform2 ctg)
-      .Noc_baselines.Energy_greedy.schedule
 
 let test_validator_checks_release () =
   let b = Builder.create ~n_pes:2 in

@@ -11,6 +11,19 @@
     the optimised paths to agree with it byte for byte, and the repair
     and level-scheduling oracles place through it. *)
 
+val place_transaction :
+  ?model:Noc_sched.Comm_sched.model ->
+  ?degraded:Noc_noc.Degraded.t ->
+  Noc_sched.Resource_state.t ->
+  Noc_sched.Comm_sched.pending ->
+  dst_pe:int ->
+  Noc_sched.Schedule.transaction
+(** One Fig. 3 transaction towards [dst_pe], with its route: on one
+    tile it completes at the sender's finish; otherwise it takes the
+    earliest window free on every link of its route at or after the
+    sender's finish (with [Fixed_delay], the sender's finish itself),
+    reserved link by link unless the model is [Fixed_delay]. *)
+
 val schedule_incoming :
   ?model:Noc_sched.Comm_sched.model ->
   ?degraded:Noc_noc.Degraded.t ->

@@ -1,11 +1,14 @@
-(* Tests for the scheduling substrate: Schedule, Resource_state,
-   Comm_sched (the Fig. 3 communication scheduler) and List_sched (the
-   placement step every scheduler shares). *)
+(* Tests for the scheduling substrate: Schedule, Resource_state, the
+   Fig. 3 communication scheduler and List_sched (the placement step
+   every scheduler shares). The Fig. 3 cases pin the frozen list-based
+   oracle, Noc_oracle.Rebuild_reference, that List_sched is compared
+   with below. *)
 
 module Schedule = Noc_sched.Schedule
 module Resource_state = Noc_sched.Resource_state
 module Comm_sched = Noc_sched.Comm_sched
 module List_sched = Noc_sched.List_sched
+module Rebuild_reference = Noc_oracle.Rebuild_reference
 module Platform = Noc_noc.Platform
 module Degraded = Noc_noc.Degraded
 module Interval = Noc_util.Interval
@@ -113,46 +116,48 @@ let test_route_gap_merges_links () =
     (Resource_state.earliest_route_gap st ~route:[ l01; l12 ] ~after:0. ~duration:3.)
 
 (* ------------------------------------------------------------------ *)
-(* Comm_sched *)
+(* Fig. 3 transactions *)
 
 let pending edge src_pe sender_finish bits = { Comm_sched.edge; src_pe; sender_finish; bits }
 
 let test_same_tile_transaction () =
   let st = Resource_state.create platform in
-  let tr = Comm_sched_reference.place st (pending 0 4 12. 1_000.) ~dst_pe:4 in
+  let tr = Rebuild_reference.place_transaction st (pending 0 4 12. 1_000.) ~dst_pe:4 in
   Alcotest.(check (float 0.)) "instantaneous" 12. tr.Schedule.start;
   Alcotest.(check (float 0.)) "zero duration" 12. tr.Schedule.finish;
   Alcotest.(check (list int)) "route is the tile" [ 4 ] tr.Schedule.route
 
 let test_transaction_duration () =
   let st = Resource_state.create platform in
-  let tr = Comm_sched_reference.place st (pending 0 0 5. 300.) ~dst_pe:2 in
+  let tr = Rebuild_reference.place_transaction st (pending 0 0 5. 300.) ~dst_pe:2 in
   Alcotest.(check (float 1e-9)) "starts at sender finish" 5. tr.Schedule.start;
   Alcotest.(check (float 1e-9)) "duration = bits / bandwidth" 8. tr.Schedule.finish;
   Alcotest.(check (list int)) "xy route" [ 0; 1; 2 ] tr.Schedule.route
 
 let test_contention_serialises () =
   let st = Resource_state.create platform in
-  let tr1 = Comm_sched_reference.place st (pending 0 0 0. 500.) ~dst_pe:2 in
+  let tr1 = Rebuild_reference.place_transaction st (pending 0 0 0. 500.) ~dst_pe:2 in
   (* Second transaction shares link 1->2; must wait for the first. *)
-  let tr2 = Comm_sched_reference.place st (pending 1 1 0. 500.) ~dst_pe:2 in
+  let tr2 = Rebuild_reference.place_transaction st (pending 1 1 0. 500.) ~dst_pe:2 in
   Alcotest.(check (float 1e-9)) "first at time 0" 0. tr1.Schedule.start;
   Alcotest.(check (float 1e-9)) "second serialised" 5. tr2.Schedule.start
 
 let test_disjoint_routes_parallel () =
   let st = Resource_state.create platform in
-  let tr1 = Comm_sched_reference.place st (pending 0 0 0. 500.) ~dst_pe:1 in
-  let tr2 = Comm_sched_reference.place st (pending 1 3 0. 500.) ~dst_pe:4 in
+  let tr1 = Rebuild_reference.place_transaction st (pending 0 0 0. 500.) ~dst_pe:1 in
+  let tr2 = Rebuild_reference.place_transaction st (pending 1 3 0. 500.) ~dst_pe:4 in
   Alcotest.(check (float 0.)) "both at 0 (a)" 0. tr1.Schedule.start;
   Alcotest.(check (float 0.)) "both at 0 (b)" 0. tr2.Schedule.start
 
 let test_fixed_delay_ignores_contention () =
   let st = Resource_state.create platform in
   let tr1 =
-    Comm_sched_reference.place ~model:Comm_sched.Fixed_delay st (pending 0 0 0. 500.) ~dst_pe:2
+    Rebuild_reference.place_transaction ~model:Comm_sched.Fixed_delay st (pending 0 0 0. 500.)
+      ~dst_pe:2
   in
   let tr2 =
-    Comm_sched_reference.place ~model:Comm_sched.Fixed_delay st (pending 1 1 0. 500.) ~dst_pe:2
+    Rebuild_reference.place_transaction ~model:Comm_sched.Fixed_delay st (pending 1 1 0. 500.)
+      ~dst_pe:2
   in
   Alcotest.(check (float 0.)) "first at 0" 0. tr1.Schedule.start;
   Alcotest.(check (float 0.)) "second also at 0 (conflict ignored)" 0. tr2.Schedule.start
@@ -161,7 +166,7 @@ let test_schedule_incoming_sorts_and_drt () =
   let st = Resource_state.create platform in
   (* Two senders finishing at 10 and 2; Fig. 3 sorts by sender finish. *)
   let lct = [ pending 0 0 10. 300.; pending 1 1 2. 300. ] in
-  let transactions, drt = Comm_sched_reference.schedule_incoming st lct ~dst_pe:2 in
+  let transactions, drt = Rebuild_reference.schedule_incoming st lct ~dst_pe:2 in
   (match transactions with
   | [ first; second ] ->
     Alcotest.(check int) "earlier sender scheduled first" 1 first.Schedule.edge;
@@ -175,17 +180,17 @@ let test_schedule_incoming_sorts_and_drt () =
 
 let test_schedule_incoming_empty () =
   let st = Resource_state.create platform in
-  let transactions, drt = Comm_sched_reference.schedule_incoming st [] ~dst_pe:0 in
+  let transactions, drt = Rebuild_reference.schedule_incoming st [] ~dst_pe:0 in
   Alcotest.(check int) "no transactions" 0 (List.length transactions);
   Alcotest.(check (float 0.)) "DRT zero" 0. drt
 
 let test_zero_volume_transaction () =
   let st = Resource_state.create platform in
-  let tr = Comm_sched_reference.place st (pending 0 0 3. 0.) ~dst_pe:8 in
+  let tr = Rebuild_reference.place_transaction st (pending 0 0 3. 0.) ~dst_pe:8 in
   Alcotest.(check (float 0.)) "instantaneous" 3. tr.Schedule.finish
 
 (* ------------------------------------------------------------------ *)
-(* List_sched against the list-based path it replaced *)
+(* List_sched against the frozen list-based path it replaced *)
 
 let diff_platform = Platform.heterogeneous_mesh ~seed:3 ~cols:3 ~rows:3 ()
 
@@ -225,8 +230,9 @@ let snapshot (ls : List_sched.t) =
     busy_sets ls.state )
 
 (* Places every task of a random graph, in topological order on random
-   alive PEs, through List_sched.place and through the moved
-   schedule_incoming + earliest_pe_gap path side by side. Before each
+   alive PEs, through List_sched.place and through the frozen
+   Rebuild_reference.schedule_incoming + earliest_pe_gap path side by
+   side. Before each
    placement, two probes (one on the PE about to be used) must leave the
    partial schedule and every table unchanged, and the first must
    predict the start. Placements, transaction windows, the final
@@ -275,7 +281,7 @@ let qcheck_list_sched_matches_reference =
               (Noc_ctg.Ctg.in_edges ctg i)
           in
           let placed, drt =
-            Comm_sched_reference.schedule_incoming ~model ?degraded state pendings
+            Rebuild_reference.schedule_incoming ~model ?degraded state pendings
               ~dst_pe:k
           in
           let task = Noc_ctg.Ctg.task ctg i in

@@ -1,4 +1,4 @@
-.PHONY: all build test perfbench-smoke bench bench-json bench-parallel bench-obs bench-serve bench-mapping serve-smoke trace-smoke quick-bench analyze analyze-adaptive verify examples doc clean
+.PHONY: all build test test-jobs experiment-quick perfbench-smoke bench bench-json bench-parallel bench-obs bench-serve bench-mapping serve-smoke trace-smoke quick-bench analyze analyze-adaptive verify examples doc clean
 
 all: build
 
@@ -11,6 +11,13 @@ build:
 # suites.
 test:
 	dune runtest
+
+# The suite again on two- and four-domain pools (NOCSCHED_JOBS sets the
+# default pool size), as CI runs it: every job count must give the same
+# results.
+test-jobs:
+	NOCSCHED_JOBS=2 dune runtest --force
+	NOCSCHED_JOBS=4 dune runtest --force
 
 # The benchmark's own smoke test (perfbench/, declared in
 # BENCHMARK.json): every workload in quick mode, untraced and traced,
@@ -25,11 +32,13 @@ perfbench-smoke:
 bench:
 	dune exec bin/nocsched.exe -- experiment
 
-# Fast smoke run: every campaign with scaled-down random suites, then
-# every timing gate of bench/main.exe in quick mode (each rewrites its
-# BENCH_*.json).
-quick-bench:
+# Every campaign with scaled-down random suites (~seconds).
+experiment-quick:
 	dune exec bin/nocsched.exe -- experiment --quick
+
+# Fast smoke run: experiment-quick, then every timing gate of
+# bench/main.exe in quick mode (each rewrites its BENCH_*.json).
+quick-bench: experiment-quick
 	dune exec bench/main.exe -- --quick
 
 # Persisted bench gate: timeline micro-benchmark medians plus end-to-end
@@ -129,13 +138,16 @@ analyze-adaptive: build
 # The full gate CI runs: build, the complete test suite (which holds
 # every deterministic gate: job-count invariance, DVFS reclamation,
 # routing proofs and detour survival, the mapping Pareto guarantee and
-# the committed fault table), every example program, the perfbench
-# smoke test, the static analysis sweeps (deterministic and adaptive
-# routing), the trace and daemon smokes, then the timing gates of
-# bench/main.exe (timeline and category-I EAS, parallel speedup,
+# the committed fault table), the suite again on two- and four-domain
+# pools, every example program, every campaign scaled down (the first
+# half of quick-bench; its quick timing gates are left out because they
+# rewrite the BENCH files, and the full-size gates run below), the
+# perfbench smoke test, the static analysis sweeps (deterministic and
+# adaptive routing), the trace and daemon smokes, then the timing gates
+# of bench/main.exe (timeline and category-I EAS, parallel speedup,
 # observability overhead, the scheduling-service latencies and mapping
 # delta-eval).
-verify: build test examples perfbench-smoke analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-mapping
+verify: build test test-jobs examples experiment-quick perfbench-smoke analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-mapping
 
 examples:
 	dune exec examples/quickstart.exe

@@ -1,4 +1,3 @@
-module Comm_sched = Noc_sched.Comm_sched
 module List_sched = Noc_sched.List_sched
 module Resource_state = Noc_sched.Resource_state
 module Timeline = Noc_util.Timeline
@@ -66,33 +65,12 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
     if unscheduled_preds.(i) = 0 then ready := i :: !ready
   done;
   (* Once a task is ready its predecessors are all placed and never move
-     again, so its pending list (pre-sorted into the Fig. 3 evaluation
-     order), its assignment energies and the set of tables its probes
-     consult are all fixed: compute them at most once per task. Each
-     ready task also keeps its alive PEs sorted by (energy, index) — the
-     key of the reference's [List.sort compare] — so Rule 4 can find the
+     again, so its assignment energies and the set of tables its probes
+     consult are fixed: compute them at most once per task. Each ready
+     task also keeps its alive PEs sorted by (energy, index) — the key of
+     the reference's [List.sort compare] — so Rule 4 can find the
      cheapest members of its (shrinking) allowed set by walking a fixed
      order from the front. *)
-  let pendings_cache = Array.make n None in
-  let pendings_of i =
-    match pendings_cache.(i) with
-    | Some pendings -> pendings
-    | None ->
-      let pendings =
-        Comm_sched.sort_pendings
-          (List.map
-             (fun (e : Noc_ctg.Edge.t) ->
-               {
-                 Comm_sched.edge = e.id;
-                 src_pe = ls.pe.(e.src);
-                 sender_finish = ls.finish.(e.src);
-                 bits = e.volume;
-               })
-             (Noc_ctg.Ctg.in_edges ctg i))
-      in
-      pendings_cache.(i) <- Some pendings;
-      pendings
-  in
   let energy_of = Array.make n [||] in
   let energy_order = Array.make n [||] in
   let init_energy i =
@@ -113,11 +91,11 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
   (* Two-stage F(i,k) memo, revalidated by timeline versions.
 
      F(i,k) factors as [pe_gap(k, max(drt(i,k), release_i))]: the DRT
-     stage reads only the link tables of [i]'s routes towards [k] (see
-     {!Kernel.drt_deps}), the gap stage only PE [k]'s own table. Each
-     stage is a pure function of its tables' busy sets, so a cached
-     value whose recorded versions still match is exactly what a fresh
-     probe would return. The stages invalidate very differently — a
+     stage ({!List_sched.data_ready}) reads only the link tables of
+     [i]'s routes towards [k] ({!List_sched.data_ready_tables}), the gap
+     stage only PE [k]'s own table. Each stage is a pure function of its
+     tables' busy sets, so a cached value whose recorded versions still
+     match is exactly what a fresh probe would return. The stages invalidate very differently — a
      commit bumps one PE table (invalidating that column's gap stage
      across all ready tasks) but only the committed routes' link tables
      (leaving most DRT values intact) — so the common re-probe costs
@@ -153,17 +131,13 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
   let refresh idx =
     let i = idx / n_pes and k = idx mod n_pes in
     if not (drt_valid idx) then begin
-      let pendings = Option.get pendings_cache.(i) in
       Noc_obs.Counters.incr c_fik;
-      drt.(idx) <-
-        Kernel.data_ready ?model:comm_model kernel ls.state ~pendings ~pe:k;
+      drt.(idx) <- List_sched.data_ready ls i k;
       match drt_deps.(idx) with
       | Some (tables, versions) ->
         Array.iteri (fun j tl -> versions.(j) <- Timeline.version tl) tables
       | None ->
-        let tables =
-          Kernel.drt_deps ?model:comm_model kernel ls.state ~pendings ~pe:k
-        in
+        let tables = List_sched.data_ready_tables ls i k in
         drt_deps.(idx) <- Some (tables, Array.map Timeline.version tables)
     end;
     let pe_table = Resource_state.pe_table ls.state k in
@@ -209,24 +183,22 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
       row_init.(i) <- true;
       let bdi = bd i in
       if bdi < infinity then begin
-        let pendings = Option.get pendings_cache.(i) in
         for k = 0 to n_pes - 1 do
           if allowed i k then begin
-            let lb_drt =
-              List.fold_left
-                (fun acc (p : Comm_sched.pending) ->
-                  let src = p.Comm_sched.src_pe in
-                  if src = k then Float.max acc p.Comm_sched.sender_finish
-                  else if not (Kernel.reachable kernel ~src ~dst:k) then infinity
-                  else
-                    Float.max acc
-                      (p.Comm_sched.sender_finish
-                      +. Kernel.comm_duration kernel ~src ~dst:k
-                           ~bits:p.Comm_sched.bits))
-                0. pendings
-            in
+            let lb_drt = ref 0. in
+            for j = ls.in_start.(i) to ls.in_start.(i + 1) - 1 do
+              let src = ls.pe.(ls.pred.(j)) and sent = ls.finish.(ls.pred.(j)) in
+              lb_drt :=
+                if src = k then Float.max !lb_drt sent
+                else if not (Kernel.reachable kernel ~src ~dst:k) then infinity
+                else
+                  Float.max !lb_drt
+                    (sent
+                    +. Kernel.comm_duration kernel ~src ~dst:k
+                         ~bits:ls.volume.(ls.in_edge.(j)))
+            done;
             let lb =
-              Float.max lb_drt (Kernel.release kernel i)
+              Float.max !lb_drt (Kernel.release kernel i)
               +. Kernel.exec_time kernel ~task:i ~pe:k
             in
             if lb > bdi then excluded.((i * n_pes) + k) <- true
@@ -277,12 +249,11 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
   while !remaining > 0 do
     let rtl = !ready in
     assert (rtl <> []);
-    (* Pending lists, energy orders and screening bounds are
-       materialised on the main domain first, so the (possibly
-       parallel) walks below only read the per-task caches. *)
+    (* Energy orders and screening bounds are materialised on the main
+       domain first, so the (possibly parallel) walks below only read
+       the per-task caches. *)
     List.iter
       (fun i ->
-        ignore (pendings_of i);
         init_energy i;
         init_row i)
       rtl;

@@ -18,13 +18,17 @@
 
     Unlike [Level_sched_reference] — the original reserve-then-rollback
     implementation, kept in test/ as the differential oracle — the probes
-    here are read-only {!Kernel.finish_time} evaluations whose results are
-    memoized and revalidated against the {!Noc_util.Timeline.version}s
-    of the tables each probe consulted, so each commit only re-probes
-    the (i,k) pairs it actually invalidated. A commit places the chosen
-    task through {!Noc_sched.List_sched.place}, the step every other
-    scheduler places with. Both paths produce bit-identical schedules
-    and decision logs; [test_kernel_diff] enforces this. *)
+    here are read-only: the data-ready time comes from
+    {!Noc_sched.List_sched.data_ready}, the Fig. 3 walk a commit runs,
+    and the PE gap and all prices from the {!Kernel} matrices. Both
+    stages are memoized and revalidated against the
+    {!Noc_util.Timeline.version}s of the tables they read
+    ({!Noc_sched.List_sched.data_ready_tables} and PE [k]'s table), so
+    each commit only re-probes the (i,k) pairs it actually invalidated.
+    A commit places the chosen task through
+    {!Noc_sched.List_sched.place}, the step every other scheduler places
+    with. Both paths produce bit-identical schedules and decision logs;
+    [test_kernel_diff] enforces this. *)
 
 val run :
   ?comm_model:Noc_sched.Comm_sched.model ->

@@ -4,8 +4,6 @@ type t = {
   platform : Noc_noc.Platform.t;
   pe_tables : Noc_util.Timeline.t array;
   link_tables : Noc_util.Timeline.t array;  (* indexed by src * n + dst *)
-  route_tables : Noc_util.Timeline.t array array;
-      (* indexed by src * n + dst; [[||]] until the pair is first used *)
   mutable journal : entry list;
 }
 
@@ -15,7 +13,6 @@ let create platform =
     platform;
     pe_tables = Array.init n (fun _ -> Noc_util.Timeline.create ());
     link_tables = Array.init (n * n) (fun _ -> Noc_util.Timeline.create ());
-    route_tables = Array.make (n * n) [||];
     journal = [];
   }
 
@@ -51,19 +48,6 @@ let earliest_route_gap t ~route ~after ~duration =
   | links ->
     let tables = Array.of_list (List.map (link_table t) links) in
     Noc_util.Timeline.earliest_gap_multi tables ~after ~duration
-
-let route_tables t ~src ~dst =
-  let idx = (src * Noc_noc.Platform.n_pes t.platform) + dst in
-  let tables = t.route_tables.(idx) in
-  if Array.length tables > 0 || src = dst then tables
-  else begin
-    let tables =
-      Array.of_list
-        (List.map (link_table t) (Noc_noc.Platform.route_links t.platform ~src ~dst))
-    in
-    t.route_tables.(idx) <- tables;
-    tables
-  end
 
 (* The journal gets the entries [reserve_link] would have pushed over
    the route, in the same order. *)

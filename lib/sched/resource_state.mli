@@ -1,11 +1,12 @@
 (** Mutable scheduling state: one schedule table per PE and per link.
 
-    EAS Step 2 repeatedly schedules communication transactions and task
-    executions {e tentatively} to evaluate [F(i,k)], then restores the
-    tables ("the schedule tables of both links and the PEs will be
-    restored every time a F(i,k) is calculated"). To make that cheap,
-    every reservation made through this module is journalled; a
-    {!mark} / {!rollback} pair undoes everything reserved in between in
+    The paper evaluates each [F(i,k)] by scheduling tentatively and
+    restoring the tables ("the schedule tables of both links and the PEs
+    will be restored every time a F(i,k) is calculated");
+    {!List_sched}'s read-only walk gets the same answer without writing
+    them. Every reservation made through this module is journalled, so
+    the Step-3 rebuild can move between schedules cheaply: a {!mark} /
+    {!rollback} pair undoes everything reserved in between in
     O(reservations undone), and {!redo} re-applies a rolled-back stretch
     of the journal in O(reservations redone). *)
 
@@ -28,12 +29,6 @@ val earliest_route_gap :
 (** Earliest slot simultaneously free on every link of the route: the
     paper's merged path schedule table (Fig. 3). With an empty route the
     answer is [after]. *)
-
-val route_tables : t -> src:int -> dst:int -> Noc_util.Timeline.t array
-(** The link tables of the platform's route from [src] to [dst], in
-    route order ([[||]] when [src = dst]). Memoised per pair on first
-    use, so the communication scheduler's inner loop reads one array
-    instead of a route list. *)
 
 val reserve_route_gap :
   t -> Noc_util.Timeline.t array -> after:float -> duration:float -> Noc_util.Interval.t

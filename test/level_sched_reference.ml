@@ -16,7 +16,7 @@ let incoming_pendings ctg partial i =
       | None -> invalid_arg "Level_sched: predecessor not yet scheduled"
       | Some (p : Schedule.placement) ->
         {
-          Comm_sched.edge = e.id;
+          Rebuild_reference.edge = e.id;
           src_pe = p.pe;
           sender_finish = p.finish;
           bits = e.volume;

@@ -8,8 +8,10 @@ module Schedule = Noc_sched.Schedule
 module Comm_sched = Noc_sched.Comm_sched
 module Resource_state = Noc_sched.Resource_state
 
+type pending = { edge : int; src_pe : int; sender_finish : float; bits : float }
+
 let place_transaction ?(model = Comm_sched.Contention_aware) ?degraded state
-    (pending : Comm_sched.pending) ~dst_pe =
+    (pending : pending) ~dst_pe =
   let platform = Resource_state.platform state in
   let src_pe = pending.src_pe in
   if src_pe = dst_pe then
@@ -59,7 +61,7 @@ let place_transaction ?(model = Comm_sched.Contention_aware) ?degraded state
 
 let sort_pendings lct =
   List.sort
-    (fun (a : Comm_sched.pending) (b : Comm_sched.pending) ->
+    (fun (a : pending) (b : pending) ->
       let c = Float.compare a.sender_finish b.sender_finish in
       if c <> 0 then c else compare a.edge b.edge)
     lct
@@ -119,7 +121,7 @@ let place env ~assignment i =
       (fun (e : Noc_ctg.Edge.t) ->
         let p = env.placements.(e.src) in
         {
-          Comm_sched.edge = e.id;
+          edge = e.id;
           src_pe = p.Schedule.pe;
           sender_finish = p.finish;
           bits = e.volume;

@@ -11,11 +11,15 @@
     the optimised paths to agree with it byte for byte, and the repair
     and level-scheduling oracles place through it. *)
 
+type pending = { edge : int; src_pe : int; sender_finish : float; bits : float }
+(** One receiving transaction still to be scheduled: its edge, the PE
+    and finish time of its sender, and its volume. *)
+
 val place_transaction :
   ?model:Noc_sched.Comm_sched.model ->
   ?degraded:Noc_noc.Degraded.t ->
   Noc_sched.Resource_state.t ->
-  Noc_sched.Comm_sched.pending ->
+  pending ->
   dst_pe:int ->
   Noc_sched.Schedule.transaction
 (** One Fig. 3 transaction towards [dst_pe], with its route: on one
@@ -28,7 +32,7 @@ val schedule_incoming :
   ?model:Noc_sched.Comm_sched.model ->
   ?degraded:Noc_noc.Degraded.t ->
   Noc_sched.Resource_state.t ->
-  Noc_sched.Comm_sched.pending list ->
+  pending list ->
   dst_pe:int ->
   Noc_sched.Schedule.transaction list * float
 (** Fig. 3: the pendings sorted by sender finish (ties by edge id), each

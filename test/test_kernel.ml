@@ -146,28 +146,9 @@ let qcheck_degraded_matrices_match_view =
       done;
       !ok)
 
-(* The composed single-probe entry, on an empty resource state, must
-   reduce to ready-time + execution with no contention anywhere. *)
-let test_finish_time_on_empty_state () =
-  let platform = Platform.heterogeneous_mesh ~seed:42 ~cols:4 ~rows:4 () in
-  let ctg = ctg_of platform 3 in
-  let kernel = Kernel.build platform ctg in
-  let state = Noc_sched.Resource_state.create platform in
-  for k = 0 to Platform.n_pes platform - 1 do
-    let f = Kernel.finish_time kernel state ~pendings:[] ~task:0 ~pe:k in
-    let task = Noc_ctg.Ctg.task ctg 0 in
-    let release = match task.Noc_ctg.Task.release with None -> 0. | Some r -> r in
-    Alcotest.(check (float 0.))
-      (Printf.sprintf "F(0,%d) on empty state" k)
-      (Float.max 0. release +. task.Noc_ctg.Task.exec_times.(k))
-      f
-  done
-
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_task_matrices_match_ctg;
     QCheck_alcotest.to_alcotest qcheck_route_matrices_match_platform;
     QCheck_alcotest.to_alcotest qcheck_degraded_matrices_match_view;
-    Alcotest.test_case "finish_time on an empty state" `Quick
-      test_finish_time_on_empty_state;
   ]

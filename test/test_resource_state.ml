@@ -200,10 +200,10 @@ let qcheck_rollback_redo =
       Resource_state.rollback state first;
       walk_ok && older_raises && branch_raises && unchanged && tables state = seen_first)
 
-(* The memoised-route fast path against the route-list one: on equal
-   states, [reserve_route_gap] over [route_tables] takes the window
-   [earliest_route_gap] finds and journals it as [reserve_link] over the
-   route does, so a rollback undoes either the same way. *)
+(* The table-array fast path against the route-list one: on equal
+   states, [reserve_route_gap] over the route's link tables takes the
+   window [earliest_route_gap] finds and journals it as [reserve_link]
+   over the route does, so a rollback undoes either the same way. *)
 let qcheck_reserve_route_gap =
   let reservation = QCheck.(triple (int_range 0 11) (int_range 0 30) (int_range 1 6)) in
   let gen =
@@ -221,12 +221,12 @@ let qcheck_reserve_route_gap =
         reservations;
       let mark_fast = Resource_state.mark fast and mark_slow = Resource_state.mark slow in
       let after = float_of_int after and duration = float_of_int duration in
+      let route = Noc_noc.Platform.route_links platform ~src ~dst in
       let window =
         Resource_state.reserve_route_gap fast
-          (Resource_state.route_tables fast ~src ~dst)
+          (Array.of_list (List.map (Resource_state.link_table fast) route))
           ~after ~duration
       in
-      let route = Noc_noc.Platform.route_links platform ~src ~dst in
       let start = Resource_state.earliest_route_gap slow ~route ~after ~duration in
       let interval = iv start (start +. duration) in
       List.iter (fun l -> Resource_state.reserve_link slow l interval) route;

@@ -118,7 +118,7 @@ let test_route_gap_merges_links () =
 (* ------------------------------------------------------------------ *)
 (* Fig. 3 transactions *)
 
-let pending edge src_pe sender_finish bits = { Comm_sched.edge; src_pe; sender_finish; bits }
+let pending edge src_pe sender_finish bits = { Rebuild_reference.edge; src_pe; sender_finish; bits }
 
 let test_same_tile_transaction () =
   let st = Resource_state.create platform in
@@ -221,22 +221,64 @@ let busy_sets state =
       (fun link -> Noc_util.Timeline.busy (Resource_state.link_table state link))
       (Platform.all_links diff_platform)
 
-(* Everything a probe must leave as it found it. *)
-let snapshot (ls : List_sched.t) =
-  ( Array.copy ls.pe,
-    Array.copy ls.start,
-    Array.copy ls.finish,
-    (Array.copy ls.tx_start, Array.copy ls.tx_finish),
-    busy_sets ls.state )
+let versions state =
+  List.init (Platform.n_pes diff_platform) (fun pe ->
+      Noc_util.Timeline.version (Resource_state.pe_table state pe))
+  @ List.map
+      (fun link -> Noc_util.Timeline.version (Resource_state.link_table state link))
+      (Platform.all_links diff_platform)
+
+(* Everything a probe must leave as it found it: the partial schedule,
+   every table's busy set and version (a version moves on a reserve
+   that a release undid), and the journal head. *)
+let unchanged_by (ls : List_sched.t) f =
+  let arrays () =
+    ( Array.copy ls.pe,
+      Array.copy ls.start,
+      Array.copy ls.finish,
+      (Array.copy ls.tx_start, Array.copy ls.tx_finish) )
+  in
+  let before = arrays () and busy = busy_sets ls.state and seen = versions ls.state in
+  let head = Resource_state.mark ls.state in
+  let result = f () in
+  ( result,
+    compare (arrays ()) before = 0
+    && compare (busy_sets ls.state) busy = 0
+    && versions ls.state = seen
+    && Resource_state.mark ls.state == head )
+
+(* Every (ready task, alive PE) pair's probe and data-ready time, read
+   serially and on a two-domain pool. *)
+let probe_ready (ls : List_sched.t) alive =
+  let ready =
+    List.filter
+      (fun i ->
+        ls.pe.(i) < 0
+        && List.for_all (fun p -> ls.pe.(p) >= 0) (Noc_ctg.Ctg.preds ls.ctg i))
+      (List.init (Noc_ctg.Ctg.n_tasks ls.ctg) Fun.id)
+  in
+  let pairs =
+    Array.of_list
+      (List.concat_map (fun i -> List.map (fun k -> (i, k)) (Array.to_list alive)) ready)
+  in
+  let read w =
+    let i, k = pairs.(w) in
+    (List_sched.probe ls i k, List_sched.data_ready ls i k)
+  in
+  let n = Array.length pairs in
+  (List.init n read, Noc_util.Pool.map_range ~jobs:2 ~n read)
 
 (* Places every task of a random graph, in topological order on random
    alive PEs, through List_sched.place and through the frozen
    Rebuild_reference.schedule_incoming + earliest_pe_gap path side by
-   side. Before each
-   placement, two probes (one on the PE about to be used) must leave the
-   partial schedule and every table unchanged, and the first must
-   predict the start. Placements, transaction windows, the final
-   schedules and the tables' busy sets must agree exactly. *)
+   side. Before each placement, two probes (one on the PE about to be
+   used) must leave the partial schedule, every table and the journal
+   as they were; the first must predict the start and its data-ready
+   time the reference's. Every fourth step, every (ready task, alive
+   PE) pair is probed on a two-domain pool too, which must read what a
+   serial pass reads and write nothing. Placements, transaction
+   windows, the final schedules and the tables' busy sets must agree
+   exactly. *)
 let qcheck_list_sched_matches_reference =
   QCheck.Test.make ~name:"List_sched.place matches schedule_incoming + earliest_pe_gap"
     ~count:40
@@ -258,22 +300,26 @@ let qcheck_list_sched_matches_reference =
       let transactions = Array.make (Noc_ctg.Ctg.n_edges ctg) None in
       let ok = ref true in
       let expect b = if not b then ok := false in
-      Array.iter
-        (fun i ->
+      Array.iteri
+        (fun step i ->
           let k = Noc_util.Prng.choose rng alive in
           let other = Noc_util.Prng.choose rng alive in
-          let before = snapshot ls in
-          let probed = List_sched.probe ls i k in
-          expect (compare (snapshot ls) before = 0);
-          ignore (List_sched.probe ls i other);
-          expect (compare (snapshot ls) before = 0);
+          let probed, kept = unchanged_by ls (fun () -> List_sched.probe ls i k) in
+          expect kept;
+          let ready_at, kept = unchanged_by ls (fun () -> List_sched.data_ready ls i k) in
+          expect kept;
+          expect (snd (unchanged_by ls (fun () -> List_sched.probe ls i other)));
+          if step mod 4 = 0 then begin
+            let (serial, pooled), kept = unchanged_by ls (fun () -> probe_ready ls alive) in
+            expect (kept && compare serial pooled = 0)
+          end;
           List_sched.place ls i k;
           let pendings =
             List.map
               (fun (e : Noc_ctg.Edge.t) ->
                 let p = Option.get placements.(e.src) in
                 {
-                  Comm_sched.edge = e.id;
+                  Rebuild_reference.edge = e.id;
                   src_pe = p.Schedule.pe;
                   sender_finish = p.Schedule.finish;
                   bits = e.volume;
@@ -302,7 +348,7 @@ let qcheck_list_sched_matches_reference =
               expect (ls.tx_start.(e) = tr.start && ls.tx_finish.(e) = tr.finish))
             placed;
           expect (ls.pe.(i) = k && ls.start.(i) = start && ls.finish.(i) = finish);
-          expect (probed = start))
+          expect (probed = start && ready_at = drt))
         (Noc_ctg.Ctg.topological_order ctg);
       let want =
         Schedule.make

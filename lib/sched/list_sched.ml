@@ -117,28 +117,17 @@ let fig3_order t i =
    windows are the committing walk's, bit for bit. *)
 type overlay = (Timeline.t * Timeline.t) list ref
 
-(* The tables a read-only window on [route] must be free on: each route
-   table, followed by its private one when the walk reserved there. *)
+(* The tables a read-only window on [route] must be free on: the route's
+   tables, then the private ones the walk reserved on among them. *)
 let with_overlay (ov : overlay) route =
   match !ov with
   | [] -> route
   | reserved ->
-    let extra =
-      Array.fold_left (fun c tl -> if List.mem_assq tl reserved then c + 1 else c) 0 route
-    in
-    let tables = Array.make (Array.length route + extra) route.(0) in
-    let k = ref 0 in
-    Array.iter
-      (fun tl ->
-        tables.(!k) <- tl;
-        incr k;
-        match List.assq_opt tl reserved with
-        | Some mine ->
-          tables.(!k) <- mine;
-          incr k
-        | None -> ())
-      route;
-    tables
+    Array.append route
+      (Array.of_list
+         (List.filter_map
+            (fun (tl, mine) -> if Array.memq tl route then Some mine else None)
+            reserved))
 
 let reserve_overlay (ov : overlay) route interval =
   Array.iter

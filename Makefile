@@ -85,22 +85,35 @@ bench-mapping:
 	dune exec bench/main.exe -- mapping
 
 # End-to-end daemon smoke: start `nocsched serve` on a private socket,
-# run a schedule and an incremental reschedule through the client, ask
-# for a clean shutdown, and require every reply to be ok. The built
+# run a schedule and an incremental reschedule through the client, send
+# an infeasible graph (40 tasks at tightness 0.5) twice and require two
+# refusals, the second answered from the refusal memo (one
+# `refusal_cache` hit in `stats`), then ask for a clean shutdown. Every
+# other reply must be ok. The built
 # binary is used directly (dune exec would contend for the build lock
 # with the backgrounded daemon), and the client retries the connect
 # 50 ms apart, so no sleep is needed after the daemon starts.
 serve-smoke: build
 	@set -e; \
 	SOCK=/tmp/nocsched-serve-smoke-$$$$.sock; \
+	INFEASIBLE=/tmp/nocsched-serve-smoke-$$$$.ctg; \
 	BIN=_build/default/bin/nocsched.exe; \
 	rm -f $$SOCK; \
+	$$BIN generate --tasks 40 --tightness 0.5 --seed 8 -o $$INFEASIBLE >/dev/null; \
 	$$BIN serve --socket $$SOCK & \
 	DAEMON=$$!; \
-	trap 'kill $$DAEMON 2>/dev/null || true' EXIT; \
+	trap 'kill $$DAEMON 2>/dev/null || true; rm -f $$INFEASIBLE' EXIT; \
 	$$BIN serve --socket $$SOCK --call schedule --input examples/pipeline_4x4.ctg; \
 	$$BIN serve --socket $$SOCK --call reschedule \
 	  --input examples/pipeline_4x4.ctg --fault pe:1; \
+	for attempt in 1 2; do \
+	  if $$BIN serve --socket $$SOCK --call schedule --input $$INFEASIBLE; then \
+	    echo "serve-smoke: an infeasible request was accepted" >&2; exit 1; \
+	  fi; \
+	done; \
+	$$BIN serve --socket $$SOCK --call stats \
+	  | grep -o '"refusal_cache":{[^}]*}' | grep -q '"hits":1[,}]' \
+	  || { echo "serve-smoke: the retry was not answered from the refusal memo" >&2; exit 1; }; \
 	$$BIN serve --socket $$SOCK --call shutdown; \
 	wait $$DAEMON; \
 	echo "serve-smoke: ok"

@@ -1113,7 +1113,7 @@ let serve_cmd =
   let cache_arg =
     Arg.(value & opt int 64
          & info [ "cache" ] ~docv:"N"
-             ~doc:"Certified-schedule cache capacity (LRU entries).")
+             ~doc:"Certified-schedule cache capacity (SIEVE entries).")
   in
   let call_arg =
     Arg.(value & opt (some string) None

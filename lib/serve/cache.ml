@@ -1,10 +1,21 @@
-type 'a entry = { value : 'a; mutable tick : int }
+(* One FIFO queue, newest at [head], oldest at [tail], threaded through
+   the nodes themselves. [hand] is the next node the eviction sweep
+   inspects; [None] means it starts again from [tail]. *)
+type 'a node = {
+  key : string;
+  mutable value : 'a;
+  mutable visited : bool;
+  mutable newer : 'a node option;
+  mutable older : 'a node option;
+}
 
 type 'a t = {
   capacity : int;
-  table : (string, 'a entry) Hashtbl.t;
+  table : (string, 'a node) Hashtbl.t;
   lock : Mutex.t;
-  mutable clock : int;
+  mutable head : 'a node option;
+  mutable tail : 'a node option;
+  mutable hand : 'a node option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -20,7 +31,9 @@ let create ~capacity =
     capacity;
     table = Hashtbl.create (2 * capacity);
     lock = Mutex.create ();
-    clock = 0;
+    head = None;
+    tail = None;
+    hand = None;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -29,42 +42,52 @@ let create ~capacity =
 let capacity t = t.capacity
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
-
 let find t key =
   with_lock t (fun () ->
       match Hashtbl.find_opt t.table key with
-      | Some entry ->
-        entry.tick <- tick t;
+      | Some node ->
+        node.visited <- true;
         t.hits <- t.hits + 1;
-        Some entry.value
+        Some node.value
       | None ->
         t.misses <- t.misses + 1;
         None)
 
-(* O(capacity) scan; capacities are small (tens to a few thousand) and
-   eviction is off the cache-hit fast path. *)
-let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key entry ->
-      match !victim with
-      | Some (_, best) when best <= entry.tick -> ()
-      | Some _ | None -> victim := Some (key, entry.tick))
-    t.table;
-  match !victim with
-  | None -> ()
-  | Some (key, _) ->
-    Hashtbl.remove t.table key;
-    t.evictions <- t.evictions + 1
+let unlink t node =
+  (match node.newer with Some n -> n.older <- node.older | None -> t.head <- node.older);
+  match node.older with Some o -> o.newer <- node.newer | None -> t.tail <- node.newer
+
+(* The SIEVE sweep: walk from the hand towards the head, wrapping to the
+   tail, clearing visited bits, and evict the first unvisited node. Each
+   bit a sweep clears was set by a hit, so eviction is amortised O(1);
+   one lap clears them all, so the walk ends. Only called on a full
+   cache, whose tail exists. *)
+let evict t =
+  let rec sweep = function
+    | None -> sweep t.tail
+    | Some node when node.visited ->
+      node.visited <- false;
+      sweep node.newer
+    | Some node -> node
+  in
+  let victim = sweep t.hand in
+  t.hand <- victim.newer;
+  unlink t victim;
+  Hashtbl.remove t.table victim.key;
+  t.evictions <- t.evictions + 1
 
 let add t key value =
   with_lock t (fun () ->
-      if not (Hashtbl.mem t.table key) && Hashtbl.length t.table >= t.capacity then
-        evict_lru t;
-      Hashtbl.replace t.table key { value; tick = tick t })
+      match Hashtbl.find_opt t.table key with
+      | Some node ->
+        node.value <- value;
+        node.visited <- true
+      | None ->
+        if Hashtbl.length t.table >= t.capacity then evict t;
+        let node = { key; value; visited = false; newer = None; older = t.head } in
+        (match t.head with Some h -> h.newer <- Some node | None -> t.tail <- Some node);
+        t.head <- Some node;
+        Hashtbl.replace t.table key node)
 
 let hits t = with_lock t (fun () -> t.hits)
 let misses t = with_lock t (fun () -> t.misses)
@@ -72,6 +95,8 @@ let evictions t = with_lock t (fun () -> t.evictions)
 
 let keys t =
   with_lock t (fun () ->
-      Hashtbl.fold (fun key entry acc -> (key, entry.tick) :: acc) t.table [])
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-  |> List.map fst
+      let rec walk acc = function
+        | None -> List.rev acc
+        | Some node -> walk (node.key :: acc) node.older
+      in
+      walk [] t.head)

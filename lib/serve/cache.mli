@@ -1,11 +1,17 @@
-(** Bounded LRU memo for certified schedules (and warmed kernels).
+(** Bounded SIEVE memo for certified schedules, warmed kernels, parsed
+    graphs and refusals.
 
     Keys are the digest strings of {!Digest}. The cache is guarded by a
     mutex — the server fans independent requests over a domain pool and
-    every worker shares it. Recency is a logical tick bumped on every
-    {!find} hit and {!add}; at capacity the least-recently-used entry
-    is evicted. Statistics (hits, misses, evictions) are monotonic over
-    the cache's lifetime. *)
+    every worker shares it. Eviction is SIEVE (Zhang et al., NSDI '24,
+    "SIEVE is Simpler than LRU"): entries sit in one FIFO queue in
+    insertion order, a {!find} hit only sets the entry's visited bit,
+    and at capacity a hand walks from the oldest entry towards the
+    newest, clearing visited bits, and evicts the first unvisited entry
+    it meets. An entry that was reused since the hand last passed it
+    survives, however old; a one-time entry is evicted on the hand's
+    next pass. Eviction is amortised O(1). Statistics (hits, misses,
+    evictions) are monotonic over the cache's lifetime. *)
 
 type 'a t
 
@@ -16,16 +22,16 @@ val capacity : 'a t -> int
 val length : 'a t -> int
 
 val find : 'a t -> string -> 'a option
-(** Records a hit (bumping the entry's recency) or a miss. *)
+(** Records a hit (marking the entry visited) or a miss. *)
 
 val add : 'a t -> string -> 'a -> unit
-(** Inserts or replaces; evicts the least-recently-used entry when a
-    genuine insertion would exceed capacity. Replacement of an existing
-    key never evicts. *)
+(** Inserts at the newest end of the queue, evicting one entry when a
+    genuine insertion would exceed capacity. Replacing an existing key
+    keeps its queue position, marks it visited and never evicts. *)
 
 val hits : 'a t -> int
 val misses : 'a t -> int
 val evictions : 'a t -> int
 
 val keys : 'a t -> string list
-(** Current keys, most recently used first (for tests and stats). *)
+(** Current keys, newest insertion first (for tests and stats). *)

@@ -50,6 +50,10 @@ type state = {
           text, so only byte-identical texts short-circuit; a permuted
           but digest-equal text takes the slow path once and then hits
           the schedule cache through {!relabel}. *)
+  refusals : (Ctg.t * string) Cache.t;
+      (** [key -> (graph, message)]: the refusals handlers computed, under
+          the key their success would have been cached under (see
+          {!memo_refusal}). *)
   requests : int Atomic.t;
   errors : int Atomic.t;
 }
@@ -63,6 +67,7 @@ let make_state config =
     schedules = Cache.create ~capacity:config.capacity;
     kernels = Cache.create ~capacity:(max 8 config.capacity);
     parses = Cache.create ~capacity:(max 8 config.capacity);
+    refusals = Cache.create ~capacity:(max 8 config.capacity);
     requests = Atomic.make 0;
     errors = Atomic.make 0;
   }
@@ -243,11 +248,28 @@ let compute_fresh state platform ctg algo ~digests ~want_decisions =
         dvfs = None;
       }
 
+(* Runs [compute] unless the refusal memo already holds its answer. A
+   refusal [compute] returns is a pure function of the request's key and
+   graph, so it is memoised under [key] and replayed as the same message.
+   Only refusals reach here: exceptions caught in [dispatch], parse
+   errors and PE-count mismatches never do. The graph is kept so that a
+   digest-equal graph declaring its edges in another order, whose
+   message could name other edge ids, is computed afresh. *)
+let memo_refusal state key ctg compute =
+  match Cache.find state.refusals key with
+  | Some (refused, msg) when same_edges refused ctg -> Error msg
+  | Some _ | None -> (
+    match compute () with
+    | Error msg as e ->
+      Cache.add state.refusals key (ctg, msg);
+      e
+    | Ok _ as ok -> ok)
+
 (* The memoised schedule for (algo, ctg, platform) with no faults.
    Returns the entry (relabelled to the request's graph), whether it was
-   served from the cache, and the cache key. A hit that needs a decision
-   log the entry does not carry is recomputed in full (and the richer
-   entry replaces the cached one). *)
+   served from the cache, and the cache key; or the memoised refusal. A
+   hit that needs a decision log the entry does not carry is recomputed
+   in full (and the richer entry replaces the cached one). *)
 let empty_fault_digest = Digest.fault_set Fault_set.empty
 
 let obtain state platform ctg algo ~digests ~want_decisions =
@@ -257,6 +279,7 @@ let obtain state platform ctg algo ~digests ~want_decisions =
       ~fault_digest:empty_fault_digest ()
   in
   let fresh () =
+    memo_refusal state key ctg @@ fun () ->
     match compute_fresh state platform ctg algo ~digests ~want_decisions with
     | Error _ as e -> e
     | Ok entry ->
@@ -301,6 +324,10 @@ let with_graph state ?id ~ctg_text ~mesh k =
            (Protocol.mesh_name mesh) (Platform.n_pes platform))
     else k platform ctg ~digests:(ctg_digest, platform_digest)
 
+let reply_or_refusal ?id = function
+  | Ok line -> line
+  | Error msg -> Protocol.error_line ?id msg
+
 let decisions_field ~decisions (entry : entry) fields =
   match entry.decisions with
   | Some d when decisions -> fields @ [ ("decisions", Json.String d) ]
@@ -338,6 +365,8 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
     |> Protocol.ok_line ?id ~op:"schedule"
   in
   let fresh () =
+    reply_or_refusal ?id @@ memo_refusal state dkey ctg
+    @@ fun () ->
     let base_result =
       if decisions then (
         let (base, r), jsonl =
@@ -365,7 +394,7 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
               Noc_dvfs.Reclaim.run ~table ctg base_entry.schedule )
     in
     match base_result with
-    | Error msg -> Protocol.error_line ?id msg
+    | Error msg -> Error msg
     | Ok (base, base_energy, base_cached, dlog, r) -> (
       let annotations = r.Noc_dvfs.Reclaim.annotations in
       let scaled = r.Noc_dvfs.Reclaim.schedule in
@@ -375,7 +404,7 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
              ~ratios:(Noc_dvfs.Vf_table.ratios table)
              ~annotations ~base platform ctg scaled)
       with
-      | Some msg -> Protocol.error_line ?id ("dvfs: " ^ msg)
+      | Some msg -> Error ("dvfs: " ^ msg)
       | None ->
         let reclaimed = Noc_dvfs.Reclaim.reclaimed r in
         let entry =
@@ -392,7 +421,7 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
           }
         in
         Cache.add state.schedules dkey entry;
-        reply ~cached:false ~base_cached entry)
+        Ok (reply ~cached:false ~base_cached entry))
   in
   match Cache.find state.schedules dkey with
   | None -> fresh ()
@@ -464,20 +493,21 @@ let handle_reschedule state ?id ~ctg_text ~mesh ~algo ~faults () =
         ~fault_digest:(Digest.fault_set faults) ()
     in
     let fresh () =
+      reply_or_refusal ?id @@ memo_refusal state full_key ctg
+      @@ fun () ->
       match obtain state platform ctg algo ~digests ~want_decisions:false with
-      | Error msg -> Protocol.error_line ?id ("base schedule: " ^ msg)
+      | Error msg -> Error ("base schedule: " ^ msg)
       | Ok (base, base_cached, _) -> (
         match Noc_eas.Fault_resched.run platform ctg ~faults base.schedule with
-        | exception Invalid_argument msg ->
-          Protocol.error_line ?id ("reschedule: " ^ msg)
+        | exception Invalid_argument msg -> Error ("reschedule: " ^ msg)
         | outcome ->
           let schedule = outcome.Noc_eas.Fault_resched.schedule in
           (* Detour routes legitimately diverge from the deterministic-route
              energy of Metrics, so the reply carries the certifier's own
              Eq. 3 total and no claimed energy is cross-checked. *)
           let diags = Certify.check platform ctg schedule in
-          (match certification_error diags with
-          | Some msg -> Protocol.error_line ?id msg
+          match certification_error diags with
+          | Some msg -> Error msg
           | None ->
             let stats = outcome.Noc_eas.Fault_resched.stats in
             let entry =
@@ -498,10 +528,11 @@ let handle_reschedule state ?id ~ctg_text ~mesh ~algo ~faults () =
               }
             in
             Cache.add state.schedules full_key entry;
-            Protocol.ok_line ?id ~op:"reschedule"
-              (schedule_fields ~cached:false ~key:full_key ~algo entry
-              @ resched_fields entry.resched
-              @ [ ("base_cached", Json.Bool base_cached) ])))
+            Ok
+              (Protocol.ok_line ?id ~op:"reschedule"
+                 (schedule_fields ~cached:false ~key:full_key ~algo entry
+                 @ resched_fields entry.resched
+                 @ [ ("base_cached", Json.Bool base_cached) ])))
     in
     match Cache.find state.schedules full_key with
     | None -> fresh ()
@@ -544,6 +575,7 @@ let handle_stats state ?id () =
       ("cache", cache_json state.schedules);
       ("kernel_cache", cache_json state.kernels);
       ("parse_cache", cache_json state.parses);
+      ("refusal_cache", cache_json state.refusals);
       ("latency", Json.Obj latency);
     ]
 

@@ -7,17 +7,24 @@
     - {b Warm state.} Platforms (one per requested mesh geometry) are
       built once, their route memos eagerly warmed, and kept resident;
       flat-array {!Noc_eas.Kernel} matrices are memoized per
-      (CTG, platform) digest pair in their own LRU, so a cache-missed
-      request pays the build at most once.
-    - {b Schedule cache.} Results are memoized in an LRU keyed by
-      {!Digest.key} (algo, CTG digest, platform digest, fault digest).
-      Every entry was certified by {!Noc_analysis.Certify} when it was
-      inserted — a schedule the certifier rejects is returned as an
-      error and never cached — and hits are served without
-      re-certification. Hits are label-faithful: a request whose graph
-      permutes edge declaration order relative to the cached one gets
-      its transactions relabelled through the arc-endpoint map, so the
-      reply is always valid for the {e request's} graph.
+      (CTG, platform) digest pair in their own {!Cache}, so a
+      cache-missed request pays the build at most once.
+    - {b Schedule cache.} Results are memoized in a SIEVE {!Cache}
+      keyed by {!Digest.key} (algo, CTG digest, platform digest, fault
+      digest). Every entry was certified by {!Noc_analysis.Certify}
+      when it was inserted — a schedule the certifier rejects is
+      returned as an error and never cached — and hits are served
+      without re-certification. Hits are label-faithful: a request
+      whose graph permutes edge declaration order relative to the
+      cached one gets its transactions relabelled through the
+      arc-endpoint map, so the reply is always valid for the
+      {e request's} graph.
+    - {b Refusal memo.} A refusal a handler computes (a certification
+      failure, an unschedulable degraded platform) is memoised under
+      the key its success would have been cached under, so a retry is
+      answered with the same bytes without re-running the scheduler.
+      Malformed requests, PE-count mismatches and internal errors are
+      never memoised.
     - {b Incremental rescheduling.} [reschedule] requests run the
       {!Noc_eas.Fault_resched} migrate → rebuild → repair ladder
       against the cached base schedule instead of a full EAS re-run;
@@ -44,8 +51,8 @@ type config = {
 val default_config : socket_path:string -> config
 
 type state
-(** Warm platforms, kernel memo and schedule cache, shared by every
-    request the daemon serves. *)
+(** Warm platforms, kernel memo, schedule cache and refusal memo,
+    shared by every request the daemon serves. *)
 
 val make_state : config -> state
 (** A server state without a socket — tests and the in-process bench

@@ -1,5 +1,6 @@
-(* Tests for the scheduling daemon (lib/serve): LRU cache semantics,
-   protocol parsing and structured errors, cache-hit bit-identity
+(* Tests for the scheduling daemon (lib/serve): SIEVE cache semantics
+   (against a list model), the refusal memo, protocol parsing and
+   structured errors, cache-hit bit-identity
    (including relabelling for permuted edge declarations), certification
    of served schedules, concurrent clients against a live daemon, and a
    differential test against one-shot `nocsched schedule` output. *)
@@ -17,8 +18,10 @@ module Runner = Noc_experiments.Runner
 
 let platform = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~cols:4 ~rows:4 ()
 
-let graph ?(tasks = 20) seed =
-  let params = { Noc_tgff.Params.default with n_tasks = tasks } in
+let graph ?(tasks = 20) ?(tightness = Noc_tgff.Params.default.deadline_tightness) seed =
+  let params =
+    { Noc_tgff.Params.default with n_tasks = tasks; deadline_tightness = tightness }
+  in
   Noc_tgff.Generate.generate ~params ~platform ~seed
 
 let mk_state ?(capacity = 64) ?jobs () =
@@ -73,7 +76,7 @@ let expect_error state line =
   str_member "error" obj
 
 (* ------------------------------------------------------------------ *)
-(* LRU cache *)
+(* Cache *)
 
 let test_cache_basics () =
   let c = Cache.create ~capacity:2 in
@@ -97,6 +100,87 @@ let test_cache_basics () =
   Alcotest.(check int) "replace does not evict" 1 (Cache.evictions c);
   Alcotest.(check bool) "replaced value" true (Cache.find c "c" = Some 30);
   Alcotest.(check (list string)) "MRU order" [ "c"; "a" ] (Cache.keys c)
+
+(* A hit protects an entry from the next eviction however old it is:
+   LRU would evict [a] here, the least recently used entry. *)
+let test_cache_keeps_reused_entry () =
+  let c = Cache.create ~capacity:2 in
+  Cache.add c "a" 1;
+  Alcotest.(check bool) "hit a" true (Cache.find c "a" = Some 1);
+  Cache.add c "b" 2;
+  Cache.add c "c" 3;
+  Alcotest.(check (list string)) "b evicted, a survived" [ "c"; "a" ] (Cache.keys c);
+  Alcotest.(check bool) "a still served" true (Cache.find c "a" = Some 1);
+  Alcotest.(check int) "one eviction" 1 (Cache.evictions c)
+
+(* SIEVE spelled out over a list, oldest entry first, with the hand as
+   an index into it. *)
+module Sieve_model = struct
+  type t = {
+    capacity : int;
+    mutable queue : (string * int * bool ref) list;
+    mutable hand : int;
+    mutable evictions : int;
+  }
+
+  let create capacity = { capacity; queue = []; hand = 0; evictions = 0 }
+
+  let find t key =
+    List.find_map
+      (fun (k, v, visited) ->
+        if k = key then (
+          visited := true;
+          Some v)
+        else None)
+      t.queue
+
+  let evict t =
+    let n = List.length t.queue in
+    let rec sweep i =
+      let i = if i >= n then 0 else i in
+      let _, _, visited = List.nth t.queue i in
+      if !visited then (
+        visited := false;
+        sweep (i + 1))
+      else i
+    in
+    let victim = sweep t.hand in
+    t.queue <- List.filteri (fun i _ -> i <> victim) t.queue;
+    t.hand <- (if victim >= n - 1 then 0 else victim);
+    t.evictions <- t.evictions + 1
+
+  let add t key value =
+    if List.exists (fun (k, _, _) -> k = key) t.queue then
+      t.queue <-
+        List.map
+          (fun ((k, _, _) as e) -> if k = key then (k, value, ref true) else e)
+          t.queue
+    else (
+      if List.length t.queue >= t.capacity then evict t;
+      t.queue <- t.queue @ [ (key, value, ref false) ])
+
+  let keys t = List.rev_map (fun (k, _, _) -> k) t.queue
+end
+
+let test_cache_matches_sieve_model () =
+  let rng = Noc_util.Prng.create ~seed:20 in
+  for capacity = 1 to 6 do
+    let c = Cache.create ~capacity and m = Sieve_model.create capacity in
+    for step = 1 to 2000 do
+      let key = string_of_int (Noc_util.Prng.int rng ~bound:(2 * capacity + 2)) in
+      if Noc_util.Prng.int rng ~bound:2 = 0 then
+        Alcotest.(check (option int))
+          (Printf.sprintf "capacity %d step %d: find %s" capacity step key)
+          (Sieve_model.find m key) (Cache.find c key)
+      else (
+        Cache.add c key step;
+        Sieve_model.add m key step);
+      Alcotest.(check (list string))
+        (Printf.sprintf "capacity %d step %d: keys" capacity step)
+        (Sieve_model.keys m) (Cache.keys c)
+    done;
+    Alcotest.(check int) "evictions" m.Sieve_model.evictions (Cache.evictions c)
+  done
 
 let test_cache_invalid_capacity () =
   Alcotest.(check bool) "capacity 0 rejected" true
@@ -394,6 +478,69 @@ let test_stats_shape () =
   | None -> Alcotest.fail "stats reply lacks parse_cache object"
 
 (* ------------------------------------------------------------------ *)
+(* Server: the refusal memo *)
+
+(* 40 tasks at a deadline tightness of 0.5: EAS misses deadlines after
+   capped repair, and the certifier refuses the schedule. *)
+let infeasible_graph () = graph ~tasks:40 ~tightness:0.5 8
+
+let refusal_cache state =
+  let stats = expect_ok state (Protocol.request_to_line Protocol.Stats) in
+  match Json.member "refusal_cache" stats with
+  | Some c -> (int_of_float (num_member "hits" c), int_of_float (num_member "entries" c))
+  | None -> Alcotest.fail "stats reply lacks refusal_cache object"
+
+let refuse state line =
+  let reply, _ = Server.handle_line state line in
+  Alcotest.(check bool) "refused" false (is_ok (parse_reply reply));
+  reply
+
+let test_refusal_memo_replays () =
+  let state = mk_state () in
+  let line = schedule_line ~id:"again" (infeasible_graph ()) in
+  let evaluations = Noc_obs.Counters.counter "eas.repair.evaluations" in
+  let before = Noc_obs.Counters.value evaluations in
+  let first = refuse state line in
+  let after_first = Noc_obs.Counters.value evaluations in
+  Alcotest.(check bool) "the first refusal ran repair" true (after_first > before);
+  let second = refuse state line in
+  Alcotest.(check string) "byte-identical refusals" first second;
+  Alcotest.(check int) "the scheduler did not run again" after_first
+    (Noc_obs.Counters.value evaluations);
+  Alcotest.(check (pair int int)) "one memo hit, one entry" (1, 1) (refusal_cache state)
+
+let test_refusal_memo_keys () =
+  let state = mk_state () in
+  let g = infeasible_graph () in
+  let plain = str_member "error" (parse_reply (refuse state (schedule_line g))) in
+  (* Another algorithm is another key. *)
+  let _ = Server.handle_line state (schedule_line ~algo:Runner.Edf g) in
+  Alcotest.(check (pair int int)) "edf is not answered from the memo" (0, 2)
+    (refusal_cache state);
+  (* A fault set is another key: the reschedule reuses the memoised base
+     refusal (one hit), and memoises its own refusal beside it. *)
+  let resched = reschedule_line ~faults:[ "pe:1" ] g in
+  let first = refuse state resched in
+  Alcotest.(check string) "refused for its base schedule" ("base schedule: " ^ plain)
+    (str_member "error" (parse_reply first));
+  Alcotest.(check (pair int int)) "own key memoised" (1, 3) (refusal_cache state);
+  Alcotest.(check string) "replayed byte for byte" first (refuse state resched);
+  Alcotest.(check (pair int int)) "answered from its own key" (2, 3) (refusal_cache state);
+  ignore (refuse state (reschedule_line ~faults:[ "pe:2" ] g));
+  Alcotest.(check (pair int int)) "another fault set misses its key" (3, 4)
+    (refusal_cache state);
+  (* Parse errors and PE-count mismatches are never memoised. *)
+  List.iter
+    (fun (ctg_text, mesh) ->
+      ignore
+        (expect_error state
+           (Protocol.request_to_line
+              (Protocol.Schedule
+                 { ctg_text; mesh; algo = Runner.Eas; decisions = false; dvfs = None }))))
+    [ ("garbage", (4, 4)); (Ctg_io.to_string g, (3, 3)) ];
+  Alcotest.(check (pair int int)) "nothing else memoised" (3, 4) (refusal_cache state)
+
+(* ------------------------------------------------------------------ *)
 (* Differential: the daemon's reply vs one-shot `nocsched schedule`.   *)
 
 (* Resolved against the test executable, not the cwd, so the test also
@@ -462,23 +609,24 @@ let test_concurrent_clients () =
         List.map
           (fun seed ->
             let id = Printf.sprintf "%s-%d" name seed in
-            let reply = Client.request c (schedule_line ~id (graph seed)) in
-            let obj = parse_reply reply in
-            if not (is_ok obj) then Alcotest.failf "daemon refused: %s" reply;
-            Alcotest.(check string) "reply routed to the right request" id
-              (str_member "id" obj);
-            (seed, num_member "energy" obj))
+            (seed, id, Client.request c (schedule_line ~id (graph seed))))
           seeds)
   in
-  (* Two clients in parallel domains, interleaving requests. *)
+  (* Two clients in parallel domains, interleaving requests. Replies are
+     checked once both have joined: Alcotest's reporting is not safe to
+     call from two domains at once. *)
   let da = Domain.spawn (fun () -> client_loop "a" seeds_a) in
   let db = Domain.spawn (fun () -> client_loop "b" seeds_b) in
   let ra = Domain.join da and rb = Domain.join db in
   List.iter
-    (fun (seed, energy) ->
+    (fun (seed, id, reply) ->
+      let obj = parse_reply reply in
+      if not (is_ok obj) then Alcotest.failf "daemon refused: %s" reply;
+      Alcotest.(check string) "reply routed to the right request" id
+        (str_member "id" obj);
       Alcotest.(check (float 1e-9))
         (Printf.sprintf "energy for seed %d" seed)
-        (energy_of (graph seed)) energy)
+        (energy_of (graph seed)) (num_member "energy" obj))
     (ra @ rb);
   (* Clean shutdown through the protocol; the socket file disappears. *)
   let reply =
@@ -709,6 +857,8 @@ let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
     Alcotest.test_case "cache invalid capacity" `Quick test_cache_invalid_capacity;
+    Alcotest.test_case "cache keeps a reused entry" `Quick test_cache_keeps_reused_entry;
+    Alcotest.test_case "cache matches the SIEVE model" `Quick test_cache_matches_sieve_model;
     Alcotest.test_case "protocol round-trip" `Quick test_protocol_roundtrip;
     Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
     Alcotest.test_case "malformed requests" `Quick test_malformed_requests;
@@ -718,6 +868,8 @@ let suite =
     Alcotest.test_case "incremental reschedule" `Quick test_reschedule_incremental;
     Alcotest.test_case "simulate request" `Quick test_simulate_request;
     Alcotest.test_case "stats shape" `Quick test_stats_shape;
+    Alcotest.test_case "refusal memo replays" `Quick test_refusal_memo_replays;
+    Alcotest.test_case "refusal memo keys" `Quick test_refusal_memo_keys;
     Alcotest.test_case "one-shot differential" `Quick test_one_shot_differential;
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "multi-megabyte request in awkward chunks" `Quick

@@ -11,7 +11,9 @@
     it meets. An entry that was reused since the hand last passed it
     survives, however old; a one-time entry is evicted on the hand's
     next pass. Eviction is amortised O(1). Statistics (hits, misses,
-    evictions) are monotonic over the cache's lifetime. *)
+    evictions) are monotonic over the cache's lifetime; a hit is a
+    {!find} that found its key, whatever the caller then does with the
+    value. *)
 
 type 'a t
 

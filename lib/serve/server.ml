@@ -51,9 +51,9 @@ type state = {
           but digest-equal text takes the slow path once and then hits
           the schedule cache through {!relabel}. *)
   refusals : (Ctg.t * string) Cache.t;
-      (** [key -> (graph, message)]: the refusals handlers computed, under
-          the key their success would have been cached under (see
-          {!memo_refusal}). *)
+      (** [key -> (graph, message)]: the certification refusals of
+          unfaulted schedules, under the key their success would have been
+          cached under (see {!obtain}). *)
   requests : int Atomic.t;
   errors : int Atomic.t;
 }
@@ -248,23 +248,6 @@ let compute_fresh state platform ctg algo ~digests ~want_decisions =
         dvfs = None;
       }
 
-(* Runs [compute] unless the refusal memo already holds its answer. A
-   refusal [compute] returns is a pure function of the request's key and
-   graph, so it is memoised under [key] and replayed as the same message.
-   Only refusals reach here: exceptions caught in [dispatch], parse
-   errors and PE-count mismatches never do. The graph is kept so that a
-   digest-equal graph declaring its edges in another order, whose
-   message could name other edge ids, is computed afresh. *)
-let memo_refusal state key ctg compute =
-  match Cache.find state.refusals key with
-  | Some (refused, msg) when same_edges refused ctg -> Error msg
-  | Some _ | None -> (
-    match compute () with
-    | Error msg as e ->
-      Cache.add state.refusals key (ctg, msg);
-      e
-    | Ok _ as ok -> ok)
-
 (* The memoised schedule for (algo, ctg, platform) with no faults.
    Returns the entry (relabelled to the request's graph), whether it was
    served from the cache, and the cache key; or the memoised refusal. A
@@ -278,13 +261,22 @@ let obtain state platform ctg algo ~digests ~want_decisions =
     Digest.make ~algo ~ctg_digest ~platform_digest
       ~fault_digest:empty_fault_digest ()
   in
+  (* A certification refusal is a pure function of the key and the
+     graph, so it is memoised under [key] and replayed as the same
+     message. The graph is kept so that a digest-equal graph declaring
+     its edges in another order, whose message could name other edge
+     ids, is computed afresh. *)
   let fresh () =
-    memo_refusal state key ctg @@ fun () ->
-    match compute_fresh state platform ctg algo ~digests ~want_decisions with
-    | Error _ as e -> e
-    | Ok entry ->
-      Cache.add state.schedules key entry;
-      Ok (entry, false, key)
+    match Cache.find state.refusals key with
+    | Some (refused, msg) when same_edges refused ctg -> Error msg
+    | Some _ | None -> (
+      match compute_fresh state platform ctg algo ~digests ~want_decisions with
+      | Error msg as e ->
+        Cache.add state.refusals key (ctg, msg);
+        e
+      | Ok entry ->
+        Cache.add state.schedules key entry;
+        Ok (entry, false, key))
   in
   match Cache.find state.schedules key with
   | None -> fresh ()
@@ -324,10 +316,6 @@ let with_graph state ?id ~ctg_text ~mesh k =
            (Protocol.mesh_name mesh) (Platform.n_pes platform))
     else k platform ctg ~digests:(ctg_digest, platform_digest)
 
-let reply_or_refusal ?id = function
-  | Ok line -> line
-  | Error msg -> Protocol.error_line ?id msg
-
 let decisions_field ~decisions (entry : entry) fields =
   match entry.decisions with
   | Some d when decisions -> fields @ [ ("decisions", Json.String d) ]
@@ -365,8 +353,6 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
     |> Protocol.ok_line ?id ~op:"schedule"
   in
   let fresh () =
-    reply_or_refusal ?id @@ memo_refusal state dkey ctg
-    @@ fun () ->
     let base_result =
       if decisions then (
         let (base, r), jsonl =
@@ -394,7 +380,7 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
               Noc_dvfs.Reclaim.run ~table ctg base_entry.schedule )
     in
     match base_result with
-    | Error msg -> Error msg
+    | Error msg -> Protocol.error_line ?id msg
     | Ok (base, base_energy, base_cached, dlog, r) -> (
       let annotations = r.Noc_dvfs.Reclaim.annotations in
       let scaled = r.Noc_dvfs.Reclaim.schedule in
@@ -404,7 +390,7 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
              ~ratios:(Noc_dvfs.Vf_table.ratios table)
              ~annotations ~base platform ctg scaled)
       with
-      | Some msg -> Error ("dvfs: " ^ msg)
+      | Some msg -> Protocol.error_line ?id ("dvfs: " ^ msg)
       | None ->
         let reclaimed = Noc_dvfs.Reclaim.reclaimed r in
         let entry =
@@ -421,7 +407,7 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
           }
         in
         Cache.add state.schedules dkey entry;
-        Ok (reply ~cached:false ~base_cached entry))
+        reply ~cached:false ~base_cached entry)
   in
   match Cache.find state.schedules dkey with
   | None -> fresh ()
@@ -493,21 +479,20 @@ let handle_reschedule state ?id ~ctg_text ~mesh ~algo ~faults () =
         ~fault_digest:(Digest.fault_set faults) ()
     in
     let fresh () =
-      reply_or_refusal ?id @@ memo_refusal state full_key ctg
-      @@ fun () ->
       match obtain state platform ctg algo ~digests ~want_decisions:false with
-      | Error msg -> Error ("base schedule: " ^ msg)
+      | Error msg -> Protocol.error_line ?id ("base schedule: " ^ msg)
       | Ok (base, base_cached, _) -> (
         match Noc_eas.Fault_resched.run platform ctg ~faults base.schedule with
-        | exception Invalid_argument msg -> Error ("reschedule: " ^ msg)
+        | exception Invalid_argument msg ->
+          Protocol.error_line ?id ("reschedule: " ^ msg)
         | outcome ->
           let schedule = outcome.Noc_eas.Fault_resched.schedule in
           (* Detour routes legitimately diverge from the deterministic-route
              energy of Metrics, so the reply carries the certifier's own
              Eq. 3 total and no claimed energy is cross-checked. *)
           let diags = Certify.check platform ctg schedule in
-          match certification_error diags with
-          | Some msg -> Error msg
+          (match certification_error diags with
+          | Some msg -> Protocol.error_line ?id msg
           | None ->
             let stats = outcome.Noc_eas.Fault_resched.stats in
             let entry =
@@ -528,11 +513,10 @@ let handle_reschedule state ?id ~ctg_text ~mesh ~algo ~faults () =
               }
             in
             Cache.add state.schedules full_key entry;
-            Ok
-              (Protocol.ok_line ?id ~op:"reschedule"
-                 (schedule_fields ~cached:false ~key:full_key ~algo entry
-                 @ resched_fields entry.resched
-                 @ [ ("base_cached", Json.Bool base_cached) ])))
+            Protocol.ok_line ?id ~op:"reschedule"
+              (schedule_fields ~cached:false ~key:full_key ~algo entry
+              @ resched_fields entry.resched
+              @ [ ("base_cached", Json.Bool base_cached) ])))
     in
     match Cache.find state.schedules full_key with
     | None -> fresh ()

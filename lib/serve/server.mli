@@ -19,12 +19,12 @@
       cached one gets its transactions relabelled through the
       arc-endpoint map, so the reply is always valid for the
       {e request's} graph.
-    - {b Refusal memo.} A refusal a handler computes (a certification
-      failure, an unschedulable degraded platform) is memoised under
-      the key its success would have been cached under, so a retry is
-      answered with the same bytes without re-running the scheduler.
-      Malformed requests, PE-count mismatches and internal errors are
-      never memoised.
+    - {b Refusal memo.} The certifier's refusal of an unfaulted
+      schedule is memoised under the key its success would have been
+      cached under, so a retry (or a reschedule or DVFS request on the
+      same base) is answered with the same bytes without re-running
+      the scheduler. Malformed requests, PE-count mismatches and
+      internal errors are never memoised.
     - {b Incremental rescheduling.} [reschedule] requests run the
       {!Noc_eas.Fault_resched} migrate → rebuild → repair ladder
       against the cached base schedule instead of a full EAS re-run;

@@ -885,6 +885,145 @@ let test_daemon_survives_garbage () =
   ignore (Client.one_shot ~retries:10 ~socket_path (Protocol.request_to_line Protocol.Shutdown));
   Domain.join daemon
 
+(* ------------------------------------------------------------------ *)
+(* Golden replay *)
+
+(* A fixed stream of about 300 requests of every class, sent through
+   one in-process state with 8-entry caches: popular graphs (hits,
+   misses and evictions), fresh graphs, DVFS requests with the default
+   and a custom ladder, decision logs, permuted edge declarations,
+   reschedules with a failed PE, simulations, an infeasible graph sent
+   twice and then under DVFS and a fault, malformed lines, and ids that
+   need escaping. Each reply is pinned by the MD5 of its bytes in
+   [serve_golden.txt], one line per request; [stats] replies carry
+   latencies and are sent but not pinned. A change to a schedule, a
+   cache key, a digest, the schedule text or the JSON printer flips a
+   line. Regenerate with
+     SERVE_GOLDEN_REGEN=$PWD/test/serve_golden.txt \
+       dune exec test/test_main.exe -- test serve *)
+
+let golden_file = "serve_golden.txt"
+
+(* Request lines, each tagged with its class; [None] marks a reply
+   that is not pinned. *)
+let golden_stream () =
+  let prng = Noc_util.Prng.create ~seed:21 in
+  let popular =
+    Array.init 12 (fun i -> graph ~tasks:(12 + (2 * i)) ~tightness:3.0 (100 + i))
+  in
+  let fresh = Array.init 12 (fun i -> graph ~tasks:(16 + (2 * i)) ~tightness:2.5 (200 + i)) in
+  let infeasible = infeasible_graph () in
+  (* Skewed draws: the low indices come up most often. *)
+  let draw () =
+    let u = Noc_util.Prng.float prng ~bound:1. in
+    min 11 (int_of_float (12. *. u *. u))
+  in
+  let permuted g =
+    let edges = Array.of_list (List.rev (Array.to_list (Ctg.edges g))) in
+    Ctg.make_exn ~tasks:(Ctg.tasks g)
+      ~edges:
+        (Array.mapi
+           (fun i (e : Edge.t) ->
+             Edge.make ~id:i ~src:e.Edge.src ~dst:e.Edge.dst ~volume:e.Edge.volume)
+           edges)
+  in
+  let ladder =
+    match Noc_dvfs.Vf_table.of_string "1,0.75,0.5" with
+    | Ok t -> t
+    | Error msg -> failwith msg
+  in
+  let fault () = [ Printf.sprintf "pe:%d" (Noc_util.Prng.int prng ~bound:16) ] in
+  let simulate ?(faults = []) ?(self_timed = false) g =
+    Protocol.request_to_line
+      (Protocol.Simulate
+         { ctg_text = Ctg_io.to_string g; mesh = (4, 4); algo = Runner.Eas; faults; self_timed })
+  in
+  let malformed =
+    [|
+      "not json";
+      {|{"op": "schedule", "ctg": "ctg 1|};
+      {|{"op": "frobnicate"}|};
+      {|{"op": "schedule", "ctg": "ctg 1\npes 16\ntask 0 name t0\n  times 1 2\n"}|};
+      {|{"op": "reschedule", "ctg": "ctg 1\npes 1\n", "faults": ["pe:x"]}|};
+      {|{"op": "schedule", "ctg": "x", "mesh": "0x4"}|};
+      {|{"op": "schedule", "ctg": "x", "algo": "fastest"}|};
+      {|{"op": "schedule", "ctg": "x", "dvfs": true, "vf_levels": "1,2"}|};
+      "{\"op\": \"schedule\", \"ctg\": \"\\u0001\\\"\\t\xff\x7f\", \"id\": \"\\u001f\xc3\xa9\"}";
+      Protocol.request_to_line
+        (Protocol.Schedule
+           {
+             ctg_text = Ctg_io.to_string popular.(0);
+             mesh = (3, 3);
+             algo = Runner.Eas;
+             decisions = false;
+             dvfs = None;
+           });
+    |]
+  in
+  let block b =
+    let p () = popular.(draw ()) in
+    let tagged cls line = (Some cls, line) in
+    List.init 14 (fun _ -> tagged "popular" (schedule_line (p ())))
+    @ [
+        tagged "fresh" (schedule_line fresh.(b));
+        tagged "dvfs" (schedule_line ~dvfs:Noc_dvfs.Vf_table.default popular.(b mod 2));
+        tagged "dvfs" (schedule_line ~dvfs:ladder ~decisions:(b mod 3 = 0) (p ()));
+        tagged "decisions" (schedule_line ~decisions:true (p ()));
+        tagged "reschedule" (reschedule_line ~faults:(fault ()) (p ()));
+        tagged "simulate" (simulate (p ()));
+        tagged "simulate" (simulate ~faults:(fault ()) ~self_timed:(b mod 2 = 0) (p ()));
+        tagged "permuted" (schedule_line (permuted (p ())));
+        tagged "malformed" malformed.(b mod Array.length malformed);
+        tagged "id"
+          (schedule_line ~id:(Printf.sprintf "r\"%d\\\n\t\x01\xe2\x82\xac" b) (p ()));
+        (None, Protocol.request_to_line Protocol.Stats);
+      ]
+    @
+    match b with
+    | 3 | 7 -> [ tagged "infeasible" (schedule_line infeasible) ]
+    | 9 -> [ tagged "infeasible" (schedule_line ~dvfs:Noc_dvfs.Vf_table.default infeasible) ]
+    | 11 -> [ tagged "infeasible" (reschedule_line ~faults:[ "pe:3" ] infeasible) ]
+    | _ -> []
+  in
+  (* Blocks are built in order, so the draws do not depend on the
+     evaluation order of [List.concat_map]'s arguments. *)
+  let blocks = ref [] in
+  for b = 0 to 11 do
+    blocks := block b :: !blocks
+  done;
+  List.concat (List.rev !blocks)
+
+let golden_replies () =
+  let state = mk_state ~capacity:8 () in
+  List.filter_map
+    (fun (cls, line) ->
+      let reply, stop = Server.handle_line state line in
+      if stop then Alcotest.fail "a replayed request shut the daemon down";
+      Option.map (fun cls -> (cls, Digest.to_hex (Digest.string reply))) cls)
+    (golden_stream ())
+
+let test_golden_replay () =
+  let replies =
+    List.mapi (fun i (cls, md5) -> Printf.sprintf "%d %s %s" i cls md5) (golden_replies ())
+  in
+  match Sys.getenv_opt "SERVE_GOLDEN_REGEN" with
+  | Some path ->
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) replies)
+  | None ->
+    let golden =
+      In_channel.with_open_text golden_file In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+    in
+    Alcotest.(check int) "pinned replies" (List.length golden) (List.length replies);
+    let differing = List.filter (fun (e, g) -> e <> g) (List.combine golden replies) in
+    match differing with
+    | [] -> ()
+    | (expected, got) :: _ ->
+      Alcotest.failf "%d of %d replies differ from %s; first: expected %S, got %S"
+        (List.length differing) (List.length golden) golden_file expected got
+
 let suite =
   [
     Alcotest.test_case "cache basics" `Quick test_cache_basics;
@@ -913,4 +1052,5 @@ let suite =
       test_oversized_request_refused;
     Alcotest.test_case "dvfs never aliases the unscaled cache" `Quick
       test_dvfs_no_cache_aliasing;
+    Alcotest.test_case "golden replay" `Quick test_golden_replay;
   ]

@@ -86,10 +86,12 @@ bench-mapping:
 
 # End-to-end daemon smoke: start `nocsched serve` on a private socket,
 # run a schedule and an incremental reschedule through the client, send
-# an infeasible graph (40 tasks at tightness 0.5) twice and require two
-# refusals, the second answered from the refusal memo (one
-# `refusal_cache` hit in `stats`), then ask for a clean shutdown. Every
-# other reply must be ok. The built
+# a DVFS schedule twice and require the second reply to be a cache hit
+# carrying the same schedule text (hex annotations and the ladder's key
+# segment), send an infeasible graph (40 tasks at tightness 0.5) twice
+# and require two refusals, the second answered from the refusal memo
+# (one `refusal_cache` hit in `stats`), then ask for a clean shutdown.
+# Every other reply must be ok. The built
 # binary is used directly (dune exec would contend for the build lock
 # with the backgrounded daemon), and the client retries the connect
 # 50 ms apart, so no sleep is needed after the daemon starts.
@@ -106,6 +108,15 @@ serve-smoke: build
 	$$BIN serve --socket $$SOCK --call schedule --input examples/pipeline_4x4.ctg; \
 	$$BIN serve --socket $$SOCK --call reschedule \
 	  --input examples/pipeline_4x4.ctg --fault pe:1; \
+	FIRST=$$($$BIN serve --socket $$SOCK --call schedule --dvfs --input examples/pipeline_4x4.ctg); \
+	SECOND=$$($$BIN serve --socket $$SOCK --call schedule --dvfs --input examples/pipeline_4x4.ctg); \
+	printf '%s\n%s\n' "$$FIRST" "$$SECOND"; \
+	printf '%s\n' "$$SECOND" | grep -q '"cached":true' \
+	  || { echo "serve-smoke: the repeated --dvfs request was not a cache hit" >&2; exit 1; }; \
+	S1=$$(printf '%s\n' "$$FIRST" | grep -o '"schedule":"schedule 3[^"]*"'); \
+	S2=$$(printf '%s\n' "$$SECOND" | grep -o '"schedule":"schedule 3[^"]*"'); \
+	[ -n "$$S1" ] && [ "$$S1" = "$$S2" ] \
+	  || { echo "serve-smoke: the --dvfs cache hit changed the schedule" >&2; exit 1; }; \
 	for attempt in 1 2; do \
 	  if $$BIN serve --socket $$SOCK --call schedule --input $$INFEASIBLE; then \
 	    echo "serve-smoke: an infeasible request was accepted" >&2; exit 1; \

@@ -110,33 +110,44 @@ let min_load_bound g =
 (* Canonical serialization for the content digest. Hex floats make the
    text (and hence the digest) exact; task names are display labels and
    edge ids arbitrary declaration positions, so neither participates —
-   two graphs posing the same scheduling problem digest identically. *)
+   two graphs posing the same scheduling problem digest identically.
+   The daemon digests every graph that misses its parse cache, so the
+   text is written straight into one buffer, without format strings. *)
 let digest g =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "ctg-digest/v1 pes %d\n" (n_pes g));
+  let buf = Buffer.create 4096 in
+  let add = Buffer.add_string buf and add_int = Noc_util.Scan.add_int buf in
+  let add_hex v =
+    Buffer.add_char buf ' ';
+    Noc_util.Scan.add_hex_float buf v
+  in
+  add "ctg-digest/v1 pes ";
+  add_int (n_pes g);
+  Buffer.add_char buf '\n';
   Array.iter
     (fun (t : Task.t) ->
-      Buffer.add_string buf (Printf.sprintf "task %d" t.Task.id);
-      Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %h" v)) t.Task.exec_times;
+      add "task ";
+      add_int t.Task.id;
+      Array.iter add_hex t.Task.exec_times;
       Buffer.add_char buf '|';
-      Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %h" v)) t.Task.energies;
-      (match t.Task.release with
-      | None -> ()
-      | Some r -> Buffer.add_string buf (Printf.sprintf " release %h" r));
-      (match t.Task.deadline with
-      | None -> ()
-      | Some d -> Buffer.add_string buf (Printf.sprintf " deadline %h" d));
+      Array.iter add_hex t.Task.energies;
+      Option.iter (fun r -> add " release"; add_hex r) t.Task.release;
+      Option.iter (fun d -> add " deadline"; add_hex d) t.Task.deadline;
       Buffer.add_char buf '\n')
     g.tasks;
-  let arcs =
-    List.sort
-      (fun (a : Edge.t) (b : Edge.t) -> compare (a.Edge.src, a.Edge.dst) (b.Edge.src, b.Edge.dst))
-      (Array.to_list g.edges)
-  in
-  List.iter
+  let arcs = Array.copy g.edges in
+  Array.stable_sort
+    (fun (a : Edge.t) (b : Edge.t) ->
+      if a.Edge.src <> b.Edge.src then Int.compare a.Edge.src b.Edge.src
+      else Int.compare a.Edge.dst b.Edge.dst)
+    arcs;
+  Array.iter
     (fun (e : Edge.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "edge %d -> %d %h\n" e.Edge.src e.Edge.dst e.Edge.volume))
+      add "edge ";
+      add_int e.Edge.src;
+      add " -> ";
+      add_int e.Edge.dst;
+      add_hex e.Edge.volume;
+      Buffer.add_char buf '\n')
     arcs;
   Noc_util.Fnv.digest (Buffer.contents buf)
 

@@ -64,11 +64,12 @@ val digest : t -> string
 (** Stable content digest: FNV-1a ({!Noc_util.Fnv}) over a canonical
     serialization of the graph — per-PE cost arrays, releases and
     deadlines in task-id order plus the arc set sorted by endpoints,
-    all floats rendered exactly ([%h]). Semantically irrelevant
-    presentation details do not participate: task names and the
-    declaration (id) order of edges leave the digest unchanged, while
-    any change to a cost, window or volume changes it. Used as the
-    CTG component of the serve daemon's schedule-cache key. *)
+    all floats rendered exactly ({!Noc_util.Scan.add_hex_float}).
+    Semantically irrelevant presentation details do not participate:
+    task names and the declaration (id) order of edges leave the digest
+    unchanged, while any change to a cost, window or volume changes it.
+    Used as the CTG component of the serve daemon's schedule-cache
+    key. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary (task/edge counts, PE count). *)

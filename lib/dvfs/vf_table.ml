@@ -57,8 +57,13 @@ let to_string t =
   String.concat "," (List.map Noc_util.Scan.float_to_string (Array.to_list t.ladder))
 
 let hex t =
-  String.concat ","
-    (List.map (Printf.sprintf "%h") (Array.to_list t.ladder))
+  let buf = Buffer.create 64 in
+  Array.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char buf ',';
+      Noc_util.Scan.add_hex_float buf r)
+    t.ladder;
+  Buffer.contents buf
 
 let n_levels t = Array.length t.ladder
 let ratio t ~level = t.ladder.(level)

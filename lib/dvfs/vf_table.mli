@@ -32,8 +32,9 @@ val to_string : t -> string
 (** Canonical comma-separated form; [of_string (to_string t)] is [t]. *)
 
 val hex : t -> string
-(** Canonical bit-exact serialisation (comma-separated [%h] floats) —
-    the digest preimage for serve cache keys. *)
+(** Canonical bit-exact serialisation (comma-separated hexadecimal
+    floats, {!Noc_util.Scan.add_hex_float}) — the digest preimage for
+    serve cache keys. *)
 
 val n_levels : t -> int
 val ratio : t -> level:int -> float

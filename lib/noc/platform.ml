@@ -104,16 +104,27 @@ let digest t =
     | Topology.Torus { cols; rows } -> Printf.sprintf "torus %d %d" cols rows
     | Topology.Honeycomb { cols; rows } -> Printf.sprintf "honeycomb %d %d" cols rows
   in
-  Buffer.add_string buf (Printf.sprintf "platform-digest/v2 %s\n" topo_line);
-  Buffer.add_string buf (Printf.sprintf "routing %s\n" (Turn_model.name t.routing));
-  Buffer.add_string buf
-    (Printf.sprintf "energy %h %h bandwidth %h latency %h\n" t.energy.Energy_model.e_sbit
-       t.energy.Energy_model.e_lbit t.link_bandwidth t.router_latency);
+  let add = Buffer.add_string buf in
+  let add_hex v =
+    Buffer.add_char buf ' ';
+    Noc_util.Scan.add_hex_float buf v
+  in
+  add (Printf.sprintf "platform-digest/v2 %s\n" topo_line);
+  add (Printf.sprintf "routing %s\n" (Turn_model.name t.routing));
+  add "energy";
+  add_hex t.energy.Energy_model.e_sbit;
+  add_hex t.energy.Energy_model.e_lbit;
+  add " bandwidth";
+  add_hex t.link_bandwidth;
+  add " latency";
+  add_hex t.router_latency;
+  Buffer.add_char buf '\n';
   Array.iter
     (fun (pe : Pe.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "pe %d %s %h %h\n" pe.Pe.index (Pe.kind_name pe.Pe.kind)
-           pe.Pe.time_factor pe.Pe.power_factor))
+      add (Printf.sprintf "pe %d %s" pe.Pe.index (Pe.kind_name pe.Pe.kind));
+      add_hex pe.Pe.time_factor;
+      add_hex pe.Pe.power_factor;
+      Buffer.add_char buf '\n')
     t.pes;
   Noc_util.Fnv.digest (Buffer.contents buf)
 

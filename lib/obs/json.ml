@@ -13,22 +13,36 @@ let member key = function
 let int n = Number (float_of_int n)
 let fixed digits f = Number (float_of_string (Printf.sprintf "%.*f" digits f))
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+(* [s] as a quoted literal appended to [buf]. Runs of plain bytes are
+   copied whole, as [parse] reads them; only quotes, backslashes and
+   control bytes are written one by one. *)
+let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
+  let n = String.length s in
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+      Buffer.add_substring buf s !start (i - !start);
+      start := i + 1;
       match c with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
+      | c ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+        Buffer.add_char buf "0123456789abcdef".[Char.code c land 0xf]
+    end
+  done;
+  Buffer.add_substring buf s !start (n - !start);
+  Buffer.add_char buf '"'
+
+let escape_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_escaped buf s;
   Buffer.contents buf
 
 let number f =
@@ -57,7 +71,7 @@ let to_string v =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Number f -> Buffer.add_string buf (shortest_number f)
-    | String s -> Buffer.add_string buf (escape_string s)
+    | String s -> add_escaped buf s
     | List items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -76,7 +90,7 @@ let to_string v =
       List.iteri
         (fun i (key, value) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (escape_string key);
+          add_escaped buf key;
           Buffer.add_char buf ':';
           go value)
         fields;

@@ -21,22 +21,41 @@ let to_string ?dvfs schedule =
                i a.task))
       annotations);
   let buf = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "schedule %d\n" (if dvfs = None then 2 else 3);
+  let add = Buffer.add_string buf and add_int = Scan.add_int buf in
+  let add_times start finish =
+    add " start ";
+    add (float_to_string start);
+    add " finish ";
+    add (float_to_string finish);
+    Buffer.add_char buf '\n'
+  in
+  add (if dvfs = None then "schedule 2\n" else "schedule 3\n");
   Array.iter
     (fun (p : Schedule.placement) ->
-      add "place %d pe %d start %s finish %s\n" p.task p.pe (float_to_string p.start)
-        (float_to_string p.finish))
+      add "place ";
+      add_int p.task;
+      add " pe ";
+      add_int p.pe;
+      add_times p.start p.finish)
     (Schedule.placements schedule);
   Array.iter
     (fun (tr : Schedule.transaction) ->
+      add "trans ";
+      add_int tr.edge;
+      add " via ";
       (* A same-tile transfer may carry an empty route in memory; the
          file format canonicalises it to the single shared tile so the
          [via] field is never empty. *)
-      let route = match tr.route with [] -> [ tr.src_pe ] | route -> route in
-      add "trans %d via %s start %s finish %s\n" tr.edge
-        (String.concat "," (List.map string_of_int route))
-        (float_to_string tr.start) (float_to_string tr.finish))
+      (match tr.route with
+      | [] -> add_int tr.src_pe
+      | first :: rest ->
+        add_int first;
+        List.iter
+          (fun node ->
+            Buffer.add_char buf ',';
+            add_int node)
+          rest);
+      add_times tr.start tr.finish)
     (Schedule.transactions schedule);
   (match dvfs with
   | None -> ()
@@ -44,7 +63,16 @@ let to_string ?dvfs schedule =
     (* Hexadecimal floats: bit-exact round trip without shortest-decimal
        search, and visually distinct from the timeline fields. *)
     Array.iter
-      (fun a -> add "dvfs %d level %d freq %h energy %h\n" a.task a.level a.freq a.energy)
+      (fun a ->
+        add "dvfs ";
+        add_int a.task;
+        add " level ";
+        add_int a.level;
+        add " freq ";
+        Scan.add_hex_float buf a.freq;
+        add " energy ";
+        Scan.add_hex_float buf a.energy;
+        Buffer.add_char buf '\n')
       annotations);
   Buffer.contents buf
 

@@ -19,8 +19,8 @@
     task implicitly runs at f_max). Floats round-trip exactly: [place]
     and [trans] times use the shortest decimal that reads back
     bit-identically, [dvfs] frequencies and energies are written as
-    hexadecimal floats ([%h]) so scaled schedules round-trip
-    bit-exactly. *)
+    hexadecimal floats ({!Noc_util.Scan.add_hex_float}) so scaled
+    schedules round-trip bit-exactly. *)
 
 type annotation = {
   task : int;

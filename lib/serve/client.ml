@@ -16,12 +16,7 @@ let connect ?(retries = 0) ~socket_path () =
   go 0
 
 let request t line =
-  let payload = Bytes.of_string (line ^ "\n") in
-  let len = Bytes.length payload in
-  let rec write off =
-    if off < len then write (off + Unix.write t.fd payload off (len - off))
-  in
-  write 0;
+  Protocol.write_line t.fd line;
   input_line t.ic
 
 let request_json t line = Noc_obs.Json.parse (request t line)

@@ -235,3 +235,12 @@ let ok_line ?id ~op fields =
              ("op", Json.String op);
            ]
           @ fields)))
+
+(* The line, then its newline, each written from the string itself:
+   [Unix.write_substring]'s own staging copy is the only one. *)
+let write_line fd line =
+  let rec go s off len =
+    if off < len then go s (off + Unix.write_substring fd s off (len - off)) len
+  in
+  go line 0 (String.length line);
+  go "\n" 0 1

@@ -93,3 +93,7 @@ val error_line : ?id:string -> string -> string
 val ok_line : ?id:string -> op:string -> (string * Noc_obs.Json.t) list -> string
 (** A success reply carrying the given extra fields on top of
     ["schema"], ["ok"] and ["op"]. No trailing newline. *)
+
+val write_line : Unix.file_descr -> string -> unit
+(** [write_line fd line] writes [line] and a newline to a blocking
+    descriptor, retrying short writes; the framing of both ends. *)

@@ -666,16 +666,6 @@ end
 
 type conn = { fd : Unix.file_descr; tail : Line_buffer.t }
 
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let rec go off =
-    if off < len then
-      let n = Unix.write fd bytes off (len - off) in
-      go (off + n)
-  in
-  go 0
-
 let run ?on_ready config =
   let state = make_state config in
   (try Unix.unlink config.socket_path with Unix.Unix_error _ -> ());
@@ -744,7 +734,7 @@ let run ?on_ready config =
         (fun (conn, _) (reply, is_shutdown) ->
           if is_shutdown then stop := true;
           if Hashtbl.mem conns conn.fd then
-            try write_all conn.fd (reply ^ "\n")
+            try Protocol.write_line conn.fd reply
             with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
               close_conn conn.fd)
         batch replies);
@@ -753,13 +743,12 @@ let run ?on_ready config =
     List.iter
       (fun conn ->
         (try
-           write_all conn.fd
+           Protocol.write_line conn.fd
              (Protocol.error_line
                 (Printf.sprintf
                    "request-too-large: a request line exceeds %d bytes; closing \
                     the connection"
-                   max_request_bytes)
-             ^ "\n")
+                   max_request_bytes))
          with Unix.Unix_error _ -> ());
         close_conn conn.fd)
       !refused

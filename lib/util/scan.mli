@@ -39,6 +39,16 @@ val float_to_string : float -> string
     else [%.17g] (which always does). The shared printer of every text
     format that {!float_sub} reads. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Appends the decimal form of the integer, as [string_of_int]. *)
+
+val add_hex_float : Buffer.t -> float -> unit
+(** Appends the hexadecimal form of the float, byte for byte what
+    [Printf]'s [h] conversion gives ([0x1.8p+1], [-0x0p+0],
+    [0x0.0000000000001p-1022], [infinity], [-nan]), without the format
+    interpreter or an intermediate string. The one printer of every
+    bit-exact text: content digests, DVFS annotations, V/f ladders. *)
+
 val position : string -> int -> int * int
 (** [position text offset] is the 1-based (line, column) of byte
     [offset] in [text]. *)

@@ -73,7 +73,9 @@ let escape_string s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-let float_to_string = Noc_util.Scan.float_to_string
+let float_to_string v =
+  let short = Printf.sprintf "%.12g" v in
+  if float_of_string short = v then short else Printf.sprintf "%.17g" v
 
 let schedule_to_string ?dvfs schedule =
   (match dvfs with
@@ -119,3 +121,39 @@ let schedule_to_string ?dvfs schedule =
         add "dvfs %d level %d freq %h energy %h\n" a.task a.level a.freq a.energy)
       annotations);
   Buffer.contents buf
+
+let json_number f =
+  if f = Float.infinity then "\"inf\""
+  else if f = Float.neg_infinity then "\"-inf\""
+  else if Float.is_nan f then "\"nan\""
+  else Printf.sprintf "%.17g" f
+
+(* Shortest decimal form that parses back to exactly [f]. %.17g always
+   round-trips for doubles; most values need far fewer digits. *)
+let json_shortest_number f =
+  if f = Float.infinity then "\"inf\""
+  else if f = Float.neg_infinity then "\"-inf\""
+  else if Float.is_nan f then "\"nan\""
+  else if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.0f" f
+  else
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+
+let decision_json ~run ~seq ~task ~rule ~chosen ~budgeted_deadline ~finishes =
+  let candidates =
+    String.concat ", "
+      (Array.to_list
+         (Array.mapi
+            (fun pe f -> Printf.sprintf "{\"pe\": %d, \"f\": %s}" pe (json_number f))
+            finishes))
+  in
+  Printf.sprintf
+    "{\"run\": %s, \"seq\": %d, \"task\": %d, \"rule\": %s, \"chosen\": %d, \
+     \"chosen_f\": %s, \"budgeted_deadline\": %s, \"candidates\": [%s]}"
+    (escape_string run) seq task (escape_string rule) chosen
+    (json_number finishes.(chosen))
+    (json_number budgeted_deadline)
+    candidates

@@ -1,8 +1,7 @@
 let to_string ctg =
   let buf = Buffer.create 4096 in
   let str = Buffer.add_string buf in
-  let int n = str (string_of_int n) in
-  let float v = str (Noc_util.Scan.float_to_string v) in
+  let int = Noc_util.Scan.add_int buf and float = Noc_util.Scan.add_float buf in
   let floats values =
     Array.iteri
       (fun i v ->

@@ -53,17 +53,18 @@ let of_string s =
   | Error _ as e -> e
   | Ok ratios -> of_ratios (Array.of_list ratios)
 
-let to_string t =
-  String.concat "," (List.map Noc_util.Scan.float_to_string (Array.to_list t.ladder))
-
-let hex t =
+(* The ladder's levels, comma-separated, each written by [add]. *)
+let ladder_text add t =
   let buf = Buffer.create 64 in
   Array.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char buf ',';
-      Noc_util.Scan.add_hex_float buf r)
+      add buf r)
     t.ladder;
   Buffer.contents buf
+
+let to_string = ladder_text Noc_util.Scan.add_float
+let hex = ladder_text Noc_util.Scan.add_hex_float
 
 let n_levels t = Array.length t.ladder
 let ratio t ~level = t.ladder.(level)

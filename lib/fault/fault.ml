@@ -40,20 +40,25 @@ let compare a b =
    bound omitted — "pe:2@100:" fails PE 2 from t=100 on, "link:3-7@10:20"
    takes the link down during [10, 20). *)
 
-let float_to_string = Noc_util.Scan.float_to_string
-
-let window_to_string t =
-  if t.from_time = 0. && t.until_time = infinity then ""
-  else
-    Printf.sprintf "@%s:%s"
-      (if t.from_time = 0. then "" else float_to_string t.from_time)
-      (if t.until_time = infinity then "" else float_to_string t.until_time)
-
 let to_string t =
+  let module Scan = Noc_util.Scan in
+  let buf = Buffer.create 32 in
   (match t.element with
-  | Pe i -> Printf.sprintf "pe:%d" i
-  | Link l -> Printf.sprintf "link:%d-%d" l.Noc_noc.Routing.from_node l.to_node)
-  ^ window_to_string t
+  | Pe i ->
+    Buffer.add_string buf "pe:";
+    Scan.add_int buf i
+  | Link l ->
+    Buffer.add_string buf "link:";
+    Scan.add_int buf l.Noc_noc.Routing.from_node;
+    Buffer.add_char buf '-';
+    Scan.add_int buf l.to_node);
+  if not (t.from_time = 0. && t.until_time = infinity) then begin
+    Buffer.add_char buf '@';
+    if t.from_time <> 0. then Scan.add_float buf t.from_time;
+    Buffer.add_char buf ':';
+    if t.until_time <> infinity then Scan.add_float buf t.until_time
+  end;
+  Buffer.contents buf
 
 (* Position-tracked parsing: every failure names the offending token,
    the 0-based character position where it starts in the original input

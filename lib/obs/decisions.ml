@@ -55,21 +55,34 @@ let record ~task ~rule ~chosen ~budgeted_deadline ~finishes =
 let count () = with_lock lock (fun () -> List.length !records)
 let reset () = with_lock lock (fun () -> records := [])
 
-let record_json r =
-  let candidates =
-    String.concat ", "
-      (Array.to_list
-         (Array.mapi
-            (fun pe f -> Printf.sprintf "{\"pe\": %d, \"f\": %s}" pe (Json.number f))
-            r.finishes))
-  in
-  Printf.sprintf
-    "{\"run\": %s, \"seq\": %d, \"task\": %d, \"rule\": %s, \"chosen\": %d, \
-     \"chosen_f\": %s, \"budgeted_deadline\": %s, \"candidates\": [%s]}"
-    (Json.escape_string r.run) r.seq r.task (Json.escape_string r.rule) r.chosen
-    (Json.number r.finishes.(r.chosen))
-    (Json.number r.budgeted_deadline)
-    candidates
+(* One record and its newline, appended to the export buffer. *)
+let add_record buf r =
+  let str = Buffer.add_string buf and int = Noc_util.Scan.add_int buf in
+  str "{\"run\": ";
+  Json.add_escaped buf r.run;
+  str ", \"seq\": ";
+  int r.seq;
+  str ", \"task\": ";
+  int r.task;
+  str ", \"rule\": ";
+  Json.add_escaped buf r.rule;
+  str ", \"chosen\": ";
+  int r.chosen;
+  str ", \"chosen_f\": ";
+  Json.add_number buf r.finishes.(r.chosen);
+  str ", \"budgeted_deadline\": ";
+  Json.add_number buf r.budgeted_deadline;
+  str ", \"candidates\": [";
+  Array.iteri
+    (fun pe f ->
+      if pe > 0 then str ", ";
+      str "{\"pe\": ";
+      int pe;
+      str ", \"f\": ";
+      Json.add_number buf f;
+      str "}")
+    r.finishes;
+  str "]}\n"
 
 let export_jsonl () =
   let sorted =
@@ -79,4 +92,6 @@ let export_jsonl () =
         if c <> 0 then c else compare a.seq b.seq)
       (with_lock lock (fun () -> !records))
   in
-  String.concat "" (List.map (fun r -> record_json r ^ "\n") sorted)
+  let buf = Buffer.create 4096 in
+  List.iter (add_record buf) sorted;
+  Buffer.contents buf

@@ -1,7 +1,5 @@
 module Scan = Noc_util.Scan
 
-let float_to_string = Scan.float_to_string
-
 type annotation = { task : int; level : int; freq : float; energy : float }
 
 let to_string ?dvfs schedule =
@@ -24,9 +22,9 @@ let to_string ?dvfs schedule =
   let add = Buffer.add_string buf and add_int = Scan.add_int buf in
   let add_times start finish =
     add " start ";
-    add (float_to_string start);
+    Scan.add_float buf start;
     add " finish ";
-    add (float_to_string finish);
+    Scan.add_float buf finish;
     Buffer.add_char buf '\n'
   in
   add (if dvfs = None then "schedule 2\n" else "schedule 3\n");
@@ -182,10 +180,10 @@ let of_string_full platform ctg text =
       if level < 0 then fail sc 3 "level %d is negative" level;
       let freq = parse_float sc 5 "freq" in
       if not (freq > 0. && freq <= 1.) then
-        fail sc 5 "freq %s is outside (0, 1]" (float_to_string freq);
+        fail sc 5 "freq %s is outside (0, 1]" (Scan.float_to_string freq);
       let energy = parse_float sc 7 "energy" in
       if not (Float.is_finite energy && energy >= 0.) then
-        fail sc 7 "energy %s is not a finite non-negative number" (float_to_string energy);
+        fail sc 7 "energy %s is not a finite non-negative number" (Scan.float_to_string energy);
       any_dvfs := true;
       annotations.(task) <- Some { task; level; freq; energy }
     end

@@ -43,7 +43,11 @@ let run ?comm_model ?max_evaluations platform ctg ~faults schedule =
     finish ~original:schedule ~migrated:0 ~used_full_rerun:false ~repair:None schedule
       ctg
   else begin
-    let n_pes = Noc_noc.Platform.n_pes platform in
+    let alive =
+      List.filter (Degraded.pe_alive degraded)
+        (List.init (Noc_noc.Platform.n_pes platform) Fun.id)
+    in
+    if alive = [] then invalid_arg "Fault_resched.run: every PE is failed";
     (* One kernel over the degraded fabric prices every migration here
        and feeds the repair search and the full rerun below. *)
     let kernel = Kernel.build ~degraded platform ctg in
@@ -55,8 +59,7 @@ let run ?comm_model ?max_evaluations platform ctg ~faults schedule =
       (fun i pe ->
         if not (Degraded.pe_alive degraded pe) then begin
           let best =
-            List.init n_pes Fun.id
-            |> List.filter (Degraded.pe_alive degraded)
+            alive
             |> List.map (fun k -> (Repair.move_energy kernel ctg ~assignment i k, k))
             |> List.sort compare |> List.hd |> snd
           in

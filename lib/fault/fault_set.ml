@@ -27,6 +27,22 @@ let of_strings specs =
 
 let key t = String.concat "," (List.map Fault.to_string t.faults)
 
+let check platform t =
+  let n = Noc_noc.Platform.n_pes platform in
+  let topology = Noc_noc.Platform.topology platform in
+  let problem (f : Fault.t) =
+    match f.element with
+    | Fault.Pe i when i >= n ->
+      Some (Printf.sprintf "PE %d is not on the platform (%d PEs)" i n)
+    | Fault.Link { from_node = a; to_node = b }
+      when a >= n || b >= n || not (Noc_noc.Topology.are_neighbours topology a b) ->
+      Some (Printf.sprintf "%d->%d is not a link of the platform" a b)
+    | Fault.Pe _ | Fault.Link _ -> None
+  in
+  match List.find_map (fun f -> Option.map (fun msg -> (f, msg)) (problem f)) t.faults with
+  | None -> Ok t
+  | Some (f, msg) -> Error (Printf.sprintf "fault %S: %s" (Fault.to_string f) msg)
+
 let pp ppf t =
   if is_empty t then Format.pp_print_string ppf "no faults"
   else Format.pp_print_string ppf (key t)

@@ -17,6 +17,12 @@ val cardinal : t -> int
 val of_strings : string list -> (t, string) result
 (** Parses a list of CLI fault specs (see {!Fault.of_string}). *)
 
+val check : Noc_noc.Platform.t -> t -> (t, string) result
+(** [Ok t] when every fault names an element of the platform: a PE
+    index below its PE count, a link between neighbouring tiles.
+    Otherwise [Error] naming the first fault (in {!to_list} order) that
+    does not. *)
+
 val key : t -> string
 (** Canonical text form: the faults' {!Fault.to_string}s joined by
     commas. Equal sets have equal keys. *)

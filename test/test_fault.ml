@@ -178,6 +178,35 @@ let test_degraded_memoised_view () =
   Alcotest.(check (list int)) "memoised route stable"
     (Degraded.route a ~src:0 ~dst:3) (Degraded.route a ~src:0 ~dst:3)
 
+(* {1 Checking a set against a platform} *)
+
+let test_check_against_platform () =
+  let set specs =
+    match Fault_set.of_strings specs with
+    | Ok t -> t
+    | Error msg -> Alcotest.failf "of_strings: %s" msg
+  in
+  List.iter
+    (fun specs ->
+      match Fault_set.check platform (set specs) with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s rejected: %s" (String.concat " " specs) msg)
+    [ []; [ "pe:0"; "pe:15" ]; [ "link:0-1"; "link:1-0"; "link:5-9@10:20" ] ];
+  List.iter
+    (fun (specs, named) ->
+      match Fault_set.check platform (set specs) with
+      | Ok _ -> Alcotest.failf "%s accepted on a 4x4 mesh" (String.concat " " specs)
+      | Error msg ->
+        Alcotest.(check bool) (named ^ " named in " ^ msg) true
+          (String.starts_with ~prefix:(Printf.sprintf "fault %S: " named) msg))
+    [
+      ([ "pe:3"; "pe:99" ], "pe:99");
+      ([ "pe:16" ], "pe:16");
+      ([ "link:0-5" ], "link:0-5");
+      ([ "link:3-4" ], "link:3-4");
+      ([ "link:0-1"; "link:99-98" ], "link:99-98");
+    ]
+
 let suite =
   [
     Alcotest.test_case "of_string/to_string round trip" `Quick
@@ -197,4 +226,5 @@ let suite =
       test_degraded_unreachable;
     Alcotest.test_case "degraded views are memoised" `Quick
       test_degraded_memoised_view;
+    Alcotest.test_case "check against the platform" `Quick test_check_against_platform;
   ]

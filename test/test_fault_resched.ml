@@ -135,6 +135,15 @@ let test_criticality_ranking () =
   Alcotest.(check bool) "most critical element induces damage" true
     (head.induced_misses > 0 || head.induced_losses > 0)
 
+(* Failing every PE leaves nowhere to migrate: a named error, not the
+   bare [Failure "hd"] of an empty survivor list. *)
+let test_every_pe_failed () =
+  let faults =
+    Fault_set.of_list (List.init (Platform.n_pes platform) (fun i -> Fault.pe i ()))
+  in
+  Alcotest.check_raises "named error" (Invalid_argument "Fault_resched.run: every PE is failed")
+    (fun () -> ignore (Fault_resched.run platform ctg ~faults (Lazy.force eas_schedule)))
+
 let suite =
   [
     Alcotest.test_case "degraded reschedule beats naive replay" `Slow
@@ -145,4 +154,5 @@ let suite =
       test_trivial_fault_set_is_identity;
     Alcotest.test_case "criticality ranks every element" `Slow
       test_criticality_ranking;
+    Alcotest.test_case "every PE failed is a named error" `Quick test_every_pe_failed;
   ]

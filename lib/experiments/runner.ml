@@ -7,6 +7,13 @@ let algo_name = function
   | Eas_base -> "EAS-base"
   | Edf -> "EDF"
 
+let algo_of_string s =
+  match String.lowercase_ascii s with
+  | "eas" -> Some Eas
+  | "eas-base" -> Some Eas_base
+  | "edf" -> Some Edf
+  | _ -> None
+
 type evaluation = {
   algo : algo;
   metrics : Noc_sched.Metrics.t;
@@ -25,16 +32,24 @@ let traced ~label f =
         ~args:(fun () -> [ ("trial", Noc_obs.Trace.String label) ])
         f)
 
-let schedule_of ?comm_model ?pinned ?jobs algo platform ctg =
+let schedule_of ?comm_model ?pinned ?kernel ?jobs algo platform ctg =
   match algo with
-  | Eas -> (Noc_eas.Eas.schedule ?comm_model ?pinned ?jobs platform ctg).schedule
+  | Eas -> (Noc_eas.Eas.schedule ?comm_model ?kernel ?pinned ?jobs platform ctg).schedule
   | Eas_base ->
-    (Noc_eas.Eas.schedule ~repair:false ?comm_model ?pinned ?jobs platform ctg)
+    (Noc_eas.Eas.schedule ~repair:false ?comm_model ?kernel ?pinned ?jobs platform ctg)
       .schedule
   | Edf ->
     if pinned <> None then
       invalid_arg "Runner.schedule_of: EDF does not take a pinned mapping";
     Noc_edf.Edf.schedule ?comm_model platform ctg
+
+let resource_violations platform ctg schedule =
+  Noc_sched.Validate.check platform ctg schedule
+  |> List.filter (function
+       | Noc_sched.Validate.Deadline_miss _ -> false
+       | Noc_sched.Validate.Malformed _ | Noc_sched.Validate.Task_overlap _
+       | Noc_sched.Validate.Link_conflict _ | Noc_sched.Validate.Dependency _ -> true)
+  |> List.length
 
 let evaluate ?comm_model ?pinned ?jobs algo platform ctg =
   Noc_obs.Log.debugf "evaluate %s: %d tasks on %d PEs" (algo_name algo)
@@ -46,15 +61,7 @@ let evaluate ?comm_model ?pinned ?jobs algo platform ctg =
     (Noc_util.Clock.wall_s () -. t0, s)
   in
   let metrics = Noc_sched.Metrics.compute platform ctg schedule in
-  let resource_violations =
-    Noc_sched.Validate.check platform ctg schedule
-    |> List.filter (function
-         | Noc_sched.Validate.Deadline_miss _ -> false
-         | Noc_sched.Validate.Malformed _ | Noc_sched.Validate.Task_overlap _
-         | Noc_sched.Validate.Link_conflict _ | Noc_sched.Validate.Dependency _ ->
-           true)
-    |> List.length
-  in
+  let resource_violations = resource_violations platform ctg schedule in
   (* The fixed-delay ablation is the only configuration allowed to plan
      conflicting transactions. *)
   (match comm_model with

@@ -7,6 +7,9 @@ type algo = Eas | Eas_base | Edf
 val all_algos : algo list
 val algo_name : algo -> string
 
+val algo_of_string : string -> algo option
+(** ["eas"], ["eas-base"] or ["edf"], in any case. *)
+
 type evaluation = {
   algo : algo;
   metrics : Noc_sched.Metrics.t;
@@ -35,6 +38,7 @@ val evaluate :
 val schedule_of :
   ?comm_model:Noc_sched.Comm_sched.model ->
   ?pinned:int array ->
+  ?kernel:Noc_eas.Kernel.t ->
   ?jobs:int ->
   algo ->
   Noc_noc.Platform.t ->
@@ -42,9 +46,14 @@ val schedule_of :
   Noc_sched.Schedule.t
 (** [jobs] parallelises the EAS candidate walks on {!Noc_util.Pool}
     (default 1; EDF ignores it). Schedules are bit-identical at every
-    job count. [pinned] fixes the task-to-PE assignment for the EAS
-    variants (see {!Noc_eas.Eas.schedule}); EDF raises
-    [Invalid_argument] when given one. *)
+    job count. [kernel] reuses a prebuilt EAS kernel (EDF ignores it).
+    [pinned] fixes the task-to-PE assignment for the EAS variants (see
+    {!Noc_eas.Eas.schedule}); EDF raises [Invalid_argument] when given
+    one. *)
+
+val resource_violations :
+  Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> int
+(** The {!Noc_sched.Validate} findings other than deadline misses. *)
 
 val savings : baseline:float -> float -> float
 (** [savings ~baseline v] is [(baseline - v) / baseline]; the paper's

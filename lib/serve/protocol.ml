@@ -86,11 +86,10 @@ let parse_mesh s =
     | (Error _ as e), _ | _, (Error _ as e) -> e
 
 let parse_algo s =
-  match String.lowercase_ascii s with
-  | "eas" -> Ok Noc_experiments.Runner.Eas
-  | "eas-base" -> Ok Noc_experiments.Runner.Eas_base
-  | "edf" -> Ok Noc_experiments.Runner.Edf
-  | other -> Error (Printf.sprintf "algo %S must be eas, eas-base or edf" other)
+  match Noc_experiments.Runner.algo_of_string s with
+  | Some algo -> Ok algo
+  | None ->
+    Error (Printf.sprintf "algo %S must be eas, eas-base or edf" (String.lowercase_ascii s))
 
 let mesh_name (cols, rows) = Printf.sprintf "%dx%d" cols rows
 

@@ -454,6 +454,30 @@ let test_simulate_request () =
   Alcotest.(check bool) "schedule after simulate is a hit" true
     (bool_member "cached" r2)
 
+(* Fault specs naming elements the mesh lacks are refused like
+   malformed specs, and a fault set that fails every PE is a named
+   reschedule error. *)
+let test_fault_specs_checked () =
+  let state = mk_state () in
+  let g = graph 5 in
+  let simulate faults =
+    Protocol.request_to_line
+      (Protocol.Simulate
+         { ctg_text = Ctg_io.to_string g; mesh = (4, 4); algo = Runner.Eas; faults; self_timed = false })
+  in
+  List.iter
+    (fun (line, spec) ->
+      let msg = expect_error state line in
+      Alcotest.(check bool) (msg ^ " names " ^ spec) true
+        (String.starts_with ~prefix:(Printf.sprintf "faults: fault %S: " spec) msg))
+    [
+      (simulate [ "pe:99" ], "pe:99");
+      (simulate [ "link:0-5" ], "link:0-5");
+      (reschedule_line ~faults:[ "pe:2"; "pe:99" ] g, "pe:99");
+    ];
+  let msg = expect_error state (reschedule_line ~faults:(List.init 16 (Printf.sprintf "pe:%d")) g) in
+  Alcotest.(check string) "every PE failed" "reschedule: Fault_resched.run: every PE is failed" msg
+
 let test_stats_shape () =
   let state = mk_state () in
   ignore (expect_ok state (schedule_line (graph 6)));
@@ -1053,4 +1077,5 @@ let suite =
     Alcotest.test_case "dvfs never aliases the unscaled cache" `Quick
       test_dvfs_no_cache_aliasing;
     Alcotest.test_case "golden replay" `Quick test_golden_replay;
+    Alcotest.test_case "fault specs checked" `Quick test_fault_specs_checked;
   ]

@@ -67,17 +67,8 @@ let evaluate ~table work =
   let platform, ctg = work.w_build () in
   let schedule = Runner.schedule_of Runner.Eas platform ctg in
   let metrics = Noc_sched.Metrics.compute platform ctg schedule in
-  let r = Noc_dvfs.Reclaim.run ~table ctg schedule in
-  let reclaimed = Noc_dvfs.Reclaim.reclaimed r in
-  let scaled_metrics =
-    Noc_sched.Metrics.compute platform ctg r.Noc_dvfs.Reclaim.schedule
-  in
-  let certified =
-    Noc_analysis.Certify.certifies_scaled
-      ~ratios:(Noc_dvfs.Vf_table.ratios table)
-      ~annotations:r.Noc_dvfs.Reclaim.annotations ~base:schedule platform ctg
-      r.Noc_dvfs.Reclaim.schedule
-  in
+  let d = Pipeline.reclaim ~table platform ctg schedule in
+  let reclaimed = Noc_dvfs.Reclaim.reclaimed d.reclaim in
   {
     name = work.w_name;
     category = work.w_category;
@@ -85,10 +76,10 @@ let evaluate ~table work =
     eas_energy = metrics.Noc_sched.Metrics.total_energy;
     dvfs_energy = metrics.Noc_sched.Metrics.total_energy -. reclaimed;
     reclaimed;
-    downclocked = r.Noc_dvfs.Reclaim.downclocked;
+    downclocked = d.reclaim.downclocked;
     base_misses = Noc_sched.Metrics.miss_count metrics;
-    scaled_misses = Noc_sched.Metrics.miss_count scaled_metrics;
-    certified;
+    scaled_misses = d.scaled_misses;
+    certified = Pipeline.refusal d.scaled_diagnostics = None;
   }
 
 let run ?jobs ?(table = Noc_dvfs.Vf_table.default) ?(indices = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ])

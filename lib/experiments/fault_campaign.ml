@@ -1,7 +1,6 @@
 module Executor = Noc_sim.Executor
 module Fault_set = Noc_fault.Fault_set
 module Fault_resched = Noc_eas.Fault_resched
-module Validate = Noc_sched.Validate
 
 type replay = { misses : int; lost : int }
 
@@ -46,13 +45,6 @@ let replay_of (outcome : Executor.outcome) =
     lost = List.length outcome.lost_tasks;
   }
 
-(* Structural acceptance: no validator finding other than deadline
-   misses (those are the survivability metric itself, reported by the
-   fault-aware replay). *)
-let structurally_valid platform ctg schedule =
-  Validate.check platform ctg schedule
-  |> List.for_all (function Validate.Deadline_miss _ -> true | _ -> false)
-
 let run_algo_trial platform ctg ~faults schedule =
   let naive = replay_of (Executor.run ~faults platform ctg schedule) in
   match Fault_resched.run platform ctg ~faults schedule with
@@ -62,7 +54,9 @@ let run_algo_trial platform ctg ~faults schedule =
     {
       naive;
       resched = Some (replay_of (Executor.run ~faults platform ctg rescheduled));
-      resched_valid = structurally_valid platform ctg rescheduled;
+      (* Deadline misses are the survivability metric itself, reported
+         by the fault-aware replay; validity is structural. *)
+      resched_valid = Runner.resource_violations platform ctg rescheduled = 0;
       migrated = stats.Fault_resched.migrated_tasks;
       rerouted = stats.Fault_resched.rerouted_transactions;
     }

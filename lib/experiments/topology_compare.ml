@@ -140,7 +140,7 @@ let pareto ?jobs ?(index = 1) ?(meshes = default_meshes)
         Runner.traced
           ~label:(Printf.sprintf "topology_compare/pareto/%dx%d/index=%d" cols rows index)
         @@ fun () ->
-        let platform = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~cols ~rows () in
+        let platform = Pipeline.mesh_platform (cols, rows) in
         let seed = Noc_tgff.Category.seed_of Noc_tgff.Category.Category_iii index in
         let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
         (* One kernel per mesh, shared by every weight setting. *)

@@ -90,7 +90,11 @@ bench-mapping:
 # carrying the same schedule text (hex annotations and the ladder's key
 # segment), send an infeasible graph (40 tasks at tightness 0.5) twice
 # and require two refusals, the second answered from the refusal memo
-# (one `refusal_cache` hit in `stats`), then ask for a clean shutdown.
+# (one `refusal_cache` hit in `stats`), send a 60-task graph and then
+# the same file with its edge lines reversed and renumbered by awk, and
+# require the second reply to be a miss (edge ids break the scheduler's
+# ties, so the reversed file is another problem), then ask for a clean
+# shutdown.
 # Every other reply must be ok. The built
 # binary is used directly (dune exec would contend for the build lock
 # with the backgrounded daemon), and the client retries the connect
@@ -99,12 +103,14 @@ serve-smoke: build
 	@set -e; \
 	SOCK=/tmp/nocsched-serve-smoke-$$$$.sock; \
 	INFEASIBLE=/tmp/nocsched-serve-smoke-$$$$.ctg; \
+	FORWARD=/tmp/nocsched-serve-smoke-$$$$-forward.ctg; \
+	REVERSED=/tmp/nocsched-serve-smoke-$$$$-reversed.ctg; \
 	BIN=_build/default/bin/nocsched.exe; \
 	rm -f $$SOCK; \
 	$$BIN generate --tasks 40 --tightness 0.5 --seed 8 -o $$INFEASIBLE >/dev/null; \
 	$$BIN serve --socket $$SOCK & \
 	DAEMON=$$!; \
-	trap 'kill $$DAEMON 2>/dev/null || true; rm -f $$INFEASIBLE' EXIT; \
+	trap 'kill $$DAEMON 2>/dev/null || true; rm -f $$SOCK $$INFEASIBLE $$FORWARD $$REVERSED' EXIT; \
 	$$BIN serve --socket $$SOCK --call schedule --input examples/pipeline_4x4.ctg; \
 	$$BIN serve --socket $$SOCK --call reschedule \
 	  --input examples/pipeline_4x4.ctg --fault pe:1; \
@@ -125,6 +131,12 @@ serve-smoke: build
 	$$BIN serve --socket $$SOCK --call stats \
 	  | grep -o '"refusal_cache":{[^}]*}' | grep -q '"hits":1[,}]' \
 	  || { echo "serve-smoke: the retry was not answered from the refusal memo" >&2; exit 1; }; \
+	$$BIN generate --seed 5 --tasks 60 -o $$FORWARD >/dev/null; \
+	awk '/^edge /{e[n++]=$$0; next} {print} END{for(i=n-1;i>=0;i--){$$0=e[i]; $$2=n-1-i; print}}' \
+	  $$FORWARD >$$REVERSED; \
+	$$BIN serve --socket $$SOCK --call schedule --input $$FORWARD >/dev/null; \
+	$$BIN serve --socket $$SOCK --call schedule --input $$REVERSED | grep -q '"cached":false' \
+	  || { echo "serve-smoke: the graph with its edges reversed was answered from the cache" >&2; exit 1; }; \
 	$$BIN serve --socket $$SOCK --call shutdown; \
 	wait $$DAEMON; \
 	echo "serve-smoke: ok"

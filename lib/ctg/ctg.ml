@@ -108,11 +108,13 @@ let min_load_bound g =
   total /. float_of_int (n_pes g)
 
 (* Canonical serialization for the content digest. Hex floats make the
-   text (and hence the digest) exact; task names are display labels and
-   edge ids arbitrary declaration positions, so neither participates —
-   two graphs posing the same scheduling problem digest identically.
-   The daemon digests every graph that misses its parse cache, so the
-   text is written straight into one buffer, without format strings. *)
+   text (and hence the digest) exact. Task names are display labels, so
+   they do not participate; edges are written in declaration (id) order,
+   because the communication scheduler breaks ties between a task's
+   incoming transactions by edge id, so that order is part of the
+   problem. The daemon digests every graph that misses its parse cache,
+   so the text is written straight into one buffer, without format
+   strings. *)
 let digest g =
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf and add_int = Noc_util.Scan.add_int buf in
@@ -120,7 +122,7 @@ let digest g =
     Buffer.add_char buf ' ';
     Noc_util.Scan.add_hex_float buf v
   in
-  add "ctg-digest/v1 pes ";
+  add "ctg-digest/v2 pes ";
   add_int (n_pes g);
   Buffer.add_char buf '\n';
   Array.iter
@@ -134,12 +136,6 @@ let digest g =
       Option.iter (fun d -> add " deadline"; add_hex d) t.Task.deadline;
       Buffer.add_char buf '\n')
     g.tasks;
-  let arcs = Array.copy g.edges in
-  Array.stable_sort
-    (fun (a : Edge.t) (b : Edge.t) ->
-      if a.Edge.src <> b.Edge.src then Int.compare a.Edge.src b.Edge.src
-      else Int.compare a.Edge.dst b.Edge.dst)
-    arcs;
   Array.iter
     (fun (e : Edge.t) ->
       add "edge ";
@@ -148,7 +144,7 @@ let digest g =
       add_int e.Edge.dst;
       add_hex e.Edge.volume;
       Buffer.add_char buf '\n')
-    arcs;
+    g.edges;
   Noc_util.Fnv.digest (Buffer.contents buf)
 
 let pp ppf g =

@@ -63,13 +63,14 @@ val min_load_bound : t -> float
 val digest : t -> string
 (** Stable content digest: FNV-1a ({!Noc_util.Fnv}) over a canonical
     serialization of the graph — per-PE cost arrays, releases and
-    deadlines in task-id order plus the arc set sorted by endpoints,
-    all floats rendered exactly ({!Noc_util.Scan.add_hex_float}).
-    Semantically irrelevant presentation details do not participate:
-    task names and the declaration (id) order of edges leave the digest
-    unchanged, while any change to a cost, window or volume changes it.
-    Used as the CTG component of the serve daemon's schedule-cache
-    key. *)
+    deadlines in task-id order, then the arcs in edge-id order, all
+    floats rendered exactly ({!Noc_util.Scan.add_hex_float}). Task
+    names do not participate. The declaration order of edges does:
+    the communication scheduler breaks ties between a task's incoming
+    transactions by edge id, so two graphs that differ only in it can
+    get different schedules. Any change to a cost, window or volume
+    changes the digest. Used as the CTG component of the serve
+    daemon's cache keys. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line summary (task/edge counts, PE count). *)

@@ -51,23 +51,18 @@ let resource_violations platform ctg schedule =
        | Noc_sched.Validate.Link_conflict _ | Noc_sched.Validate.Dependency _ -> true)
   |> List.length
 
-let evaluate ?comm_model ?pinned ?jobs algo platform ctg =
+let evaluate ?pinned algo platform ctg =
   Noc_obs.Log.debugf "evaluate %s: %d tasks on %d PEs" (algo_name algo)
     (Noc_ctg.Ctg.n_tasks ctg)
     (Noc_noc.Platform.n_pes platform);
   let runtime_seconds, schedule =
     let t0 = Noc_util.Clock.wall_s () in
-    let s = schedule_of ?comm_model ?pinned ?jobs algo platform ctg in
+    let s = schedule_of ?pinned algo platform ctg in
     (Noc_util.Clock.wall_s () -. t0, s)
   in
   let metrics = Noc_sched.Metrics.compute platform ctg schedule in
   let resource_violations = resource_violations platform ctg schedule in
-  (* The fixed-delay ablation is the only configuration allowed to plan
-     conflicting transactions. *)
-  (match comm_model with
-  | Some Noc_sched.Comm_sched.Fixed_delay -> ()
-  | Some Noc_sched.Comm_sched.Contention_aware | None ->
-    assert (resource_violations = 0));
+  assert (resource_violations = 0);
   { algo; metrics; runtime_seconds; resource_violations }
 
 let savings ~baseline v =

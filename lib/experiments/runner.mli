@@ -27,9 +27,7 @@ val traced : label:string -> (unit -> 'a) -> 'a
     unique per trial and derived from the trial's own parameters. *)
 
 val evaluate :
-  ?comm_model:Noc_sched.Comm_sched.model ->
   ?pinned:int array ->
-  ?jobs:int ->
   algo ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->

@@ -226,27 +226,3 @@ let render_pareto p =
     | r :: _ -> string_of_int r.pareto_n_tasks
     | [] -> "?")
     (Noc_util.Text_table.render ~header rows)
-
-let pareto_to_json p =
-  let open Noc_obs.Json in
-  let point pt =
-    Obj
-      [
-        ("label", String pt.label); ("balance_frac", Number pt.balance_frac);
-        ("energy", fixed 6 pt.energy); ("makespan", fixed 6 pt.makespan);
-        ("misses", int pt.misses); ("cert_errors", int pt.cert_errors);
-      ]
-  in
-  let row r =
-    Obj
-      [
-        ("mesh", String (Printf.sprintf "%dx%d" (fst r.mesh) (snd r.mesh)));
-        ("n_tasks", int r.pareto_n_tasks); ("n_edges", int r.n_edges);
-        ("points", List (List.map point r.points));
-      ]
-  in
-  Obj
-    [
-      ("index", int p.index); ("scale", Number p.scale);
-      ("rows", List (List.map row p.rows));
-    ]

@@ -11,8 +11,6 @@ let of_list faults =
 
 let empty = of_list []
 let is_empty t = t.faults = []
-let add t fault = of_list (fault :: t.faults)
-let to_list t = t.faults
 let cardinal t = List.length t.faults
 
 let of_strings specs =
@@ -109,13 +107,14 @@ let degraded t platform =
 (* ------------------------------------------------------------------ *)
 (* Seeded random fault campaigns. *)
 
+(* The probability that a sampled fault is transient. *)
+let transient_fraction = 0.5
+
 let sample ~seed ~platform ?(n_link_faults = 1) ?(n_pe_faults = 1)
-    ?(horizon = 1_000.) ?(transient_fraction = 0.5) () =
+    ?(horizon = 1_000.) () =
   if n_link_faults < 0 || n_pe_faults < 0 then
     invalid_arg "Fault_set.sample: negative fault count";
   if not (horizon > 0.) then invalid_arg "Fault_set.sample: horizon must be positive";
-  if not (transient_fraction >= 0. && transient_fraction <= 1.) then
-    invalid_arg "Fault_set.sample: transient fraction must be in [0, 1]";
   let rng = Noc_util.Prng.create ~seed:(seed lxor 0x66617573) in
   let n_pes = Noc_noc.Platform.n_pes platform in
   if n_pe_faults >= n_pes then

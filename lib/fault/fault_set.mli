@@ -10,8 +10,6 @@ type t
 val empty : t
 val is_empty : t -> bool
 val of_list : Fault.t list -> t
-val add : t -> Fault.t -> t
-val to_list : t -> Fault.t list
 val cardinal : t -> int
 
 val of_strings : string list -> (t, string) result
@@ -20,7 +18,7 @@ val of_strings : string list -> (t, string) result
 val check : Noc_noc.Platform.t -> t -> (t, string) result
 (** [Ok t] when every fault names an element of the platform: a PE
     index below its PE count, a link between neighbouring tiles.
-    Otherwise [Error] naming the first fault (in {!to_list} order) that
+    Otherwise [Error] naming the first fault (in the set's canonical order) that
     does not. *)
 
 val key : t -> string
@@ -58,11 +56,9 @@ val sample :
   ?n_link_faults:int ->
   ?n_pe_faults:int ->
   ?horizon:float ->
-  ?transient_fraction:float ->
   unit ->
   t
 (** Deterministic random fault set for Monte-Carlo campaigns: distinct
     PEs and links drawn uniformly (defaults: one of each), each failing
-    either transiently (probability [transient_fraction], window inside
-    [horizon]) or permanently from a random onset. Equal arguments give
-    equal sets. Raises [Invalid_argument] when asked to fail every PE. *)
+    either transiently (probability 1/2, window inside [horizon]) or
+    permanently from a random onset. Equal arguments give equal sets. Raises [Invalid_argument] when asked to fail every PE. *)

@@ -1,13 +1,10 @@
 type value = String of string | Int of int | Float of float | Bool of bool
 
-type phase = Complete | Instant
-
 type event = {
   name : string;
   cat : string;
-  phase : phase;
   ts : float;  (* µs since the trace epoch *)
-  dur : float;  (* µs; 0 for instants *)
+  dur : float;  (* µs *)
   args : (string * value) list;
 }
 
@@ -51,7 +48,7 @@ let span ?(cat = "sched") ?(args = no_args) name f =
     let record () =
       let t1 = now_us () in
       buffer.events <-
-        { name; cat; phase = Complete; ts = t0; dur = t1 -. t0; args = args () }
+        { name; cat; ts = t0; dur = t1 -. t0; args = args () }
         :: buffer.events;
       (* Phase-time distribution for the --stats report; milliseconds. *)
       Counters.observe (Counters.histogram name) ((t1 -. t0) /. 1e3)
@@ -63,14 +60,6 @@ let span ?(cat = "sched") ?(args = no_args) name f =
     | exception e ->
       record ();
       raise e
-  end
-
-let instant ?(cat = "mark") ?(args = no_args) name =
-  if Atomic.get enabled then begin
-    let buffer = Domain.DLS.get buffer_key in
-    buffer.events <-
-      { name; cat; phase = Instant; ts = now_us (); dur = 0.; args = args () }
-      :: buffer.events
   end
 
 let snapshot_buffers () =
@@ -98,17 +87,13 @@ let value_json = function
 let args_json args = Json.Obj (List.map (fun (k, v) -> (k, value_json v)) args)
 
 let event_json ~domain e =
-  let common =
+  Json.Obj
     [
+      ("ph", Json.String "X"); ("dur", Json.Number e.dur);
       ("name", Json.String e.name); ("cat", Json.String e.cat);
       ("pid", Json.int domain); ("tid", Json.int domain);
       ("ts", Json.Number e.ts); ("args", args_json e.args);
     ]
-  in
-  Json.Obj
-    (match e.phase with
-    | Complete -> ("ph", Json.String "X") :: ("dur", Json.Number e.dur) :: common
-    | Instant -> ("ph", Json.String "i") :: ("s", Json.String "t") :: common)
 
 let export () =
   let per_domain =

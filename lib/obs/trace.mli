@@ -27,17 +27,13 @@ val span : ?cat:string -> ?args:(unit -> (string * value) list) -> string ->
     even when [f] raises (the exception is re-raised). Spans on one
     domain are well-nested by construction. *)
 
-val instant : ?cat:string -> ?args:(unit -> (string * value) list) -> string ->
-  unit
-(** A zero-duration marker event. *)
-
 val event_count : unit -> int
 (** Number of events recorded since the last reset, over all domains. *)
 
 val export : unit -> string
 (** The recorded trace as Chrome trace-event JSON (schema
     [nocsched/trace/v1]): object format with a [traceEvents] array of
-    ["X"]/["i"] events ([pid] = [tid] = domain id), ["M"] process-name
+    ["X"] events ([pid] = [tid] = domain id), ["M"] process-name
     metadata per domain, one ["C"] counter event carrying the final
     {!Counters.snapshot}, and [otherData] holding the schema name plus
     counter and histogram summaries. Call after parallel sections have

@@ -1,7 +1,7 @@
 (** Bounded SIEVE memo for certified schedules, warmed kernels, parsed
     graphs and refusals.
 
-    Keys are the digest strings of {!Digest}. The cache is guarded by a
+    Keys are the server's content-digest strings. The cache is guarded by a
     mutex — the server fans independent requests over a domain pool and
     every worker shares it. Eviction is SIEVE (Zhang et al., NSDI '24,
     "SIEVE is Simpler than LRU"): entries sit in one FIFO queue in

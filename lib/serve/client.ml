@@ -19,8 +19,6 @@ let request t line =
   Protocol.write_line t.fd line;
   input_line t.ic
 
-let request_json t line = Noc_obs.Json.parse (request t line)
-
 let close t = try close_in t.ic with Sys_error _ -> ()
 
 let with_connection ?retries ~socket_path f =

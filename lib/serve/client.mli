@@ -19,9 +19,6 @@ val request : t -> string -> string
     for the single reply line. Raises [End_of_file] if the daemon
     closes the connection first. *)
 
-val request_json : t -> string -> (Noc_obs.Json.t, string) result
-(** {!request}, with the reply parsed. *)
-
 val close : t -> unit
 
 val with_connection :

@@ -3,7 +3,6 @@ module Counters = Noc_obs.Counters
 module Decisions = Noc_obs.Decisions
 module Ctg = Noc_ctg.Ctg
 module Ctg_io = Noc_ctg.Ctg_io
-module Edge = Noc_ctg.Edge
 module Platform = Noc_noc.Platform
 module Schedule = Noc_sched.Schedule
 module Schedule_io = Noc_sched.Schedule_io
@@ -16,23 +15,18 @@ type config = { socket_path : string; capacity : int; jobs : int option }
 
 let default_config ~socket_path = { socket_path; capacity = 64; jobs = None }
 
-(* A cached result. [ctg] is the graph the schedule's transaction labels
-   refer to: a digest-equal request whose edges are declared in another
-   order gets its transactions relabelled through the arc-endpoint map
-   (see [relabel]). [resched] carries the incremental-rescheduling stats
-   when the entry came from a [reschedule] request. *)
+(* A cached result. [extra] holds the reply fields specific to the op
+   that computed it: the downclock figures of a DVFS entry (whose
+   schedule and text are then the scaled, format-v3 ones) or the
+   rescheduling stats of a [reschedule] entry. *)
 type entry = {
-  ctg : Ctg.t;
   schedule : Schedule.t;
   text : string;
   energy : float;
   makespan : float;
   misses : int;
   decisions : string option;
-  resched : (int * int * bool) option;  (* migrated, rerouted, full_rerun *)
-  dvfs : (Noc_dvfs.Vf_table.t * Schedule_io.annotation array * int * float) option;
-      (* ladder, per-task annotations, downclocked, reclaimed nJ — the
-         entry's schedule/text are then the scaled (format v3) ones *)
+  extra : (string * Json.t) list;
 }
 
 type state = {
@@ -46,13 +40,13 @@ type state = {
       (** [ctg_text -> (parsed graph, Ctg.digest)]: a warm cache hit
           costs neither the text parse nor the canonical-serialization
           digest, only the wire-JSON parse. Keyed by the raw request
-          text, so only byte-identical texts short-circuit; a permuted
-          but digest-equal text takes the slow path once and then hits
-          the schedule cache through {!relabel}. *)
-  refusals : (Ctg.t * string) Cache.t;
-      (** [key -> (graph, message)]: the certification refusals of
-          unfaulted schedules, under the key their success would have been
-          cached under (see {!obtain}). *)
+          text, so only byte-identical texts short-circuit; another
+          text of a digest-equal graph takes the slow path once and
+          then hits the schedule cache. *)
+  refusals : string Cache.t;
+      (** [key -> message]: the certification refusals of unfaulted
+          schedules, under the key their success would have been cached
+          under (see {!obtain}). *)
   requests : int Atomic.t;
   errors : int Atomic.t;
 }
@@ -102,6 +96,28 @@ let parse_graph state ctg_text =
 
 let algo_wire algo = String.lowercase_ascii (Runner.algo_name algo)
 
+(* The cache key, [algo:ctg:platform:faults:dvfs]: a served schedule is
+   a pure function of these five, so each is a content digest. The
+   fault segment hashes the set's canonical key (the empty set digests
+   to a fixed value, so [schedule] and [reschedule] requests share the
+   key space without colliding). DVFS is scheduler configuration, not
+   a platform property, so it gets its own segment: "-" when off, the
+   digest of the ladder's bit-exact hex text when on, so a [--dvfs]
+   request never aliases an unscaled schedule. FNV-1a is a content
+   digest, not a cryptographic hash: the daemon trusts its clients. *)
+let key ?ladder ~algo ~digests faults =
+  let ctg_digest, platform_digest = digests in
+  String.concat ":"
+    [
+      algo_wire algo;
+      ctg_digest;
+      platform_digest;
+      Noc_util.Fnv.digest (Fault_set.key faults);
+      (match ladder with
+      | None -> "-"
+      | Some table -> Noc_util.Fnv.digest (Noc_dvfs.Vf_table.hex table));
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Decision-log capture.                                               *)
 
@@ -122,72 +138,18 @@ let capture_decisions f =
   (result, jsonl)
 
 (* ------------------------------------------------------------------ *)
-(* Cache-hit relabelling.                                              *)
+(* Scheduling.                                                         *)
 
-let same_edges a b =
-  Ctg.n_edges a = Ctg.n_edges b
-  && Array.for_all2
-       (fun (x : Edge.t) (y : Edge.t) ->
-         x.src = y.src && x.dst = y.dst && x.volume = y.volume)
-       (Ctg.edges a) (Ctg.edges b)
-
-(* Serialise with the entry's DVFS annotations when it carries them, so
-   a scaled entry (relabelled or not) keeps its format-v3 text. *)
-let entry_text dvfs schedule =
-  match dvfs with
-  | Some (_, annotations, _, _) -> Schedule_io.to_string ~dvfs:annotations schedule
-  | None -> Schedule_io.to_string schedule
-
-let make_entry ?decisions ?resched ?dvfs ~energy ~misses ctg schedule =
+let make_entry ?decisions ?dvfs ?(extra = []) ~energy ~misses schedule =
   {
-    ctg;
     schedule;
-    text = entry_text dvfs schedule;
+    text = Schedule_io.to_string ?dvfs schedule;
     energy;
     makespan = Schedule.makespan schedule;
     misses;
     decisions;
-    resched;
-    dvfs;
+    extra;
   }
-
-(* A digest-equal graph may still declare its edges in another order
-   (edge ids are labels, not semantics — the digest sorts arcs by
-   endpoints). The cached schedule is the right answer, but its
-   transaction labels refer to the cached graph; remap each transaction
-   to the request graph's id for the same (src, dst) arc. Ctg validation
-   guarantees arcs are unique per endpoint pair, so the map is a
-   bijection when the graphs really are the same problem; any mismatch
-   (an FNV collision) falls back to a fresh computation. *)
-let relabel (entry : entry) (ctg : Ctg.t) =
-  if same_edges entry.ctg ctg then Some (entry.schedule, entry.text, entry.decisions)
-  else if Ctg.n_edges entry.ctg <> Ctg.n_edges ctg then None
-  else
-    let by_arc = Hashtbl.create (Ctg.n_edges ctg) in
-    Array.iter
-      (fun (e : Edge.t) -> Hashtbl.replace by_arc (e.src, e.dst) e)
-      (Ctg.edges ctg);
-    let out = Array.make (Ctg.n_edges ctg) None in
-    try
-      Array.iter
-        (fun (tr : Schedule.transaction) ->
-          let cached_edge = Ctg.edge entry.ctg tr.edge in
-          match Hashtbl.find_opt by_arc (cached_edge.src, cached_edge.dst) with
-          | Some e when e.volume = cached_edge.volume && out.(e.id) = None ->
-            out.(e.id) <- Some { tr with edge = e.id }
-          | Some _ | None -> raise Exit)
-        (Schedule.transactions entry.schedule);
-      let transactions = Array.map (function Some t -> t | None -> raise Exit) out in
-      let schedule =
-        Schedule.make ~placements:(Schedule.placements entry.schedule) ~transactions
-      in
-      (* Decision records name tasks and PEs, never edge ids, so they
-         survive the relabelling unchanged — as do DVFS annotations. *)
-      Some (schedule, entry_text entry.dvfs schedule, entry.decisions)
-    with Exit | Invalid_argument _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Scheduling.                                                         *)
 
 let kernel_for state platform ctg ~ctg_digest ~platform_digest =
   let key = ctg_digest ^ ":" ^ platform_digest in
@@ -225,47 +187,31 @@ let run_fresh ?ladder state platform ctg algo ~digests ~want_decisions =
   | None -> Ok (r, decisions)
 
 (* The memoised schedule for (algo, ctg, platform) with no faults.
-   Returns the entry (relabelled to the request's graph), whether it was
-   served from the cache, and the cache key; or the memoised refusal. A
-   hit that needs a decision log the entry does not carry is recomputed
-   in full (and the richer entry replaces the cached one). *)
-let empty_fault_digest = Digest.fault_set Fault_set.empty
-
+   Returns the entry, whether it was served from the cache, and the
+   cache key; or the memoised refusal. A hit that needs a decision log
+   the entry does not carry is recomputed in full (and the richer entry
+   replaces the cached one). A certification refusal is a pure function
+   of the key, so it is memoised under [key] and replayed as the same
+   message. *)
 let obtain state platform ctg algo ~digests ~want_decisions =
-  let ctg_digest, platform_digest = digests in
-  let key =
-    Digest.make ~algo ~ctg_digest ~platform_digest
-      ~fault_digest:empty_fault_digest ()
-  in
-  (* A certification refusal is a pure function of the key and the
-     graph, so it is memoised under [key] and replayed as the same
-     message. The graph is kept so that a digest-equal graph declaring
-     its edges in another order, whose message could name other edge
-     ids, is computed afresh. *)
-  let fresh () =
+  let key = key ~algo ~digests Fault_set.empty in
+  match Cache.find state.schedules key with
+  | Some entry when not (want_decisions && entry.decisions = None) -> Ok (entry, true, key)
+  | Some _ | None -> (
     match Cache.find state.refusals key with
-    | Some (refused, msg) when same_edges refused ctg -> Error msg
-    | Some _ | None -> (
+    | Some msg -> Error msg
+    | None -> (
       match run_fresh state platform ctg algo ~digests ~want_decisions with
       | Error msg ->
-        Cache.add state.refusals key (ctg, msg);
+        Cache.add state.refusals key msg;
         Error msg
       | Ok (r, decisions) ->
         let entry =
           make_entry ?decisions ~energy:r.metrics.total_energy
-            ~misses:(Metrics.miss_count r.metrics) ctg r.schedule
+            ~misses:(Metrics.miss_count r.metrics) r.schedule
         in
         Cache.add state.schedules key entry;
-        Ok (entry, false, key))
-  in
-  match Cache.find state.schedules key with
-  | None -> fresh ()
-  | Some entry -> (
-    match relabel entry ctg with
-    | None -> fresh ()
-    | Some (schedule, text, decisions) ->
-      if want_decisions && decisions = None then fresh ()
-      else Ok ({ entry with ctg; schedule; text; decisions }, true, key))
+        Ok (entry, false, key)))
 
 (* ------------------------------------------------------------------ *)
 (* Request handlers.                                                   *)
@@ -273,6 +219,8 @@ let obtain state platform ctg algo ~digests ~want_decisions =
 let num n = Json.Number n
 let int_num n = Json.Number (float_of_int n)
 
+(* The fields of every reply that carries a schedule, then the entry's
+   op-specific ones. *)
 let schedule_fields ~cached ~key ~algo (entry : entry) =
   [
     ("cached", Json.Bool cached);
@@ -284,6 +232,7 @@ let schedule_fields ~cached ~key ~algo (entry : entry) =
     ("misses", int_num entry.misses);
     ("schedule", Json.String entry.text);
   ]
+  @ entry.extra
 
 let with_graph state ?id ~ctg_text ~mesh k =
   match parse_graph state ctg_text with
@@ -313,33 +262,18 @@ let decisions_field ~decisions (entry : entry) fields =
   | Some _ | None -> fields
 
 (* DVFS slack reclamation over the committed base schedule. The scaled
-   entry lives under its own cache key ({!Digest.vf_table} segment), so
-   a [--dvfs] request never aliases a cached unscaled schedule and vice
-   versa. When a decision log is wanted the EAS placements and the
+   entry lives under its own cache key (the ladder's segment of [key]),
+   so a [--dvfs] request never aliases a cached unscaled schedule and
+   vice versa. When a decision log is wanted the EAS placements and the
    downclocks must share one run label for CLI bit-parity, so the fresh
    path wraps schedule + reclaim in a single [capture_decisions];
    otherwise the base comes through the normal (possibly cached)
    [obtain] path and only the cheap reclamation pass runs. *)
 let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests =
-  let ctg_digest, platform_digest = digests in
-  let dkey =
-    Digest.make ~dvfs_digest:(Digest.vf_table table) ~algo ~ctg_digest
-      ~platform_digest ~fault_digest:empty_fault_digest ()
-  in
+  let dkey = key ~ladder:table ~algo ~digests Fault_set.empty in
   let reply ~cached ~base_cached (entry : entry) =
-    let table, downclocked, reclaimed =
-      match entry.dvfs with
-      | Some (t, _, d, rj) -> (t, d, rj)
-      | None -> (table, 0, 0.)
-    in
     schedule_fields ~cached ~key:dkey ~algo entry
-    @ [
-        ("dvfs", Json.Bool true);
-        ("vf_levels", Json.String (Noc_dvfs.Vf_table.to_string table));
-        ("downclocked", int_num downclocked);
-        ("reclaimed", num reclaimed);
-        ("base_cached", Json.Bool base_cached);
-      ]
+    @ [ ("base_cached", Json.Bool base_cached) ]
     |> decisions_field ~decisions entry
     |> Protocol.ok_line ?id ~op:"schedule"
   in
@@ -364,23 +298,23 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
         let r = d.reclaim in
         let reclaimed = Noc_dvfs.Reclaim.reclaimed r in
         let entry =
-          make_entry ?decisions:dlog
-            ~dvfs:(table, r.annotations, r.downclocked, reclaimed)
-            ~energy:(base_energy -. reclaimed) ~misses:d.scaled_misses ctg r.schedule
+          make_entry ?decisions:dlog ~dvfs:r.annotations
+            ~extra:
+              [
+                ("dvfs", Json.Bool true);
+                ("vf_levels", Json.String (Noc_dvfs.Vf_table.to_string table));
+                ("downclocked", int_num r.downclocked);
+                ("reclaimed", num reclaimed);
+              ]
+            ~energy:(base_energy -. reclaimed) ~misses:d.scaled_misses r.schedule
         in
         Cache.add state.schedules dkey entry;
         reply ~cached:false ~base_cached entry)
   in
   match Cache.find state.schedules dkey with
-  | None -> fresh ()
-  | Some entry -> (
-    match relabel entry ctg with
-    | None -> fresh ()
-    | Some (schedule, text, dlog) ->
-      if decisions && dlog = None then fresh ()
-      else
-        reply ~cached:true ~base_cached:true
-          { entry with ctg; schedule; text; decisions = dlog })
+  | Some entry when not (decisions && entry.decisions = None) ->
+    reply ~cached:true ~base_cached:true entry
+  | Some _ | None -> fresh ()
 
 let handle_schedule state ?id ~ctg_text ~mesh ~algo ~decisions ~dvfs () =
   with_graph state ?id ~ctg_text ~mesh @@ fun platform ctg ~digests ->
@@ -418,23 +352,14 @@ let handle_simulate state ?id ~ctg_text ~mesh ~algo ~faults ~self_timed () =
             num (Schedule.makespan outcome.Noc_sim.Executor.realised) );
         ])
 
-let resched_fields = function
-  | None -> []
-  | Some (migrated, rerouted, full_rerun) ->
-    [
-      ("migrated", int_num migrated);
-      ("rerouted", int_num rerouted);
-      ("full_rerun", Json.Bool full_rerun);
-    ]
-
 let handle_reschedule state ?id ~ctg_text ~mesh ~algo ~faults () =
   with_faults state ?id ~ctg_text ~mesh faults @@ fun platform ctg ~digests faults ->
-  let ctg_digest, platform_digest = digests in
-  let full_key =
-    Digest.make ~algo ~ctg_digest ~platform_digest
-      ~fault_digest:(Digest.fault_set faults) ()
-  in
-  let fresh () =
+  let full_key = key ~algo ~digests faults in
+  match Cache.find state.schedules full_key with
+  | Some entry ->
+    Protocol.ok_line ?id ~op:"reschedule"
+      (schedule_fields ~cached:true ~key:full_key ~algo entry)
+  | None -> (
     match obtain state platform ctg algo ~digests ~want_decisions:false with
     | Error msg -> Protocol.error_line ?id ("base schedule: " ^ msg)
     | Ok (base, base_cached, _) -> (
@@ -449,26 +374,19 @@ let handle_reschedule state ?id ~ctg_text ~mesh ~algo ~faults () =
              prices the detours actually taken. *)
           let entry =
             make_entry
-              ~resched:(stats.migrated_tasks, stats.rerouted_transactions, stats.used_full_rerun)
+              ~extra:
+                [
+                  ("migrated", int_num stats.migrated_tasks);
+                  ("rerouted", int_num stats.rerouted_transactions);
+                  ("full_rerun", Json.Bool stats.used_full_rerun);
+                ]
               ~energy:(Noc_analysis.Certify.energy platform ctg schedule)
-              ~misses:stats.misses ctg schedule
+              ~misses:stats.misses schedule
           in
           Cache.add state.schedules full_key entry;
           Protocol.ok_line ?id ~op:"reschedule"
             (schedule_fields ~cached:false ~key:full_key ~algo entry
-            @ resched_fields entry.resched
-            @ [ ("base_cached", Json.Bool base_cached) ])))
-  in
-  match Cache.find state.schedules full_key with
-  | None -> fresh ()
-  | Some entry -> (
-    match relabel entry ctg with
-    | None -> fresh ()
-    | Some (schedule, text, _) ->
-      let entry = { entry with ctg; schedule; text } in
-      Protocol.ok_line ?id ~op:"reschedule"
-        (schedule_fields ~cached:true ~key:full_key ~algo entry
-        @ resched_fields entry.resched))
+            @ [ ("base_cached", Json.Bool base_cached) ]))))
 
 let cache_json c =
   Json.Obj

@@ -10,15 +10,16 @@
       (CTG, platform) digest pair in their own {!Cache}, so a
       cache-missed request pays the build at most once.
     - {b Schedule cache.} Results are memoized in a SIEVE {!Cache}
-      keyed by {!Digest.key} (algo, CTG digest, platform digest, fault
-      digest). Every entry was certified by {!Noc_analysis.Certify}
-      when it was inserted — a schedule the certifier rejects is
-      returned as an error and never cached — and hits are served
-      without re-certification. Hits are label-faithful: a request
-      whose graph permutes edge declaration order relative to the
-      cached one gets its transactions relabelled through the
-      arc-endpoint map, so the reply is always valid for the
-      {e request's} graph.
+      keyed by [algo:ctg:platform:faults:dvfs], content digests of
+      everything a served schedule depends on: the algorithm, the
+      graph ({!Noc_ctg.Ctg.digest}, which covers the declaration order
+      of edges, since the scheduler breaks ties by edge id), the
+      platform ({!Noc_noc.Platform.digest}), the fault set and the V/f
+      ladder (["-"] without DVFS). A hit is therefore the schedule the
+      CLI computes for the same graph. Every entry was certified by
+      {!Noc_analysis.Certify} when it was inserted — a schedule the
+      certifier rejects is returned as an error and never cached — and
+      hits are served without re-certification.
     - {b Refusal memo.} The certifier's refusal of an unfaulted
       schedule is memoised under the key its success would have been
       cached under, so a retry (or a reschedule or DVFS request on the

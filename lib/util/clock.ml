@@ -5,5 +5,3 @@
    was what the schedulers used before the domain pool existed). *)
 
 let wall_s () = Unix.gettimeofday ()
-
-let elapsed_s t0 = wall_s () -. t0

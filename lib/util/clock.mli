@@ -8,6 +8,3 @@
 val wall_s : unit -> float
 (** Current wall-clock time in seconds (Unix epoch). Only differences
     are meaningful. *)
-
-val elapsed_s : float -> float
-(** [elapsed_s t0] is [wall_s () -. t0]. *)

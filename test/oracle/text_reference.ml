@@ -28,7 +28,7 @@ let fnv_digest s = Printf.sprintf "%016Lx" (fnv1a64 s)
 
 let ctg_digest g =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "ctg-digest/v1 pes %d\n" (Ctg.n_pes g));
+  Buffer.add_string buf (Printf.sprintf "ctg-digest/v2 pes %d\n" (Ctg.n_pes g));
   Array.iter
     (fun (t : Task.t) ->
       Buffer.add_string buf (Printf.sprintf "task %d" t.Task.id);
@@ -43,16 +43,11 @@ let ctg_digest g =
       | Some d -> Buffer.add_string buf (Printf.sprintf " deadline %h" d));
       Buffer.add_char buf '\n')
     (Ctg.tasks g);
-  let arcs =
-    List.sort
-      (fun (a : Edge.t) (b : Edge.t) -> compare (a.Edge.src, a.Edge.dst) (b.Edge.src, b.Edge.dst))
-      (Array.to_list (Ctg.edges g))
-  in
-  List.iter
+  Array.iter
     (fun (e : Edge.t) ->
       Buffer.add_string buf
         (Printf.sprintf "edge %d -> %d %h\n" e.Edge.src e.Edge.dst e.Edge.volume))
-    arcs;
+    (Ctg.edges g);
   fnv_digest (Buffer.contents buf)
 
 let escape_string s =

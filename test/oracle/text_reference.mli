@@ -13,8 +13,8 @@ val fnv1a64 : string -> int64
 (** FNV-1a-64 folded by a [String.iter] closure. *)
 
 val ctg_digest : Noc_ctg.Ctg.t -> string
-(** The [ctg-digest/v1] text built with [Printf.sprintf] per field and a
-    polymorphic tuple sort of the arcs, hashed by {!fnv1a64}. *)
+(** The [ctg-digest/v2] text built with [Printf.sprintf] per field, arcs
+    in edge-id order, hashed by {!fnv1a64}. *)
 
 val escape_string : string -> string
 (** The char-by-char JSON string escaper. *)

@@ -1,8 +1,8 @@
 (* Tests for the scheduling daemon (lib/serve): SIEVE cache semantics
    (against a list model), the refusal memo, protocol parsing and
-   structured errors, cache-hit bit-identity
-   (including relabelling for permuted edge declarations), certification
-   of served schedules, concurrent clients against a live daemon, and a
+   structured errors, cache-hit bit-identity (a graph whose edges are
+   declared in another order is another problem), certification of
+   served schedules, concurrent clients against a live daemon, and a
    differential test against one-shot `nocsched schedule` output. *)
 
 module Cache = Noc_serve.Cache
@@ -23,6 +23,15 @@ let graph ?(tasks = 20) ?(tightness = Noc_tgff.Params.default.deadline_tightness
     { Noc_tgff.Params.default with n_tasks = tasks; deadline_tightness = tightness }
   in
   Noc_tgff.Generate.generate ~params ~platform ~seed
+
+(* [g] with its edges declared in reverse order, ids re-assigned. *)
+let reversed g =
+  let edges = Ctg.edges g and n = Ctg.n_edges g in
+  Ctg.make_exn ~tasks:(Ctg.tasks g)
+    ~edges:
+      (Array.init n (fun i ->
+           let (e : Edge.t) = edges.(n - 1 - i) in
+           Edge.make ~id:i ~src:e.Edge.src ~dst:e.Edge.dst ~volume:e.Edge.volume))
 
 let mk_state ?(capacity = 64) ?jobs () =
   Server.make_state { Server.socket_path = "unused"; capacity; jobs }
@@ -332,55 +341,23 @@ let test_cached_hit_bit_identity () =
     (str_member "schedule" first);
   certify_reply_schedule ~ctg:g second
 
-(* A graph whose edges are declared in a different order (with
-   correspondingly different edge ids) digests identically — the
-   scheduling problem is the same — but the cached schedule's
-   transaction labels must be rewritten for the request's ids. *)
-let pipeline_tasks () =
-  let times = Array.init 16 (fun k -> 2. +. (0.25 *. float_of_int (k mod 4))) in
-  let energies = Array.init 16 (fun k -> 8. +. float_of_int (k mod 5)) in
-  [|
-    Task.make ~id:0 ~exec_times:times ~energies ();
-    Task.make ~id:1 ~exec_times:times ~energies ();
-    Task.make ~id:2 ~exec_times:times ~energies ();
-    Task.make ~id:3 ~exec_times:times ~energies ~deadline:200. ();
-  |]
-
-let test_permuted_edges_hit () =
-  let tasks = pipeline_tasks () in
-  let edges_a =
-    [|
-      Edge.make ~id:0 ~src:0 ~dst:1 ~volume:64.;
-      Edge.make ~id:1 ~src:0 ~dst:2 ~volume:96.;
-      Edge.make ~id:2 ~src:1 ~dst:3 ~volume:128.;
-      Edge.make ~id:3 ~src:2 ~dst:3 ~volume:32.;
-    |]
-  in
-  let edges_b =
-    [|
-      Edge.make ~id:0 ~src:2 ~dst:3 ~volume:32.;
-      Edge.make ~id:1 ~src:1 ~dst:3 ~volume:128.;
-      Edge.make ~id:2 ~src:0 ~dst:1 ~volume:64.;
-      Edge.make ~id:3 ~src:0 ~dst:2 ~volume:96.;
-    |]
-  in
-  let ga = Ctg.make_exn ~tasks ~edges:edges_a in
-  let gb = Ctg.make_exn ~tasks ~edges:edges_b in
-  Alcotest.(check string) "digest ignores edge declaration order"
-    (Ctg.digest ga) (Ctg.digest gb);
+(* The communication scheduler breaks ties between a task's incoming
+   transactions by edge id, so a graph whose edges are declared in
+   reverse order is another problem: on this graph it gets another
+   schedule. The daemon must compute it afresh, not serve the forward
+   graph's cached schedule. *)
+let test_reversed_edges_miss () =
+  let g = graph ~tasks:60 5 in
+  let r = reversed g in
   let state = mk_state () in
-  let ra = expect_ok state (schedule_line ga) in
-  let rb = expect_ok state (schedule_line gb) in
-  Alcotest.(check bool) "permuted request served from cache" true
-    (bool_member "cached" rb);
-  (* The relabelled reply must be the right answer for gb, not ga: same
-     placements, same arcs, gb's edge ids. *)
-  let sa = str_member "schedule" ra and sb = str_member "schedule" rb in
-  Alcotest.(check bool) "labels rewritten" true (sa <> sb);
-  certify_reply_schedule ~ctg:gb rb;
-  let direct = Runner.schedule_of Runner.Eas platform gb in
-  Alcotest.(check string) "identical to scheduling gb directly"
-    (Noc_sched.Schedule_io.to_string direct) sb
+  ignore (expect_ok state (schedule_line g));
+  let reply = expect_ok state (schedule_line r) in
+  Alcotest.(check bool) "reversed request is a miss" false (bool_member "cached" reply);
+  let direct = Runner.schedule_of Runner.Eas platform r in
+  Alcotest.(check string) "identical to scheduling the reversed graph directly"
+    (Noc_sched.Schedule_io.to_string direct)
+    (str_member "schedule" reply);
+  certify_reply_schedule ~ctg:r reply
 
 let test_eviction_at_capacity () =
   let state = mk_state ~capacity:1 () in
@@ -615,21 +592,26 @@ let test_one_shot_differential () =
       List.iter (fun f -> try Sys.remove f with Sys_error _ -> ())
         [ ctg_file; sched_file; dec_file ])
     (fun () ->
-      let g = graph ~tasks:18 7 in
-      Ctg_io.save ~path:ctg_file g;
-      let command =
-        Printf.sprintf "%s schedule %s --save-schedule %s --decisions %s --quiet >/dev/null 2>&1"
-          binary (Filename.quote ctg_file) (Filename.quote sched_file)
-          (Filename.quote dec_file)
-      in
-      Alcotest.(check int) "one-shot run exits 0" 0 (Sys.command command);
       let read f = In_channel.with_open_bin f In_channel.input_all in
+      (* One daemon state for every input: the reversed graph follows
+         the graph it reorders. *)
       let state = mk_state () in
-      let reply = expect_ok state (schedule_line ~decisions:true g) in
-      Alcotest.(check string) "daemon schedule = one-shot --save-schedule"
-        (read sched_file) (str_member "schedule" reply);
-      Alcotest.(check string) "daemon decision log = one-shot --decisions"
-        (read dec_file) (str_member "decisions" reply))
+      let g60 = graph ~tasks:60 5 in
+      List.iter
+        (fun (name, g) ->
+          Ctg_io.save ~path:ctg_file g;
+          let command =
+            Printf.sprintf "%s schedule %s --save-schedule %s --decisions %s --quiet >/dev/null 2>&1"
+              binary (Filename.quote ctg_file) (Filename.quote sched_file)
+              (Filename.quote dec_file)
+          in
+          Alcotest.(check int) (name ^ ": one-shot run exits 0") 0 (Sys.command command);
+          let reply = expect_ok state (schedule_line ~decisions:true g) in
+          Alcotest.(check string) (name ^ ": daemon schedule = one-shot --save-schedule")
+            (read sched_file) (str_member "schedule" reply);
+          Alcotest.(check string) (name ^ ": daemon decision log = one-shot --decisions")
+            (read dec_file) (str_member "decisions" reply))
+        [ ("18 tasks", graph ~tasks:18 7); ("60 tasks", g60); ("60 reversed", reversed g60) ])
 
 (* ------------------------------------------------------------------ *)
 (* Live daemon: concurrent clients over the Unix socket.               *)
@@ -915,7 +897,7 @@ let test_daemon_survives_garbage () =
 (* A fixed stream of about 300 requests of every class, sent through
    one in-process state with 8-entry caches: popular graphs (hits,
    misses and evictions), fresh graphs, DVFS requests with the default
-   and a custom ladder, decision logs, permuted edge declarations,
+   and a custom ladder, decision logs, reversed edge declarations,
    reschedules with a failed PE, simulations, an infeasible graph sent
    twice and then under DVFS and a fault, malformed lines, and ids that
    need escaping. Each reply is pinned by the MD5 of its bytes in
@@ -941,15 +923,6 @@ let golden_stream () =
   let draw () =
     let u = Noc_util.Prng.float prng ~bound:1. in
     min 11 (int_of_float (12. *. u *. u))
-  in
-  let permuted g =
-    let edges = Array.of_list (List.rev (Array.to_list (Ctg.edges g))) in
-    Ctg.make_exn ~tasks:(Ctg.tasks g)
-      ~edges:
-        (Array.mapi
-           (fun i (e : Edge.t) ->
-             Edge.make ~id:i ~src:e.Edge.src ~dst:e.Edge.dst ~volume:e.Edge.volume)
-           edges)
   in
   let ladder =
     match Noc_dvfs.Vf_table.of_string "1,0.75,0.5" with
@@ -996,7 +969,7 @@ let golden_stream () =
         tagged "reschedule" (reschedule_line ~faults:(fault ()) (p ()));
         tagged "simulate" (simulate (p ()));
         tagged "simulate" (simulate ~faults:(fault ()) ~self_timed:(b mod 2 = 0) (p ()));
-        tagged "permuted" (schedule_line (permuted (p ())));
+        tagged "permuted" (schedule_line (reversed (p ())));
         tagged "malformed" malformed.(b mod Array.length malformed);
         tagged "id"
           (schedule_line ~id:(Printf.sprintf "r\"%d\\\n\t\x01\xe2\x82\xac" b) (p ()));
@@ -1058,7 +1031,7 @@ let suite =
     Alcotest.test_case "protocol errors" `Quick test_protocol_errors;
     Alcotest.test_case "malformed requests" `Quick test_malformed_requests;
     Alcotest.test_case "cached hit bit-identity" `Quick test_cached_hit_bit_identity;
-    Alcotest.test_case "permuted edges hit" `Quick test_permuted_edges_hit;
+    Alcotest.test_case "reversed edges miss" `Quick test_reversed_edges_miss;
     Alcotest.test_case "eviction at capacity" `Quick test_eviction_at_capacity;
     Alcotest.test_case "incremental reschedule" `Quick test_reschedule_incremental;
     Alcotest.test_case "simulate request" `Quick test_simulate_request;

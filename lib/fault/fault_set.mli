@@ -18,8 +18,8 @@ val of_strings : string list -> (t, string) result
 val check : Noc_noc.Platform.t -> t -> (t, string) result
 (** [Ok t] when every fault names an element of the platform: a PE
     index below its PE count, a link between neighbouring tiles.
-    Otherwise [Error] naming the first fault (in the set's canonical order) that
-    does not. *)
+    Otherwise [Error] naming the first fault (in the set's canonical
+    order) that does not. *)
 
 val key : t -> string
 (** Canonical text form: the faults' {!Fault.to_string}s joined by
@@ -61,4 +61,5 @@ val sample :
 (** Deterministic random fault set for Monte-Carlo campaigns: distinct
     PEs and links drawn uniformly (defaults: one of each), each failing
     either transiently (probability 1/2, window inside [horizon]) or
-    permanently from a random onset. Equal arguments give equal sets. Raises [Invalid_argument] when asked to fail every PE. *)
+    permanently from a random onset. Equal arguments give equal sets.
+    Raises [Invalid_argument] when asked to fail every PE. *)

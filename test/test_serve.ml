@@ -12,7 +12,6 @@ module Client = Noc_serve.Client
 module Json = Noc_obs.Json
 module Ctg = Noc_ctg.Ctg
 module Ctg_io = Noc_ctg.Ctg_io
-module Task = Noc_ctg.Task
 module Edge = Noc_ctg.Edge
 module Runner = Noc_experiments.Runner
 

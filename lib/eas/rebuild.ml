@@ -25,39 +25,40 @@ let[@inline] precedes_slot h c x r =
   let rc = h.ranks.(c) in
   r < rc || (r = rc && x < h.ids.(c))
 
-let push h rank x =
-  let r = rank.(x) in
-  let rec up c =
-    let parent = (c - 1) / 2 in
-    if c > 0 && precedes_slot h parent x r then begin
-      set h c h.ids.(parent) h.ranks.(parent);
-      up parent
+(* [up h c x r] and [down h c x r] sift task [x] of rank [r] up or
+   down from slot [c]; top-level, so a push or pop allocates no
+   closure. *)
+let rec up h c x r =
+  let parent = (c - 1) / 2 in
+  if c > 0 && precedes_slot h parent x r then begin
+    set h c h.ids.(parent) h.ranks.(parent);
+    up h parent x r
+  end
+  else set h c x r
+
+let rec down h c x r =
+  let l = (2 * c) + 1 in
+  if l >= h.size then set h c x r
+  else begin
+    let m =
+      if l + 1 < h.size && precedes_slot h l h.ids.(l + 1) h.ranks.(l + 1) then l + 1
+      else l
+    in
+    if precedes_slot h m x r then set h c x r
+    else begin
+      set h c h.ids.(m) h.ranks.(m);
+      down h m x r
     end
-    else set h c x r
-  in
+  end
+
+let push h rank x =
   h.size <- h.size + 1;
-  up (h.size - 1)
+  up h (h.size - 1) x rank.(x)
 
 let pop h =
   let top = h.ids.(0) in
   h.size <- h.size - 1;
-  let x = h.ids.(h.size) and r = h.ranks.(h.size) in
-  let rec down c =
-    let l = (2 * c) + 1 in
-    if l >= h.size then set h c x r
-    else begin
-      let m =
-        if l + 1 < h.size && precedes_slot h l h.ids.(l + 1) h.ranks.(l + 1) then l + 1
-        else l
-      in
-      if precedes_slot h m x r then set h c x r
-      else begin
-        set h c h.ids.(m) h.ranks.(m);
-        down m
-      end
-    end
-  in
-  if h.size > 0 then down 0;
+  if h.size > 0 then down h 0 h.ids.(h.size) h.ranks.(h.size);
   top
 
 (* The partial schedule, the PE count and the ready heap. A step reads
@@ -79,29 +80,16 @@ let place env ~assignment i =
   if k < 0 || k >= env.n_pes then invalid_arg "Rebuild.run: PE out of range";
   List_sched.place env.ls i k
 
-(* The list scheduler, from step [step] on: pops the ready task of
-   smallest rank and places it, until every task is placed. [env.ready]
-   holds the tasks ready at [step]; [waiting.(j)] counts j's unplaced
-   predecessors. [before s i] runs before step [s] places task [i],
-   [continue_ s i] after it; the walk stops when that returns false.
-   Returns the first step not taken. *)
-let walk env ~assignment ~rank ~waiting ~step ~before ~continue_ =
-  let n = Noc_ctg.Ctg.n_tasks env.ls.ctg in
-  let rec go s =
-    if s = n then n
-    else begin
-      let i = pop env.ready in
-      before s i;
-      place env ~assignment i;
-      for j = env.ls.succ_start.(i) to env.ls.succ_start.(i + 1) - 1 do
-        let c = env.ls.succ.(j) in
-        waiting.(c) <- waiting.(c) - 1;
-        if waiting.(c) = 0 then push env.ready rank c
-      done;
-      if continue_ s i then go (s + 1) else s + 1
-    end
-  in
-  go step
+(* One step of the list scheduler: places task [i], popped from
+   [env.ready], then pushes the successors it made ready. [waiting.(j)]
+   counts j's unplaced predecessors. *)
+let step env ~assignment ~rank ~waiting i =
+  place env ~assignment i;
+  for j = env.ls.succ_start.(i) to env.ls.succ_start.(i + 1) - 1 do
+    let c = env.ls.succ.(j) in
+    waiting.(c) <- waiting.(c) - 1;
+    if waiting.(c) = 0 then push env.ready rank c
+  done
 
 (* Fills [waiting] with in-degrees and [env.ready] with the sources. *)
 let start_walk env ~rank ~waiting =
@@ -122,10 +110,9 @@ let run ?comm_model ?degraded platform ctg ~assignment ~rank =
   let env = make_env ?comm_model ?degraded platform ctg in
   let waiting = Array.make (Noc_ctg.Ctg.n_tasks ctg) 0 in
   start_walk env ~rank ~waiting;
-  ignore
-    (walk env ~assignment ~rank ~waiting ~step:0
-       ~before:(fun _ _ -> ())
-       ~continue_:(fun _ _ -> true));
+  for _ = 1 to Noc_ctg.Ctg.n_tasks ctg do
+    step env ~assignment ~rank ~waiting (pop env.ready)
+  done;
   List_sched.schedule env.ls
 
 let of_schedule schedule =
@@ -159,6 +146,9 @@ type incumbent = {
   pos : int array;  (** Step of each task. *)
   ready_at : int array;  (** First step at which each task is ready. *)
   marks : Resource_state.mark array;  (** Journal before each step. *)
+  mutable saved : Resource_state.saved;
+      (** The incumbent's journal: a candidate overwrites the live one
+          above the mark of its first step. *)
   misses : int array;  (** Misses among the tasks of the steps before. *)
   lateness : float array;  (** Their lateness, summed in step order. *)
   origin : Resource_state.mark;
@@ -168,19 +158,12 @@ type incumbent = {
       (** Steps the incumbent completed: [n], or the step that raised;
           [-1] when the arrays do not fit the graph. *)
   mutable at : int;  (** The shared state holds the first [at] steps. *)
-  mutable pending : (int * int) option;
-      (** Steps [[from, stop)] of the last candidate, still in place. *)
+  mutable stop : int;
+      (** The last candidate's steps [[at, stop)] are still in place;
+          none when [stop <= at]. *)
 }
 
 type outcome = Completed | Abandoned | Failed
-
-(* Adds task [i]'s placement to a running (misses, lateness) tally. *)
-let tally inc misses lateness i =
-  let l = inc.late i inc.env.ls.finish.(i) in
-  if l > 0. then begin
-    incr misses;
-    lateness := !lateness +. l
-  end
 
 let rebase inc ~assignment ~rank =
   Noc_obs.Counters.incr c_checkpoints;
@@ -188,7 +171,7 @@ let rebase inc ~assignment ~rank =
   let ctg = env.ls.ctg in
   let n = Noc_ctg.Ctg.n_tasks ctg in
   Resource_state.rollback env.ls.state inc.origin;
-  inc.pending <- None;
+  inc.stop <- 0;
   Array.fill env.ls.pe 0 n (-1);
   Array.fill env.ls.start 0 n nan;
   Array.fill env.ls.finish 0 n nan;
@@ -207,17 +190,22 @@ let rebase inc ~assignment ~rank =
     start_walk env ~rank ~waiting;
     let reached =
       try
-        walk env ~assignment ~rank ~waiting ~step:0
-          ~before:(fun s i ->
-            inc.marks.(s) <- Resource_state.mark env.ls.state;
-            inc.order.(s) <- i;
-            inc.pos.(i) <- s;
-            last := s)
-          ~continue_:(fun s i ->
-            tally inc misses lateness i;
-            inc.misses.(s + 1) <- !misses;
-            inc.lateness.(s + 1) <- !lateness;
-            true)
+        for s = 0 to n - 1 do
+          let i = pop env.ready in
+          inc.marks.(s) <- Resource_state.mark env.ls.state;
+          inc.order.(s) <- i;
+          inc.pos.(i) <- s;
+          last := s;
+          step env ~assignment ~rank ~waiting i;
+          let l = inc.late i env.ls.finish.(i) in
+          if l > 0. then begin
+            incr misses;
+            lateness := !lateness +. l
+          end;
+          inc.misses.(s + 1) <- !misses;
+          inc.lateness.(s + 1) <- !lateness
+        done;
+        n
       with Invalid_argument _ ->
         (* Undo what the step that raised reserved before it did. *)
         Resource_state.rollback env.ls.state inc.marks.(!last);
@@ -246,6 +234,7 @@ let rebase inc ~assignment ~rank =
     inc.reached <- reached;
     inc.at <- reached
   end;
+  inc.saved <- Resource_state.save env.ls.state;
   Array.blit env.ls.pe 0 inc.base_pe 0 n;
   Array.blit env.ls.start 0 inc.base_start 0 n;
   Array.blit env.ls.finish 0 inc.base_finish 0 n;
@@ -268,6 +257,7 @@ let checkpoint ?comm_model ?degraded platform ctg ~late ~assignment ~rank =
       pos = Array.make n (-1);
       ready_at = Array.make n 0;
       marks = Array.make (n + 1) (Resource_state.mark env.ls.state);
+      saved = Resource_state.save env.ls.state;
       misses = Array.make (n + 1) 0;
       lateness = Array.make (n + 1) 0.;
       origin = Resource_state.mark env.ls.state;
@@ -275,7 +265,7 @@ let checkpoint ?comm_model ?degraded platform ctg ~late ~assignment ~rank =
       candidate_order = Array.make n 0;
       reached = 0;
       at = 0;
-      pending = None;
+      stop = 0;
     }
   in
   rebase inc ~assignment ~rank;
@@ -303,12 +293,10 @@ let swap_restart inc ~rank a b =
 (* Undoes the last candidate: its reservations and every placement and
    transaction it wrote. *)
 let discard inc =
-  match inc.pending with
-  | None -> ()
-  | Some (from, stop) ->
+  if inc.stop > inc.at then begin
     let env = inc.env in
-    Resource_state.rollback env.ls.state inc.marks.(from);
-    for s = from to stop - 1 do
+    Resource_state.rollback env.ls.state inc.marks.(inc.at);
+    for s = inc.at to inc.stop - 1 do
       let i = inc.candidate_order.(s) in
       env.ls.pe.(i) <- inc.base_pe.(i);
       env.ls.start.(i) <- inc.base_start.(i);
@@ -319,12 +307,13 @@ let discard inc =
         env.ls.tx_finish.(e) <- inc.base_tx_finish.(e)
       done
     done;
-    inc.at <- from;
-    inc.pending <- None
+    inc.stop <- inc.at
+  end
 
 let seek inc step =
-  if inc.at > step then Resource_state.rollback inc.env.ls.state inc.marks.(step)
-  else if inc.at < step then Resource_state.redo inc.env.ls.state inc.marks.(step);
+  let state = inc.env.ls.state in
+  if inc.at > step then Resource_state.rollback state inc.marks.(step)
+  else if inc.at < step then Resource_state.redo state inc.saved inc.marks.(step);
   inc.at <- step
 
 let evaluate inc ~assignment ~rank ~from ~viable =
@@ -346,24 +335,30 @@ let evaluate inc ~assignment ~rank ~from ~viable =
       inc.waiting.(i) <- !w;
       if !w = 0 then push env.ready rank i
     done;
+    (* The list scheduler from [from] on, stopping at the first
+       placement after which [viable] rules the candidate out. A step
+       that raises counts as taken: [discard] undoes what it wrote. *)
     let misses = ref inc.misses.(from) and lateness = ref inc.lateness.(from) in
-    let stop = ref from and abandoned = ref false in
+    let s = ref from and abandoned = ref false in
     let result =
       try
-        ignore
-          (walk env ~assignment ~rank ~waiting:inc.waiting ~step:from
-             ~before:(fun s i ->
-               inc.candidate_order.(s) <- i;
-               stop := s + 1)
-             ~continue_:(fun _ i ->
-               tally inc misses lateness i;
-               abandoned := not (viable !misses !lateness);
-               not !abandoned));
+        while !s < n && not !abandoned do
+          let i = pop env.ready in
+          inc.candidate_order.(!s) <- i;
+          incr s;
+          inc.stop <- !s;
+          step env ~assignment ~rank ~waiting:inc.waiting i;
+          let l = inc.late i env.ls.finish.(i) in
+          if l > 0. then begin
+            incr misses;
+            lateness := !lateness +. l
+          end;
+          abandoned := not (viable !misses !lateness)
+        done;
         if !abandoned then Abandoned else Completed
       with Invalid_argument _ -> Failed
     in
-    inc.pending <- Some (from, !stop);
-    (result, !stop - from)
+    (result, !s - from)
   end
 
 let finish inc i = inc.env.ls.finish.(i)

@@ -42,8 +42,9 @@ val of_schedule :
     far; a candidate then re-places only the suffix from its restart
     step, through the same step function as {!run}, and stops as soon as
     the caller's bound says it cannot win. One shared resource state
-    serves every candidate: it is rolled back or re-applied to the
-    restart step, never rebuilt. *)
+    serves every candidate: it is rolled back, or re-applied from a copy
+    of the incumbent's journal ({!Noc_sched.Resource_state.save}, taken
+    once per recording), to the restart step, never rebuilt. *)
 
 type incumbent
 

@@ -19,7 +19,9 @@ let score_by ctg finish =
 let score ctg schedule =
   score_by ctg (fun i -> (Schedule.placement schedule i).Schedule.finish)
 
-let improves (m2, l2) (m1, l1) = m2 < m1 || (m2 = m1 && l2 < l1 -. 1e-6)
+(* The counts are typed [int] so they compare without the polymorphic
+   comparison: [viable] runs once per candidate placement. *)
+let improves ((m2 : int), l2) ((m1 : int), l1) = m2 < m1 || (m2 = m1 && l2 < l1 -. 1e-6)
 
 (* Whether a candidate whose placed tasks tally [(m, l)] can still end
    up improving on [(m1, l1)]. Placed tasks never move again, so [m] and
@@ -27,7 +29,7 @@ let improves (m2, l2) (m1, l1) = m2 < m1 || (m2 = m1 && l2 < l1 -. 1e-6)
    final score too. [l] is summed in placement order and the final score
    in task-id order; the relative margin covers that rounding gap, which
    is of order n * epsilon * l1, far below 1e-9 * l1. *)
-let may_improve (m, l) (m1, l1) =
+let may_improve ((m : int), l) ((m1 : int), l1) =
   m < m1 || (m = m1 && l < l1 -. 1e-6 +. (1e-9 *. (1. +. Float.abs l1)))
 
 (* Candidate bounds keeping one repair pass polynomial on 500-task
@@ -230,7 +232,9 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
         |> List.filter (fun k -> k <> home && pe_alive k)
         |> List.map (fun k ->
                (move_energy_arcs kernel ~assignment ~ins ~outs t1 k, k))
-        |> List.sort compare
+        |> List.sort (fun (e1, k1) (e2, k2) ->
+               let c = Float.compare e1 e2 in
+               if c <> 0 then c else Int.compare k1 k2)
         |> List.map snd
       in
       List.exists

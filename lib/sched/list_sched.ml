@@ -12,6 +12,7 @@ type t = {
   router_latency : float;
   in_start : int array;
   in_edge : int array;
+  in_order : int array;
   pred : int array;
   succ_start : int array;
   succ : int array;
@@ -73,6 +74,11 @@ let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
     router_latency = Noc_noc.Platform.router_latency platform;
     in_start;
     in_edge;
+    in_order =
+      Array.make
+        (Array.fold_left Int.max 0
+           (Array.init n (fun i -> in_start.(i + 1) - in_start.(i))))
+        0;
     pred = Array.map (fun e -> edges.(e).Noc_ctg.Edge.src) in_edge;
     succ_start;
     succ;
@@ -88,26 +94,28 @@ let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
 let c_transactions = Noc_obs.Counters.counter "sched.comm.transactions"
 let c_probe_transactions = Noc_obs.Counters.counter "sched.list_sched.probe_transactions"
 
+(* Whether in-edge [e1] is sent before [e2] in the Fig. 3 order. *)
+let sent_before t e1 e2 =
+  Comm_sched.compare_sends ~finish_a:t.finish.(t.edge_src.(e1)) ~edge_a:e1
+    ~finish_b:t.finish.(t.edge_src.(e2)) ~edge_b:e2
+  < 0
+
 (* Task [i]'s in-edges in the Fig. 3 order, insertion-sorted (in-degrees
-   are small) into a fresh array, so concurrent walks share nothing. *)
-let fig3_order t i =
+   are small) into the first cells of [order]; returns their count. *)
+let fig3_order t order i =
   let lo = t.in_start.(i) in
-  let order = Array.sub t.in_edge lo (t.in_start.(i + 1) - lo) in
-  let sent_before e1 e2 =
-    Comm_sched.compare_sends ~finish_a:t.finish.(t.edge_src.(e1)) ~edge_a:e1
-      ~finish_b:t.finish.(t.edge_src.(e2)) ~edge_b:e2
-    < 0
-  in
-  for j = 1 to Array.length order - 1 do
+  let n = t.in_start.(i + 1) - lo in
+  Array.blit t.in_edge lo order 0 n;
+  for j = 1 to n - 1 do
     let e = order.(j) in
     let p = ref j in
-    while !p > 0 && sent_before e order.(!p - 1) do
+    while !p > 0 && sent_before t e order.(!p - 1) do
       order.(!p) <- order.(!p - 1);
       decr p
     done;
     order.(!p) <- e
   done;
-  order
+  n
 
 (* A read-only walk reserves each window in private timelines, one per
    shared link table it would have written, and asks later transactions
@@ -146,61 +154,61 @@ let reserve_overlay (ov : overlay) route interval =
 (* The one Fig. 3 walk: sends task [i]'s in-edges to PE [k] in the Fig. 3
    order and returns the data-ready time, the latest arrival ([0.] for
    none). Committing, each window is reserved through the journal and
-   recorded in [tx_start]/[tx_finish], and a sender that cannot reach [k]
-   raises. Read-only, the walk writes nothing shared and such a sender
-   makes the data-ready time [infinity]. *)
+   recorded in [tx_start]/[tx_finish], the order is sorted into
+   [t.in_order], and a sender that cannot reach [k] raises. Read-only,
+   the walk writes nothing shared (its order goes to a fresh array) and
+   such a sender makes the data-ready time [infinity]. *)
 let receive t ~commit i k =
-  let order = fig3_order t i in
-  let last = Array.length order - 1 in
-  let ov : overlay = ref [] in
-  let arrive e start stop =
+  let order =
+    if commit then t.in_order else Array.make (t.in_start.(i + 1) - t.in_start.(i)) 0
+  in
+  let last = fig3_order t order i - 1 in
+  let ov : overlay = ref [] and drt = ref 0. and j = ref 0 in
+  while !j <= last do
+    let e = order.(!j) in
+    let src = t.edge_src.(e) in
+    let src_pe = t.pe.(src) and sent = t.finish.(src) in
+    Noc_obs.Counters.incr (if commit then c_transactions else c_probe_transactions);
+    let pair = (src_pe * t.n_pes) + k in
+    let h = t.hops.(pair) in
+    let duration =
+      if src_pe = k || h < 0 then 0.
+      else (t.volume.(e) /. t.link_bandwidth) +. (float_of_int (h - 1) *. t.router_latency)
+    in
+    let start =
+      if src_pe = k then sent
+      else if h < 0 then begin
+        if commit then
+          invalid_arg
+            (Printf.sprintf "List_sched.place: no surviving route from %d to %d" src_pe k);
+        (* The read-only walk ends here. *)
+        j := last;
+        infinity
+      end
+      else
+        let route = t.route_tables.(pair) in
+        match t.comm_model with
+        | Comm_sched.Fixed_delay -> sent
+        | Comm_sched.Contention_aware when commit ->
+          Resource_state.reserve_route_gap t.state route ~after:sent ~duration
+        | Comm_sched.Contention_aware ->
+          let start =
+            Timeline.earliest_gap_multi (with_overlay ov route) ~after:sent ~duration
+          in
+          (* Only the walk's later transactions read the overlay. *)
+          if !j < last then
+            reserve_overlay ov route (Noc_util.Interval.make ~start ~stop:(start +. duration));
+          start
+    in
+    let stop = start +. duration in
     if commit then begin
       t.tx_start.(e) <- start;
       t.tx_finish.(e) <- stop
     end;
-    stop
-  in
-  let rec go j drt =
-    if j > last then drt
-    else begin
-      let e = order.(j) in
-      let src = t.edge_src.(e) in
-      let src_pe = t.pe.(src) and sent = t.finish.(src) in
-      Noc_obs.Counters.incr (if commit then c_transactions else c_probe_transactions);
-      let pair = (src_pe * t.n_pes) + k in
-      let h = t.hops.(pair) in
-      if src_pe = k then go (j + 1) (Float.max drt (arrive e sent sent))
-      else if h < 0 then
-        if commit then
-          invalid_arg
-            (Printf.sprintf "List_sched.place: no surviving route from %d to %d" src_pe k)
-        else infinity
-      else begin
-        let duration =
-          (t.volume.(e) /. t.link_bandwidth) +. (float_of_int (h - 1) *. t.router_latency)
-        in
-        let route = t.route_tables.(pair) in
-        let start =
-          match t.comm_model with
-          | Comm_sched.Fixed_delay -> sent
-          | Comm_sched.Contention_aware when commit ->
-            (Resource_state.reserve_route_gap t.state route ~after:sent ~duration)
-              .Noc_util.Interval.start
-          | Comm_sched.Contention_aware ->
-            let start =
-              Timeline.earliest_gap_multi (with_overlay ov route) ~after:sent ~duration
-            in
-            (* Only the walk's later transactions read the overlay. *)
-            if j < last then
-              reserve_overlay ov route
-                (Noc_util.Interval.make ~start ~stop:(start +. duration));
-            start
-        in
-        go (j + 1) (Float.max drt (arrive e start (start +. duration)))
-      end
-    end
-  in
-  go 0 0.
+    drt := Float.max !drt stop;
+    incr j
+  done;
+  !drt
 
 (* The earliest start of task [i] on [k]'s table at or after [drt] and
    its release time. *)

@@ -37,6 +37,9 @@ type t = private {
           increasing id order, with their producers at the same
           positions of [pred]. *)
   in_edge : int array;
+  in_order : int array;
+      (** Scratch as long as the largest in-degree: {!place} sorts the
+          task's in-edges into it. Meaningless between calls. *)
   pred : int array;
   succ_start : int array;  (** Successor rows, laid out the same way. *)
   succ : int array;

@@ -5,10 +5,20 @@
     will be restored every time a F(i,k) is calculated");
     {!List_sched}'s read-only walk gets the same answer without writing
     them. Every reservation made through this module is journalled, so
-    the Step-3 rebuild can move between schedules cheaply: a {!mark} /
-    {!rollback} pair undoes everything reserved in between in
-    O(reservations undone), and {!redo} re-applies a rolled-back stretch
-    of the journal in O(reservations redone). *)
+    the Step-3 rebuild can move between schedules cheaply.
+
+    The journal is a flat undo log: one entry per reservation and table,
+    holding the table, the slot index the reservation took in it, the
+    interval and a serial number issued once per state. A {!mark} is a
+    journal position (its depth and the serial of the entry under it),
+    validated in O(1). A {!mark} / {!rollback} pair undoes everything
+    reserved in between in O(reservations undone): entries are undone
+    newest first, so each table is back in the state its entry was
+    written in and the recorded slot is exact ({!Noc_util.Timeline.release_slot}
+    checks it; no undo searches). A reservation after a rollback
+    overwrites the log above the mark, so the entries rolled back are
+    gone; {!save} copies the live journal first, and {!redo} re-applies
+    a stretch of such a copy in O(reservations redone). *)
 
 type t
 
@@ -31,28 +41,44 @@ val earliest_route_gap :
     answer is [after]. *)
 
 val reserve_route_gap :
-  t -> Noc_util.Timeline.t array -> after:float -> duration:float -> Noc_util.Interval.t
+  t -> Noc_util.Timeline.t array -> after:float -> duration:float -> float
 (** [reserve_route_gap t tables ~after ~duration] finds the earliest
     window of [duration] at or after [after] free on every table (as
     {!earliest_route_gap}), reserves it on each table in array order
     with one journal entry per table (as {!reserve_link} over the
-    route), and returns the window. *)
+    route), and returns the window's start. *)
 
 type mark
 
 val mark : t -> mark
+(** The current journal position. *)
+
+val equal_mark : mark -> mark -> bool
+(** Whether two marks name the same position of the same state: equal
+    depth and the same entry under it. Holds across a stretch of
+    reservations undone by a rollback; fails after any net reservation
+    or release. *)
+
 val rollback : t -> mark -> unit
 (** [rollback t m] releases every reservation made since [mark t]
     returned [m]. Marks must be rolled back innermost-first. Raises
     [Invalid_argument], leaving the state untouched, when [m] is not a
-    prefix of the current journal (a mark of another state, or one a
+    position of the live journal (a mark of another state, or one a
     rollback to an older mark already discarded). *)
 
-val redo : t -> mark -> unit
-(** [redo t m] re-applies, oldest first, every reservation [m] holds
-    beyond the current journal, and makes [m] the current journal: after
-    a rollback to a mark taken before [m], [redo t m] restores the state
-    as it was when [m] was taken. Marks are immutable journal positions,
-    so one state can move back and forth between the marks of a single
-    journal. Raises [Invalid_argument], leaving the state untouched,
-    when [m] is not an extension of the current journal. *)
+type saved
+(** A copy of a journal. *)
+
+val save : t -> saved
+(** [save t] copies the live journal, in O(its length). *)
+
+val redo : t -> saved -> mark -> unit
+(** [redo t s m] re-applies, oldest first, the entries of [s] from the
+    current depth up to [m], which must be a mark taken while the
+    journal held [s] up to [m]'s position. After a rollback to an
+    earlier such mark, and any reservations rolled back since, [redo t
+    s m] restores the state as it was when [m] was taken: one state can
+    move back and forth between the marks of a saved journal. Raises
+    [Invalid_argument], leaving the state untouched, when the live
+    journal is not a prefix of [s] or [m] is not a position of [s] at or
+    above the live depth. *)

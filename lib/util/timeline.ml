@@ -66,46 +66,58 @@ let ensure_capacity t n =
     t.stops <- stops
   end
 
-(* Inserts [iv] at index [i], which must be [first_stop_after t
-   iv.start]: every slot before [i] ends at or before [iv.start], so
-   slot [i] is the only candidate overlap. *)
-let insert t i (iv : Interval.t) =
-  if i < t.len && t.starts.(i) < iv.Interval.stop then
-    invalid_arg
-      (Format.asprintf "Timeline.reserve: %a overlaps %a" Interval.pp iv Interval.pp
-         (Interval.make ~start:t.starts.(i) ~stop:t.stops.(i)));
-  ensure_capacity t (t.len + 1);
+let overlap_error t i ~start ~stop =
+  invalid_arg
+    (Format.asprintf "Timeline.reserve: %a overlaps %a" Interval.pp
+       (Interval.make ~start ~stop) Interval.pp
+       (Interval.make ~start:t.starts.(i) ~stop:t.stops.(i)))
+
+(* Inserts [start, stop) at index [i], which must be [first_stop_after
+   t start]: every slot before [i] ends at or before [start], so slot
+   [i] is the only candidate overlap. *)
+let[@inline] insert t i ~start ~stop =
+  if i < t.len && t.starts.(i) < stop then overlap_error t i ~start ~stop;
+  if t.len = Array.length t.starts then ensure_capacity t (t.len + 1);
   if i < t.len then begin
     Array.blit t.starts i t.starts (i + 1) (t.len - i);
     Array.blit t.stops i t.stops (i + 1) (t.len - i)
   end;
-  t.starts.(i) <- iv.Interval.start;
-  t.stops.(i) <- iv.Interval.stop;
+  t.starts.(i) <- start;
+  t.stops.(i) <- stop;
   t.len <- t.len + 1;
   t.version <- t.version + 1
 
 let reserve t (iv : Interval.t) =
-  if not (Interval.is_empty iv) then insert t (first_stop_after t iv.Interval.start) iv
+  if not (Interval.is_empty iv) then
+    insert t (first_stop_after t iv.Interval.start) ~start:iv.Interval.start
+      ~stop:iv.Interval.stop
 
-let release t (iv : Interval.t) =
-  if not (Interval.is_empty iv) then begin
-    let i = first_stop_after t iv.Interval.start in
-    if i < t.len && t.starts.(i) = iv.Interval.start && t.stops.(i) = iv.Interval.stop
-    then begin
-      (* Rollbacks release newest-first, so the slot is often the last
-         one: skip the empty shift. *)
-      if i < t.len - 1 then begin
-        Array.blit t.starts (i + 1) t.starts i (t.len - i - 1);
-        Array.blit t.stops (i + 1) t.stops i (t.len - i - 1)
-      end;
-      t.len <- t.len - 1;
-      t.version <- t.version + 1
-    end
-    else
-      invalid_arg
-        (Format.asprintf "Timeline.release: %a not reserved (slot index %d of %d)"
-           Interval.pp iv i t.len)
+let slot t start = first_stop_after t start
+
+let slot_error what t i ~start ~stop =
+  invalid_arg
+    (Format.asprintf "Timeline.%s: %a not at slot index %d of %d" what Interval.pp
+       (Interval.make ~start ~stop) i t.len)
+
+(* Once every slot before [i] ends at or before [start], slot [i] is the
+   only candidate overlap, which [insert] checks. *)
+let reserve_slot t i ~start ~stop =
+  if start < stop && i >= 0 && i <= t.len && (i = 0 || t.stops.(i - 1) <= start) then
+    insert t i ~start ~stop
+  else slot_error "reserve_slot" t i ~start ~stop
+
+let release_slot t i ~start ~stop =
+  if i >= 0 && i < t.len && t.starts.(i) = start && t.stops.(i) = stop then begin
+    (* Rollbacks release newest-first, so the slot is often the last
+       one: skip the empty shift. *)
+    if i < t.len - 1 then begin
+      Array.blit t.starts (i + 1) t.starts i (t.len - i - 1);
+      Array.blit t.stops (i + 1) t.stops i (t.len - i - 1)
+    end;
+    t.len <- t.len - 1;
+    t.version <- t.version + 1
   end
+  else slot_error "release_slot" t i ~start ~stop
 
 let utilisation t ~horizon =
   assert (horizon > 0.);
@@ -196,20 +208,19 @@ let earliest_gap_multi tls ~after ~duration =
   if duration = 0. then after
   else gap_multi tls [||] ~after ~duration
 
-let reserve_gap_multi tls ~after ~duration =
+let reserve_gap_multi tls slots ~after ~duration =
   assert (duration >= 0.);
-  if duration = 0. then Interval.make ~start:after ~stop:(after +. duration)
+  if duration = 0. then after
   else begin
-    let at = Array.make (Array.length tls) 0 in
-    let start = gap_multi tls at ~after ~duration in
-    let iv = Interval.make ~start ~stop:(start +. duration) in
+    let start = gap_multi tls slots ~after ~duration in
+    let stop = start +. duration in
     (* As [reserve], an empty window (a duration lost to rounding)
        reserves nothing. *)
-    if not (Interval.is_empty iv) then
+    if start <> stop then
       for k = 0 to Array.length tls - 1 do
-        insert tls.(k) at.(k) iv
+        insert tls.(k) slots.(k) ~start ~stop
       done;
-    iv
+    start
   end
 
 let pp ppf t =

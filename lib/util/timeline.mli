@@ -6,15 +6,19 @@
     after a release time, and reserving a slot.
 
     Internally the busy set is a sorted dynamic array indexed by binary
-    search: [is_free] and [release] are O(log n), [earliest_gap] is
-    O(log n + slots walked past), [reserve] is O(1) amortized for the
-    scheduler's dominant append-at-end pattern and O(n) worst case for a
-    mid-table insert. Snapshots copy the live prefix (O(n)); the hot
-    tentative-[F(i,k)] path of EAS Step 2 instead undoes its reservations
-    through [Noc_sched.Resource_state]'s journal, which never snapshots.
-    Behavioural equivalence with a naive sorted-list model (the test-only
-    [Timeline_reference]) is enforced by qcheck differential tests over
-    random operation traces. *)
+    search: [is_free] is O(log n), [earliest_gap] is O(log n + slots
+    walked past), [reserve] is O(1) amortized for the scheduler's
+    dominant append-at-end pattern and O(n) worst case for a mid-table
+    insert. The slot forms {!reserve_slot} and {!release_slot} take the
+    slot index from the caller and only check it, in O(1) plus the shift
+    of the slots after it (none at the end of the table):
+    [Noc_sched.Resource_state]'s journal records each reservation's
+    index, which is exact again whenever the journal is undone or redone
+    in order, so no undo searches. Snapshots copy the live prefix
+    (O(n)) and are not used by the schedulers. Behavioural equivalence
+    with a naive sorted-list model (the test-only [Timeline_reference])
+    is enforced by qcheck differential tests over random operation
+    traces. *)
 
 type t
 
@@ -39,10 +43,21 @@ val reserve : t -> Interval.t -> unit
 (** [reserve t iv] marks [iv] busy. Raises [Invalid_argument] if [iv]
     overlaps an existing busy interval. Empty intervals are ignored. *)
 
-val release : t -> Interval.t -> unit
-(** [release t iv] removes a busy interval equal to [iv]. Raises
-    [Invalid_argument] when no such interval exists; the message reports
-    the table index where the interval would have lived. *)
+val slot : t -> float -> int
+(** [slot t start] is the index a reservation starting at [start] takes:
+    the first slot that ends after [start], or the number of slots. *)
+
+val reserve_slot : t -> int -> start:float -> stop:float -> unit
+(** [reserve_slot t i ~start ~stop] reserves the non-empty [[start,
+    stop)] at slot index [i], which must be [slot t start]. Raises
+    [Invalid_argument], leaving the table unchanged, when the interval
+    is empty, [i] is not that index, or the interval overlaps a busy
+    one. *)
+
+val release_slot : t -> int -> start:float -> stop:float -> unit
+(** [release_slot t i ~start ~stop] removes slot [i], which must hold
+    exactly [[start, stop)]. Raises [Invalid_argument], leaving the
+    table unchanged, otherwise; the message reports the index. *)
 
 val utilisation : t -> horizon:float -> float
 (** Fraction of [0, horizon) covered by busy intervals (clipped to the
@@ -56,7 +71,7 @@ val restore : t -> snapshot -> unit
 
 val version : t -> int
 (** Mutation counter: incremented by every state-changing {!reserve},
-    {!release} and {!restore} (no-ops on empty intervals do not count).
+    {!reserve_slot}, {!release_slot} and {!restore} (no-ops on empty intervals do not count).
     Two reads of an unchanged version bracket an unchanged busy set, so
     callers can memoize query results against a timeline and revalidate
     with one integer comparison — the EAS flat-array kernel keys its
@@ -73,13 +88,18 @@ val earliest_gap_multi : t array -> after:float -> duration:float -> float
     free on every timeline in the array. The answer does not depend on
     the order of the array. *)
 
-val reserve_gap_multi : t array -> after:float -> duration:float -> Interval.t
-(** [reserve_gap_multi tls ~after ~duration] is the window [[s, s +
-    duration)] with [s = earliest_gap_multi tls ~after ~duration],
-    reserved on every timeline in array order as by {!reserve}, overlap
-    check included. The gap search already locates each table's
-    insertion point, so no table is searched twice. The timelines must
-    be distinct (a route's links): a repeated one fails the overlap
-    check after the earlier ones were reserved. *)
+val reserve_gap_multi :
+  t array -> int array -> after:float -> duration:float -> float
+(** [reserve_gap_multi tls slots ~after ~duration] reserves the window
+    [[s, s + duration)] with [s = earliest_gap_multi tls ~after
+    ~duration] on every timeline in array order as by {!reserve},
+    overlap check included, and returns [s]. The gap search already
+    locates each table's insertion point, so no table is searched twice;
+    [slots.(k)] receives the slot index the window took in [tls.(k)]
+    ([slots] must be at least as long as [tls]). An empty window (zero
+    duration, or one lost to rounding) reserves nothing and leaves
+    [slots] meaningless. The timelines must be distinct (a route's
+    links): a repeated one fails the overlap check after the earlier
+    ones were reserved. *)
 
 val pp : Format.formatter -> t -> unit

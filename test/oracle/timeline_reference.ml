@@ -43,24 +43,25 @@ let reserve t iv =
     t.slots <- insert t.slots
   end
 
-let release t iv =
-  if not (Interval.is_empty iv) then begin
-    let found = ref false in
-    let rec remove = function
-      | [] -> []
-      | hd :: tl ->
-        if (not !found) && Interval.equal hd iv then begin
-          found := true;
-          tl
-        end
-        else hd :: remove tl
-    in
-    let slots = remove t.slots in
-    if not !found then
-      invalid_arg
-        (Format.asprintf "Timeline_reference.release: %a not reserved" Interval.pp iv);
-    t.slots <- slots
-  end
+(* The slot a reservation starting at [start] takes: the number of
+   slots ending at or before it. *)
+let slot_of t start = List.length (List.filter (fun iv -> iv.Interval.stop <= start) t.slots)
+
+let reserve_slot t i ~start ~stop =
+  if not (start < stop && i = slot_of t start) then
+    invalid_arg
+      (Format.asprintf "Timeline_reference.reserve_slot: [%g, %g) not at slot index %d"
+         start stop i);
+  reserve t (Interval.make ~start ~stop)
+
+let release_slot t i ~start ~stop =
+  match if i < 0 then None else List.nth_opt t.slots i with
+  | Some iv when iv.Interval.start = start && iv.Interval.stop = stop ->
+    t.slots <- List.filteri (fun j _ -> j <> i) t.slots
+  | Some _ | None ->
+    invalid_arg
+      (Format.asprintf "Timeline_reference.release_slot: [%g, %g) not at slot index %d"
+         start stop i)
 
 let utilisation t ~horizon =
   assert (horizon > 0.);

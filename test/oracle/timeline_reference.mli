@@ -17,7 +17,8 @@ val busy : t -> Noc_util.Interval.t list
 val is_free : t -> Noc_util.Interval.t -> bool
 val earliest_gap : t -> after:float -> duration:float -> float
 val reserve : t -> Noc_util.Interval.t -> unit
-val release : t -> Noc_util.Interval.t -> unit
+val reserve_slot : t -> int -> start:float -> stop:float -> unit
+val release_slot : t -> int -> start:float -> stop:float -> unit
 val utilisation : t -> horizon:float -> float
 val span : t -> float
 val snapshot : t -> snapshot

@@ -149,11 +149,12 @@ let reserve_random state (target, after, duration) =
 
 let raises f = try f (); false with Invalid_argument _ -> true
 
-(* Random reservations with a mark before each; then a random walk of
-   rollbacks and redos between the marks must show, at every stop, the
-   busy lists recorded when that mark was taken. Redo to a mark that
-   does not extend the current journal (an older one, or one of a
-   branch the journal left) must raise and change nothing. *)
+(* Random reservations with a mark before each, and a copy of the
+   journal they leave; then a random walk of rollbacks and redos (from
+   that copy) between the marks must show, at every stop, the busy
+   lists recorded when that mark was taken. Redo to a mark that does
+   not extend the current journal (an older one, or one of a branch the
+   journal left) must raise and change nothing. *)
 let qcheck_rollback_redo =
   let reservation = QCheck.(triple (int_range 0 11) (int_range 0 30) (int_range 1 6)) in
   let gen =
@@ -172,6 +173,7 @@ let qcheck_rollback_redo =
           reservations
       in
       let stops = Array.of_list (stops @ [ (Resource_state.mark state, tables state) ]) in
+      let saved = Resource_state.save state in
       let at = ref (Array.length stops - 1) in
       let walk_ok =
         List.for_all
@@ -179,7 +181,7 @@ let qcheck_rollback_redo =
             let target = pick mod Array.length stops in
             let m, seen = stops.(target) in
             if target <= !at then Resource_state.rollback state m
-            else Resource_state.redo state m;
+            else Resource_state.redo state saved m;
             at := target;
             tables state = seen)
           walk
@@ -188,21 +190,21 @@ let qcheck_rollback_redo =
       let last, _ = stops.(Array.length stops - 1) in
       (* An older mark than the current journal. *)
       Resource_state.rollback state first;
-      Resource_state.redo state last;
-      let older_raises = raises (fun () -> Resource_state.redo state first) in
+      Resource_state.redo state saved last;
+      let older_raises = raises (fun () -> Resource_state.redo state saved first) in
       (* A mark of a branch the journal left: back to the first stop,
          then a new reservation. *)
       Resource_state.rollback state first;
       reserve_random state (0, 200, 1);
       let branched = tables state in
-      let branch_raises = raises (fun () -> Resource_state.redo state last) in
+      let branch_raises = raises (fun () -> Resource_state.redo state saved last) in
       let unchanged = tables state = branched in
       Resource_state.rollback state first;
       walk_ok && older_raises && branch_raises && unchanged && tables state = seen_first)
 
 (* The table-array fast path against the route-list one: on equal
    states, [reserve_route_gap] over the route's link tables takes the
-   window [earliest_route_gap] finds and journals it as [reserve_link]
+   window [earliest_route_gap] finds (it returns its start) and journals it as [reserve_link]
    over the route does, so a rollback undoes either the same way. *)
 let qcheck_reserve_route_gap =
   let reservation = QCheck.(triple (int_range 0 11) (int_range 0 30) (int_range 1 6)) in
@@ -230,11 +232,149 @@ let qcheck_reserve_route_gap =
       let start = Resource_state.earliest_route_gap slow ~route ~after ~duration in
       let interval = iv start (start +. duration) in
       List.iter (fun l -> Resource_state.reserve_link slow l interval) route;
-      let same_window = Interval.equal window interval in
+      let same_window = window = start in
       let same_tables = tables fast = tables slow in
       Resource_state.rollback fast mark_fast;
       Resource_state.rollback slow mark_slow;
       same_window && same_tables && tables fast = tables slow)
+
+(* The journal against a model of it: a stack of (table, interval)
+   entries, newest first, whose marks and saved copies are its tails.
+   A rollback is valid when the mark's stack is a tail of the live one;
+   a redo, when the live stack is a tail of the mark's and the mark's
+   of the saved copy's. After any interleaving of reservations (PE and
+   route), marks, saves, rollbacks and redos, every operation must raise
+   exactly when the model calls it invalid, and every table must hold
+   what replaying the model's entries on [Timeline_reference] gives. *)
+type journal_op =
+  | Reserve_pe of int * int * int
+  | Reserve_route of int * int * int * int
+  | Mark
+  | Save
+  | Rollback of int
+  | Redo of int * int
+
+let journal_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map3 (fun pe a d -> Reserve_pe (pe, a, d)) (int_bound 3) (int_bound 30) (int_bound 6));
+        ( 4,
+          map2
+            (fun (src, dst) (a, d) -> Reserve_route (src, dst, a, d))
+            (pair (int_bound 3) (int_bound 3))
+            (pair (int_bound 30) (int_bound 6)) );
+        (3, return Mark);
+        (1, return Save);
+        (2, map (fun i -> Rollback i) (int_bound 100));
+        (2, map2 (fun i j -> Redo (i, j)) (int_bound 100) (int_bound 100));
+      ])
+
+let pp_journal_op = function
+  | Reserve_pe (pe, a, d) -> Printf.sprintf "Reserve_pe(%d,%d,%d)" pe a d
+  | Reserve_route (s, t, a, d) -> Printf.sprintf "Reserve_route(%d,%d,%d,%d)" s t a d
+  | Mark -> "Mark"
+  | Save -> "Save"
+  | Rollback i -> Printf.sprintf "Rollback(%d)" i
+  | Redo (i, j) -> Printf.sprintf "Redo(%d,%d)" i j
+
+let rec is_tail tail list = tail == list || match list with [] -> false | _ :: rest -> is_tail tail rest
+
+let qcheck_journal_model =
+  let module Reference = Noc_oracle.Timeline_reference in
+  let n = Noc_noc.Platform.n_pes platform in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map pp_journal_op ops))
+      QCheck.Gen.(list_size (int_range 0 60) journal_op_gen)
+  in
+  QCheck.Test.make ~name:"journal replays as its surviving reservations" ~count:500 arb
+    (fun ops ->
+      let state = Resource_state.create platform in
+      (* Table [k]: PE [k] below [n], else link [k - n]. *)
+      let table k =
+        if k < n then Resource_state.pe_table state k
+        else Resource_state.link_table state links.(k - n)
+      in
+      let link_key l =
+        let rec find i = if links.(i) = l then n + i else find (i + 1) in
+        find 0
+      in
+      let live = ref [] and marks = ref [||] and saves = ref [||] in
+      let pick a i = a.(i mod Array.length a) in
+      let agrees valid f =
+        let before = tables state in
+        let raised = raises f in
+        raised = not valid && ((not raised) || tables state = before)
+      in
+      let step = function
+        | Reserve_pe (pe, a, d) ->
+          let after = float_of_int a and duration = float_of_int d in
+          let start = Resource_state.earliest_pe_gap state ~pe ~after ~duration in
+          Resource_state.reserve_pe state ~pe (iv start (start +. duration));
+          if d > 0 then live := (pe, iv start (start +. duration)) :: !live;
+          true
+        | Reserve_route (src, dst, a, d) ->
+          let route = Noc_noc.Platform.route_links platform ~src ~dst in
+          let duration = float_of_int d in
+          let start =
+            Resource_state.reserve_route_gap state
+              (Array.of_list (List.map (Resource_state.link_table state) route))
+              ~after:(float_of_int a) ~duration
+          in
+          if d > 0 then
+            List.iter
+              (fun l -> live := (link_key l, iv start (start +. duration)) :: !live)
+              route;
+          true
+        | Mark ->
+          marks := Array.append !marks [| (Resource_state.mark state, !live) |];
+          true
+        | Save ->
+          saves := Array.append !saves [| (Resource_state.save state, !live) |];
+          true
+        | Rollback i when Array.length !marks > 0 ->
+          let m, stack = pick !marks i in
+          let valid = is_tail stack !live in
+          let ok = agrees valid (fun () -> Resource_state.rollback state m) in
+          if valid then live := stack;
+          ok
+        | Redo (i, j) when Array.length !marks > 0 && Array.length !saves > 0 ->
+          let saved, saved_stack = pick !saves i and m, stack = pick !marks j in
+          let valid = is_tail !live stack && is_tail stack saved_stack in
+          let ok = agrees valid (fun () -> Resource_state.redo state saved m) in
+          if valid then live := stack;
+          ok
+        | Rollback _ | Redo _ -> true
+      in
+      let replay () =
+        let refs = Array.init (n + Array.length links) (fun _ -> Reference.create ()) in
+        List.iter (fun (k, interval) -> Reference.reserve refs.(k) interval) (List.rev !live);
+        List.for_all
+          (fun k -> Timeline.busy (table k) = Reference.busy refs.(k))
+          (List.init (Array.length refs) Fun.id)
+      in
+      List.for_all (fun op -> step op && replay ()) ops)
+
+(* A slot that no longer holds the interval: a reservation before it
+   shifted it along, or it was released already. *)
+let test_release_slot_checks () =
+  let tl = Timeline.create () in
+  Timeline.reserve tl (iv 10. 20.);
+  Timeline.reserve tl (iv 0. 5.);
+  let busy = Timeline.busy tl and version = Timeline.version tl in
+  let unchanged () = Timeline.busy tl = busy && Timeline.version tl = version in
+  Alcotest.(check bool) "shifted slot raises" true
+    (raises (fun () -> Timeline.release_slot tl 0 ~start:10. ~stop:20.));
+  Alcotest.(check bool) "table unchanged" true (unchanged ());
+  Alcotest.(check bool) "slot past the end raises" true
+    (raises (fun () -> Timeline.release_slot tl 2 ~start:10. ~stop:20.));
+  Alcotest.(check bool) "table still unchanged" true (unchanged ());
+  Timeline.release_slot tl 1 ~start:10. ~stop:20.;
+  Alcotest.(check bool) "released slot raises" true
+    (raises (fun () -> Timeline.release_slot tl 1 ~start:10. ~stop:20.));
+  Alcotest.(check (list (float 0.))) "only the live slot is left" [ 0.; 5. ]
+    (List.concat_map (fun (i : Interval.t) -> [ i.start; i.stop ]) (Timeline.busy tl))
 
 let suite =
   [
@@ -251,4 +391,6 @@ let suite =
       test_rollback_interleaved_resources;
     QCheck_alcotest.to_alcotest qcheck_rollback_redo;
     QCheck_alcotest.to_alcotest qcheck_reserve_route_gap;
+    QCheck_alcotest.to_alcotest qcheck_journal_model;
+    Alcotest.test_case "release_slot checks its slot" `Quick test_release_slot_checks;
   ]

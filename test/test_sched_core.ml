@@ -230,7 +230,8 @@ let versions state =
 
 (* Everything a probe must leave as it found it: the partial schedule,
    every table's busy set and version (a version moves on a reserve
-   that a release undid), and the journal head. *)
+   that a release undid), and the journal position (its depth and the
+   entry under it, so a net reservation or release both show). *)
 let unchanged_by (ls : List_sched.t) f =
   let arrays () =
     ( Array.copy ls.pe,
@@ -245,7 +246,7 @@ let unchanged_by (ls : List_sched.t) f =
     compare (arrays ()) before = 0
     && compare (busy_sets ls.state) busy = 0
     && versions ls.state = seen
-    && Resource_state.mark ls.state == head )
+    && Resource_state.equal_mark (Resource_state.mark ls.state) head )
 
 (* Every (ready task, alive PE) pair's probe and data-ready time, read
    serially and on a two-domain pool. *)

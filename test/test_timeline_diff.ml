@@ -2,9 +2,11 @@
    Timeline_reference model.
 
    Random operation traces — reserve (possibly overlapping, possibly
-   empty), release of a live slot, gap queries, snapshot/rollback,
-   utilisation, span — are replayed against both implementations; every
-   observation must agree, including which reserves raise. Values are
+   empty), reserve at a given slot index (the right one or a neighbour),
+   release of a live slot at its index or at a wrong one, gap queries,
+   snapshot/rollback, utilisation, span — are replayed against both
+   implementations; every observation must agree, including which
+   operations raise. Values are
    drawn from a small integer grid so collisions, touching intervals and
    exact-duration fits all occur constantly. *)
 
@@ -14,7 +16,9 @@ module Interval = Noc_util.Interval
 
 type op =
   | Reserve of int * int (* start, length (0 = empty interval) *)
-  | Release_nth of int (* index into the live busy list, mod its size *)
+  | Reserve_at of int * int * int (* start, length, slot index offset *)
+  | Release_nth of int * int
+    (* index into the live busy list, mod its size; slot index offset *)
   | Gap of int * int (* after, duration *)
   | Is_free of int * int
   | Snapshot
@@ -27,7 +31,10 @@ let op_gen =
     frequency
       [
         (6, map2 (fun s l -> Reserve (s, l)) (int_bound 60) (int_bound 6));
-        (2, map (fun i -> Release_nth i) (int_bound 1000));
+        (2, map3 (fun s l o -> Reserve_at (s, l, o)) (int_bound 60) (int_bound 6)
+              (int_range (-1) 1));
+        (2, map2 (fun i o -> Release_nth (i, o)) (int_bound 1000)
+              (frequency [ (3, return 0); (1, int_range (-1) 1) ]));
         (4, map2 (fun a d -> Gap (a, d)) (int_bound 70) (int_bound 8));
         (2, map2 (fun a d -> Is_free (a, d)) (int_bound 70) (int_bound 8));
         (1, return Snapshot);
@@ -38,7 +45,8 @@ let op_gen =
 
 let pp_op = function
   | Reserve (s, l) -> Printf.sprintf "Reserve(%d,%d)" s l
-  | Release_nth i -> Printf.sprintf "Release_nth(%d)" i
+  | Reserve_at (s, l, o) -> Printf.sprintf "Reserve_at(%d,%d,%d)" s l o
+  | Release_nth (i, o) -> Printf.sprintf "Release_nth(%d,%d)" i o
   | Gap (a, d) -> Printf.sprintf "Gap(%d,%d)" a d
   | Is_free (a, d) -> Printf.sprintf "Is_free(%d,%d)" a d
   | Snapshot -> "Snapshot"
@@ -56,6 +64,12 @@ let iv start stop = Interval.make ~start ~stop
 let same_busy tl rf =
   let a = Timeline.busy tl and b = Reference.busy rf in
   List.length a = List.length b && List.for_all2 Interval.equal a b
+
+let raises f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
 
 (* Replays [ops] on both implementations; returns false (qcheck failure)
    at the first disagreement. *)
@@ -82,14 +96,24 @@ let agree ops =
             with Invalid_argument _ -> true
           in
           if raised_tl <> raised_rf then ok := false
-        | Release_nth i ->
+        | Reserve_at (s, l, o) ->
+          let start = float_of_int s and stop = float_of_int (s + l) in
+          let at = Timeline.slot tl start + o in
+          if
+            raises (fun () -> Timeline.reserve_slot tl at ~start ~stop)
+            <> raises (fun () -> Reference.reserve_slot rf at ~start ~stop)
+          then ok := false
+        | Release_nth (i, o) ->
           let live = Reference.busy rf in
           (match live with
           | [] -> ()
           | _ ->
-            let target = List.nth live (i mod List.length live) in
-            Timeline.release tl target;
-            Reference.release rf target)
+            let nth = i mod List.length live in
+            let { Interval.start; stop } = List.nth live nth in
+            if
+              raises (fun () -> Timeline.release_slot tl (nth + o) ~start ~stop)
+              <> raises (fun () -> Reference.release_slot rf (nth + o) ~start ~stop)
+            then ok := false)
         | Gap (a, d) ->
           let after = float_of_int a and duration = float_of_int d in
           if
@@ -158,13 +182,19 @@ let qcheck_multi =
         && List.for_all2 Interval.equal merged_tl merged_rf
       in
       let same_gap = Timeline.earliest_gap_multi tls ~after ~duration = gap in
-      (* The fused search-and-reserve takes the same window and leaves
-         every table as a reserve of it would. *)
-      let window = Timeline.reserve_gap_multi tls ~after ~duration in
-      Array.iter (fun rf -> Reference.reserve rf (iv gap (gap +. duration))) rfs;
-      same_merge && same_gap
-      && Interval.equal window (iv gap (gap +. duration))
-      && Array.for_all2 same_busy tls rfs)
+      (* The fused search-and-reserve takes the same window, leaves
+         every table as a reserve of it would, and reports the slot the
+         window took in each. *)
+      let slots = Array.make 3 0 in
+      let window = Timeline.reserve_gap_multi tls slots ~after ~duration in
+      let reserved = iv gap (gap +. duration) in
+      Array.iter (fun rf -> Reference.reserve rf reserved) rfs;
+      let slot_holds_window k tl =
+        Interval.equal (List.nth (Timeline.busy tl) slots.(k)) reserved
+      in
+      same_merge && same_gap && window = gap
+      && Array.for_all2 same_busy tls rfs
+      && (d = 0 || List.for_all Fun.id (List.mapi slot_holds_window (Array.to_list tls))))
 
 (* Regression for the old non-tail-recursive coalesce: merging tables
    whose combined slot count would overflow the stack under non-tail
@@ -184,7 +214,7 @@ let test_release_error_reports_index () =
   let tl = Timeline.create () in
   Timeline.reserve tl (iv 0. 10.);
   Timeline.reserve tl (iv 20. 30.);
-  match Timeline.release tl (iv 20. 25.) with
+  match Timeline.release_slot tl 1 ~start:20. ~stop:25. with
   | () -> Alcotest.fail "release of unknown interval must raise"
   | exception Invalid_argument msg ->
     Alcotest.(check bool)

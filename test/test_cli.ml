@@ -410,6 +410,53 @@ let test_golden () =
     in
     Alcotest.(check (list string)) "pinned invocations" golden lines
 
+(* Every campaign table of [experiment --quick], pinned line by line
+   in [experiment_quick_golden.txt]. The two wall-time columns of the
+   category tables ([base t(s)], [EAS t(s)]) are masked; every other
+   cell is deterministic at any job count. Regenerate from the test
+   directory:
+     dune build && cd _build/default/test && \
+       EXPERIMENT_GOLDEN_REGEN=$PWD/../../../test/experiment_quick_golden.txt \
+       ./test_main.exe test cli *)
+
+let experiment_golden_file = "experiment_quick_golden.txt"
+
+(* Masks the last two cells of every row below a table header that
+   names [base t(s)]. *)
+let mask_runtime_columns lines =
+  let mask_row line =
+    match List.rev (String.split_on_char '|' line) with
+    | trailing :: _eas_t :: _base_t :: rest ->
+      String.concat "|" (List.rev (trailing :: " * " :: " * " :: rest))
+    | _ -> line
+  in
+  let rec go masking = function
+    | [] -> []
+    | line :: rest when contains line "base t(s)" -> line :: go true rest
+    | line :: rest when String.length line > 0 && line.[0] = '|' ->
+      (if masking then mask_row line else line) :: go masking rest
+    | line :: rest -> line :: go false rest
+  in
+  go false lines
+
+let test_experiment_golden () =
+  let code, stdout, _ = run_shell "%s experiment --quick" binary in
+  Alcotest.(check int) "exit 0" 0 code;
+  let lines =
+    String.split_on_char '\n' stdout |> List.filter (fun l -> l <> "") |> mask_runtime_columns
+  in
+  match Sys.getenv_opt "EXPERIMENT_GOLDEN_REGEN" with
+  | Some path ->
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+  | None ->
+    let golden =
+      In_channel.with_open_text experiment_golden_file In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> "")
+    in
+    Alcotest.(check (list string)) "experiment --quick tables" golden lines
+
 let suite =
   [
     Alcotest.test_case "generate" `Quick test_generate;
@@ -430,5 +477,6 @@ let suite =
     Alcotest.test_case "dvfs flag" `Quick test_dvfs_flag;
     Alcotest.test_case "help" `Quick test_help;
     Alcotest.test_case "golden outputs" `Quick test_golden;
+    Alcotest.test_case "experiment --quick golden" `Quick test_experiment_golden;
     Alcotest.test_case "fault specs checked" `Quick test_fault_specs_checked;
   ]

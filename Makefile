@@ -29,6 +29,7 @@ perfbench-smoke:
 
 # Every table and figure of the paper, full size: all campaigns of
 # `nocsched experiment` (the one campaign table; see DESIGN.md §2).
+# Exits 1 if any campaign schedule fails the certifier gate.
 bench:
 	dune exec bin/nocsched.exe -- experiment
 
@@ -177,13 +178,14 @@ analyze-adaptive: build
 # the committed fault table), the suite again on two- and four-domain
 # pools, every example program, every campaign scaled down (the first
 # half of quick-bench; its quick timing gates are left out because they
-# rewrite the BENCH files, and the full-size gates run below), the
+# rewrite the BENCH files, and the full-size gates run below), every
+# campaign at full size (each schedule through the certifier gate), the
 # perfbench smoke test, the static analysis sweeps (deterministic and
 # adaptive routing), the trace and daemon smokes, then the timing gates
 # of bench/main.exe (timeline and category-I EAS, parallel speedup,
 # observability overhead, the scheduling-service latencies and mapping
 # delta-eval).
-verify: build test test-jobs examples experiment-quick perfbench-smoke analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-mapping
+verify: build test test-jobs examples experiment-quick bench perfbench-smoke analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-mapping
 
 examples:
 	dune exec examples/quickstart.exe

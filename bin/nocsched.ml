@@ -11,8 +11,9 @@
      trace-check  validate a trace-event file
 
    schedule and simulate print from the record of
-   Noc_experiments.Pipeline, which the serve daemon runs too; map and
-   analyze --schedule certify through Pipeline.certify. *)
+   Noc_experiments.Pipeline, which the serve daemon and every campaign
+   of experiment run too; map and analyze --schedule certify through
+   Pipeline.certify. *)
 
 module Pipeline = Noc_experiments.Pipeline
 
@@ -456,11 +457,6 @@ let schedule_cmd =
       Noc_noc.Platform.pp platform Noc_ctg.Ctg.pp ctg;
     Format.printf "%a@." Noc_sched.Metrics.pp metrics;
     Noc_obs.Log.infof "scheduler runtime: %.3f s" r.runtime_seconds;
-    let resource_violations =
-      Noc_experiments.Runner.resource_violations platform ctg r.schedule
-    in
-    if resource_violations > 0 then
-      Noc_obs.Log.warnf "%d resource violations" resource_violations;
     (* EAS Step 4: the scaled schedule is what --save-schedule persists
        (format v3); the printed Eq.-3 metrics above stay those of the
        unscaled base. *)
@@ -1023,11 +1019,17 @@ let experiment_cmd =
             Result.bind acc (fun cs -> Result.map (fun c -> cs @ [ c ]) (find name)))
           (Ok []) names
     in
-    Result.map
-      (List.iter (fun (name, f) ->
-           Noc_obs.Log.infof "experiment %s%s" name (if quick then " (quick)" else "");
-           f ()))
-      selected
+    (* Every campaign schedule passes Pipeline.gate; a rejected one
+       stops the run, naming its rule and location, and exits 1. *)
+    let run_campaign (name, f) =
+      Noc_obs.Log.infof "experiment %s%s" name (if quick then " (quick)" else "");
+      try f ()
+      with Pipeline.Uncertified d ->
+        Noc_obs.Log.errorf "certifier: experiment %s NOT certified: %s" name
+          (Format.asprintf "%a" Noc_analysis.Diagnostic.pp d);
+        Stdlib.exit 1
+    in
+    Result.map (List.iter run_campaign) selected
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate one of the paper's tables or figures.")

@@ -1,3 +1,4 @@
+(* The deterministic route of every ordered pair of distinct tiles. *)
 let platform_routes platform =
   let n = Noc_noc.Platform.n_pes platform in
   let routes = ref [] in

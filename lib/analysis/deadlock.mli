@@ -12,9 +12,6 @@
     deterministic-routing assumption hides — and what the turn-legal
     degraded detours of {!Noc_noc.Degraded} now avoid by construction. *)
 
-val platform_routes : Noc_noc.Platform.t -> int list list
-(** The deterministic route of every ordered pair of distinct tiles. *)
-
 val degraded_routes :
   Noc_noc.Degraded.t -> int list list * (int * int) list
 (** Routes over the surviving fabric plus the list of (src, dst) pairs

@@ -34,9 +34,6 @@ val error : rule:string -> location -> ('a, unit, string, t) format4 -> 'a
 val warning : rule:string -> location -> ('a, unit, string, t) format4 -> 'a
 val info : rule:string -> location -> ('a, unit, string, t) format4 -> 'a
 
-val severity_name : severity -> string
-val location_to_string : location -> string
-
 val sort : t list -> t list
 (** Canonical report order: severity (errors first), then rule id,
     then location, then message. [to_json] and the CLI both emit

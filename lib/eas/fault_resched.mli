@@ -15,9 +15,9 @@
       full EAS re-run from scratch is tried, keeping whichever schedule
       scores better (fewest misses, then least total lateness).
 
-    The result targets the degraded platform: validate it with the
-    default (recorded-route) {!Noc_sched.Validate.check}, not the
-    strict-routes mode. *)
+    The result targets the degraded platform: check it against its
+    recorded routes (the certifier, or {!module:Noc_sched.Validate} in
+    its default mode), not in the strict-routes mode. *)
 
 type stats = {
   migrated_tasks : int;  (** Tasks moved off failed PEs in step 1. *)

@@ -41,13 +41,13 @@ let run ?jobs ?(seeds = [ 0; 1; 2; 7; 8 ]) ?(n_tasks = 120) ?(tightness = 1.4) (
     (fun seed ->
       Runner.traced ~label:(Printf.sprintf "ablation/seed=%d" seed) @@ fun () ->
       let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
-      let aware =
-        Runner.schedule_of ~comm_model:Noc_sched.Comm_sched.Contention_aware
-          Runner.Eas platform ctg
-      in
+      let aware = (Pipeline.evaluate platform ctg (Pipeline.request Runner.Eas)).schedule in
+      (* The fixed-delay arm is the ablation's wrong model: its links
+         overlap, so it would fail the certifier by design and is only
+         replayed, never certified. *)
       let fixed =
-        Runner.schedule_of ~comm_model:Noc_sched.Comm_sched.Fixed_delay Runner.Eas
-          platform ctg
+        (Noc_eas.Eas.schedule ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg)
+          .schedule
       in
       let aware_replay = Noc_sim.Executor.run platform ctg aware in
       let fixed_replay = Noc_sim.Executor.run platform ctg fixed in

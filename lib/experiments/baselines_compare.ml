@@ -1,24 +1,30 @@
 type entry = { scheduler : string; energy : float; makespan : float; misses : int }
 type row = { name : string; entries : entry list }
 
-let entry_of name platform ctg schedule =
-  let m = Noc_sched.Metrics.compute platform ctg schedule in
+let entry_of name (m : Noc_sched.Metrics.t) =
   {
     scheduler = name;
-    energy = m.Noc_sched.Metrics.total_energy;
-    makespan = m.Noc_sched.Metrics.makespan;
+    energy = m.total_energy;
+    makespan = m.makespan;
     misses = Noc_sched.Metrics.miss_count m;
   }
 
 let evaluate name platform ctg =
+  let requested name algo =
+    entry_of name (Pipeline.evaluate platform ctg (Pipeline.request algo)).metrics
+  in
+  (* No request names DLS or the energy-greedy mapper, so their
+     schedules are certified on their own. *)
+  let certified name schedule =
+    Pipeline.gate (Pipeline.certify platform ctg schedule);
+    entry_of name (Noc_sched.Metrics.compute platform ctg schedule)
+  in
   let entries =
     [
-      entry_of "EAS" platform ctg (Noc_eas.Eas.schedule platform ctg).Noc_eas.Eas.schedule;
-      entry_of "EDF" platform ctg (Noc_edf.Edf.schedule platform ctg);
-      entry_of "DLS" platform ctg
-        (Noc_baselines.Dls.schedule platform ctg);
-      entry_of "Energy-greedy" platform ctg
-        (Noc_baselines.Energy_greedy.schedule platform ctg);
+      requested "EAS" Runner.Eas;
+      requested "EDF" Runner.Edf;
+      certified "DLS" (Noc_baselines.Dls.schedule platform ctg);
+      certified "Energy-greedy" (Noc_baselines.Energy_greedy.schedule platform ctg);
     ]
   in
   { name; entries }

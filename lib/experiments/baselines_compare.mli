@@ -19,7 +19,8 @@ type row = { name : string; entries : entry list }
 
 val run : ?jobs:int -> ?seeds:int list -> unit -> row list
 (** Three MSB systems (foreman) plus TGFF benchmarks for the given
-    seeds (default {0, 1, 2}, 120 tasks). Benchmarks fan out over a
+    seeds (default {0, 1, 2}, 120 tasks). Every schedule passes
+    {!Pipeline.gate}. Benchmarks fan out over a
     {!Noc_util.Pool} of [jobs] domains; rows are identical at every job
     count. *)
 

@@ -65,9 +65,10 @@ let msb_work =
 
 let evaluate ~table work =
   let platform, ctg = work.w_build () in
-  let schedule = Runner.schedule_of Runner.Eas platform ctg in
-  let metrics = Noc_sched.Metrics.compute platform ctg schedule in
-  let d = Pipeline.reclaim ~table platform ctg schedule in
+  let { Pipeline.metrics; dvfs; _ } =
+    Pipeline.evaluate platform ctg { (Pipeline.request Runner.Eas) with ladder = Some table }
+  in
+  let d = Option.get dvfs in
   let reclaimed = Noc_dvfs.Reclaim.reclaimed d.reclaim in
   {
     name = work.w_name;

@@ -9,11 +9,8 @@ let run ?(clip = Noc_msb.Profile.Foreman) () =
   @@ fun () ->
   let platform = Noc_msb.Platforms.av_3x3 in
   let ctg = Noc_msb.Graphs.integrated ~platform ~clip () in
-  {
-    clip;
-    eas = (Runner.evaluate Runner.Eas platform ctg).metrics;
-    edf = (Runner.evaluate Runner.Edf platform ctg).metrics;
-  }
+  let metrics algo = (Pipeline.evaluate platform ctg (Pipeline.request algo)).metrics in
+  { clip; eas = metrics Runner.Eas; edf = metrics Runner.Edf }
 
 let render r =
   let header = [ "metric"; "EDF"; "EAS" ] in

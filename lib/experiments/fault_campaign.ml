@@ -1,15 +1,13 @@
 module Executor = Noc_sim.Executor
 module Fault_set = Noc_fault.Fault_set
-module Fault_resched = Noc_eas.Fault_resched
 
 type replay = { misses : int; lost : int }
 
 type algo_trial = {
   naive : replay;  (** Replaying the fault-free schedule under faults. *)
   resched : replay option;
-      (** Replaying the {!Fault_resched} output; [None] when the fault
-          set made the graph unschedulable. *)
-  resched_valid : bool;
+      (** Replaying the certified reschedule; [None] when the fault set
+          made the graph unschedulable. *)
   migrated : int;
   rerouted : int;
 }
@@ -47,18 +45,15 @@ let replay_of (outcome : Executor.outcome) =
 
 let run_algo_trial platform ctg ~faults schedule =
   let naive = replay_of (Executor.run ~faults platform ctg schedule) in
-  match Fault_resched.run platform ctg ~faults schedule with
-  | exception Invalid_argument _ ->
-    { naive; resched = None; resched_valid = false; migrated = 0; rerouted = 0 }
-  | { Fault_resched.schedule = rescheduled; stats } ->
+  match Pipeline.reschedule platform ctg ~faults schedule with
+  | Error _ -> { naive; resched = None; migrated = 0; rerouted = 0 }
+  | Ok ({ schedule = rescheduled; stats }, diagnostics) ->
+    Pipeline.gate diagnostics;
     {
       naive;
       resched = Some (replay_of (Executor.run ~faults platform ctg rescheduled));
-      (* Deadline misses are the survivability metric itself, reported
-         by the fault-aware replay; validity is structural. *)
-      resched_valid = Runner.resource_violations platform ctg rescheduled = 0;
-      migrated = stats.Fault_resched.migrated_tasks;
-      rerouted = stats.Fault_resched.rerouted_transactions;
+      migrated = stats.migrated_tasks;
+      rerouted = stats.rerouted_transactions;
     }
 
 let survived = function Some { misses = 0; lost = 0 } -> true | Some _ | None -> false
@@ -104,8 +99,11 @@ let run ?jobs ?(scale = 0.12) ?(n_graphs = 3) ?(n_trials = 4) () =
         (* Algorithm-independent fault horizon so EAS and EDF face the
            same fault sets. *)
         let horizon = 2. *. Noc_ctg.Ctg.min_critical_path ctg in
-        let eas_schedule = Runner.schedule_of Runner.Eas platform ctg in
-        let edf_schedule = Runner.schedule_of Runner.Edf platform ctg in
+        let schedule algo =
+          (Pipeline.evaluate platform ctg (Pipeline.request algo)).schedule
+        in
+        let eas_schedule = schedule Runner.Eas in
+        let edf_schedule = schedule Runner.Edf in
         (graph, ctg, horizon, eas_schedule, edf_schedule))
   in
   let trials =
@@ -162,7 +160,7 @@ let render result =
     ( show a.naive,
       match a.resched with
       | None -> "unschedulable"
-      | Some r -> if a.resched_valid then show r else show r ^ " INVALID" )
+      | Some r -> show r )
   in
   let rows =
     List.map
@@ -204,7 +202,9 @@ let to_json result =
       [
         ("naive", replay a.naive);
         ("resched", Option.fold ~none:Null ~some:replay a.resched);
-        ("valid", Bool a.resched_valid);
+        (* Every reschedule passed the gate, so it is valid exactly
+           when it exists. *)
+        ("valid", Bool (a.resched <> None));
         ("migrated", int a.migrated);
         ("rerouted", int a.rerouted);
       ]

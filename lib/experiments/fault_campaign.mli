@@ -20,11 +20,10 @@ type replay = { misses : int; lost : int }
 type algo_trial = {
   naive : replay;
   resched : replay option;
-      (** [None] when the fault set made the graph unschedulable. *)
-  resched_valid : bool;
-      (** The rescheduled schedule passes the validator's structural and
-          resource checks (deadline misses excluded — those are the
-          survivability metric itself). *)
+      (** [None] when the fault set made the graph unschedulable.
+          Otherwise the rescheduled schedule passed {!Pipeline.gate}
+          (deadline misses excluded: those are the survivability metric
+          itself). *)
   migrated : int;
   rerouted : int;
 }
@@ -60,7 +59,9 @@ type result = {
 val run :
   ?jobs:int -> ?scale:float -> ?n_graphs:int -> ?n_trials:int -> unit -> result
 (** Defaults: 3 graphs at scale 0.12 (~60 tasks), 4 fault sets each.
-    Schedule construction fans out per graph and replay per trial on a
+    Every fault-free schedule and every reschedule passes
+    {!Pipeline.gate}. Schedule construction fans out per graph and
+    replay per trial on a
     {!Noc_util.Pool} of [jobs] domains; the result (and its JSON form)
     is identical at every job count. *)
 

@@ -18,8 +18,8 @@ let graph_of ?ratio which ~clip =
 
 type row = {
   clip : Noc_msb.Profile.clip;
-  eas : Runner.evaluation;
-  edf : Runner.evaluation;
+  eas : Pipeline.t;
+  edf : Pipeline.t;
 }
 
 type result = { which : which; rows : row list }
@@ -35,11 +35,8 @@ let run which =
                (Noc_msb.Profile.clip_name clip))
         @@ fun () ->
         let ctg = graph_of which ~clip in
-        {
-          clip;
-          eas = Runner.evaluate Runner.Eas platform ctg;
-          edf = Runner.evaluate Runner.Edf platform ctg;
-        })
+        let evaluate algo = Pipeline.evaluate platform ctg (Pipeline.request algo) in
+        { clip; eas = evaluate Runner.Eas; edf = evaluate Runner.Edf })
       Noc_msb.Profile.all_clips
   in
   { which; rows }
@@ -52,7 +49,7 @@ let render result =
     List.map
       (fun r ->
         Noc_util.Text_table.float_cell ~decimals:0
-          (select r).Runner.metrics.Noc_sched.Metrics.total_energy)
+          (select r).Pipeline.metrics.Noc_sched.Metrics.total_energy)
       result.rows
   in
   let savings_cells =
@@ -60,13 +57,13 @@ let render result =
       (fun r ->
         Noc_util.Text_table.percent_cell
           (Runner.savings
-             ~baseline:r.edf.Runner.metrics.Noc_sched.Metrics.total_energy
-             r.eas.Runner.metrics.Noc_sched.Metrics.total_energy))
+             ~baseline:r.edf.Pipeline.metrics.Noc_sched.Metrics.total_energy
+             r.eas.Pipeline.metrics.Noc_sched.Metrics.total_energy))
       result.rows
   in
   let miss_cells =
     List.map
-      (fun r -> string_of_int (Noc_sched.Metrics.miss_count r.eas.Runner.metrics))
+      (fun r -> string_of_int (Noc_sched.Metrics.miss_count r.eas.Pipeline.metrics))
       result.rows
   in
   let table =

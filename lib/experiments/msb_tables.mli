@@ -13,8 +13,8 @@ val graph_of : ?ratio:float -> which -> clip:Noc_msb.Profile.clip -> Noc_ctg.Ctg
 
 type row = {
   clip : Noc_msb.Profile.clip;
-  eas : Runner.evaluation;
-  edf : Runner.evaluation;
+  eas : Pipeline.t;
+  edf : Pipeline.t;
 }
 
 type result = { which : which; rows : row list }

@@ -55,9 +55,18 @@ let reclaim ~table platform ctg base =
         (Noc_dvfs.Vf_table.ratios table, r.annotations, r.schedule);
   }
 
-let run platform ctg { algo; pinned; ladder; kernel; jobs } =
+let schedule_of platform ctg { algo; pinned; kernel; jobs; ladder = _ } =
+  match algo with
+  | Runner.Eas -> (Noc_eas.Eas.schedule ?kernel ?pinned ?jobs platform ctg).schedule
+  | Runner.Eas_base ->
+    (Noc_eas.Eas.schedule ~repair:false ?kernel ?pinned ?jobs platform ctg).schedule
+  | Runner.Edf ->
+    if pinned <> None then invalid_arg "Pipeline.run: EDF does not take a pinned mapping";
+    Noc_edf.Edf.schedule platform ctg
+
+let run platform ctg request =
   let t0 = Noc_util.Clock.wall_s () in
-  let schedule = Runner.schedule_of ?pinned ?kernel ?jobs algo platform ctg in
+  let schedule = schedule_of platform ctg request in
   let runtime_seconds = Noc_util.Clock.wall_s () -. t0 in
   let metrics = Metrics.compute platform ctg schedule in
   {
@@ -65,8 +74,32 @@ let run platform ctg { algo; pinned; ladder; kernel; jobs } =
     metrics;
     runtime_seconds;
     diagnostics = check_base metrics platform ctg schedule;
-    dvfs = Option.map (fun table -> reclaim ~table platform ctg schedule) ladder;
+    dvfs = Option.map (fun table -> reclaim ~table platform ctg schedule) request.ladder;
   }
+
+exception Uncertified of Diagnostic.t
+
+let () =
+  Printexc.register_printer (function
+    | Uncertified d ->
+      Some (Format.asprintf "schedule failed certification: %a" Diagnostic.pp d)
+    | _ -> None)
+
+(* A deadline miss is a result the tables report; any other error means
+   the schedule is not what its row claims. *)
+let gate diagnostics =
+  match
+    List.find_opt
+      (fun (d : Diagnostic.t) -> d.severity = Diagnostic.Error && d.rule <> "sched/deadline")
+      diagnostics
+  with
+  | Some d -> raise (Uncertified d)
+  | None -> ()
+
+let evaluate platform ctg request =
+  let t = run platform ctg request in
+  gate t.diagnostics;
+  t
 
 let refusal diags =
   let errors, warnings, _ = Diagnostic.count diags in

@@ -1,8 +1,9 @@
 (** The one scheduling pipeline of the front ends: schedule a graph on a
     platform, derive the Eq.-3 metrics, certify the schedule and, given
     a V/f ladder, reclaim its slack (EAS Step 4) and certify the scaled
-    schedule. The [nocsched] subcommands and the [serve] daemon both run
-    it, so a one-shot run and a daemon reply come from the same code. *)
+    schedule. The [nocsched] subcommands, the [serve] daemon and every
+    campaign run it, so a one-shot run, a daemon reply and a table row
+    come from the same code. *)
 
 val mesh_platform : ?routing:Noc_noc.Turn_model.t -> int * int -> Noc_noc.Platform.t
 (** [mesh_platform (cols, rows)] is the heterogeneous mesh every front
@@ -37,9 +38,25 @@ type t = {
 }
 
 val run : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> request -> t
-(** Schedules through {!Runner.schedule_of}, computes the metrics and
-    certifies the schedule, then reclaims its slack when the request
-    carries a ladder. *)
+(** Schedules with the request's algorithm (EAS, EAS without Step 3, or
+    EDF), computes the metrics and certifies the schedule, then reclaims
+    its slack when the request carries a ladder. [jobs] parallelises
+    the EAS candidate probes; schedules are bit-identical at every job
+    count. Raises [Invalid_argument] when EDF is given a pinned
+    mapping. *)
+
+exception Uncertified of Noc_analysis.Diagnostic.t
+(** The first error-severity diagnostic, other than a deadline miss, of
+    a schedule that {!gate} rejected. *)
+
+val gate : Noc_analysis.Diagnostic.t list -> unit
+(** [gate diagnostics] raises {!Uncertified} on the first error other
+    than [sched/deadline]: the check every campaign row passes. Deadline
+    misses are results the tables report, not failures. *)
+
+val evaluate : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> request -> t
+(** {!run}, then {!gate} on the base schedule's diagnostics: how the
+    campaigns schedule. *)
 
 val reclaim :
   table:Noc_dvfs.Vf_table.t ->

@@ -1,8 +1,8 @@
 type row = {
   index : int;
-  eas_base : Runner.evaluation;
-  eas : Runner.evaluation;
-  edf : Runner.evaluation;
+  eas_base : Pipeline.t;
+  eas : Pipeline.t;
+  edf : Pipeline.t;
 }
 
 type result = {
@@ -31,11 +31,12 @@ let run ?jobs ?(indices = List.init 10 Fun.id) ?scale kind =
           | Noc_tgff.Category.Category_iii -> "cat_iii") seed)
         @@ fun () ->
         let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
+        let evaluate algo = Pipeline.evaluate platform ctg (Pipeline.request algo) in
         {
           index;
-          eas_base = Runner.evaluate Runner.Eas_base platform ctg;
-          eas = Runner.evaluate Runner.Eas platform ctg;
-          edf = Runner.evaluate Runner.Edf platform ctg;
+          eas_base = evaluate Runner.Eas_base;
+          eas = evaluate Runner.Eas;
+          edf = evaluate Runner.Edf;
         })
       indices
   in
@@ -43,8 +44,8 @@ let run ?jobs ?(indices = List.init 10 Fun.id) ?scale kind =
     let excesses =
       List.map
         (fun r ->
-          (r.edf.Runner.metrics.Noc_sched.Metrics.total_energy
-          /. r.eas.Runner.metrics.Noc_sched.Metrics.total_energy)
+          (r.edf.Pipeline.metrics.Noc_sched.Metrics.total_energy
+          /. r.eas.Pipeline.metrics.Noc_sched.Metrics.total_energy)
           -. 1.)
         rows
     in
@@ -66,8 +67,8 @@ let render result =
     ]
   in
   let row_of r =
-    let energy (e : Runner.evaluation) = cell e.metrics.Noc_sched.Metrics.total_energy in
-    let miss (e : Runner.evaluation) =
+    let energy (e : Pipeline.t) = cell e.metrics.Noc_sched.Metrics.total_energy in
+    let miss (e : Pipeline.t) =
       string_of_int (Noc_sched.Metrics.miss_count e.metrics)
     in
     [

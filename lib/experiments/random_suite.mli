@@ -10,9 +10,9 @@
 
 type row = {
   index : int;
-  eas_base : Runner.evaluation;
-  eas : Runner.evaluation;
-  edf : Runner.evaluation;
+  eas_base : Pipeline.t;
+  eas : Pipeline.t;
+  edf : Pipeline.t;
 }
 
 type result = {
@@ -26,7 +26,8 @@ val run :
   ?jobs:int -> ?indices:int list -> ?scale:float -> Noc_tgff.Category.kind -> result
 (** [run kind] evaluates the full suite (indices 0-9) at the paper's
     size. [scale] shrinks the graphs (same regime) for quick runs;
-    [indices] restricts the benchmarks evaluated. Benchmarks are
+    [indices] restricts the benchmarks evaluated. Every schedule passes
+    {!Pipeline.gate}. Benchmarks are
     evaluated on a {!Noc_util.Pool} of [jobs] domains (default
     {!Noc_util.Pool.default_jobs}); the result is identical at every job
     count. *)

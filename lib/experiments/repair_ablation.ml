@@ -14,9 +14,6 @@ let moves_name = function
 
 let all_moves = [ Noc_eas.Repair.Lts_only; Noc_eas.Repair.Gtm_only; Noc_eas.Repair.Both ]
 
-let miss_count platform ctg schedule =
-  Noc_sched.Metrics.miss_count (Noc_sched.Metrics.compute platform ctg schedule)
-
 let run ?jobs ?(indices = List.init 5 Fun.id) ?scale () =
   let kind = Noc_tgff.Category.Category_ii in
   let platform = Noc_tgff.Category.platform in
@@ -32,25 +29,23 @@ let run ?jobs ?(indices = List.init 5 Fun.id) ?scale () =
       Runner.traced ~label:(Printf.sprintf "repair_ablation/seed=%d" seed)
       @@ fun () ->
       let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
-      let base = (Noc_eas.Eas.schedule ~repair:false platform ctg).Noc_eas.Eas.schedule in
-      let base_misses = miss_count platform ctg base in
+      let base = Pipeline.evaluate platform ctg (Pipeline.request Runner.Eas_base) in
+      let base_misses = Noc_sched.Metrics.miss_count base.metrics in
       if base_misses = 0 then None
       else begin
-        let base_energy =
-          (Noc_sched.Metrics.compute platform ctg base).Noc_sched.Metrics.total_energy
-        in
+        let base_energy = base.metrics.total_energy in
         let attempts =
           List.map
             (fun moves ->
-              let repaired, stats = Noc_eas.Repair.run ~moves platform ctg base in
-              let energy =
-                (Noc_sched.Metrics.compute platform ctg repaired)
-                  .Noc_sched.Metrics.total_energy
-              in
+              let repaired, stats = Noc_eas.Repair.run ~moves platform ctg base.schedule in
+              (* No request names a move set, so each variant is
+                 certified on its own. *)
+              Pipeline.gate (Pipeline.certify platform ctg repaired);
+              let m = Noc_sched.Metrics.compute platform ctg repaired in
               {
                 moves;
-                remaining_misses = miss_count platform ctg repaired;
-                energy_increase = (energy -. base_energy) /. base_energy;
+                remaining_misses = Noc_sched.Metrics.miss_count m;
+                energy_increase = (m.total_energy -. base_energy) /. base_energy;
                 evaluations = stats.Noc_eas.Repair.evaluations;
               })
             all_moves

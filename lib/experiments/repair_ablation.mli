@@ -19,7 +19,8 @@ type row = { index : int; base_misses : int; attempts : attempt list }
 val run : ?jobs:int -> ?indices:int list -> ?scale:float -> unit -> row list
 (** Runs on the category-II suite (default indices 0-4, [scale] as in
     {!Random_suite.run}); rows only cover benchmarks whose base schedule
-    actually misses deadlines. Benchmarks fan out over a
+    actually misses deadlines. The base and every repaired schedule pass
+    {!Pipeline.gate}. Benchmarks fan out over a
     {!Noc_util.Pool} of [jobs] domains; rows are identical at every job
     count. *)
 

@@ -1,8 +1,8 @@
 type row = {
   topology : Noc_noc.Topology.t;
-  eas : Runner.evaluation;
-  edf : Runner.evaluation;
-  mapped : Runner.evaluation option;
+  eas : Pipeline.t;
+  edf : Pipeline.t;
+  mapped : Pipeline.t option;
 }
 
 type result = { seed : int; n_tasks : int; rows : row list }
@@ -30,22 +30,23 @@ let run ?jobs ?(seed = 0) ?(n_tasks = 120) ?(map_search = false) () =
            only on the PE array, which is shared across topologies. *)
         let params = { Noc_tgff.Params.default with n_tasks } in
         let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
+        let evaluate request = Pipeline.evaluate platform ctg request in
         let mapped =
           if not map_search then None
           else
-            (* Winner of the annealed search, re-evaluated through the
-               shared machinery so the row carries validator evidence
-               like the others. The inner [jobs] stays 1: this trial
-               already runs on a pool worker. *)
+            (* Winner of the annealed search, pinned and re-evaluated
+               through the pipeline so the row is certified like the
+               others. The inner [jobs] stays 1: this trial already runs
+               on a pool worker. *)
             let r = Noc_map.Search.run ~jobs:1 platform ctg in
             Some
-              (Runner.evaluate ~pinned:r.Noc_map.Search.winner.mapping Runner.Eas
-                 platform ctg)
+              (evaluate
+                 { (Pipeline.request Runner.Eas) with pinned = Some r.Noc_map.Search.winner.mapping })
         in
         {
           topology;
-          eas = Runner.evaluate Runner.Eas platform ctg;
-          edf = Runner.evaluate Runner.Edf platform ctg;
+          eas = evaluate (Pipeline.request Runner.Eas);
+          edf = evaluate (Pipeline.request Runner.Edf);
           mapped;
         })
       topologies
@@ -64,7 +65,7 @@ let render result =
   let rows =
     List.map
       (fun r ->
-        let m (e : Runner.evaluation) = e.Runner.metrics in
+        let m (e : Pipeline.t) = e.Pipeline.metrics in
         [
           Format.asprintf "%a" Noc_noc.Topology.pp r.topology;
           Noc_util.Text_table.float_cell ~decimals:0 (m r.eas).Noc_sched.Metrics.computation_energy;

@@ -20,9 +20,9 @@
 
 type row = {
   topology : Noc_noc.Topology.t;
-  eas : Runner.evaluation;
-  edf : Runner.evaluation;
-  mapped : Runner.evaluation option;
+  eas : Pipeline.t;
+  edf : Pipeline.t;
+  mapped : Pipeline.t option;
       (** Pinned-EAS evaluation of the mapping-search winner; [None]
           unless [map_search] was set. *)
 }
@@ -62,13 +62,6 @@ type pareto_row = {
 
 type pareto = { index : int; scale : float; rows : pareto_row list }
 
-val default_meshes : (int * int) list
-(** [[(8, 8); (16, 16)]]. *)
-
-val default_balance_fracs : float list
-(** [[0.; 0.1; 0.5; 2.]] — pure energy, then increasing load-spread
-    pressure. *)
-
 val pareto :
   ?jobs:int ->
   ?index:int ->
@@ -78,7 +71,9 @@ val pareto :
   unit ->
   pareto
 (** Runs the sweep on category-III benchmark [index] (default 1) of
-    each mesh, one annealed search per balance weight (fanned out over
+    each mesh (default 8x8 and 16x16), one annealed search per balance
+    weight (default 0, 0.1, 0.5 and 2: pure energy, then increasing
+    load-spread pressure; fanned out over
     [jobs]; one shared kernel per mesh), [scale] (default 1) shrinking
     the graph for quick runs. Deterministic in every argument and
     bit-identical at every job count. *)

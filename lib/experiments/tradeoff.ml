@@ -1,4 +1,4 @@
-type point = { ratio : float; eas : Runner.evaluation; edf : Runner.evaluation }
+type point = { ratio : float; eas : Pipeline.t; edf : Pipeline.t }
 
 let default_ratios = List.init 9 (fun i -> 1.0 +. (0.1 *. float_of_int i))
 
@@ -8,11 +8,8 @@ let run ?(ratios = default_ratios) ?(clip = Noc_msb.Profile.Foreman) () =
     (fun ratio ->
       Runner.traced ~label:(Printf.sprintf "tradeoff/ratio=%.1f" ratio) @@ fun () ->
       let ctg = Noc_msb.Graphs.integrated ~ratio ~platform ~clip () in
-      {
-        ratio;
-        eas = Runner.evaluate Runner.Eas platform ctg;
-        edf = Runner.evaluate Runner.Edf platform ctg;
-      })
+      let evaluate algo = Pipeline.evaluate platform ctg (Pipeline.request algo) in
+      { ratio; eas = evaluate Runner.Eas; edf = evaluate Runner.Edf })
     ratios
 
 let render points =
@@ -25,11 +22,11 @@ let render points =
         [
           Printf.sprintf "%.1f" p.ratio;
           Noc_util.Text_table.float_cell ~decimals:0
-            p.eas.Runner.metrics.Noc_sched.Metrics.total_energy;
+            p.eas.Pipeline.metrics.Noc_sched.Metrics.total_energy;
           Noc_util.Text_table.float_cell ~decimals:0
-            p.edf.Runner.metrics.Noc_sched.Metrics.total_energy;
-          string_of_int (Noc_sched.Metrics.miss_count p.eas.Runner.metrics);
-          string_of_int (Noc_sched.Metrics.miss_count p.edf.Runner.metrics);
+            p.edf.Pipeline.metrics.Noc_sched.Metrics.total_energy;
+          string_of_int (Noc_sched.Metrics.miss_count p.eas.Pipeline.metrics);
+          string_of_int (Noc_sched.Metrics.miss_count p.edf.Pipeline.metrics);
         ])
       points
   in

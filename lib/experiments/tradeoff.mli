@@ -9,15 +9,12 @@
 
 type point = {
   ratio : float;
-  eas : Runner.evaluation;
-  edf : Runner.evaluation;
+  eas : Pipeline.t;
+  edf : Pipeline.t;
 }
-
-val default_ratios : float list
-(** 1.0 to 1.8 in steps of 0.1. *)
 
 val run :
   ?ratios:float list -> ?clip:Noc_msb.Profile.clip -> unit -> point list
-(** Defaults: {!default_ratios}, foreman. *)
+(** Defaults: ratios 1.0 to 1.8 in steps of 0.1, foreman. *)
 
 val render : point list -> string

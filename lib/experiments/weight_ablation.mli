@@ -9,11 +9,12 @@
 
 type row = {
   seed : int;
-  per_scheme : (Noc_eas.Budget.weighting * Runner.evaluation) list;
+  per_scheme : (Noc_eas.Budget.weighting * Noc_sched.Metrics.t) list;
+      (** Metrics of each scheme's EAS-base schedule, which passed
+          {!Pipeline.gate}. *)
 }
 
 val schemes : Noc_eas.Budget.weighting list
-val scheme_name : Noc_eas.Budget.weighting -> string
 
 val run :
   ?jobs:int -> ?seeds:int list -> ?n_tasks:int -> ?tightness:float -> unit -> row list

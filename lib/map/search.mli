@@ -58,7 +58,6 @@ type result = {
 }
 
 val identity_mapping : n_tasks:int -> n_pes:int -> int array
-val default_capacity : n_tasks:int -> n_pes:int -> int
 
 val run :
   ?jobs:int ->

@@ -1,5 +1,7 @@
 type affinity = Control | Signal | Media
 
+(* Relative execution-time multiplier of running a stage class on a PE
+   kind (1.0 = reference DSP running Signal code). *)
 let affinity_time_factor affinity (kind : Noc_noc.Pe.kind) =
   match (affinity, kind) with
   | Control, Noc_noc.Pe.Risc_fast -> 0.6
@@ -15,6 +17,8 @@ let affinity_time_factor affinity (kind : Noc_noc.Pe.kind) =
   | Media, Noc_noc.Pe.Dsp -> 0.8
   | Media, Noc_noc.Pe.Accel -> 0.45
 
+(* [(exec_times, energies)] per PE: time = base * clip scale * affinity
+   factor * PE time factor; energy = time * power * PE power factor. *)
 let stage_costs platform ~(profile : Profile.t) ~base_time ~power ~affinity =
   let n = Noc_noc.Platform.n_pes platform in
   let exec_times =

@@ -12,20 +12,6 @@ type affinity =
   | Media  (** Pixel kernels (motion estimation, IDCT): best on
                accelerators, good on DSPs. *)
 
-val affinity_time_factor : affinity -> Noc_noc.Pe.kind -> float
-(** Relative execution-time multiplier of running a stage class on a PE
-    kind (1.0 = reference DSP running Signal code). *)
-
-val stage_costs :
-  Noc_noc.Platform.t ->
-  profile:Profile.t ->
-  base_time:float ->
-  power:float ->
-  affinity:affinity ->
-  float array * float array
-(** [(exec_times, energies)] per PE: time = base * clip scale * affinity
-    factor * PE time factor; energy = time * power * PE power factor. *)
-
 type builder
 
 val create : Noc_noc.Platform.t -> profile:Profile.t -> builder

@@ -30,7 +30,6 @@ val make :
 val platform : t -> Platform.t
 val pe_alive : t -> int -> bool
 val alive_pes : t -> int list
-val link_alive : t -> Routing.link -> bool
 
 val is_trivial : t -> bool
 (** True when nothing is failed: every query then mirrors the platform. *)

@@ -47,7 +47,8 @@ val of_string :
     offending token; a line of unknown shape is reported as
     [unknown keyword "<first token>"], and missing lines (e.g.
     [task 3 missing]) carry no position. The result is {e not} validated for
-    feasibility — run {!Validate.check} for that. Accepts versions 1-3;
+    feasibility — the validator ({!module:Validate}) or the certifier
+    checks that. Accepts versions 1-3;
     any DVFS annotations are parsed (and structurally checked) but
     dropped — use {!of_string_full} to keep them. *)
 

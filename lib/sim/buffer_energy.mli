@@ -17,13 +17,11 @@
     EAS schedules — the approximation only loses accuracy for schedules
     that ignore contention. *)
 
-val default_e_bbit : float
-(** A register-file-based holding cost of the same magnitude as the
-    switch energy: [1e-5] nJ per bit per microsecond. *)
-
 val estimate :
   ?e_bbit:float -> Noc_ctg.Ctg.t -> Executor.outcome -> float
-(** Total buffering energy (nJ) of one replay. *)
+(** Total buffering energy (nJ) of one replay. [e_bbit] defaults to a
+    register-file-based holding cost of the same magnitude as the
+    switch energy: [1e-5] nJ per bit per microsecond. *)
 
 val per_edge :
   ?e_bbit:float -> Noc_ctg.Ctg.t -> Executor.outcome -> float array

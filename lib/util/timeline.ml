@@ -12,8 +12,6 @@ type t = {
   mutable version : int;
 }
 
-type snapshot = { snap_starts : float array; snap_stops : float array; snap_len : int }
-
 let create () = { starts = [||]; stops = [||]; len = 0; version = 0 }
 
 let version t = t.version
@@ -130,20 +128,6 @@ let utilisation t ~horizon =
   !covered /. horizon
 
 let span t = if t.len = 0 then 0. else t.stops.(t.len - 1)
-
-let snapshot t =
-  {
-    snap_starts = Array.sub t.starts 0 t.len;
-    snap_stops = Array.sub t.stops 0 t.len;
-    snap_len = t.len;
-  }
-
-let restore t snap =
-  ensure_capacity t snap.snap_len;
-  Array.blit snap.snap_starts 0 t.starts 0 snap.snap_len;
-  Array.blit snap.snap_stops 0 t.stops 0 snap.snap_len;
-  t.len <- snap.snap_len;
-  t.version <- t.version + 1
 
 let merged_busy tls ~after =
   let total =

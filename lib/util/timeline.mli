@@ -14,16 +14,12 @@
     of the slots after it (none at the end of the table):
     [Noc_sched.Resource_state]'s journal records each reservation's
     index, which is exact again whenever the journal is undone or redone
-    in order, so no undo searches. Snapshots copy the live prefix
-    (O(n)) and are not used by the schedulers. Behavioural equivalence
+    in order, so no undo searches. Behavioural equivalence
     with a naive sorted-list model (the test-only [Timeline_reference])
     is enforced by qcheck differential tests over random operation
     traces. *)
 
 type t
-
-type snapshot
-(** Opaque capture of a timeline's state. *)
 
 val create : unit -> t
 (** An empty timeline. *)
@@ -66,12 +62,9 @@ val utilisation : t -> horizon:float -> float
 val span : t -> float
 (** Largest busy [stop] value, or [0.] when empty. *)
 
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
-
 val version : t -> int
 (** Mutation counter: incremented by every state-changing {!reserve},
-    {!reserve_slot}, {!release_slot} and {!restore} (no-ops on empty intervals do not count).
+    {!reserve_slot} and {!release_slot} (no-ops on empty intervals do not count).
     Two reads of an unchanged version bracket an unchanged busy set, so
     callers can memoize query results against a timeline and revalidate
     with one integer comparison — the EAS flat-array kernel keys its

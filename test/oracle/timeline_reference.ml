@@ -5,7 +5,6 @@
 module Interval = Noc_util.Interval
 
 type t = { mutable slots : Interval.t list (* sorted by start, disjoint *) }
-type snapshot = Interval.t list
 
 let create () = { slots = [] }
 let busy t = t.slots
@@ -76,8 +75,6 @@ let utilisation t ~horizon =
   covered /. horizon
 
 let span t = List.fold_left (fun acc iv -> Float.max acc iv.Interval.stop) 0. t.slots
-let snapshot t = t.slots
-let restore t snap = t.slots <- snap
 
 let merged_busy tls ~after =
   let relevant =

@@ -10,7 +10,6 @@
     Never use this in scheduler code — every operation is O(n). *)
 
 type t
-type snapshot
 
 val create : unit -> t
 val busy : t -> Noc_util.Interval.t list
@@ -21,8 +20,6 @@ val reserve_slot : t -> int -> start:float -> stop:float -> unit
 val release_slot : t -> int -> start:float -> stop:float -> unit
 val utilisation : t -> horizon:float -> float
 val span : t -> float
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
 val merged_busy : t list -> after:float -> Noc_util.Interval.t list
 val earliest_gap_multi : t list -> after:float -> duration:float -> float
 val pp : Format.formatter -> t -> unit

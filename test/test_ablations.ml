@@ -101,7 +101,7 @@ let test_topology_compare_shape () =
      PE array means identical cost tables, so totals differ only through
      assignment choices; communication energy must differ. *)
   let comm (r : Noc_experiments.Topology_compare.row) =
-    r.Noc_experiments.Topology_compare.eas.Noc_experiments.Runner.metrics
+    r.Noc_experiments.Topology_compare.eas.Noc_experiments.Pipeline.metrics
       .Noc_sched.Metrics.communication_energy
   in
   (match result.Noc_experiments.Topology_compare.rows with

@@ -2,6 +2,8 @@
    artifact, asserting the qualitative shapes the paper reports). *)
 
 module Runner = Noc_experiments.Runner
+module Pipeline = Noc_experiments.Pipeline
+module Schedule = Noc_sched.Schedule
 module Random_suite = Noc_experiments.Random_suite
 module Msb_tables = Noc_experiments.Msb_tables
 module Tradeoff = Noc_experiments.Tradeoff
@@ -20,19 +22,73 @@ let test_runner_names () =
 let test_runner_savings () =
   Alcotest.(check (float 1e-9)) "savings" 0.25 (Runner.savings ~baseline:100. 75.)
 
-let test_runner_evaluate () =
+let test_pipeline_evaluate () =
   let platform = Noc_tgff.Category.platform in
   let params = { Noc_tgff.Params.default with n_tasks = 30 } in
   let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed:0 in
   List.iter
     (fun algo ->
-      let e = Runner.evaluate algo platform ctg in
-      Alcotest.(check int)
-        (Runner.algo_name algo ^ " no resource violations")
-        0 e.Runner.resource_violations;
+      let e = Pipeline.evaluate platform ctg (Pipeline.request algo) in
+      Alcotest.(check (option string))
+        (Runner.algo_name algo ^ " certified")
+        None (Pipeline.refusal e.diagnostics);
       Alcotest.(check bool) "positive energy" true
-        (e.Runner.metrics.Noc_sched.Metrics.total_energy > 0.))
+        (e.metrics.Noc_sched.Metrics.total_energy > 0.))
     Runner.all_algos
+
+(* The gate every campaign row passes: any structural error raises,
+   naming its rule; deadline misses alone do not. *)
+let test_gate () =
+  let platform = Noc_tgff.Category.platform in
+  let params = { Noc_tgff.Params.default with n_tasks = 30 } in
+  let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed:0 in
+  let schedule = (Pipeline.evaluate platform ctg (Pipeline.request Runner.Eas)).schedule in
+  let placements = Schedule.placements schedule in
+  (* A sink task [a] and the next task [b] on its PE: moving [a]'s window
+     onto [b]'s start overlaps the two and breaks no data dependency. *)
+  let is_sink (p : Schedule.placement) = Noc_ctg.Ctg.succs ctg p.task = [] in
+  let a, b =
+    let pairs =
+      List.concat_map
+        (fun pe ->
+          let rec adjacent = function
+            | a :: (b :: _ as rest) -> (a, b) :: adjacent rest
+            | _ -> []
+          in
+          adjacent
+            (List.sort
+               (fun (p : Schedule.placement) q -> Float.compare p.start q.start)
+               (Schedule.tasks_on_pe schedule ~pe)))
+        (List.init (Noc_noc.Platform.n_pes platform) Fun.id)
+    in
+    match List.find_opt (fun (a, _) -> is_sink a) pairs with
+    | Some pair -> pair
+    | None -> Alcotest.fail "no sink task followed by another on its PE"
+  in
+  let shifted = Array.copy placements in
+  shifted.(a.task) <-
+    { a with start = b.Schedule.start; finish = b.Schedule.start +. (a.finish -. a.start) };
+  let mutated = Schedule.make ~placements:shifted ~transactions:(Schedule.transactions schedule) in
+  (match Pipeline.gate (Pipeline.certify platform ctg mutated) with
+  | () -> Alcotest.fail "the gate passed a PE overlap"
+  | exception Pipeline.Uncertified d ->
+    Alcotest.(check string) "names the overlap" "sched/pe-overlap" d.rule);
+  (* 40 tasks at tightness 0.5: deadlines no schedule meets, nothing else
+     wrong. The schedule fails certification but passes the gate. *)
+  let params =
+    { Noc_tgff.Params.default with n_tasks = 40; deadline_tightness = 0.5 }
+  in
+  let platform = Pipeline.mesh_platform (4, 4) in
+  let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed:1 in
+  let t = Pipeline.evaluate platform ctg (Pipeline.request Runner.Eas) in
+  Alcotest.(check bool) "misses deadlines" true (Noc_sched.Metrics.miss_count t.metrics > 0);
+  Alcotest.(check bool) "refused by the certifier" true (Pipeline.refusal t.diagnostics <> None);
+  Alcotest.(check (list string)) "deadline misses only" [ "sched/deadline" ]
+    (List.sort_uniq compare
+       (List.filter_map
+          (fun (d : Noc_analysis.Diagnostic.t) ->
+            if d.severity = Noc_analysis.Diagnostic.Error then Some d.rule else None)
+          t.diagnostics))
 
 let test_fig5_shape_scaled () =
   (* A scaled category-I run must preserve the paper's headline: EAS
@@ -43,10 +99,10 @@ let test_fig5_shape_scaled () =
   Alcotest.(check int) "three rows" 3 (List.length result.Random_suite.rows);
   List.iter
     (fun (r : Random_suite.row) ->
-      let energy (e : Runner.evaluation) = e.Runner.metrics.Noc_sched.Metrics.total_energy in
+      let energy (e : Pipeline.t) = e.metrics.Noc_sched.Metrics.total_energy in
       Alcotest.(check bool) "EAS cheaper than EDF" true (energy r.eas < energy r.edf);
       Alcotest.(check int) "EAS meets deadlines" 0
-        (Noc_sched.Metrics.miss_count r.eas.Runner.metrics))
+        (Noc_sched.Metrics.miss_count r.eas.metrics))
     result.Random_suite.rows;
   Alcotest.(check bool) "positive average excess" true
     (result.Random_suite.average_edf_excess > 0.);
@@ -58,10 +114,10 @@ let test_msb_table_shape () =
   Alcotest.(check int) "three clips" 3 (List.length result.Msb_tables.rows);
   List.iter
     (fun (r : Msb_tables.row) ->
-      let energy (e : Runner.evaluation) = e.Runner.metrics.Noc_sched.Metrics.total_energy in
+      let energy (e : Pipeline.t) = e.metrics.Noc_sched.Metrics.total_energy in
       Alcotest.(check bool) "positive savings" true (energy r.eas < energy r.edf);
       Alcotest.(check int) "EAS meets the frame rate" 0
-        (Noc_sched.Metrics.miss_count r.eas.Runner.metrics))
+        (Noc_sched.Metrics.miss_count r.eas.metrics))
     result.Msb_tables.rows;
   let rendered = Msb_tables.render result in
   Alcotest.(check bool) "renders savings row" true
@@ -71,7 +127,7 @@ let test_tradeoff_shape () =
   (* Fig. 7's shape: EAS energy is (weakly) higher at ratio 1.8 than at
      1.0 and stays below EDF throughout. *)
   let points = Tradeoff.run ~ratios:[ 1.0; 1.4; 1.8 ] () in
-  let energy (e : Runner.evaluation) = e.Runner.metrics.Noc_sched.Metrics.total_energy in
+  let energy (e : Pipeline.t) = e.metrics.Noc_sched.Metrics.total_energy in
   (match points with
   | [ p10; _; p18 ] ->
     Alcotest.(check bool) "tighter costs energy" true (energy p18.Tradeoff.eas > energy p10.Tradeoff.eas);
@@ -142,7 +198,8 @@ let suite =
   [
     Alcotest.test_case "runner names" `Quick test_runner_names;
     Alcotest.test_case "runner savings" `Quick test_runner_savings;
-    Alcotest.test_case "runner evaluate" `Quick test_runner_evaluate;
+    Alcotest.test_case "pipeline evaluate" `Quick test_pipeline_evaluate;
+    Alcotest.test_case "gate rejects overlaps, passes misses" `Quick test_gate;
     Alcotest.test_case "fig5 shape (scaled)" `Slow test_fig5_shape_scaled;
     Alcotest.test_case "MSB table shape" `Slow test_msb_table_shape;
     Alcotest.test_case "tradeoff shape" `Slow test_tradeoff_shape;

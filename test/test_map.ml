@@ -263,12 +263,14 @@ let test_pinned_rejects_bad_mapping () =
     (Invalid_argument "Level_sched.run: pinned length <> task count")
     (fun () -> ignore (Noc_eas.Eas.schedule ~pinned:[| 0; 1; 2 |] platform ctg));
   Alcotest.check_raises "EDF refuses a mapping"
-    (Invalid_argument "Runner.schedule_of: EDF does not take a pinned mapping")
+    (Invalid_argument "Pipeline.run: EDF does not take a pinned mapping")
     (fun () ->
       ignore
-        (Noc_experiments.Runner.schedule_of
-           ~pinned:(Array.make n_tasks 0)
-           Noc_experiments.Runner.Edf platform ctg))
+        (Noc_experiments.Pipeline.run platform ctg
+           {
+             (Noc_experiments.Pipeline.request Noc_experiments.Runner.Edf) with
+             pinned = Some (Array.make n_tasks 0);
+           }))
 
 let suite =
   [

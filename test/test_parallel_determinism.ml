@@ -17,23 +17,25 @@ let check_jobs_invariant label run =
         serial (run jobs))
     (List.tl job_counts)
 
-(* Exact (hex-float) rendering of an evaluation minus its runtime. *)
-let evaluation_fingerprint (e : Noc_experiments.Runner.evaluation) =
-  let m = e.Noc_experiments.Runner.metrics in
-  Printf.sprintf "%s total=%h comp=%h comm=%h mk=%h hops=%h miss=%d rv=%d"
-    (Noc_experiments.Runner.algo_name e.Noc_experiments.Runner.algo)
+(* Exact (hex-float) rendering of a pipeline result minus its runtime:
+   the metrics and the certifier's verdict. *)
+let evaluation_fingerprint (e : Noc_experiments.Pipeline.t) =
+  let m = e.Noc_experiments.Pipeline.metrics in
+  Printf.sprintf "total=%h comp=%h comm=%h mk=%h hops=%h miss=%d certifier=[%s]"
     m.Noc_sched.Metrics.total_energy m.Noc_sched.Metrics.computation_energy
     m.Noc_sched.Metrics.communication_energy m.Noc_sched.Metrics.makespan
     m.Noc_sched.Metrics.average_hops
     (Noc_sched.Metrics.miss_count m)
-    e.Noc_experiments.Runner.resource_violations
+    (String.concat "; "
+       (List.map (Format.asprintf "%a" Noc_analysis.Diagnostic.pp)
+          e.Noc_experiments.Pipeline.diagnostics))
 
 let suite_fingerprint (r : Noc_experiments.Random_suite.result) =
   String.concat "\n"
     (Printf.sprintf "avg=%h" r.Noc_experiments.Random_suite.average_edf_excess
      :: List.map
           (fun (row : Noc_experiments.Random_suite.row) ->
-            Printf.sprintf "%d | %s | %s | %s" row.index
+            Printf.sprintf "%d | EAS-base %s | EAS %s | EDF %s" row.index
               (evaluation_fingerprint row.eas_base)
               (evaluation_fingerprint row.eas)
               (evaluation_fingerprint row.edf))
@@ -137,8 +139,12 @@ let test_schedule_path_jobs_invariant () =
       let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
       check_jobs_invariant (Printf.sprintf "seed %d schedule" seed) (fun jobs ->
           schedule_fingerprint
-            (Noc_experiments.Runner.schedule_of ~jobs Noc_experiments.Runner.Eas
-               platform ctg)))
+            (Noc_experiments.Pipeline.run platform ctg
+               {
+                 (Noc_experiments.Pipeline.request Noc_experiments.Runner.Eas) with
+                 jobs = Some jobs;
+               })
+              .schedule))
     [ 0; 1; 2 ]
 
 let suite =

@@ -17,6 +17,9 @@ module Runner = Noc_experiments.Runner
 
 let platform = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~cols:4 ~rows:4 ()
 
+(* The one-shot EAS schedule a daemon reply must reproduce. *)
+let eas_schedule g = (Noc_eas.Eas.schedule platform g).Noc_eas.Eas.schedule
+
 let graph ?(tasks = 20) ?(tightness = Noc_tgff.Params.default.deadline_tightness) seed =
   let params =
     { Noc_tgff.Params.default with n_tasks = tasks; deadline_tightness = tightness }
@@ -334,7 +337,7 @@ let test_cached_hit_bit_identity () =
     (str_member "key" second);
   Alcotest.(check bool) "certified" true (bool_member "certified" second);
   (* The daemon's schedule is the one-shot scheduler's schedule. *)
-  let direct = Runner.schedule_of Runner.Eas platform g in
+  let direct = eas_schedule g in
   Alcotest.(check string) "identical to direct run"
     (Noc_sched.Schedule_io.to_string direct)
     (str_member "schedule" first);
@@ -352,7 +355,7 @@ let test_reversed_edges_miss () =
   ignore (expect_ok state (schedule_line g));
   let reply = expect_ok state (schedule_line r) in
   Alcotest.(check bool) "reversed request is a miss" false (bool_member "cached" reply);
-  let direct = Runner.schedule_of Runner.Eas platform r in
+  let direct = eas_schedule r in
   Alcotest.(check string) "identical to scheduling the reversed graph directly"
     (Noc_sched.Schedule_io.to_string direct)
     (str_member "schedule" reply);
@@ -400,7 +403,7 @@ let test_reschedule_incremental () =
     | Ok f -> f
     | Error msg -> Alcotest.fail msg
   in
-  let base = Runner.schedule_of Runner.Eas platform g in
+  let base = eas_schedule g in
   let direct = (Noc_eas.Fault_resched.run platform g ~faults base).Noc_eas.Fault_resched.schedule in
   Alcotest.(check string) "identical to the direct ladder"
     (Noc_sched.Schedule_io.to_string direct)
@@ -637,7 +640,7 @@ let test_concurrent_clients () =
   let socket_path, daemon = start_daemon ~name:"serve" ~capacity:16 ~jobs:(Some 2) in
   (* Expected energies, computed directly. *)
   let energy_of g =
-    let s = Runner.schedule_of Runner.Eas platform g in
+    let s = eas_schedule g in
     (Noc_sched.Metrics.compute platform g s).Noc_sched.Metrics.total_energy
   in
   let seeds_a = [ 10; 11; 12 ] and seeds_b = [ 13; 14; 15 ] in

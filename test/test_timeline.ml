@@ -104,17 +104,6 @@ let test_span () =
   Timeline.reserve tl (iv 0. 3.);
   Alcotest.(check (float 0.)) "span" 12. (Timeline.span tl)
 
-let test_snapshot_restore () =
-  let tl = Timeline.create () in
-  Timeline.reserve tl (iv 0. 10.);
-  let snap = Timeline.snapshot tl in
-  Timeline.reserve tl (iv 20. 30.);
-  Timeline.reserve tl (iv 40. 50.);
-  Timeline.restore tl snap;
-  Alcotest.(check int) "back to one slot" 1 (List.length (Timeline.busy tl));
-  Alcotest.(check (float 0.)) "gap as before" 10.
-    (Timeline.earliest_gap tl ~after:0. ~duration:15.)
-
 let test_merged_busy () =
   let a = Timeline.create () and b = Timeline.create () in
   Timeline.reserve a (iv 0. 5.);
@@ -209,7 +198,6 @@ let suite =
     Alcotest.test_case "is_free" `Quick test_is_free;
     Alcotest.test_case "utilisation" `Quick test_utilisation;
     Alcotest.test_case "span" `Quick test_span;
-    Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
     Alcotest.test_case "merged busy coalesces" `Quick test_merged_busy;
     Alcotest.test_case "merged busy filters" `Quick test_merged_busy_filters_after;
     Alcotest.test_case "multi-timeline gap" `Quick test_multi_gap;

@@ -4,7 +4,7 @@
    Random operation traces — reserve (possibly overlapping, possibly
    empty), reserve at a given slot index (the right one or a neighbour),
    release of a live slot at its index or at a wrong one, gap queries,
-   snapshot/rollback, utilisation, span — are replayed against both
+   utilisation, span — are replayed against both
    implementations; every observation must agree, including which
    operations raise. Values are
    drawn from a small integer grid so collisions, touching intervals and
@@ -21,8 +21,6 @@ type op =
     (* index into the live busy list, mod its size; slot index offset *)
   | Gap of int * int (* after, duration *)
   | Is_free of int * int
-  | Snapshot
-  | Restore
   | Utilisation of int (* horizon - 1 *)
   | Span
 
@@ -37,8 +35,6 @@ let op_gen =
               (frequency [ (3, return 0); (1, int_range (-1) 1) ]));
         (4, map2 (fun a d -> Gap (a, d)) (int_bound 70) (int_bound 8));
         (2, map2 (fun a d -> Is_free (a, d)) (int_bound 70) (int_bound 8));
-        (1, return Snapshot);
-        (1, return Restore);
         (1, map (fun h -> Utilisation h) (int_bound 80));
         (1, return Span);
       ])
@@ -49,8 +45,6 @@ let pp_op = function
   | Release_nth (i, o) -> Printf.sprintf "Release_nth(%d,%d)" i o
   | Gap (a, d) -> Printf.sprintf "Gap(%d,%d)" a d
   | Is_free (a, d) -> Printf.sprintf "Is_free(%d,%d)" a d
-  | Snapshot -> "Snapshot"
-  | Restore -> "Restore"
   | Utilisation h -> Printf.sprintf "Utilisation(%d)" h
   | Span -> "Span"
 
@@ -75,7 +69,6 @@ let raises f =
    at the first disagreement. *)
 let agree ops =
   let tl = Timeline.create () and rf = Reference.create () in
-  let snap = ref None in
   let ok = ref true in
   List.iter
     (fun op ->
@@ -124,13 +117,6 @@ let agree ops =
           let interval = iv (float_of_int a) (float_of_int (a + d)) in
           if Timeline.is_free tl interval <> Reference.is_free rf interval then
             ok := false
-        | Snapshot -> snap := Some (Timeline.snapshot tl, Reference.snapshot rf)
-        | Restore ->
-          (match !snap with
-          | None -> ()
-          | Some (st, sr) ->
-            Timeline.restore tl st;
-            Reference.restore rf sr)
         | Utilisation h ->
           let horizon = float_of_int (h + 1) in
           if

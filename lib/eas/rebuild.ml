@@ -136,7 +136,7 @@ let of_schedule schedule =
 
 type incumbent = {
   env : env;  (** The candidate's placements; the incumbent's outside it. *)
-  late : int -> float -> float;
+  deadlines : float array;  (** Each task's deadline, [infinity] for none. *)
   base_pe : int array;
   base_start : float array;
   base_finish : float array;
@@ -164,6 +164,13 @@ type incumbent = {
 }
 
 type outcome = Completed | Abandoned | Failed
+
+(* The lateness task [i] adds when it finishes at [finish]: the rule of
+   [List_sched.lateness] (a miss past 1e-9), read from the deadline
+   array. Inlined, so the walk boxes no float. *)
+let[@inline] late inc i finish =
+  let late = finish -. inc.deadlines.(i) in
+  if late > 1e-9 then late else 0.
 
 let rebase inc ~assignment ~rank =
   Noc_obs.Counters.incr c_checkpoints;
@@ -197,7 +204,7 @@ let rebase inc ~assignment ~rank =
           inc.pos.(i) <- s;
           last := s;
           step env ~assignment ~rank ~waiting i;
-          let l = inc.late i env.ls.finish.(i) in
+          let l = late inc i env.ls.finish.(i) in
           if l > 0. then begin
             incr misses;
             lateness := !lateness +. l
@@ -241,13 +248,16 @@ let rebase inc ~assignment ~rank =
   Array.blit env.ls.tx_start 0 inc.base_tx_start 0 (Array.length env.ls.tx_start);
   Array.blit env.ls.tx_finish 0 inc.base_tx_finish 0 (Array.length env.ls.tx_finish)
 
-let checkpoint ?comm_model ?degraded platform ctg ~late ~assignment ~rank =
+let checkpoint ?comm_model ?degraded platform ctg ~assignment ~rank =
   let n = Noc_ctg.Ctg.n_tasks ctg in
   let env = make_env ?comm_model ?degraded platform ctg in
   let inc =
     {
       env;
-      late;
+      deadlines =
+        Array.map
+          (fun (task : Noc_ctg.Task.t) -> Option.value task.deadline ~default:infinity)
+          (Noc_ctg.Ctg.tasks ctg);
       base_pe = Array.copy env.ls.pe;
       base_start = Array.copy env.ls.start;
       base_finish = Array.copy env.ls.finish;
@@ -316,7 +326,16 @@ let seek inc step =
   else if inc.at < step then Resource_state.redo state inc.saved inc.marks.(step);
   inc.at <- step
 
-let evaluate inc ~assignment ~rank ~from ~viable =
+(* The abandonment bound: a candidate whose placed tasks tally [(m, l)]
+   can still improve on the score [(m1, l1)] to beat while [m < m1 ||
+   (m = m1 && l < bound)]. Placed tasks never move again, so [m] and [l]
+   only grow, and once this fails the final score cannot improve
+   either. [l] is summed in placement order and the final score in
+   task-id order; the relative margin covers that rounding gap, which
+   is of order n * epsilon * l1, far below 1e-9 * l1. *)
+let lateness_bound l1 = l1 -. 1e-6 +. (1e-9 *. (1. +. Float.abs l1))
+
+let evaluate inc ~assignment ~rank ~from ~best:(best_misses, best_lateness) =
   discard inc;
   if from > inc.reached then (Failed, 0)
   else begin
@@ -336,8 +355,10 @@ let evaluate inc ~assignment ~rank ~from ~viable =
       if !w = 0 then push env.ready rank i
     done;
     (* The list scheduler from [from] on, stopping at the first
-       placement after which [viable] rules the candidate out. A step
-       that raises counts as taken: [discard] undoes what it wrote. *)
+       placement after which the candidate can no longer improve on
+       [best]. A step that raises counts as taken: [discard] undoes what
+       it wrote. *)
+    let bound = lateness_bound best_lateness in
     let misses = ref inc.misses.(from) and lateness = ref inc.lateness.(from) in
     let s = ref from and abandoned = ref false in
     let result =
@@ -348,12 +369,13 @@ let evaluate inc ~assignment ~rank ~from ~viable =
           incr s;
           inc.stop <- !s;
           step env ~assignment ~rank ~waiting:inc.waiting i;
-          let l = inc.late i env.ls.finish.(i) in
+          let l = late inc i env.ls.finish.(i) in
           if l > 0. then begin
             incr misses;
             lateness := !lateness +. l
           end;
-          abandoned := not (viable !misses !lateness)
+          abandoned :=
+            not (!misses < best_misses || (!misses = best_misses && !lateness < bound))
         done;
         if !abandoned then Abandoned else Completed
       with Invalid_argument _ -> Failed

@@ -41,7 +41,7 @@ val of_schedule :
     {!Noc_sched.Resource_state.mark} taken before it and the misses so
     far; a candidate then re-places only the suffix from its restart
     step, through the same step function as {!run}, and stops as soon as
-    the caller's bound says it cannot win. One shared resource state
+    it can no longer beat the caller's best score. One shared resource state
     serves every candidate: it is rolled back, or re-applied from a copy
     of the incumbent's journal ({!Noc_sched.Resource_state.save}, taken
     once per recording), to the restart step, never rebuilt. *)
@@ -58,13 +58,15 @@ val checkpoint :
   ?degraded:Noc_noc.Degraded.t ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
-  late:(int -> float -> float) ->
   assignment:int array ->
   rank:int array ->
   incumbent
 (** Runs the list scheduler once on [(assignment, rank)] and records its
-    checkpoints. [late task finish] is the lateness a placement adds to
-    the objective, [0.] when it is no miss. An incumbent on which {!run}
+    checkpoints, with the misses and lateness so far before each step.
+    A placement's lateness is {!Noc_sched.List_sched.lateness}'s, read
+    from a deadline array the incumbent keeps ([infinity] for a task
+    without one) rather than through a closure, whose float result
+    would be boxed. An incumbent on which {!run}
     would raise is recorded up to the step that raises; every candidate
     that does not restart at or before that step fails. *)
 
@@ -87,14 +89,20 @@ val evaluate :
   assignment:int array ->
   rank:int array ->
   from:int ->
-  viable:(int -> float -> bool) ->
+  best:int * float ->
   outcome * int
 (** List-schedules the candidate [(assignment, rank)] from step [from]
     (which must be at or before the restart step of every change from
     the incumbent), after restoring the incumbent's first [from] steps.
-    After each placement, [viable misses lateness] sees the running miss
-    count and the lateness summed in placement order; [false] abandons
-    the candidate. Returns the outcome and the number of tasks placed.
+    [best = (m1, l1)] is the score to beat (misses, then lateness). The
+    bound [b = l1 - 1e-6 + 1e-9 * (1 + |l1|)] is computed once; after
+    each placement, with [m] the running miss count and [l] the
+    lateness summed in placement order, the candidate is abandoned
+    unless [m < m1 || (m = m1 && l < b)]. Placed tasks never move, so
+    [(m, l)] only grows and an abandoned candidate could not have
+    improved; the relative margin covers the rounding gap between
+    placement-order and task-id-order sums. [(max_int, infinity)]
+    abandons nothing. Returns the outcome and the number of tasks placed.
     The candidate stays in place until the next [evaluate] or
     {!rebase}. *)
 

@@ -20,17 +20,9 @@ let score ctg schedule =
   score_by ctg (fun i -> (Schedule.placement schedule i).Schedule.finish)
 
 (* The counts are typed [int] so they compare without the polymorphic
-   comparison: [viable] runs once per candidate placement. *)
+   comparison. [Rebuild.evaluate] abandons a candidate as soon as its
+   placed tasks show it cannot pass this test. *)
 let improves ((m2 : int), l2) ((m1 : int), l1) = m2 < m1 || (m2 = m1 && l2 < l1 -. 1e-6)
-
-(* Whether a candidate whose placed tasks tally [(m, l)] can still end
-   up improving on [(m1, l1)]. Placed tasks never move again, so [m] and
-   [l] only grow, and once this is false [improves] is false for the
-   final score too. [l] is summed in placement order and the final score
-   in task-id order; the relative margin covers that rounding gap, which
-   is of order n * epsilon * l1, far below 1e-9 * l1. *)
-let may_improve ((m : int), l) ((m1 : int), l1) =
-  m < m1 || (m = m1 && l < l1 -. 1e-6 +. (1e-9 *. (1. +. Float.abs l1)))
 
 (* Candidate bounds keeping one repair pass polynomial on 500-task
    graphs; the evaluation cap is the hard safety net. *)
@@ -140,11 +132,8 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
      accepted move. Neither recording counts as an evaluation. *)
   let incumbent =
     lazy
-      (Rebuild.checkpoint ?comm_model ?degraded platform ctg
-         ~late:(fun i finish -> List_sched.lateness (Noc_ctg.Ctg.task ctg i) finish)
-         ~assignment ~rank)
+      (Rebuild.checkpoint ?comm_model ?degraded platform ctg ~assignment ~rank)
   in
-  let viable misses lateness = may_improve (misses, lateness) !best_score in
   (* [restart] names the first step the mutated move can change. A
      candidate that strands a transaction on a disconnected pair is
      simply not an improvement. *)
@@ -156,7 +145,7 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
       incr evaluations;
       Noc_obs.Counters.incr c_evaluations;
       let outcome, replaced =
-        Rebuild.evaluate inc ~assignment ~rank ~from:(restart inc) ~viable
+        Rebuild.evaluate inc ~assignment ~rank ~from:(restart inc) ~best:!best_score
       in
       Noc_obs.Counters.add c_replaced_tasks replaced;
       let candidate_score =

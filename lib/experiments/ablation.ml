@@ -9,15 +9,12 @@ type row = {
   fixed_link_waiting : float;
 }
 
+(* Misses and the worst lateness, by the rule of every report. *)
 let miss_stats ctg schedule =
-  Array.fold_left
-    (fun (count, worst) (task : Noc_ctg.Task.t) ->
-      let late =
-        Noc_sched.List_sched.lateness task
-          (Noc_sched.Schedule.placement schedule task.id).Noc_sched.Schedule.finish
-      in
-      if late > 0. then (count + 1, Float.max worst late) else (count, worst))
-    (0, 0.) (Noc_ctg.Ctg.tasks ctg)
+  List.fold_left
+    (fun (count, worst) (_, late) -> (count + 1, Float.max worst late))
+    (0, 0.)
+    (Noc_sched.Metrics.misses ctg schedule)
 
 let max_deviation planned realised =
   let n = Noc_sched.Schedule.n_tasks planned in

@@ -9,6 +9,9 @@
     replays exactly; the fixed-delay schedule's transactions collide and
     deadlines are missed. *)
 
+(** A miss is a task finishing more than 1e-6 past its deadline
+    ({!Noc_sched.Metrics.misses}), the rule of the certifier and every
+    other table. *)
 type row = {
   seed : int;
   aware_planned_misses : int;

@@ -254,8 +254,3 @@ let route_valid t nodes =
          (fun (l : Routing.link) ->
            Topology.are_neighbours topo l.from_node l.to_node && link_alive t l)
          (Routing.links_of_route nodes)
-
-let pp ppf t =
-  Format.fprintf ppf "degraded(%a, %d dead PEs, %d dead links)" Platform.pp t.platform
-    (Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 t.dead_pes)
-    (Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 t.dead_links)

@@ -54,4 +54,3 @@ val route_valid : t -> int list -> bool
 (** Whether a recorded route is a walk over surviving links: every
     consecutive pair adjacent in the topology and no failed link used. *)
 
-val pp : Format.formatter -> t -> unit

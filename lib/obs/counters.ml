@@ -1,6 +1,5 @@
 let enabled = Atomic.make false
 let set_enabled v = Atomic.set enabled v
-let is_enabled () = Atomic.get enabled
 
 let with_lock m f =
   Mutex.lock m;

@@ -13,7 +13,6 @@
     initialisation and the registry survives resets. *)
 
 val set_enabled : bool -> unit
-val is_enabled : unit -> bool
 
 type counter
 

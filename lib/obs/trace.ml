@@ -34,7 +34,6 @@ let set_enabled v =
   if v then Atomic.set epoch (Noc_util.Clock.wall_s ());
   Atomic.set enabled v
 
-let is_enabled () = Atomic.get enabled
 
 let now_us () = (Noc_util.Clock.wall_s () -. Atomic.get epoch) *. 1e6
 

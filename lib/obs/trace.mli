@@ -19,7 +19,6 @@ val set_enabled : bool -> unit
 (** Enabling (re)starts the trace epoch: subsequent timestamps are
     relative to this instant. *)
 
-val is_enabled : unit -> bool
 
 val span : ?cat:string -> ?args:(unit -> (string * value) list) -> string ->
   (unit -> 'a) -> 'a

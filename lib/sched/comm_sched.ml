@@ -8,6 +8,6 @@ let route ?degraded platform ~src_pe ~dst_pe =
       Noc_noc.Degraded.route view ~src:src_pe ~dst:dst_pe
     | Some _ | None -> Noc_noc.Platform.route platform ~src:src_pe ~dst:dst_pe
 
-let compare_sends ~finish_a ~edge_a ~finish_b ~edge_b =
-  let c = Float.compare finish_a finish_b in
-  if c <> 0 then c else Int.compare edge_a edge_b
+let compare_sends ~finish ~edge_src a b =
+  let c = Float.compare finish.(edge_src.(a)) finish.(edge_src.(b)) in
+  if c <> 0 then c else Int.compare a b

@@ -28,8 +28,11 @@ val route :
 (** The routers a transaction visits: [[src_pe]] on one tile, else the
     platform's (or non-trivial degraded view's) route. *)
 
-val compare_sends :
-  finish_a:float -> edge_a:int -> finish_b:float -> edge_b:int -> int
-(** The Fig. 3 evaluation order over [(sender finish, edge id)] pairs:
-    the earlier sender finish first, ties by edge id. Every caller that
-    orders a task's incoming transactions uses this comparison. *)
+val compare_sends : finish:float array -> edge_src:int array -> int -> int -> int
+(** [compare_sends ~finish ~edge_src a b] is the Fig. 3 evaluation
+    order of edges [a] and [b], whose senders are [edge_src.(a)] and
+    [edge_src.(b)] and finish at [finish.(edge_src.(_))]: the earlier
+    sender finish first, ties by edge id. Every caller that orders a
+    task's incoming transactions uses this comparison. The finishes are
+    read from the caller's array, so no float is boxed per
+    comparison. *)

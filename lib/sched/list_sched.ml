@@ -8,6 +8,8 @@ type t = {
   n_pes : int;
   hops : int array;
   route_tables : Timeline.t array array;
+  route_ids : int array array;
+  window : float array;
   link_bandwidth : float;
   router_latency : float;
   in_start : int array;
@@ -46,7 +48,11 @@ let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
   let n_pes = Noc_noc.Platform.n_pes platform in
   let hops = Array.make (n_pes * n_pes) (-1) in
   let route_tables = Array.make (n_pes * n_pes) [||] in
-  let tables links = Array.of_list (List.map (Resource_state.link_table state) links) in
+  let route_ids = Array.make (n_pes * n_pes) [||] in
+  let set_route idx links =
+    route_tables.(idx) <- Array.of_list (List.map (Resource_state.link_table state) links);
+    route_ids.(idx) <- Array.of_list (List.map (Resource_state.link_id state) links)
+  in
   for src = 0 to n_pes - 1 do
     for dst = 0 to n_pes - 1 do
       let idx = (src * n_pes) + dst in
@@ -56,10 +62,10 @@ let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
         | None -> ()
         | Some route ->
           hops.(idx) <- Noc_noc.Platform.route_hops route;
-          route_tables.(idx) <- tables (Noc_noc.Degraded.route_links view ~src ~dst))
+          set_route idx (Noc_noc.Degraded.route_links view ~src ~dst))
       | Some _ | None ->
         hops.(idx) <- Noc_noc.Platform.hops platform ~src ~dst;
-        route_tables.(idx) <- tables (Noc_noc.Platform.route_links platform ~src ~dst)
+        set_route idx (Noc_noc.Platform.route_links platform ~src ~dst)
     done
   done;
   {
@@ -70,6 +76,8 @@ let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
     n_pes;
     hops;
     route_tables;
+    route_ids;
+    window = [| 0.; 0. |];
     link_bandwidth = Noc_noc.Platform.link_bandwidth platform;
     router_latency = Noc_noc.Platform.router_latency platform;
     in_start;
@@ -96,9 +104,7 @@ let c_probe_transactions = Noc_obs.Counters.counter "sched.list_sched.probe_tran
 
 (* Whether in-edge [e1] is sent before [e2] in the Fig. 3 order. *)
 let sent_before t e1 e2 =
-  Comm_sched.compare_sends ~finish_a:t.finish.(t.edge_src.(e1)) ~edge_a:e1
-    ~finish_b:t.finish.(t.edge_src.(e2)) ~edge_b:e2
-  < 0
+  Comm_sched.compare_sends ~finish:t.finish ~edge_src:t.edge_src e1 e2 < 0
 
 (* Task [i]'s in-edges in the Fig. 3 order, insertion-sorted (in-degrees
    are small) into the first cells of [order]; returns their count. *)
@@ -157,11 +163,14 @@ let reserve_overlay (ov : overlay) route interval =
    recorded in [tx_start]/[tx_finish], the order is sorted into
    [t.in_order], and a sender that cannot reach [k] raises. Read-only,
    the walk writes nothing shared (its order goes to a fresh array) and
-   such a sender makes the data-ready time [infinity]. *)
+   such a sender makes the data-ready time [infinity]. Every branch of a
+   window's start reads a float variable or array cell, so the
+   committing walk keeps its floats unboxed. *)
 let receive t ~commit i k =
   let order =
     if commit then t.in_order else Array.make (t.in_start.(i + 1) - t.in_start.(i)) 0
   in
+  let window = t.window in
   let last = fig3_order t order i - 1 in
   let ov : overlay = ref [] and drt = ref 0. and j = ref 0 in
   while !j <= last do
@@ -186,12 +195,16 @@ let receive t ~commit i k =
         infinity
       end
       else
-        let route = t.route_tables.(pair) in
         match t.comm_model with
         | Comm_sched.Fixed_delay -> sent
         | Comm_sched.Contention_aware when commit ->
-          Resource_state.reserve_route_gap t.state route ~after:sent ~duration
+          window.(0) <- sent;
+          window.(1) <- duration;
+          Resource_state.reserve_route_gap t.state t.route_tables.(pair) t.route_ids.(pair)
+            window;
+          window.(0)
         | Comm_sched.Contention_aware ->
+          let route = t.route_tables.(pair) in
           let start =
             Timeline.earliest_gap_multi (with_overlay ov route) ~after:sent ~duration
           in
@@ -205,37 +218,39 @@ let receive t ~commit i k =
       t.tx_start.(e) <- start;
       t.tx_finish.(e) <- stop
     end;
-    drt := Float.max !drt stop;
+    if stop > !drt then drt := stop;
     incr j
   done;
   !drt
 
-(* The earliest start of task [i] on [k]'s table at or after [drt] and
-   its release time. *)
-let earliest_start t i k ~drt =
-  let task = Noc_ctg.Ctg.task t.ctg i in
-  let available =
-    match task.Noc_ctg.Task.release with
-    | None -> drt
-    | Some release -> Float.max drt release
-  in
-  Resource_state.earliest_pe_gap t.state ~pe:k ~after:available
-    ~duration:task.Noc_ctg.Task.exec_times.(k)
+(* The time task [i] may start at on [k] given its data-ready time
+   [drt]: the later of [drt] and its release time. *)
+let[@inline] available task ~drt =
+  match task.Noc_ctg.Task.release with
+  | Some release when release > drt -> release
+  | Some _ | None -> drt
 
 let place t i k =
   let drt = receive t ~commit:true i k in
-  let start = earliest_start t i k ~drt in
-  let finish = start +. (Noc_ctg.Ctg.task t.ctg i).Noc_ctg.Task.exec_times.(k) in
-  Resource_state.reserve_pe t.state ~pe:k (Noc_util.Interval.make ~start ~stop:finish);
+  let task = Noc_ctg.Ctg.task t.ctg i in
+  let window = t.window in
+  window.(0) <- available task ~drt;
+  window.(1) <- task.Noc_ctg.Task.exec_times.(k);
+  Resource_state.reserve_pe_gap t.state ~pe:k window;
+  let start = window.(0) in
   t.pe.(i) <- k;
   t.start.(i) <- start;
-  t.finish.(i) <- finish
+  t.finish.(i) <- start +. task.Noc_ctg.Task.exec_times.(k)
 
 let data_ready t i k = receive t ~commit:false i k
 
 let probe t i k =
   let drt = data_ready t i k in
-  if drt = infinity then infinity else earliest_start t i k ~drt
+  if drt = infinity then infinity
+  else
+    let task = Noc_ctg.Ctg.task t.ctg i in
+    Resource_state.earliest_pe_gap t.state ~pe:k ~after:(available task ~drt)
+      ~duration:task.Noc_ctg.Task.exec_times.(k)
 
 let data_ready_tables t i k =
   let routes = ref [] and cut = ref false in

@@ -26,9 +26,19 @@ type t = private {
           ({!Noc_noc.Platform.hops}, or {!Noc_noc.Platform.route_hops} of
           the view's route), [-1] when the view
           disconnects the pair, and at the same index of [route_tables]
-          the route's link tables in route order. Filled for every pair
-          by {!make}, so walks only read it. *)
+          the route's link tables in route order, with their table ids
+          ({!Resource_state.link_id}) at the same index of [route_ids].
+          Filled for every pair by {!make}, so walks only read it. *)
   route_tables : Noc_util.Timeline.t array array;
+  route_ids : int array array;
+  window : float array;
+      (** Two cells of scratch for {!place}: each reservation's earliest
+          start and duration go in, the start it took comes out
+          ({!Resource_state.reserve_route_gap},
+          {!Resource_state.reserve_pe_gap}). Under [-opaque] a float
+          passed between modules is boxed; a float array cell is not, so
+          a committed placement allocates nothing. Meaningless between
+          calls. *)
   link_bandwidth : float;
   router_latency : float;
   in_start : int array;
@@ -76,7 +86,8 @@ val place : t -> int -> int -> unit
     none on one tile, where the window is the sender's finish) and
     recording it in [tx_start]/[tx_finish]; the task's start is then
     clamped to its release time and moved to the earliest gap of [k]'s
-    table, which is reserved. Raises [Invalid_argument] when a
+    table, which is reserved. Every window travels through [window], so
+    the walk boxes no float. Raises [Invalid_argument] when a
     transaction cannot reach [k] on the degraded view, after reserving
     the transactions before it. *)
 

@@ -23,6 +23,15 @@ let energy_of_assignment platform ctg pe_of =
   in
   computation +. communication
 
+let misses ctg schedule =
+  Array.to_list (Noc_ctg.Ctg.tasks ctg)
+  |> List.filter_map (fun (task : Noc_ctg.Task.t) ->
+         match task.deadline with
+         | None -> None
+         | Some d ->
+           let finish = (Schedule.placement schedule task.id).Schedule.finish in
+           if finish > d +. 1e-6 then Some (task.id, finish -. d) else None)
+
 let compute platform ctg schedule =
   let pe_of task = (Schedule.placement schedule task).Schedule.pe in
   let computation_energy =
@@ -38,15 +47,7 @@ let compute platform ctg schedule =
              ~dst:(pe_of edge.dst) ~bits:edge.volume)
       0. (Noc_ctg.Ctg.edges ctg)
   in
-  let deadline_misses =
-    Array.to_list (Noc_ctg.Ctg.tasks ctg)
-    |> List.filter_map (fun (task : Noc_ctg.Task.t) ->
-           match task.deadline with
-           | None -> None
-           | Some d ->
-             let finish = (Schedule.placement schedule task.id).Schedule.finish in
-             if finish > d +. 1e-6 then Some (task.id, finish -. d) else None)
-  in
+  let deadline_misses = misses ctg schedule in
   let data_edges =
     Array.to_list (Noc_ctg.Ctg.edges ctg)
     |> List.filter (fun (e : Noc_ctg.Edge.t) -> e.volume > 0.)

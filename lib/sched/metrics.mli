@@ -21,6 +21,13 @@ type t = {
 
 val compute : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> Schedule.t -> t
 
+val misses : Noc_ctg.Ctg.t -> Schedule.t -> (int * float) list
+(** [misses ctg s] is {!compute}'s [deadline_misses]: every task whose
+    finish exceeds its deadline by more than 1e-6, with its lateness
+    [finish - deadline], sorted by task id. The certifier
+    ([Noc_analysis.Certify], default tolerance 1e-6) and every report
+    count a miss by this rule. *)
+
 val miss_count : t -> int
 
 val energy_of_assignment : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> (int -> int) -> float

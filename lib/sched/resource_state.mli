@@ -8,8 +8,11 @@
     the Step-3 rebuild can move between schedules cheaply.
 
     The journal is a flat undo log: one entry per reservation and table,
-    holding the table, the slot index the reservation took in it, the
-    interval and a serial number issued once per state. A {!mark} is a
+    holding the table's id (its index among the state's tables, PE
+    tables first, then link tables), the slot index the reservation took
+    in it, the interval and a serial number issued once per state. Every
+    entry field is an int or a float, so journalling stores no pointer
+    (no write barrier) and {!save} copies no table reference. A {!mark} is a
     journal position (its depth and the serial of the entry under it),
     validated in O(1). A {!mark} / {!rollback} pair undoes everything
     reserved in between in O(reservations undone): entries are undone
@@ -26,12 +29,16 @@ val create : Noc_noc.Platform.t -> t
 val platform : t -> Noc_noc.Platform.t
 
 val pe_table : t -> int -> Noc_util.Timeline.t
+(** PE [pe]'s table; its id is [pe]. *)
+
 val link_table : t -> Noc_noc.Routing.link -> Noc_util.Timeline.t
 
-val reserve_pe : t -> pe:int -> Noc_util.Interval.t -> unit
-(** Journalled PE reservation. Raises [Invalid_argument] on overlap. *)
+val link_id : t -> Noc_noc.Routing.link -> int
+(** The id of the link's table, as {!reserve_route_gap} takes it. *)
 
 val reserve_link : t -> Noc_noc.Routing.link -> Noc_util.Interval.t -> unit
+(** Journalled link reservation. Raises [Invalid_argument] on overlap;
+    an empty interval reserves and journals nothing. *)
 
 val earliest_pe_gap : t -> pe:int -> after:float -> duration:float -> float
 val earliest_route_gap :
@@ -40,13 +47,24 @@ val earliest_route_gap :
     paper's merged path schedule table (Fig. 3). With an empty route the
     answer is [after]. *)
 
-val reserve_route_gap :
-  t -> Noc_util.Timeline.t array -> after:float -> duration:float -> float
-(** [reserve_route_gap t tables ~after ~duration] finds the earliest
-    window of [duration] at or after [after] free on every table (as
-    {!earliest_route_gap}), reserves it on each table in array order
-    with one journal entry per table (as {!reserve_link} over the
-    route), and returns the window's start. *)
+val reserve_route_gap : t -> Noc_util.Timeline.t array -> int array -> float array -> unit
+(** [reserve_route_gap t tables ids window] finds the earliest window of
+    [duration = window.(1)] at or after [after = window.(0)] free on
+    every table (as {!earliest_route_gap}), reserves it on each table in
+    array order with one journal entry per table (as {!reserve_link}
+    over the route), and writes the window's start into [window.(0)].
+    [ids.(k)] is the id of [tables.(k)] ({!link_id}); the caller keeps
+    both, so the call builds no array. The window travels in the
+    caller's float array, not as float arguments and result, so that
+    under [-opaque] (the default dev build) nothing is boxed on the way
+    to {!Noc_util.Timeline.reserve_gap_multi}. An empty window reserves
+    and journals nothing. *)
+
+val reserve_pe_gap : t -> pe:int -> float array -> unit
+(** [reserve_pe_gap t ~pe window] is {!reserve_route_gap} on PE [pe]'s
+    table alone: the earliest gap of [window.(1)] at or after
+    [window.(0)] on that table ({!earliest_pe_gap}), reserved and
+    journalled, its start written into [window.(0)]. *)
 
 type mark
 

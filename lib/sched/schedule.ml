@@ -37,16 +37,3 @@ let tasks_on_pe t ~pe =
   |> List.sort (fun (a : placement) (b : placement) -> Float.compare a.start b.start)
 
 let links_of_transaction tr = Noc_noc.Routing.links_of_route tr.route
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun p ->
-      Format.fprintf ppf "task %d on pe %d: [%g, %g)@," p.task p.pe p.start p.finish)
-    t.placements;
-  Array.iter
-    (fun tr ->
-      Format.fprintf ppf "edge %d: pe %d -> pe %d [%g, %g)@," tr.edge tr.src_pe
-        tr.dst_pe tr.start tr.finish)
-    t.transactions;
-  Format.fprintf ppf "@]"

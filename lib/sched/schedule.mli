@@ -51,4 +51,3 @@ val links_of_transaction : transaction -> Noc_noc.Routing.link list
 (** The directed links the transaction reserves; empty for same-tile
     arcs. *)
 
-val pp : Format.formatter -> t -> unit

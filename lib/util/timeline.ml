@@ -3,7 +3,11 @@
    Disjointness makes the stop sequence sorted too, so both endpoints
    admit binary search. The scheduler's dominant pattern — reserving at
    the end of the table — hits the O(1) amortized append path; mid-table
-   inserts and releases pay one [Array.blit]. *)
+   inserts and releases shift the slots after them with a plain loop
+   (no C call for the few slots a scheduler's table moves). Windows that
+   cross the module boundary travel in float arrays: under [-opaque]
+   every float argument or result of a call into another module is
+   boxed. *)
 
 type t = {
   mutable starts : float array;
@@ -76,10 +80,10 @@ let overlap_error t i ~start ~stop =
 let[@inline] insert t i ~start ~stop =
   if i < t.len && t.starts.(i) < stop then overlap_error t i ~start ~stop;
   if t.len = Array.length t.starts then ensure_capacity t (t.len + 1);
-  if i < t.len then begin
-    Array.blit t.starts i t.starts (i + 1) (t.len - i);
-    Array.blit t.stops i t.stops (i + 1) (t.len - i)
-  end;
+  for j = t.len downto i + 1 do
+    t.starts.(j) <- t.starts.(j - 1);
+    t.stops.(j) <- t.stops.(j - 1)
+  done;
   t.starts.(i) <- start;
   t.stops.(i) <- stop;
   t.len <- t.len + 1;
@@ -99,19 +103,21 @@ let slot_error what t i ~start ~stop =
 
 (* Once every slot before [i] ends at or before [start], slot [i] is the
    only candidate overlap, which [insert] checks. *)
-let reserve_slot t i ~start ~stop =
+let reserve_slot t i ~starts ~stops d =
+  let start = starts.(d) and stop = stops.(d) in
   if start < stop && i >= 0 && i <= t.len && (i = 0 || t.stops.(i - 1) <= start) then
     insert t i ~start ~stop
   else slot_error "reserve_slot" t i ~start ~stop
 
-let release_slot t i ~start ~stop =
+let release_slot t i ~starts ~stops d =
+  let start = starts.(d) and stop = stops.(d) in
   if i >= 0 && i < t.len && t.starts.(i) = start && t.stops.(i) = stop then begin
     (* Rollbacks release newest-first, so the slot is often the last
-       one: skip the empty shift. *)
-    if i < t.len - 1 then begin
-      Array.blit t.starts (i + 1) t.starts i (t.len - i - 1);
-      Array.blit t.stops (i + 1) t.stops i (t.len - i - 1)
-    end;
+       one and the loop shifts nothing. *)
+    for j = i to t.len - 2 do
+      t.starts.(j) <- t.starts.(j + 1);
+      t.stops.(j) <- t.stops.(j + 1)
+    done;
     t.len <- t.len - 1;
     t.version <- t.version + 1
   end
@@ -162,28 +168,58 @@ let merged_busy tls ~after =
   in
   List.rev_map (fun (s, e) -> Interval.make ~start:s ~stop:e) coalesced
 
-(* Candidate advance: probe every table for a slot overlapping
-   [candidate, candidate + duration); any hit pushes the candidate to
-   that slot's stop. Each advance retires at least one slot of one table
-   for good, so the loop does O(total slots) probes worst case and
-   typically just one round of binary searches. The last round probes
-   every table at the answer, so a non-empty [at] ends up holding each
-   table's insertion point for it; a search alone passes [[||]]. *)
-let gap_multi tls at ~after ~duration =
-  let candidate = ref after in
-  let moved = ref true in
+(* [gallop t lo x] is [first_stop_after t x] for a caller that knows no
+   slot before [lo] ends after [x]: doubling steps from [lo] bracket the
+   answer, then a binary search inside the bracket finds it, in
+   O(log (answer - lo)). *)
+let[@inline] gallop t lo x =
+  if lo >= t.len || t.stops.(lo) > x then lo
+  else begin
+    (* [stops.(!base) <= x] throughout. *)
+    let base = ref lo and step = ref 1 in
+    while !base + !step < t.len && t.stops.(!base + !step) <= x do
+      base := !base + !step;
+      step := 2 * !step
+    done;
+    let lo = ref (!base + 1) and hi = ref (Int.min (!base + !step) t.len) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.stops.(mid) > x then hi := mid else lo := mid + 1
+    done;
+    !lo
+  end
+
+(* Candidate advance: probe the tables round-robin for a slot
+   overlapping [candidate, candidate + duration); a hit pushes the
+   candidate to that slot's stop. The candidate is the answer once [n]
+   probes in a row leave it in place, one per table. Each advance
+   retires at least one slot of one table for good, so the loop does
+   O(total slots) probes worst case, and it ends [n] probes after the
+   last advance, where finishing the round and then probing a whole
+   clean one took up to [2n - 1]. The candidate only grows, so a table's insertion point only
+   moves right: with a non-empty [at], each table's first probe is a
+   binary search and later ones gallop from its last index, and [at]
+   ends up holding each table's insertion point for the answer. A
+   search alone passes [[||]] and binary-searches every probe. *)
+let[@inline] gap_multi tls at ~after ~duration =
+  let n = Array.length tls in
   let record = Array.length at > 0 in
-  while !moved do
-    moved := false;
-    for k = 0 to Array.length tls - 1 do
-      let tl = tls.(k) in
-      let i = first_stop_after tl !candidate in
-      if record then at.(k) <- i;
-      if i < tl.len && tl.starts.(i) < !candidate +. duration then begin
-        candidate := tl.stops.(i);
-        moved := true
-      end
-    done
+  let candidate = ref after in
+  let clean = ref 0 and k = ref 0 and probes = ref 0 in
+  while !clean < n do
+    let tl = tls.(!k) in
+    let i =
+      if record && !probes >= n then gallop tl at.(!k) !candidate
+      else first_stop_after tl !candidate
+    in
+    if record then at.(!k) <- i;
+    if i < tl.len && tl.starts.(i) < !candidate +. duration then begin
+      candidate := tl.stops.(i);
+      clean := 0
+    end
+    else incr clean;
+    incr probes;
+    k := if !k = n - 1 then 0 else !k + 1
   done;
   !candidate
 
@@ -192,10 +228,10 @@ let earliest_gap_multi tls ~after ~duration =
   if duration = 0. then after
   else gap_multi tls [||] ~after ~duration
 
-let reserve_gap_multi tls slots ~after ~duration =
+let reserve_gap_multi tls slots window =
+  let after = window.(0) and duration = window.(1) in
   assert (duration >= 0.);
-  if duration = 0. then after
-  else begin
+  if duration <> 0. then begin
     let start = gap_multi tls slots ~after ~duration in
     let stop = start +. duration in
     (* As [reserve], an empty window (a duration lost to rounding)
@@ -204,10 +240,5 @@ let reserve_gap_multi tls slots ~after ~duration =
       for k = 0 to Array.length tls - 1 do
         insert tls.(k) slots.(k) ~start ~stop
       done;
-    start
+    window.(0) <- start
   end
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space Interval.pp)
-    (busy t)

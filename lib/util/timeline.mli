@@ -14,7 +14,14 @@
     of the slots after it (none at the end of the table):
     [Noc_sched.Resource_state]'s journal records each reservation's
     index, which is exact again whenever the journal is undone or redone
-    in order, so no undo searches. Behavioural equivalence
+    in order, so no undo searches.
+
+    The forms the scheduler's committing walk calls ({!reserve_gap_multi},
+    {!reserve_slot}, {!release_slot}) read and write their windows in
+    float arrays the caller owns. The default (dev) build compiles with
+    [-opaque], so a float passed to or returned from a function of
+    another module is boxed; a float array cell crosses unboxed, and
+    the walk allocates nothing per reservation. Behavioural equivalence
     with a naive sorted-list model (the test-only [Timeline_reference])
     is enforced by qcheck differential tests over random operation
     traces. *)
@@ -43,17 +50,19 @@ val slot : t -> float -> int
 (** [slot t start] is the index a reservation starting at [start] takes:
     the first slot that ends after [start], or the number of slots. *)
 
-val reserve_slot : t -> int -> start:float -> stop:float -> unit
-(** [reserve_slot t i ~start ~stop] reserves the non-empty [[start,
-    stop)] at slot index [i], which must be [slot t start]. Raises
-    [Invalid_argument], leaving the table unchanged, when the interval
-    is empty, [i] is not that index, or the interval overlaps a busy
-    one. *)
+val reserve_slot : t -> int -> starts:float array -> stops:float array -> int -> unit
+(** [reserve_slot t i ~starts ~stops d] reserves the non-empty
+    [[starts.(d), stops.(d))] at slot index [i], which must be [slot t
+    starts.(d)]. Raises [Invalid_argument], leaving the table unchanged,
+    when the interval is empty, [i] is not that index, or the interval
+    overlaps a busy one. The interval is read from the caller's arrays
+    (a journal's, say) so that no float is boxed on the way in. *)
 
-val release_slot : t -> int -> start:float -> stop:float -> unit
-(** [release_slot t i ~start ~stop] removes slot [i], which must hold
-    exactly [[start, stop)]. Raises [Invalid_argument], leaving the
-    table unchanged, otherwise; the message reports the index. *)
+val release_slot : t -> int -> starts:float array -> stops:float array -> int -> unit
+(** [release_slot t i ~starts ~stops d] removes slot [i], which must
+    hold exactly [[starts.(d), stops.(d))]. Raises [Invalid_argument],
+    leaving the table unchanged, otherwise; the message reports the
+    index. *)
 
 val utilisation : t -> horizon:float -> float
 (** Fraction of [0, horizon) covered by busy intervals (clipped to the
@@ -79,20 +88,23 @@ val merged_busy : t list -> after:float -> Interval.t list
 val earliest_gap_multi : t array -> after:float -> duration:float -> float
 (** Earliest [s >= after] such that [s, s + duration) is simultaneously
     free on every timeline in the array. The answer does not depend on
-    the order of the array. *)
+    the order of the array. The search probes the tables round-robin,
+    moving its candidate to the stop of any slot it overlaps, and stops
+    once [n] probes in a row (one per table) leave the candidate in
+    place: O(n + advances) binary searches. *)
 
-val reserve_gap_multi :
-  t array -> int array -> after:float -> duration:float -> float
-(** [reserve_gap_multi tls slots ~after ~duration] reserves the window
-    [[s, s + duration)] with [s = earliest_gap_multi tls ~after
-    ~duration] on every timeline in array order as by {!reserve},
-    overlap check included, and returns [s]. The gap search already
-    locates each table's insertion point, so no table is searched twice;
-    [slots.(k)] receives the slot index the window took in [tls.(k)]
-    ([slots] must be at least as long as [tls]). An empty window (zero
-    duration, or one lost to rounding) reserves nothing and leaves
-    [slots] meaningless. The timelines must be distinct (a route's
-    links): a repeated one fails the overlap check after the earlier
-    ones were reserved. *)
-
-val pp : Format.formatter -> t -> unit
+val reserve_gap_multi : t array -> int array -> float array -> unit
+(** [reserve_gap_multi tls slots window] reserves the earliest window
+    free on every timeline: with [after = window.(0)] and [duration =
+    window.(1)], it reserves [[s, s + duration)] with [s =
+    earliest_gap_multi tls ~after ~duration] on every timeline in array
+    order as by {!reserve}, overlap check included, and writes [s] into
+    [window.(0)]. The gap search already locates each table's insertion
+    point, so no table is searched twice, and after a table's first
+    probe each later one gallops from its last index instead of
+    searching from the start; [slots.(k)] receives the slot index the
+    window took in [tls.(k)] ([slots] must be at least as long as
+    [tls]). An empty window (zero duration, or one lost to rounding)
+    reserves nothing and leaves [slots] meaningless. The timelines must
+    be distinct (a route's links): a repeated one fails the overlap
+    check after the earlier ones were reserved. *)

@@ -86,9 +86,9 @@ let assignment_energy ?degraded platform ctg partial i k =
 let commit ?comm_model ?degraded ctg partial i k =
   let pendings = incoming_pendings ctg partial i in
   let placement, transactions = place ?comm_model ?degraded ~pendings ctg partial i k in
-  Resource_state.reserve_pe partial.state ~pe:k
-    (Noc_util.Interval.make ~start:placement.Schedule.start
-       ~stop:placement.Schedule.finish);
+  (* The placement's start is the earliest gap from itself. *)
+  Resource_state.reserve_pe_gap partial.state ~pe:k
+    [| placement.Schedule.start; (Noc_ctg.Ctg.task ctg i).Noc_ctg.Task.exec_times.(k) |];
   partial.placements.(i) <- Some placement;
   List.iter
     (fun (tr : Schedule.transaction) -> partial.transactions.(tr.edge) <- Some tr)

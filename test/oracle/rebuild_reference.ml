@@ -139,11 +139,9 @@ let place env ~assignment i =
     | None -> drt
     | Some release -> Float.max drt release
   in
-  let start =
-    Resource_state.earliest_pe_gap env.state ~pe:k ~after:available ~duration:exec_time
-  in
-  Resource_state.reserve_pe env.state ~pe:k
-    (Noc_util.Interval.make ~start ~stop:(start +. exec_time));
+  let window = [| available; exec_time |] in
+  Resource_state.reserve_pe_gap env.state ~pe:k window;
+  let start = window.(0) in
   env.placements.(i) <- { Schedule.task = i; pe = k; start; finish = start +. exec_time };
   List.iter (fun (tr : Schedule.transaction) -> env.transactions.(tr.edge) <- tr) placed
 

@@ -46,14 +46,16 @@ let reserve t iv =
    slots ending at or before it. *)
 let slot_of t start = List.length (List.filter (fun iv -> iv.Interval.stop <= start) t.slots)
 
-let reserve_slot t i ~start ~stop =
+let reserve_slot t i ~starts ~stops d =
+  let start = starts.(d) and stop = stops.(d) in
   if not (start < stop && i = slot_of t start) then
     invalid_arg
       (Format.asprintf "Timeline_reference.reserve_slot: [%g, %g) not at slot index %d"
          start stop i);
   reserve t (Interval.make ~start ~stop)
 
-let release_slot t i ~start ~stop =
+let release_slot t i ~starts ~stops d =
+  let start = starts.(d) and stop = stops.(d) in
   match if i < 0 then None else List.nth_opt t.slots i with
   | Some iv when iv.Interval.start = start && iv.Interval.stop = stop ->
     t.slots <- List.filteri (fun j _ -> j <> i) t.slots

@@ -16,8 +16,8 @@ val busy : t -> Noc_util.Interval.t list
 val is_free : t -> Noc_util.Interval.t -> bool
 val earliest_gap : t -> after:float -> duration:float -> float
 val reserve : t -> Noc_util.Interval.t -> unit
-val reserve_slot : t -> int -> start:float -> stop:float -> unit
-val release_slot : t -> int -> start:float -> stop:float -> unit
+val reserve_slot : t -> int -> starts:float array -> stops:float array -> int -> unit
+val release_slot : t -> int -> starts:float array -> stops:float array -> int -> unit
 val utilisation : t -> horizon:float -> float
 val span : t -> float
 val merged_busy : t list -> after:float -> Noc_util.Interval.t list

@@ -132,6 +132,36 @@ let test_category_ii_suite_golden () =
   in
   Alcotest.(check (list string)) "category II suite 0-9" category_ii_suite_golden got
 
+(* An allocation budget for Step 3. The committing Fig. 3 walk, its
+   rollback and its redo pass floats in arrays and journal table ids, so
+   re-placing a task boxes nothing; what is left per re-placed task is
+   the per-evaluation work (scores, accepted candidates) spread over the
+   tasks each evaluation re-places. The kernel and the Step-2 base are
+   built outside the measurement. A boxed float creeping back into the
+   walk shows here as a failed test rather than as a slower benchmark. *)
+let test_allocation_budget () =
+  let module Counters = Noc_obs.Counters in
+  let ctg = Category.benchmark Category.Category_ii ~index:0 in
+  let kernel = Noc_eas.Kernel.build Category.platform ctg in
+  let schedule = base Category.platform ctg in
+  let replaced = Counters.counter "eas.repair.replaced_tasks" in
+  Counters.set_enabled true;
+  let tasks, words =
+    Fun.protect
+      ~finally:(fun () -> Counters.set_enabled false)
+      (fun () ->
+        let tasks0 = Counters.value replaced in
+        let words0 = Gc.minor_words () in
+        ignore (Repair.run ~kernel Category.platform ctg schedule);
+        let words = Gc.minor_words () -. words0 in
+        (Counters.value replaced - tasks0, words))
+  in
+  Alcotest.(check bool) "repair re-placed tasks" true (tasks > 0);
+  let per_task = words /. float_of_int tasks in
+  if per_task > 30. then
+    Alcotest.failf "%.1f minor words per re-placed task (%d tasks), budget 30" per_task
+      tasks
+
 let test_tgff_corpus () =
   let active = ref 0 in
   for seed = 1 to 6 do
@@ -276,8 +306,7 @@ let qcheck_suffix_replay =
         rank.(i) <- rank.(j);
         rank.(j) <- tmp
       done;
-      let late _ _ = 0. in
-      let inc = Rebuild.checkpoint ?degraded small_platform ctg ~late ~assignment ~rank in
+      let inc = Rebuild.checkpoint ?degraded small_platform ctg ~assignment ~rank in
       let swap a b =
         let tmp = rank.(a) in
         rank.(a) <- rank.(b);
@@ -307,7 +336,7 @@ let qcheck_suffix_replay =
           in
           let got =
             match
-              Rebuild.evaluate inc ~assignment ~rank ~from ~viable:(fun _ _ -> true)
+              Rebuild.evaluate inc ~assignment ~rank ~from ~best:(max_int, infinity)
             with
             | Rebuild.Completed, _ -> Some (Schedule_io.to_string (Rebuild.candidate inc))
             | Rebuild.Failed, _ -> None
@@ -359,6 +388,7 @@ let suite =
       test_category_corpus;
     Alcotest.test_case "category II full-size instance" `Quick test_category_ii_full_size;
     Alcotest.test_case "category II suite 0-9 pinned" `Quick test_category_ii_suite_golden;
+    Alcotest.test_case "allocation budget per re-placed task" `Quick test_allocation_budget;
     Alcotest.test_case "tgff 200-task corpus, every move set" `Quick test_tgff_corpus;
     Alcotest.test_case "max_evaluations cap" `Quick test_evaluation_cap;
     Alcotest.test_case "degraded platform, PE and link faults" `Quick test_degraded;

@@ -16,13 +16,18 @@ let platform = Noc_noc.Platform.homogeneous_mesh ~cols:2 ~rows:2
 let iv start stop = Interval.make ~start ~stop
 let link = { Noc_noc.Routing.from_node = 0; to_node = 1 }
 
+(* Reserves [[start, stop)] on a PE through the gap form: every call
+   here names a free window, so the earliest gap from [start] is it. *)
+let reserve_pe state ~pe start stop =
+  Resource_state.reserve_pe_gap state ~pe [| start; stop -. start |]
+
 let busy_count state pe = List.length (Timeline.busy (Resource_state.pe_table state pe))
 
 let test_rollback_to_empty_mark () =
   let state = Resource_state.create platform in
   let m = Resource_state.mark state in
-  Resource_state.reserve_pe state ~pe:0 (iv 0. 5.);
-  Resource_state.reserve_pe state ~pe:1 (iv 2. 4.);
+  reserve_pe state ~pe:0 0. 5.;
+  reserve_pe state ~pe:1 2. 4.;
   Resource_state.reserve_link state link (iv 0. 1.);
   Resource_state.rollback state m;
   Alcotest.(check int) "pe 0 empty" 0 (busy_count state 0);
@@ -40,12 +45,12 @@ let test_rollback_empty_mark_noop () =
 
 let test_nested_marks () =
   let state = Resource_state.create platform in
-  Resource_state.reserve_pe state ~pe:0 (iv 0. 1.);
+  reserve_pe state ~pe:0 0. 1.;
   let outer = Resource_state.mark state in
-  Resource_state.reserve_pe state ~pe:0 (iv 1. 2.);
+  reserve_pe state ~pe:0 1. 2.;
   let inner = Resource_state.mark state in
-  Resource_state.reserve_pe state ~pe:0 (iv 2. 3.);
-  Resource_state.reserve_pe state ~pe:0 (iv 3. 4.);
+  reserve_pe state ~pe:0 2. 3.;
+  reserve_pe state ~pe:0 3. 4.;
   Resource_state.rollback state inner;
   Alcotest.(check int) "inner rollback keeps outer reserves" 2 (busy_count state 0);
   Resource_state.rollback state outer;
@@ -56,23 +61,23 @@ let test_nested_marks () =
 let test_empty_interval_reserves_skip_journal () =
   let state = Resource_state.create platform in
   let m = Resource_state.mark state in
-  Resource_state.reserve_pe state ~pe:0 (iv 3. 3.);
+  reserve_pe state ~pe:0 3. 3.;
   Resource_state.reserve_link state link (iv 7. 7.);
   (* Empty intervals are ignored by the tables and must not be
      journalled: the mark still compares equal and rollback is a no-op
      rather than an attempt to release a slot that was never stored. *)
   Resource_state.rollback state m;
-  Resource_state.reserve_pe state ~pe:0 (iv 3. 3.);
-  Resource_state.reserve_pe state ~pe:0 (iv 0. 5.);
+  reserve_pe state ~pe:0 3. 3.;
+  reserve_pe state ~pe:0 0. 5.;
   Resource_state.rollback state m;
   Alcotest.(check int) "only the real reserve was undone" 0 (busy_count state 0)
 
 let test_rollback_after_outer_rollback_raises () =
   let state = Resource_state.create platform in
   let outer = Resource_state.mark state in
-  Resource_state.reserve_pe state ~pe:0 (iv 0. 1.);
+  reserve_pe state ~pe:0 0. 1.;
   let inner = Resource_state.mark state in
-  Resource_state.reserve_pe state ~pe:0 (iv 1. 2.);
+  reserve_pe state ~pe:0 1. 2.;
   Resource_state.rollback state outer;
   (* [inner] described a journal suffix that no longer exists; rolling
      back to it must raise rather than silently release foreign slots. *)
@@ -83,18 +88,18 @@ let test_rollback_after_outer_rollback_raises () =
      with Invalid_argument _ -> true);
   Alcotest.(check int) "the raise released nothing" 0 (busy_count state 0);
   (* The state still works: a fresh reservation rolls back to [outer]. *)
-  Resource_state.reserve_pe state ~pe:0 (iv 3. 4.);
+  reserve_pe state ~pe:0 3. 4.;
   Resource_state.rollback state outer;
   Alcotest.(check int) "later rollback to a valid mark" 0 (busy_count state 0)
 
 let test_unknown_mark_raises () =
   let state = Resource_state.create platform in
   let other = Resource_state.create platform in
-  Resource_state.reserve_pe state ~pe:0 (iv 0. 1.);
-  Resource_state.reserve_pe other ~pe:0 (iv 0. 1.);
+  reserve_pe state ~pe:0 0. 1.;
+  reserve_pe other ~pe:0 0. 1.;
   let foreign = Resource_state.mark other in
   let valid = Resource_state.mark state in
-  Resource_state.reserve_pe state ~pe:0 (iv 1. 2.);
+  reserve_pe state ~pe:0 1. 2.;
   Alcotest.(check bool) "foreign mark raises" true
     (try
        Resource_state.rollback state foreign;
@@ -111,16 +116,16 @@ let test_rollback_interleaved_resources () =
      order; interleaving the two must not confuse the journal. *)
   let state = Resource_state.create platform in
   let m = Resource_state.mark state in
-  Resource_state.reserve_pe state ~pe:0 (iv 0. 2.);
+  reserve_pe state ~pe:0 0. 2.;
   Resource_state.reserve_link state link (iv 0. 2.);
-  Resource_state.reserve_pe state ~pe:0 (iv 2. 4.);
+  reserve_pe state ~pe:0 2. 4.;
   Resource_state.reserve_link state link (iv 2. 4.);
   Resource_state.rollback state m;
   Alcotest.(check int) "pe clean" 0 (busy_count state 0);
   Alcotest.(check int) "link clean" 0
     (List.length (Timeline.busy (Resource_state.link_table state link)));
   (* The state is reusable afterwards. *)
-  Resource_state.reserve_pe state ~pe:0 (iv 0. 10.);
+  reserve_pe state ~pe:0 0. 10.;
   Alcotest.(check (float 0.)) "gap after rollback" 10.
     (Resource_state.earliest_pe_gap state ~pe:0 ~after:0. ~duration:1.)
 
@@ -140,8 +145,7 @@ let reserve_random state (target, after, duration) =
   let n = Noc_noc.Platform.n_pes platform in
   let after = float_of_int after and duration = float_of_int duration in
   if target < n then
-    let start = Resource_state.earliest_pe_gap state ~pe:target ~after ~duration in
-    Resource_state.reserve_pe state ~pe:target (iv start (start +. duration))
+    Resource_state.reserve_pe_gap state ~pe:target [| after; duration |]
   else
     let link = links.((target - n) mod Array.length links) in
     let start = Resource_state.earliest_route_gap state ~route:[ link ] ~after ~duration in
@@ -224,15 +228,15 @@ let qcheck_reserve_route_gap =
       let mark_fast = Resource_state.mark fast and mark_slow = Resource_state.mark slow in
       let after = float_of_int after and duration = float_of_int duration in
       let route = Noc_noc.Platform.route_links platform ~src ~dst in
-      let window =
-        Resource_state.reserve_route_gap fast
-          (Array.of_list (List.map (Resource_state.link_table fast) route))
-          ~after ~duration
-      in
+      let window = [| after; duration |] in
+      Resource_state.reserve_route_gap fast
+        (Array.of_list (List.map (Resource_state.link_table fast) route))
+        (Array.of_list (List.map (Resource_state.link_id fast) route))
+        window;
       let start = Resource_state.earliest_route_gap slow ~route ~after ~duration in
       let interval = iv start (start +. duration) in
       List.iter (fun l -> Resource_state.reserve_link slow l interval) route;
-      let same_window = window = start in
+      let same_window = window.(0) = start in
       let same_tables = tables fast = tables slow in
       Resource_state.rollback fast mark_fast;
       Resource_state.rollback slow mark_slow;
@@ -310,18 +314,20 @@ let qcheck_journal_model =
       let step = function
         | Reserve_pe (pe, a, d) ->
           let after = float_of_int a and duration = float_of_int d in
-          let start = Resource_state.earliest_pe_gap state ~pe ~after ~duration in
-          Resource_state.reserve_pe state ~pe (iv start (start +. duration));
+          let window = [| after; duration |] in
+          Resource_state.reserve_pe_gap state ~pe window;
+          let start = window.(0) in
           if d > 0 then live := (pe, iv start (start +. duration)) :: !live;
           true
         | Reserve_route (src, dst, a, d) ->
           let route = Noc_noc.Platform.route_links platform ~src ~dst in
           let duration = float_of_int d in
-          let start =
-            Resource_state.reserve_route_gap state
-              (Array.of_list (List.map (Resource_state.link_table state) route))
-              ~after:(float_of_int a) ~duration
-          in
+          let window = [| float_of_int a; duration |] in
+          Resource_state.reserve_route_gap state
+            (Array.of_list (List.map (Resource_state.link_table state) route))
+            (Array.of_list (List.map (Resource_state.link_id state) route))
+            window;
+          let start = window.(0) in
           if d > 0 then
             List.iter
               (fun l -> live := (link_key l, iv start (start +. duration)) :: !live)
@@ -358,6 +364,8 @@ let qcheck_journal_model =
 
 (* A slot that no longer holds the interval: a reservation before it
    shifted it along, or it was released already. *)
+let release tl i start stop = Timeline.release_slot tl i ~starts:[| start |] ~stops:[| stop |] 0
+
 let test_release_slot_checks () =
   let tl = Timeline.create () in
   Timeline.reserve tl (iv 10. 20.);
@@ -365,14 +373,14 @@ let test_release_slot_checks () =
   let busy = Timeline.busy tl and version = Timeline.version tl in
   let unchanged () = Timeline.busy tl = busy && Timeline.version tl = version in
   Alcotest.(check bool) "shifted slot raises" true
-    (raises (fun () -> Timeline.release_slot tl 0 ~start:10. ~stop:20.));
+    (raises (fun () -> release tl 0 10. 20.));
   Alcotest.(check bool) "table unchanged" true (unchanged ());
   Alcotest.(check bool) "slot past the end raises" true
-    (raises (fun () -> Timeline.release_slot tl 2 ~start:10. ~stop:20.));
+    (raises (fun () -> release tl 2 10. 20.));
   Alcotest.(check bool) "table still unchanged" true (unchanged ());
-  Timeline.release_slot tl 1 ~start:10. ~stop:20.;
+  release tl 1 10. 20.;
   Alcotest.(check bool) "released slot raises" true
-    (raises (fun () -> Timeline.release_slot tl 1 ~start:10. ~stop:20.));
+    (raises (fun () -> release tl 1 10. 20.));
   Alcotest.(check (list (float 0.))) "only the live slot is left" [ 0.; 5. ]
     (List.concat_map (fun (i : Interval.t) -> [ i.start; i.stop ]) (Timeline.busy tl))
 

@@ -70,7 +70,7 @@ let test_tasks_on_pe_sorted () =
 
 let test_reserve_and_gap () =
   let st = Resource_state.create platform in
-  Resource_state.reserve_pe st ~pe:0 (iv 0. 10.);
+  Resource_state.reserve_pe_gap st ~pe:0 [| 0.; 10. |];
   Alcotest.(check (float 0.)) "gap after busy" 10.
     (Resource_state.earliest_pe_gap st ~pe:0 ~after:0. ~duration:5.);
   Alcotest.(check (float 0.)) "other PE free" 0.
@@ -78,9 +78,9 @@ let test_reserve_and_gap () =
 
 let test_rollback_undoes_everything () =
   let st = Resource_state.create platform in
-  Resource_state.reserve_pe st ~pe:0 (iv 0. 10.);
+  Resource_state.reserve_pe_gap st ~pe:0 [| 0.; 10. |];
   let mark = Resource_state.mark st in
-  Resource_state.reserve_pe st ~pe:0 (iv 10. 20.);
+  Resource_state.reserve_pe_gap st ~pe:0 [| 10.; 10. |];
   Resource_state.reserve_link st { Noc_noc.Routing.from_node = 0; to_node = 1 } (iv 0. 5.);
   Resource_state.rollback st mark;
   Alcotest.(check (float 0.)) "pe reservation undone" 10.
@@ -93,9 +93,9 @@ let test_rollback_undoes_everything () =
 let test_nested_marks () =
   let st = Resource_state.create platform in
   let outer = Resource_state.mark st in
-  Resource_state.reserve_pe st ~pe:2 (iv 0. 1.);
+  Resource_state.reserve_pe_gap st ~pe:2 [| 0.; 1. |];
   let inner = Resource_state.mark st in
-  Resource_state.reserve_pe st ~pe:2 (iv 1. 2.);
+  Resource_state.reserve_pe_gap st ~pe:2 [| 1.; 1. |];
   Resource_state.rollback st inner;
   Alcotest.(check (float 0.)) "inner undone, outer kept" 1.
     (Resource_state.earliest_pe_gap st ~pe:2 ~after:0. ~duration:1.);
@@ -338,8 +338,9 @@ let qcheck_list_sched_matches_reference =
             | None -> drt
             | Some release -> Float.max drt release
           in
-          let start = Resource_state.earliest_pe_gap state ~pe:k ~after ~duration:exec in
-          Resource_state.reserve_pe state ~pe:k (iv start (start +. exec));
+          let window = [| after; exec |] in
+          Resource_state.reserve_pe_gap state ~pe:k window;
+          let start = window.(0) in
           let finish = start +. exec in
           placements.(i) <- Some { Schedule.task = i; pe = k; start; finish };
           List.iter

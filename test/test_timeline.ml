@@ -68,7 +68,7 @@ let test_release () =
   let tl = Timeline.create () in
   Timeline.reserve tl (iv 0. 10.);
   Timeline.reserve tl (iv 20. 30.);
-  Timeline.release_slot tl 0 ~start:0. ~stop:10.;
+  Timeline.release_slot tl 0 ~starts:[| 0. |] ~stops:[| 10. |] 0;
   Alcotest.(check int) "one left" 1 (List.length (Timeline.busy tl));
   Alcotest.(check (float 0.)) "freed slot usable" 0.
     (Timeline.earliest_gap tl ~after:0. ~duration:10.)
@@ -78,7 +78,7 @@ let test_release_unknown_rejected () =
   Timeline.reserve tl (iv 0. 10.);
   Alcotest.(check bool) "unknown release raises" true
     (try
-       Timeline.release_slot tl 0 ~start:2. ~stop:4.;
+       Timeline.release_slot tl 0 ~starts:[| 2. |] ~stops:[| 4. |] 0;
        false
      with Invalid_argument _ -> true)
 

@@ -90,11 +90,11 @@ let agree ops =
           in
           if raised_tl <> raised_rf then ok := false
         | Reserve_at (s, l, o) ->
-          let start = float_of_int s and stop = float_of_int (s + l) in
-          let at = Timeline.slot tl start + o in
+          let starts = [| float_of_int s |] and stops = [| float_of_int (s + l) |] in
+          let at = Timeline.slot tl starts.(0) + o in
           if
-            raises (fun () -> Timeline.reserve_slot tl at ~start ~stop)
-            <> raises (fun () -> Reference.reserve_slot rf at ~start ~stop)
+            raises (fun () -> Timeline.reserve_slot tl at ~starts ~stops 0)
+            <> raises (fun () -> Reference.reserve_slot rf at ~starts ~stops 0)
           then ok := false
         | Release_nth (i, o) ->
           let live = Reference.busy rf in
@@ -103,9 +103,10 @@ let agree ops =
           | _ ->
             let nth = i mod List.length live in
             let { Interval.start; stop } = List.nth live nth in
+            let starts = [| start |] and stops = [| stop |] in
             if
-              raises (fun () -> Timeline.release_slot tl (nth + o) ~start ~stop)
-              <> raises (fun () -> Reference.release_slot rf (nth + o) ~start ~stop)
+              raises (fun () -> Timeline.release_slot tl (nth + o) ~starts ~stops 0)
+              <> raises (fun () -> Reference.release_slot rf (nth + o) ~starts ~stops 0)
             then ok := false)
         | Gap (a, d) ->
           let after = float_of_int a and duration = float_of_int d in
@@ -172,15 +173,133 @@ let qcheck_multi =
          every table as a reserve of it would, and reports the slot the
          window took in each. *)
       let slots = Array.make 3 0 in
-      let window = Timeline.reserve_gap_multi tls slots ~after ~duration in
+      let window = [| after; duration |] in
+      Timeline.reserve_gap_multi tls slots window;
       let reserved = iv gap (gap +. duration) in
       Array.iter (fun rf -> Reference.reserve rf reserved) rfs;
       let slot_holds_window k tl =
         Interval.equal (List.nth (Timeline.busy tl) slots.(k)) reserved
       in
-      same_merge && same_gap && window = gap
+      same_merge && same_gap && window.(0) = gap
       && Array.for_all2 same_busy tls rfs
       && (d = 0 || List.for_all Fun.id (List.mapi slot_holds_window (Array.to_list tls))))
+
+(* The round-robin gap search with galloping probes, on traces of
+   search-and-reserve steps over dense tables: every table starts packed
+   with short slots separated by gaps of 0-2 (touching slots included),
+   and each step reserves a window of up to 12 units, so one search
+   skips several slots of several tables and the gallop takes steps
+   longer than one slot. Each step runs over a random subset of the
+   tables, in index order. The window must be the reference's earliest
+   common gap, and each recorded slot index must be the one
+   [Timeline_reference.reserve_slot] accepts for that window. *)
+let dense_arb =
+  let table = QCheck.Gen.(list_size (int_range 0 30) (pair (int_bound 2) (int_range 1 3))) in
+  let step = QCheck.Gen.(triple (int_range 1 15) (int_bound 100) (int_bound 12)) in
+  QCheck.make
+    ~print:(fun (tables, steps) ->
+      Printf.sprintf "tables=[%s] steps=[%s]"
+        (String.concat "; "
+           (List.map
+              (fun slots ->
+                String.concat "," (List.map (fun (g, l) -> Printf.sprintf "%d+%d" g l) slots))
+              tables))
+        (String.concat "; "
+           (List.map (fun (m, a, d) -> Printf.sprintf "(%d,%d,%d)" m a d) steps)))
+    QCheck.Gen.(pair (list_size (int_range 1 4) table) (list_size (int_range 1 25) step))
+
+let qcheck_dense_gap_search =
+  QCheck.Test.make ~name:"reserve_gap_multi ≡ reference on dense multi-table traces"
+    ~count:1000 dense_arb (fun (tables, steps) ->
+      let n = List.length tables in
+      let tls = Array.init n (fun _ -> Timeline.create ()) in
+      let rfs = Array.init n (fun _ -> Reference.create ()) in
+      List.iteri
+        (fun k slots ->
+          ignore
+            (List.fold_left
+               (fun at (gap, len) ->
+                 let interval = iv (float_of_int (at + gap)) (float_of_int (at + gap + len)) in
+                 Timeline.reserve tls.(k) interval;
+                 Reference.reserve rfs.(k) interval;
+                 at + gap + len)
+               0 slots))
+        tables;
+      List.for_all
+        (fun (mask, a, d) ->
+          let ks = List.filter (fun k -> mask land (1 lsl k) <> 0) (List.init n Fun.id) in
+          let sub a = Array.of_list (List.map (fun k -> a.(k)) ks) in
+          let tls' = sub tls and rfs' = sub rfs in
+          let after = float_of_int a and duration = float_of_int d in
+          let want = Reference.earliest_gap_multi (Array.to_list rfs') ~after ~duration in
+          let slots = Array.make (Array.length tls') (-1) and window = [| after; duration |] in
+          Timeline.reserve_gap_multi tls' slots window;
+          let same_slots =
+            d = 0
+            || Array.for_all Fun.id
+                 (Array.mapi
+                    (fun k rf ->
+                      not
+                        (raises (fun () ->
+                             Reference.reserve_slot rf slots.(k) ~starts:window
+                               ~stops:[| want +. duration |] 0)))
+                    rfs')
+          in
+          window.(0) = want && same_slots && Array.for_all2 same_busy tls rfs)
+        steps)
+
+(* The two ways a gap search ends: after a table late in a round moved
+   the candidate, every earlier table must be probed again at the new
+   candidate; and one table may move it several times in a row. The
+   answers and slots are the reference's. *)
+let test_gap_search_streak () =
+  let table slots =
+    let tl = Timeline.create () and rf = Reference.create () in
+    List.iter
+      (fun (start, stop) ->
+        Timeline.reserve tl (iv start stop);
+        Reference.reserve rf (iv start stop))
+      slots;
+    (tl, rf)
+  in
+  let check label tables ~after ~duration ~want =
+    let tls = Array.of_list (List.map fst tables) and rfs = List.map snd tables in
+    Alcotest.(check (float 0.))
+      (label ^ ": reference") want
+      (Reference.earliest_gap_multi rfs ~after ~duration);
+    Alcotest.(check (float 0.))
+      (label ^ ": search") want
+      (Timeline.earliest_gap_multi tls ~after ~duration);
+    let slots = Array.make (Array.length tls) (-1) and window = [| after; duration |] in
+    Timeline.reserve_gap_multi tls slots window;
+    Alcotest.(check (float 0.)) (label ^ ": reserved window") want window.(0);
+    List.iteri
+      (fun k (tl, _) ->
+        Alcotest.(check (list (float 0.)))
+          (Printf.sprintf "%s: table %d slot %d" label k slots.(k))
+          [ want; want +. duration ]
+          (let slot = List.nth (Timeline.busy tl) slots.(k) in
+           [ slot.Interval.start; slot.Interval.stop ]))
+      tables
+  in
+  (* Only the last table moves the candidate, in the first round. *)
+  check "last table of a round"
+    [ table [ (4., 5.) ]; table [ (5., 6.) ]; table [ (0., 3.) ] ]
+    ~after:0. ~duration:1. ~want:3.;
+  (* The last table moves it twice, once per round; the first table's
+     slot then blocks the second candidate. *)
+  check "last table, two rounds"
+    [ table [ (5., 8.) ]; table []; table [ (0., 2.); (2.5, 4.) ] ]
+    ~after:0. ~duration:2. ~want:8.;
+  (* One table, two touching slots then a third: moved three times in a
+     row, the later probes galloping. *)
+  check "one table, touching slots"
+    [ table [ (0., 2.); (2., 4.); (4.5, 7.); (20., 21.) ] ]
+    ~after:1. ~duration:1. ~want:7.;
+  (* The same table moves it in two consecutive rounds. *)
+  check "same table, consecutive rounds"
+    [ table [ (0., 2.); (2., 4.) ]; table [ (9., 10.) ] ]
+    ~after:0. ~duration:1. ~want:4.
 
 (* Regression for the old non-tail-recursive coalesce: merging tables
    whose combined slot count would overflow the stack under non-tail
@@ -200,7 +319,7 @@ let test_release_error_reports_index () =
   let tl = Timeline.create () in
   Timeline.reserve tl (iv 0. 10.);
   Timeline.reserve tl (iv 20. 30.);
-  match Timeline.release_slot tl 1 ~start:20. ~stop:25. with
+  match Timeline.release_slot tl 1 ~starts:[| 20. |] ~stops:[| 25. |] 0 with
   | () -> Alcotest.fail "release of unknown interval must raise"
   | exception Invalid_argument msg ->
     Alcotest.(check bool)
@@ -217,6 +336,9 @@ let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_traces;
     QCheck_alcotest.to_alcotest qcheck_multi;
+    QCheck_alcotest.to_alcotest qcheck_dense_gap_search;
+    Alcotest.test_case "gap search: last table of a round, same table in a row" `Quick
+      test_gap_search_streak;
     Alcotest.test_case "merged_busy on 400k slots" `Quick test_merged_busy_large;
     Alcotest.test_case "release error reports index" `Quick
       test_release_error_reports_index;

@@ -12,8 +12,10 @@ build:
 test:
 	dune runtest
 
-# The suite again on two- and four-domain pools (NOCSCHED_JOBS sets the
-# default pool size), as CI runs it: every job count must give the same
+# The suite again on two- and four-domain pools, as CI runs it.
+# NOCSCHED_JOBS sets the default pool size of what fans out over
+# domains: campaign trials, annealing chains and serve batches (a single
+# schedule runs in one domain). Every job count must give the same
 # results.
 test-jobs:
 	NOCSCHED_JOBS=2 dune runtest --force

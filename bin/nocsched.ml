@@ -93,10 +93,9 @@ let jobs_arg =
   in
   Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Fan the command's independent work (EAS candidate evaluations, \
-                 annealing chains, campaign trials, concurrent schedule \
-                 requests) over N domains. Results are bit-identical at every \
-                 job count.")
+           ~doc:"Fan the command's independent work (annealing chains, \
+                 campaign trials, concurrent schedule requests) over N \
+                 domains. Results are bit-identical at every job count.")
 
 let fault_arg =
   Arg.(value & opt_all string []
@@ -450,7 +449,7 @@ let schedule_cmd =
     (* One scheduler run serves metrics, outputs and the decision log
        alike — a second run would duplicate every --decisions record
        and double the command's wall time. *)
-    let r = Pipeline.run platform ctg { (Pipeline.request algo) with pinned; ladder; jobs } in
+    let r = Pipeline.run platform ctg { (Pipeline.request algo) with pinned; ladder } in
     let metrics = r.metrics in
     Format.printf "%s on %a / %a@."
       (Noc_experiments.Runner.algo_name algo)

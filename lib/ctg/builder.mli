@@ -1,7 +1,7 @@
 (** Incremental construction of Communication Task Graphs.
 
     The builder assigns ids in insertion order and defers validation to
-    {!build}, which delegates to {!Ctg.make}. *)
+    {!build_exn}, which delegates to {!Ctg.make}. *)
 
 type t
 
@@ -28,5 +28,5 @@ val add_uniform_task :
 val connect : t -> src:int -> dst:int -> volume:float -> unit
 (** Appends a dependence arc. *)
 
-val build : t -> (Ctg.t, string) result
 val build_exn : t -> Ctg.t
+(** The graph, or [Invalid_argument] with {!Ctg.make}'s error. *)

@@ -123,12 +123,3 @@ let compute ?(weighting = Variance_product) ?kernel ctg =
         end)
   in
   { mean_times; weights; asap; budgeted_deadlines }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i bd ->
-      Format.fprintf ppf "task %d: M=%g W=%g asap=%g BD=%g@," i t.mean_times.(i)
-        t.weights.(i) t.asap.(i) bd)
-    t.budgeted_deadlines;
-  Format.fprintf ppf "@]"

@@ -36,5 +36,3 @@ val compute : ?weighting:weighting -> ?kernel:Kernel.t -> Noc_ctg.Ctg.t -> t
     {!Noc_experiments.Weight_ablation}). With [kernel] the per-task
     means and variance-product weights are read from the prebuilt
     matrices instead of being re-derived — same floats either way. *)
-
-val pp : Format.formatter -> t -> unit

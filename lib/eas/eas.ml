@@ -15,8 +15,8 @@ let count_misses ctg schedule =
       else acc)
     0 (Noc_ctg.Ctg.tasks ctg)
 
-let schedule ?(repair = true) ?comm_model ?degraded ?weighting ?kernel ?pinned
-    ?jobs platform ctg =
+let schedule ?(repair = true) ?comm_model ?degraded ?weighting ?kernel ?pinned ?jobs:_
+    platform ctg =
   let span ?args name f = Noc_obs.Trace.span ~cat:"eas" ?args name f in
   span "eas/schedule"
     ~args:(fun () ->
@@ -34,8 +34,7 @@ let schedule ?(repair = true) ?comm_model ?degraded ?weighting ?kernel ?pinned
   let budget = span "eas/budget" (fun () -> Budget.compute ?weighting ~kernel ctg) in
   let base =
     span "eas/level_sched" (fun () ->
-        Level_sched.run ?comm_model ?degraded ~kernel ?pinned ?jobs platform ctg
-          budget)
+        Level_sched.run ?comm_model ?degraded ~kernel ?pinned platform ctg budget)
   in
   let misses_before_repair = count_misses ctg base in
   (* Under a pinned mapping the repair pass may only reorder (LTS): a

@@ -36,9 +36,9 @@ val schedule :
     failed PEs receive nothing and routes detour around failed links
     (see {!Level_sched.run} for the failure cases). The flat-array
     {!Kernel} is built once (span ["eas/kernel"]) and threaded through
-    all three steps; pass [kernel] to reuse a prebuilt one across runs
-    and [jobs] to parallelise Step 2's candidate probes (default 1;
-    placements are bit-identical at every job count).
+    all three steps; pass [kernel] to reuse a prebuilt one across runs.
+    [jobs] is accepted and ignored: the run is serial, in the calling
+    domain.
 
     [pinned] fixes the task-to-PE assignment (see {!Level_sched.run}):
     Step 2 keeps only the timing machinery, and repair is restricted to

@@ -24,8 +24,7 @@ let assignment_energy kernel (ls : List_sched.t) i k =
   in
   Kernel.exec_energy kernel ~task:i ~pe:k +. comm
 
-let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
-    (budget : Budget.t) =
+let run ?comm_model ?degraded ?kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
   let n = Noc_ctg.Ctg.n_tasks ctg in
   let n_pes = Noc_noc.Platform.n_pes platform in
   let pe_alive k =
@@ -94,11 +93,13 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
      stage ({!List_sched.data_ready}) reads only the link tables of
      [i]'s routes towards [k] ({!List_sched.data_ready_tables}), the gap
      stage only PE [k]'s own table. Each stage is a pure function of its
-     tables' busy sets, so a cached value whose recorded versions still
-     match is exactly what a fresh probe would return. The stages invalidate very differently — a
-     commit bumps one PE table (invalidating that column's gap stage
-     across all ready tasks) but only the committed routes' link tables
-     (leaving most DRT values intact) — so the common re-probe costs
+     tables' busy sets, and during a run a table only gains intervals (a
+     probe restores what it reserved), so a cached value whose recorded
+     versions still match is exactly what a fresh probe would return.
+     The stages invalidate very differently — a commit bumps one PE
+     table (invalidating that column's gap stage across all ready
+     tasks) but only the committed routes' link tables (leaving most
+     DRT values intact) — so the common re-probe costs
      one binary search, not a communication re-schedule. This, not the
      dense matrices alone, is where the speedup lives. *)
   let bd i = budget.budgeted_deadlines.(i) in
@@ -123,11 +124,6 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
     pe_version.(idx) = Timeline.version (Resource_state.pe_table ls.state (idx mod n_pes))
     && drt_valid idx
   in
-  (* Probes neither read nor write any shared mutable state besides the
-     timelines they only query, and distinct (i,k) pairs write distinct
-     slots of the stage arrays, so refreshing the stale set in parallel
-     is race-free and — [f.(idx)] being the same value at every job
-     count — deterministic. *)
   let refresh idx =
     let i = idx / n_pes and k = idx mod n_pes in
     if not (drt_valid idx) then begin
@@ -219,8 +215,7 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
      allowed list, so the (best PE, regret) pair is unchanged bit for
      bit. An empty walk means every PE is priced out: the task violates
      for certain, and only then is its exact full row materialised (for
-     Rule 3's margins). Walks of distinct tasks touch disjoint state, so
-     the ready list fans out across the pool unchanged. *)
+     Rule 3's margins). *)
   let walk_pe = Array.make n (-1) in
   let walk_regret = Array.make n nan in
   let walk i =
@@ -249,9 +244,6 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
   while !remaining > 0 do
     let rtl = !ready in
     assert (rtl <> []);
-    (* Energy orders and screening bounds are materialised on the main
-       domain first, so the (possibly parallel) walks below only read
-       the per-task caches. *)
     List.iter
       (fun i ->
         init_energy i;
@@ -267,13 +259,7 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
             if allowed i k && not (valid idx) then refresh idx
           done)
         rtl;
-    let rta = Array.of_list rtl in
-    let n_ready = Array.length rta in
-    if jobs <= 1 || n_ready < 2 then Array.iter walk rta
-    else
-      ignore
-        (Noc_util.Pool.map_range ~jobs ~chunk:4 ~n:n_ready (fun w ->
-             walk rta.(w)));
+    List.iter walk rtl;
     let violators =
       List.filter_map
         (fun i ->
@@ -326,7 +312,7 @@ let run ?comm_model ?degraded ?kernel ?pinned ?(jobs = 1) platform ctg
       Noc_obs.Decisions.record ~task:chosen_task ~rule:chosen_rule ~chosen:chosen_pe
         ~budgeted_deadline:(bd chosen_task)
         ~finishes:(Array.sub f (chosen_task * n_pes) n_pes);
-    (* Placing is the only writer of shared state: its reservations
+    (* Placing is the only net writer of the tables: its reservations
        bump the mutated timelines' versions and thereby invalidate
        exactly the cached F(i,k) values those tables fed. *)
     List_sched.place ls chosen_task chosen_pe;

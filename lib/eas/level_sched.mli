@@ -16,12 +16,12 @@
       on its cheapest deadline-respecting PE. A task whose list has a
       single PE has infinite regret and is scheduled first.
 
-    Unlike [Level_sched_reference] — the original reserve-then-rollback
-    implementation, kept in test/ as the differential oracle — the probes
-    here are read-only: the data-ready time comes from
-    {!Noc_sched.List_sched.data_ready}, the Fig. 3 walk a commit runs,
-    and the PE gap and all prices from the {!Kernel} matrices. Both
-    stages are memoized and revalidated against the
+    Like [Level_sched_reference] — the original implementation, kept in
+    test/ as the differential oracle — a probe reserves and rolls back:
+    the data-ready time comes from {!Noc_sched.List_sched.data_ready},
+    the Fig. 3 walk a commit runs, restored after it; unlike the
+    reference, the PE gap and all prices come from the {!Kernel}
+    matrices. Both stages are memoized and revalidated against the
     {!Noc_util.Timeline.version}s of the tables they read
     ({!Noc_sched.List_sched.data_ready_tables} and PE [k]'s table), so
     each commit only re-probes the (i,k) pairs it actually invalidated.
@@ -57,8 +57,5 @@ val run :
     still front-runs certain violators. Raises [Invalid_argument] on a
     length mismatch, an out-of-range PE or a pinned-but-failed PE.
 
-    [jobs] (default 1) fans the stale-probe refresh of each iteration
-    out over a {!Noc_util.Pool}; the probes are read-only and land in
-    disjoint slots, so every job count yields bit-identical placements —
-    the selection rules always reduce over the full F matrix in index
-    order. Keep the default inside already-parallel campaign workers. *)
+    [jobs] is accepted and ignored: the run is serial, in the calling
+    domain. *)

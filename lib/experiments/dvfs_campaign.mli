@@ -31,7 +31,4 @@ val run :
     paper suites); [scale < 1] shrinks the generated graphs for quick
     runs (the MSB rows are small and always run full-size). *)
 
-val saving : row -> float
-(** Reclaimed fraction of the unscaled total energy. *)
-
 val render : ?table:Noc_dvfs.Vf_table.t -> row list -> string

@@ -12,10 +12,9 @@ type request = {
   pinned : int array option;
   ladder : Noc_dvfs.Vf_table.t option;
   kernel : Noc_eas.Kernel.t option;
-  jobs : int option;
 }
 
-let request algo = { algo; pinned = None; ladder = None; kernel = None; jobs = None }
+let request algo = { algo; pinned = None; ladder = None; kernel = None }
 
 type dvfs = {
   reclaim : Reclaim.result;
@@ -55,11 +54,11 @@ let reclaim ~table platform ctg base =
         (Noc_dvfs.Vf_table.ratios table, r.annotations, r.schedule);
   }
 
-let schedule_of platform ctg { algo; pinned; kernel; jobs; ladder = _ } =
+let schedule_of platform ctg { algo; pinned; kernel; ladder = _ } =
   match algo with
-  | Runner.Eas -> (Noc_eas.Eas.schedule ?kernel ?pinned ?jobs platform ctg).schedule
+  | Runner.Eas -> (Noc_eas.Eas.schedule ?kernel ?pinned platform ctg).schedule
   | Runner.Eas_base ->
-    (Noc_eas.Eas.schedule ~repair:false ?kernel ?pinned ?jobs platform ctg).schedule
+    (Noc_eas.Eas.schedule ~repair:false ?kernel ?pinned platform ctg).schedule
   | Runner.Edf ->
     if pinned <> None then invalid_arg "Pipeline.run: EDF does not take a pinned mapping";
     Noc_edf.Edf.schedule platform ctg

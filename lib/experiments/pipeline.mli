@@ -14,7 +14,6 @@ type request = {
   pinned : int array option;  (** Fixed task-to-PE mapping (EAS variants). *)
   ladder : Noc_dvfs.Vf_table.t option;  (** Reclaim slack on this ladder. *)
   kernel : Noc_eas.Kernel.t option;  (** A prebuilt kernel for the EAS variants. *)
-  jobs : int option;  (** Domains for Step 2's candidate probes. *)
 }
 
 val request : Runner.algo -> request
@@ -40,9 +39,8 @@ type t = {
 val run : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> request -> t
 (** Schedules with the request's algorithm (EAS, EAS without Step 3, or
     EDF), computes the metrics and certifies the schedule, then reclaims
-    its slack when the request carries a ladder. [jobs] parallelises
-    the EAS candidate probes; schedules are bit-identical at every job
-    count. Raises [Invalid_argument] when EDF is given a pinned
+    its slack when the request carries a ladder. It runs in the calling
+    domain. Raises [Invalid_argument] when EDF is given a pinned
     mapping. *)
 
 exception Uncertified of Noc_analysis.Diagnostic.t

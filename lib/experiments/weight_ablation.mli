@@ -14,8 +14,6 @@ type row = {
           {!Pipeline.gate}. *)
 }
 
-val schemes : Noc_eas.Budget.weighting list
-
 val run :
   ?jobs:int -> ?seeds:int list -> ?n_tasks:int -> ?tightness:float -> unit -> row list
 (** Defaults: seeds 0-5, 150 tasks, tightness 2.3 (the category-II

@@ -137,8 +137,6 @@ let of_string spec =
     | Some _ | None ->
       fail ~at:first ~until:body_stop "bad fault element (want pe:N or link:A-B)")
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let pp_element ppf = function
   | Pe i -> Format.fprintf ppf "pe %d" i
   | Link l -> Format.fprintf ppf "link %a" Noc_noc.Routing.pp_link l

@@ -41,5 +41,4 @@ val of_string : string -> (t, string) result
 val to_string : t -> string
 (** Canonical inverse of {!of_string}. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_element : Format.formatter -> element -> unit

@@ -36,7 +36,6 @@ let logf lvl fmt =
 let errorf fmt = logf Error fmt
 let warnf fmt = logf Warn fmt
 let infof fmt = logf Info fmt
-let debugf fmt = logf Debug fmt
 
 let init_from_env () =
   match Sys.getenv_opt "NOCSCHED_LOG" with

@@ -27,4 +27,3 @@ val init_from_env : unit -> unit
 val errorf : ('a, out_channel, unit) format -> 'a
 val warnf : ('a, out_channel, unit) format -> 'a
 val infof : ('a, out_channel, unit) format -> 'a
-val debugf : ('a, out_channel, unit) format -> 'a

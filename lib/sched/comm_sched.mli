@@ -6,7 +6,7 @@
     then assigned the earliest window of length [volume / bandwidth] that
     is free on {i every} link of its XY route, at or after the sender's
     finish, and reserved on all those links. {!List_sched} runs this walk,
-    committing or read-only.
+    to commit a placement or, rolled back, to time a tentative one.
 
     The [Fixed_delay] model is the ablation discussed in the paper's
     introduction: previous work "just assumes a fixed delay proportional

@@ -42,9 +42,8 @@ let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
   in
   let succ_start, succ = csr n (Noc_ctg.Ctg.succs ctg) in
   let state = Resource_state.create platform in
-  (* The route lookup, filled for every pair up front so that read-only
-     walks on pool workers never write it. A trivial view mirrors the
-     platform. *)
+  (* The route lookup, filled for every pair up front so that walks only
+     read it. A trivial view mirrors the platform. *)
   let n_pes = Noc_noc.Platform.n_pes platform in
   let hops = Array.make (n_pes * n_pes) (-1) in
   let route_tables = Array.make (n_pes * n_pes) [||] in
@@ -123,61 +122,27 @@ let fig3_order t order i =
   done;
   n
 
-(* A read-only walk reserves each window in private timelines, one per
-   shared link table it would have written, and asks later transactions
-   for gaps free on the shared table and its private one alike: the
-   merged busy set a committing walk sees. [Timeline.earliest_gap_multi]
-   does not depend on how a busy set is split across tables, so the
-   windows are the committing walk's, bit for bit. *)
-type overlay = (Timeline.t * Timeline.t) list ref
-
-(* The tables a read-only window on [route] must be free on: the route's
-   tables, then the private ones the walk reserved on among them. *)
-let with_overlay (ov : overlay) route =
-  match !ov with
-  | [] -> route
-  | reserved ->
-    Array.append route
-      (Array.of_list
-         (List.filter_map
-            (fun (tl, mine) -> if Array.memq tl route then Some mine else None)
-            reserved))
-
-let reserve_overlay (ov : overlay) route interval =
-  Array.iter
-    (fun tl ->
-      let mine =
-        match List.assq_opt tl !ov with
-        | Some mine -> mine
-        | None ->
-          let mine = Timeline.create () in
-          ov := (tl, mine) :: !ov;
-          mine
-      in
-      Timeline.reserve mine interval)
-    route
+(* Raised by the walk at a sender's PE that cannot reach the receiver's:
+   [place] reports it as [Invalid_argument], a probe reads [infinity],
+   and any other failure of the walk still propagates from both. *)
+exception Unreachable of int
 
 (* The one Fig. 3 walk: sends task [i]'s in-edges to PE [k] in the Fig. 3
-   order and returns the data-ready time, the latest arrival ([0.] for
-   none). Committing, each window is reserved through the journal and
-   recorded in [tx_start]/[tx_finish], the order is sorted into
-   [t.in_order], and a sender that cannot reach [k] raises. Read-only,
-   the walk writes nothing shared (its order goes to a fresh array) and
-   such a sender makes the data-ready time [infinity]. Every branch of a
-   window's start reads a float variable or array cell, so the
-   committing walk keeps its floats unboxed. *)
-let receive t ~commit i k =
-  let order =
-    if commit then t.in_order else Array.make (t.in_start.(i + 1) - t.in_start.(i)) 0
-  in
-  let window = t.window in
-  let last = fig3_order t order i - 1 in
-  let ov : overlay = ref [] and drt = ref 0. and j = ref 0 in
-  while !j <= last do
-    let e = order.(!j) in
+   order (sorted into [t.in_order]), reserving each window through the
+   journal and recording it in [tx_start]/[tx_finish], counts each
+   transaction on [counter], and returns the data-ready time, the latest
+   arrival ([0.] for none). A sender that cannot reach [k] raises
+   [Unreachable], after the windows before it were reserved. Every
+   branch of a window's start reads a float variable or array cell, so
+   the walk keeps its floats unboxed. *)
+let receive t counter i k =
+  let order = t.in_order and window = t.window in
+  let drt = ref 0. in
+  for j = 0 to fig3_order t order i - 1 do
+    let e = order.(j) in
     let src = t.edge_src.(e) in
     let src_pe = t.pe.(src) and sent = t.finish.(src) in
-    Noc_obs.Counters.incr (if commit then c_transactions else c_probe_transactions);
+    Noc_obs.Counters.incr counter;
     let pair = (src_pe * t.n_pes) + k in
     let h = t.hops.(pair) in
     let duration =
@@ -186,40 +151,21 @@ let receive t ~commit i k =
     in
     let start =
       if src_pe = k then sent
-      else if h < 0 then begin
-        if commit then
-          invalid_arg
-            (Printf.sprintf "List_sched.place: no surviving route from %d to %d" src_pe k);
-        (* The read-only walk ends here. *)
-        j := last;
-        infinity
-      end
+      else if h < 0 then raise (Unreachable src_pe)
       else
         match t.comm_model with
         | Comm_sched.Fixed_delay -> sent
-        | Comm_sched.Contention_aware when commit ->
+        | Comm_sched.Contention_aware ->
           window.(0) <- sent;
           window.(1) <- duration;
           Resource_state.reserve_route_gap t.state t.route_tables.(pair) t.route_ids.(pair)
             window;
           window.(0)
-        | Comm_sched.Contention_aware ->
-          let route = t.route_tables.(pair) in
-          let start =
-            Timeline.earliest_gap_multi (with_overlay ov route) ~after:sent ~duration
-          in
-          (* Only the walk's later transactions read the overlay. *)
-          if !j < last then
-            reserve_overlay ov route (Noc_util.Interval.make ~start ~stop:(start +. duration));
-          start
     in
     let stop = start +. duration in
-    if commit then begin
-      t.tx_start.(e) <- start;
-      t.tx_finish.(e) <- stop
-    end;
-    if stop > !drt then drt := stop;
-    incr j
+    t.tx_start.(e) <- start;
+    t.tx_finish.(e) <- stop;
+    if stop > !drt then drt := stop
   done;
   !drt
 
@@ -231,7 +177,11 @@ let[@inline] available task ~drt =
   | Some _ | None -> drt
 
 let place t i k =
-  let drt = receive t ~commit:true i k in
+  let drt =
+    try receive t c_transactions i k
+    with Unreachable src_pe ->
+      invalid_arg (Printf.sprintf "List_sched.place: no surviving route from %d to %d" src_pe k)
+  in
   let task = Noc_ctg.Ctg.task t.ctg i in
   let window = t.window in
   window.(0) <- available task ~drt;
@@ -242,7 +192,17 @@ let place t i k =
   t.start.(i) <- start;
   t.finish.(i) <- start +. task.Noc_ctg.Task.exec_times.(k)
 
-let data_ready t i k = receive t ~commit:false i k
+(* The paper's tentative F(i,k): the committing walk, then a rollback
+   of its reservations and a reset of the windows it recorded. *)
+let data_ready t i k =
+  let m = Resource_state.mark t.state in
+  let drt = try receive t c_probe_transactions i k with Unreachable _ -> infinity in
+  Resource_state.rollback t.state m;
+  for j = t.in_start.(i) to t.in_start.(i + 1) - 1 do
+    t.tx_start.(t.in_edge.(j)) <- nan;
+    t.tx_finish.(t.in_edge.(j)) <- nan
+  done;
+  drt
 
 let probe t i k =
   let drt = data_ready t i k in

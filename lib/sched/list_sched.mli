@@ -7,11 +7,12 @@
     after its sender's finish, and the task then runs in the earliest
     gap of its PE at or after the latest arrival and its release time.
     {!place} commits a walk; {!probe} and {!data_ready} run the same walk
-    read-only, so a tentative placement, the paper's F(i,k), is timed
-    exactly as its commit. EAS Step 2 ([Level_sched]), the Step-3
-    rebuild ([Rebuild]), EDF, DLS and energy-greedy keep only their
-    selection policies, so they share one evaluation model and the
-    comparisons between them isolate the objective. *)
+    and restore the tables after it, as the paper does, so a tentative
+    placement, the paper's F(i,k), is timed exactly as its commit. EAS
+    Step 2 ([Level_sched]), the Step-3 rebuild ([Rebuild]), EDF, DLS
+    and energy-greedy keep only their selection policies, so they share
+    one evaluation model and the comparisons between them isolate the
+    objective. *)
 
 type t = private {
   ctg : Noc_ctg.Ctg.t;
@@ -32,8 +33,8 @@ type t = private {
   route_tables : Noc_util.Timeline.t array array;
   route_ids : int array array;
   window : float array;
-      (** Two cells of scratch for {!place}: each reservation's earliest
-          start and duration go in, the start it took comes out
+      (** Two cells of scratch for the Fig. 3 walk: each reservation's
+          earliest start and duration go in, the start it took comes out
           ({!Resource_state.reserve_route_gap},
           {!Resource_state.reserve_pe_gap}). Under [-opaque] a float
           passed between modules is boxed; a float array cell is not, so
@@ -48,8 +49,8 @@ type t = private {
           positions of [pred]. *)
   in_edge : int array;
   in_order : int array;
-      (** Scratch as long as the largest in-degree: {!place} sorts the
-          task's in-edges into it. Meaningless between calls. *)
+      (** Scratch as long as the largest in-degree: the Fig. 3 walk sorts
+          the task's in-edges into it. Meaningless between calls. *)
   pred : int array;
   succ_start : int array;  (** Successor rows, laid out the same way. *)
   succ : int array;
@@ -64,9 +65,10 @@ type t = private {
           route is derived from them by {!schedule}. *)
   tx_finish : float array;
 }
-(** Fields are read freely. The arrays are written by {!place}, and by
-    a caller that restores a saved partial schedule (the Step-3 rebuild
-    puts an incumbent back after a candidate). *)
+(** Fields are read freely. The arrays are written by {!place} (and
+    written then restored by {!data_ready}), and by a caller that
+    restores a saved partial schedule (the Step-3 rebuild puts an
+    incumbent back after a candidate). *)
 
 val make :
   ?comm_model:Comm_sched.model ->
@@ -94,17 +96,20 @@ val place : t -> int -> int -> unit
 val data_ready : t -> int -> int -> float
 (** [data_ready t i k] is the data-ready time {!place} would give the
     unplaced task [i] on PE [k], its latest arrival ([0.] with no
-    in-edges), or [infinity] when a sender cannot reach [k]. The walk
-    is read-only: it reserves its windows in private per-call timelines
-    and writes neither the partial schedule, nor any table, nor the
-    journal, so it may run on {!Noc_util.Pool} workers as long as
-    nobody writes [t] meanwhile. *)
+    in-edges), or [infinity] when a sender cannot reach [k]. It reserves
+    and restores, as the paper times each F(i,k): a
+    {!Resource_state.mark}, {!place}'s walk of the in-edges, then a
+    {!Resource_state.rollback} and [nan] back in the in-edges'
+    [tx_start]/[tx_finish]. The tables' busy sets and versions, the
+    journal's position and the partial schedule end as they were (the
+    journal's serial counter and the resource-state counters move). *)
 
 val data_ready_tables : t -> int -> int -> Noc_util.Timeline.t array
 (** The shared tables {!data_ready}[ t i k] reads: the link tables of
     the routes of [i]'s in-edges towards [k]. [data_ready] is a function
     of their busy sets alone, so a value cached against their
-    {!Noc_util.Timeline.version}s stays exact while the versions hold.
+    {!Noc_util.Timeline.version}s stays exact while the versions hold
+    and the tables only gain intervals (probes restore theirs).
     [[||]] when nothing can change it: a sender that cannot reach [k]
     (the value stays [infinity]), the [Fixed_delay] model, or only
     same-tile senders. *)
@@ -113,8 +118,8 @@ val probe : t -> int -> int -> float
 (** [probe t i k] is the start {!place} would give the unplaced task [i]
     on PE [k] (its finish is that start plus [i]'s execution time on
     [k]), or [infinity] when a sender cannot reach [k]: {!data_ready},
-    then the earliest gap of [k]'s table. Read-only and pool-safe as
-    {!data_ready}. *)
+    then the earliest gap of [k]'s table. Leaves [t] as it found it, as
+    {!data_ready} does. *)
 
 val schedule : t -> Schedule.t
 (** The partial schedule, every task placed, as a {!Schedule.t}: routes

@@ -3,9 +3,10 @@
     The paper evaluates each [F(i,k)] by scheduling tentatively and
     restoring the tables ("the schedule tables of both links and the PEs
     will be restored every time a F(i,k) is calculated");
-    {!List_sched}'s read-only walk gets the same answer without writing
-    them. Every reservation made through this module is journalled, so
-    the Step-3 rebuild can move between schedules cheaply.
+    {!List_sched.data_ready} does exactly that, a {!mark}, the committing
+    walk and a {!rollback}. Every reservation made through this module is
+    journalled, so a probe restores the tables and the Step-3 rebuild can
+    move between schedules cheaply.
 
     The journal is a flat undo log: one entry per reservation and table,
     holding the table's id (its index among the state's tables, PE

@@ -13,12 +13,11 @@ type t = {
   mutable starts : float array;
   mutable stops : float array;
   mutable len : int;
-  mutable version : int;
 }
 
-let create () = { starts = [||]; stops = [||]; len = 0; version = 0 }
+let create () = { starts = [||]; stops = [||]; len = 0 }
 
-let version t = t.version
+let version t = t.len
 
 let busy t =
   List.init t.len (fun i -> Interval.make ~start:t.starts.(i) ~stop:t.stops.(i))
@@ -86,8 +85,7 @@ let[@inline] insert t i ~start ~stop =
   done;
   t.starts.(i) <- start;
   t.stops.(i) <- stop;
-  t.len <- t.len + 1;
-  t.version <- t.version + 1
+  t.len <- t.len + 1
 
 let reserve t (iv : Interval.t) =
   if not (Interval.is_empty iv) then
@@ -118,8 +116,7 @@ let release_slot t i ~starts ~stops d =
       t.starts.(j) <- t.starts.(j + 1);
       t.stops.(j) <- t.stops.(j + 1)
     done;
-    t.len <- t.len - 1;
-    t.version <- t.version + 1
+    t.len <- t.len - 1
   end
   else slot_error "release_slot" t i ~start ~stop
 
@@ -197,22 +194,20 @@ let[@inline] gallop t lo x =
    O(total slots) probes worst case, and it ends [n] probes after the
    last advance, where finishing the round and then probing a whole
    clean one took up to [2n - 1]. The candidate only grows, so a table's insertion point only
-   moves right: with a non-empty [at], each table's first probe is a
-   binary search and later ones gallop from its last index, and [at]
-   ends up holding each table's insertion point for the answer. A
-   search alone passes [[||]] and binary-searches every probe. *)
+   moves right: each table's first probe is a binary search and later
+   ones gallop from its last index, and [at] ends up holding each
+   table's insertion point for the answer. *)
 let[@inline] gap_multi tls at ~after ~duration =
   let n = Array.length tls in
-  let record = Array.length at > 0 in
   let candidate = ref after in
   let clean = ref 0 and k = ref 0 and probes = ref 0 in
   while !clean < n do
     let tl = tls.(!k) in
     let i =
-      if record && !probes >= n then gallop tl at.(!k) !candidate
+      if !probes >= n then gallop tl at.(!k) !candidate
       else first_stop_after tl !candidate
     in
-    if record then at.(!k) <- i;
+    at.(!k) <- i;
     if i < tl.len && tl.starts.(i) < !candidate +. duration then begin
       candidate := tl.stops.(i);
       clean := 0
@@ -226,7 +221,7 @@ let[@inline] gap_multi tls at ~after ~duration =
 let earliest_gap_multi tls ~after ~duration =
   assert (duration >= 0.);
   if duration = 0. then after
-  else gap_multi tls [||] ~after ~duration
+  else gap_multi tls (Array.make (Array.length tls) 0) ~after ~duration
 
 let reserve_gap_multi tls slots window =
   let after = window.(0) and duration = window.(1) in

@@ -72,12 +72,16 @@ val span : t -> float
 (** Largest busy [stop] value, or [0.] when empty. *)
 
 val version : t -> int
-(** Mutation counter: incremented by every state-changing {!reserve},
-    {!reserve_slot} and {!release_slot} (no-ops on empty intervals do not count).
-    Two reads of an unchanged version bracket an unchanged busy set, so
-    callers can memoize query results against a timeline and revalidate
-    with one integer comparison — the EAS flat-array kernel keys its
-    F(i,k) cache on the versions of the tables each probe consulted. *)
+(** The number of busy intervals. Between two reads during which the
+    table only gains intervals, apart from reservations released again
+    newest-first (a rollback), an unchanged version brackets an
+    unchanged busy set, so callers can memoize query results against a
+    timeline and revalidate with one integer comparison: the EAS
+    flat-array kernel keys its F(i,k) cache on the versions of the
+    tables each probe consulted, and a probe's reserve-and-restore puts
+    every version it moved back. A table that can lose an interval it
+    did not just gain can come back to an old version with another
+    busy set. *)
 
 val merged_busy : t list -> after:float -> Interval.t list
 (** [merged_busy tls ~after] coalesces the busy intervals of all timelines
@@ -91,7 +95,8 @@ val earliest_gap_multi : t array -> after:float -> duration:float -> float
     the order of the array. The search probes the tables round-robin,
     moving its candidate to the stop of any slot it overlaps, and stops
     once [n] probes in a row (one per table) leave the candidate in
-    place: O(n + advances) binary searches. *)
+    place: one binary search per table, then a gallop from the table's
+    last index per later probe, as in {!reserve_gap_multi}. *)
 
 val reserve_gap_multi : t array -> int array -> float array -> unit
 (** [reserve_gap_multi tls slots window] reserves the earliest window

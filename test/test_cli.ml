@@ -128,6 +128,29 @@ let test_schedule_map_search () =
   let code, _ = run_capture "schedule --algo edf --map-search" in
   Alcotest.(check int) "EDF rejects --map-search" 2 code
 
+(* [--jobs] fans out only map-search chains, campaign trials and serve
+   batches: a plain schedule runs in one domain at any job count, and
+   its stdout and saved schedule are byte for byte the serial ones. *)
+let test_schedule_jobs_invariant () =
+  let run jobs =
+    let out = Filename.temp_file "nocsched_jobs" ".out" in
+    let saved = Filename.temp_file "nocsched_jobs" ".sched" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s schedule --benchmark tgff:1 --jobs %d --save-schedule %s > %s 2>/dev/null"
+           binary jobs (Filename.quote saved) (Filename.quote out))
+    in
+    let read f = In_channel.with_open_text f In_channel.input_all in
+    let result = (code, read out, read saved) in
+    Sys.remove out;
+    Sys.remove saved;
+    result
+  in
+  let code1, out1, saved1 = run 1 and code2, out2, saved2 = run 2 in
+  Alcotest.(check int) "exit code" code1 code2;
+  Alcotest.(check string) "stdout" out1 out2;
+  Alcotest.(check string) "saved schedule" saved1 saved2
+
 let test_bad_benchmark () =
   let code, _ = run_capture "schedule --benchmark bogus" in
   Alcotest.(check bool) "non-zero exit" true (code <> 0)
@@ -470,6 +493,7 @@ let suite =
     Alcotest.test_case "experiment --only" `Quick test_experiment_only;
     Alcotest.test_case "map" `Quick test_map_cmd;
     Alcotest.test_case "schedule --map-search" `Quick test_schedule_map_search;
+    Alcotest.test_case "schedule --jobs 2 = --jobs 1" `Quick test_schedule_jobs_invariant;
     Alcotest.test_case "bad benchmark" `Quick test_bad_benchmark;
     Alcotest.test_case "stdin via -" `Quick test_stdin_dash;
     Alcotest.test_case "usage errors exit 2" `Quick test_usage_errors_exit_2;

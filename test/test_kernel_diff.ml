@@ -3,7 +3,7 @@
    same PE assignments, same start/finish floats, same transactions and
    the same decision log — over a 50-case corpus spanning both TGFF
    categories, the MSB A/V benchmarks, a full-size graph and a degraded
-   platform, at every job count. *)
+   platform. *)
 
 module Level_sched = Noc_eas.Level_sched
 module Reference = Level_sched_reference
@@ -113,8 +113,6 @@ let approx_fingerprint s =
          Printf.sprintf "%d:%d:%.9f:%.9f" i p.Schedule.pe p.Schedule.start
            p.Schedule.finish))
 
-let job_counts = [ 1; 2; 4 ]
-
 let test_schedules_identical () =
   List.iter
     (fun { label; platform; degraded; ctg } ->
@@ -122,16 +120,13 @@ let test_schedules_identical () =
       let expected = Reference.run ?degraded platform ctg budget in
       let expected_fp = fingerprint expected in
       let expected_approx = approx_fingerprint expected in
-      List.iter
-        (fun jobs ->
-          let actual = Level_sched.run ?degraded ~jobs platform ctg budget in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: placements to 1e-9 (jobs=%d)" label jobs)
-            expected_approx (approx_fingerprint actual);
-          Alcotest.(check string)
-            (Printf.sprintf "%s: bit-exact schedule (jobs=%d)" label jobs)
-            expected_fp (fingerprint actual))
-        job_counts)
+      let actual = Level_sched.run ?degraded platform ctg budget in
+      Alcotest.(check string)
+        (Printf.sprintf "%s: placements to 1e-9" label)
+        expected_approx (approx_fingerprint actual);
+      Alcotest.(check string)
+        (Printf.sprintf "%s: bit-exact schedule" label)
+        expected_fp (fingerprint actual))
     corpus
 
 (* Decision-log equivalence: the kernel path must record the same
@@ -171,22 +166,16 @@ let test_decision_logs_identical () =
         (Printf.sprintf "%s: reference log non-empty" label)
         true
         (String.length reference_log > 0);
-      List.iter
-        (fun jobs ->
-          let kernel_log =
-            capture_log (fun () ->
-                Decisions.with_run label (fun () ->
-                    Level_sched.run ?degraded ~jobs platform ctg budget))
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: decision log (jobs=%d)" label jobs)
-            reference_log kernel_log)
-        job_counts)
+      let kernel_log =
+        capture_log (fun () ->
+            Decisions.with_run label (fun () -> Level_sched.run ?degraded platform ctg budget))
+      in
+      Alcotest.(check string) (Printf.sprintf "%s: decision log" label) reference_log kernel_log)
     (decision_corpus ())
 
 let suite =
   [
-    Alcotest.test_case "52-case corpus: kernel = reference, jobs 1/2/4" `Quick
+    Alcotest.test_case "52-case corpus: kernel = reference" `Quick
       test_schedules_identical;
     Alcotest.test_case "decision logs identical" `Quick
       test_decision_logs_identical;

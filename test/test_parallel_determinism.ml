@@ -111,46 +111,8 @@ let test_obs_jobs_invariant () =
         capture)
     [ (Some (List.init 20 Fun.id), 0.08); (None, 0.2) ]
 
-let test_schedule_path_jobs_invariant () =
-  (* The schedule path itself (nocsched schedule --jobs N): the inner
-     candidate walks fan out over the pool, and the resulting schedule —
-     placements and transactions down to the float bits — must not
-     depend on the job count. *)
-  let platform = Noc_tgff.Category.platform in
-  let params =
-    { (Noc_tgff.Category.params Noc_tgff.Category.Category_i) with
-      Noc_tgff.Params.n_tasks = 120 }
-  in
-  let schedule_fingerprint (s : Noc_sched.Schedule.t) =
-    String.concat " "
-      (List.init (Noc_sched.Schedule.n_tasks s) (fun i ->
-           let p = Noc_sched.Schedule.placement s i in
-           Printf.sprintf "%d:%d:%h:%h" i p.Noc_sched.Schedule.pe
-             p.Noc_sched.Schedule.start p.Noc_sched.Schedule.finish)
-      @ Array.to_list
-          (Array.map
-             (fun (t : Noc_sched.Schedule.transaction) ->
-               Printf.sprintf "e%d:%h:%h" t.Noc_sched.Schedule.edge
-                 t.Noc_sched.Schedule.start t.Noc_sched.Schedule.finish)
-             (Noc_sched.Schedule.transactions s)))
-  in
-  List.iter
-    (fun seed ->
-      let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
-      check_jobs_invariant (Printf.sprintf "seed %d schedule" seed) (fun jobs ->
-          schedule_fingerprint
-            (Noc_experiments.Pipeline.run platform ctg
-               {
-                 (Noc_experiments.Pipeline.request Noc_experiments.Runner.Eas) with
-                 jobs = Some jobs;
-               })
-              .schedule))
-    [ 0; 1; 2 ]
-
 let suite =
   [
-    Alcotest.test_case "schedule path invariant under --jobs" `Quick
-      test_schedule_path_jobs_invariant;
     Alcotest.test_case "random suite invariant under --jobs" `Slow
       test_random_suite_jobs_invariant;
     Alcotest.test_case "fault campaign invariant under --jobs" `Slow

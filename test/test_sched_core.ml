@@ -228,10 +228,11 @@ let versions state =
       (fun link -> Noc_util.Timeline.version (Resource_state.link_table state link))
       (Platform.all_links diff_platform)
 
-(* Everything a probe must leave as it found it: the partial schedule,
-   every table's busy set and version (a version moves on a reserve
-   that a release undid), and the journal position (its depth and the
-   entry under it, so a net reservation or release both show). *)
+(* Everything a probe must leave as it found it: the partial schedule
+   (its transaction windows included, which the probe's walk writes and
+   resets), every table's busy set and version (the probe reserves and
+   rolls back), and the journal position (its depth and the entry under
+   it, so a net reservation or release both show). *)
 let unchanged_by (ls : List_sched.t) f =
   let arrays () =
     ( Array.copy ls.pe,
@@ -248,26 +249,42 @@ let unchanged_by (ls : List_sched.t) f =
     && versions ls.state = seen
     && Resource_state.equal_mark (Resource_state.mark ls.state) head )
 
-(* Every (ready task, alive PE) pair's probe and data-ready time, read
-   serially and on a two-domain pool. *)
-let probe_ready (ls : List_sched.t) alive =
-  let ready =
-    List.filter
-      (fun i ->
-        ls.pe.(i) < 0
-        && List.for_all (fun p -> ls.pe.(p) >= 0) (Noc_ctg.Ctg.preds ls.ctg i))
-      (List.init (Noc_ctg.Ctg.n_tasks ls.ctg) Fun.id)
+(* PE 2's outgoing links fail. Task 2 receives from task 0 on PE 1
+   (finish 10, sent first in the Fig. 3 order) and from task 1 on PE 2
+   (finish 20): a walk towards PE 0 reserves task 0's window on link
+   1->0, then meets a sender that cannot reach PE 0. A probe reads
+   [infinity] and rolls the window back; [place] raises, keeping it. *)
+let test_probe_unreachable_rolls_back () =
+  let mute = 2 in
+  let view =
+    Degraded.make diff_platform ~failed_pes:[]
+      ~failed_links:
+        (List.filter
+           (fun (l : Noc_noc.Routing.link) -> l.from_node = mute)
+           (Platform.all_links diff_platform))
   in
-  let pairs =
-    Array.of_list
-      (List.concat_map (fun i -> List.map (fun k -> (i, k)) (Array.to_list alive)) ready)
-  in
-  let read w =
-    let i, k = pairs.(w) in
-    (List_sched.probe ls i k, List_sched.data_ready ls i k)
-  in
-  let n = Array.length pairs in
-  (List.init n read, Noc_util.Pool.map_range ~jobs:2 ~n read)
+  let b = Noc_ctg.Builder.create ~n_pes:(Platform.n_pes diff_platform) in
+  let task time = Noc_ctg.Builder.add_uniform_task b ~time ~energy:1. () in
+  let t0 = task 10. and t1 = task 20. and t2 = task 5. in
+  Noc_ctg.Builder.connect b ~src:t0 ~dst:t2 ~volume:1000.;
+  Noc_ctg.Builder.connect b ~src:t1 ~dst:t2 ~volume:1000.;
+  let ls = List_sched.make ~degraded:view diff_platform (Noc_ctg.Builder.build_exn b) in
+  List_sched.place ls t0 1;
+  List_sched.place ls t1 mute;
+  let link = { Noc_noc.Routing.from_node = 1; to_node = 0 } in
+  let probed, kept = unchanged_by ls (fun () -> List_sched.probe ls t2 0) in
+  Alcotest.(check (float 0.)) "probe reads infinity" infinity probed;
+  Alcotest.(check bool) "probe leaves the state" true kept;
+  let ready_at, kept = unchanged_by ls (fun () -> List_sched.data_ready ls t2 0) in
+  Alcotest.(check (float 0.)) "data_ready reads infinity" infinity ready_at;
+  Alcotest.(check bool) "data_ready leaves the state" true kept;
+  Alcotest.(check int) "link 1->0 free after the probes" 0
+    (List.length (Noc_util.Timeline.busy (Resource_state.link_table ls.state link)));
+  Alcotest.check_raises "place raises"
+    (Invalid_argument "List_sched.place: no surviving route from 2 to 0")
+    (fun () -> List_sched.place ls t2 0);
+  Alcotest.(check int) "place kept the window before it" 1
+    (List.length (Noc_util.Timeline.busy (Resource_state.link_table ls.state link)))
 
 (* Places every task of a random graph, in topological order on random
    alive PEs, through List_sched.place and through the frozen
@@ -275,9 +292,7 @@ let probe_ready (ls : List_sched.t) alive =
    side. Before each placement, two probes (one on the PE about to be
    used) must leave the partial schedule, every table and the journal
    as they were; the first must predict the start and its data-ready
-   time the reference's. Every fourth step, every (ready task, alive
-   PE) pair is probed on a two-domain pool too, which must read what a
-   serial pass reads and write nothing. Placements, transaction
+   time the reference's. Placements, transaction
    windows, the final schedules and the tables' busy sets must agree
    exactly. *)
 let qcheck_list_sched_matches_reference =
@@ -301,8 +316,8 @@ let qcheck_list_sched_matches_reference =
       let transactions = Array.make (Noc_ctg.Ctg.n_edges ctg) None in
       let ok = ref true in
       let expect b = if not b then ok := false in
-      Array.iteri
-        (fun step i ->
+      Array.iter
+        (fun i ->
           let k = Noc_util.Prng.choose rng alive in
           let other = Noc_util.Prng.choose rng alive in
           let probed, kept = unchanged_by ls (fun () -> List_sched.probe ls i k) in
@@ -310,10 +325,6 @@ let qcheck_list_sched_matches_reference =
           let ready_at, kept = unchanged_by ls (fun () -> List_sched.data_ready ls i k) in
           expect kept;
           expect (snd (unchanged_by ls (fun () -> List_sched.probe ls i other)));
-          if step mod 4 = 0 then begin
-            let (serial, pooled), kept = unchanged_by ls (fun () -> probe_ready ls alive) in
-            expect (kept && compare serial pooled = 0)
-          end;
           List_sched.place ls i k;
           let pendings =
             List.map
@@ -380,5 +391,7 @@ let suite =
     Alcotest.test_case "incoming sorted, DRT" `Quick test_schedule_incoming_sorts_and_drt;
     Alcotest.test_case "incoming empty" `Quick test_schedule_incoming_empty;
     Alcotest.test_case "zero volume" `Quick test_zero_volume_transaction;
+    Alcotest.test_case "probe of an unreachable sender rolls back" `Quick
+      test_probe_unreachable_rolls_back;
     QCheck_alcotest.to_alcotest qcheck_list_sched_matches_reference;
   ]

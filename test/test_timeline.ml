@@ -183,6 +183,42 @@ let qcheck_gap_minimal =
           done;
           !ok))
 
+(* A release undoes its reservation's version too, so a probe that
+   reserves and rolls back leaves every version it moved as it was. *)
+let test_version_restored () =
+  let tl = Timeline.create () in
+  Timeline.reserve tl (iv 0. 10.);
+  Timeline.reserve tl (iv 20. 30.);
+  let before = Timeline.version tl in
+  let starts = [| 12. |] and stops = [| 15. |] in
+  let i = Timeline.slot tl 12. in
+  Timeline.reserve_slot tl i ~starts ~stops 0;
+  Alcotest.(check bool) "a reservation moves the version" true
+    (Timeline.version tl <> before);
+  Timeline.release_slot tl i ~starts ~stops 0;
+  Alcotest.(check int) "its release moves it back" before (Timeline.version tl)
+
+(* Property: over random traces of reservations and releases, the
+   version is the number of busy intervals. *)
+let qcheck_version_counts_busy =
+  let gen = QCheck.(list (triple bool (int_range 0 60) (int_range 0 8))) in
+  QCheck.Test.make ~name:"version counts busy intervals" ~count:200 gen (fun ops ->
+      let tl = Timeline.create () in
+      List.for_all
+        (fun (release, start, len) ->
+          let busy = Timeline.busy tl in
+          (if release && busy <> [] then begin
+             let i = start mod List.length busy in
+             let slot = List.nth busy i in
+             Timeline.release_slot tl i ~starts:[| slot.Interval.start |]
+               ~stops:[| slot.Interval.stop |] 0
+           end
+           else
+             let slot = iv (float_of_int start) (float_of_int (start + len)) in
+             if Timeline.is_free tl slot then Timeline.reserve tl slot);
+          Timeline.version tl = List.length (Timeline.busy tl))
+        ops)
+
 let suite =
   [
     Alcotest.test_case "empty gap" `Quick test_empty_gap;
@@ -203,5 +239,7 @@ let suite =
     Alcotest.test_case "multi-timeline gap" `Quick test_multi_gap;
     Alcotest.test_case "multi gap, empty list" `Quick test_multi_gap_empty_list;
     QCheck_alcotest.to_alcotest qcheck_greedy_reservations;
+    Alcotest.test_case "version restored by a release" `Quick test_version_restored;
     QCheck_alcotest.to_alcotest qcheck_gap_minimal;
+    QCheck_alcotest.to_alcotest qcheck_version_counts_busy;
   ]

@@ -14,9 +14,9 @@ test:
 
 # The suite again on two- and four-domain pools, as CI runs it.
 # NOCSCHED_JOBS sets the default pool size of what fans out over
-# domains: campaign trials, annealing chains and serve batches (a single
-# schedule runs in one domain). Every job count must give the same
-# results.
+# domains: campaign trials and annealing chains (a single schedule, and
+# every serve request, runs in one domain). Every job count must give
+# the same results.
 test-jobs:
 	NOCSCHED_JOBS=2 dune runtest --force
 	NOCSCHED_JOBS=4 dune runtest --force

@@ -94,8 +94,8 @@ let jobs_arg =
   Arg.(value & opt (some (conv (parse, Format.pp_print_int))) None
        & info [ "jobs"; "j" ] ~docv:"N"
            ~doc:"Fan the command's independent work (annealing chains, \
-                 campaign trials, concurrent schedule requests) over N \
-                 domains. Results are bit-identical at every job count.")
+                 campaign trials) over N domains. Results are bit-identical \
+                 at every job count.")
 
 let fault_arg =
   Arg.(value & opt_all string []
@@ -1118,7 +1118,7 @@ let serve_cmd =
            "unknown --call %S (known: schedule, simulate, reschedule, stats, shutdown)"
            other)
   in
-  let run socket cache jobs call raw input mesh algo faults self_timed decisions
+  let run socket cache call raw input mesh algo faults self_timed decisions
       dvfs stats retries =
     Noc_obs.Log.init_from_env ();
     match (call, raw) with
@@ -1126,7 +1126,7 @@ let serve_cmd =
     | None, None ->
       if cache < 1 then failwith "--cache must be at least 1";
       Noc_serve.Server.run
-        { Noc_serve.Server.socket_path = socket; capacity = cache; jobs };
+        { Noc_serve.Server.socket_path = socket; capacity = cache };
       if stats then print_string (Noc_obs.Report.render ());
       Ok ()
     | _ ->
@@ -1155,7 +1155,7 @@ let serve_cmd =
              JSON, schema $(b,nocsched/serve/v1)). Without $(b,--call)/$(b,--raw) \
              it runs the daemon in the foreground until a shutdown request.")
     Term.(term_result
-            (const run $ socket_arg $ cache_arg $ jobs_arg $ call_arg $ raw_arg
+            (const run $ socket_arg $ cache_arg $ call_arg $ raw_arg
              $ input_arg $ mesh_arg $ algo_arg $ fault_arg $ self_timed_arg
              $ decisions_arg $ dvfs_term $ stats_arg
              $ retries_arg))

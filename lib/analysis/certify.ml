@@ -12,7 +12,8 @@ module Ctg = Noc_ctg.Ctg
 module Task = Noc_ctg.Task
 module Edge = Noc_ctg.Edge
 
-let default_eps = 1e-6
+(* The tolerance of every comparison. *)
+let eps = 1e-6
 
 (* Routers a recorded route visits; a same-tile transfer ([] or [p])
    occupies no router. Deliberately local — not Platform.route_hops. *)
@@ -47,7 +48,7 @@ let energy platform ctg schedule =
 
 (* [expected_duration] defaults to the cost table; the scaled-schedule
    checker substitutes slowdown × base duration (rule dvfs/duration). *)
-let placement_checks ~eps ?expected_duration platform ctg add =
+let placement_checks ?expected_duration platform ctg add =
   let n_pes = Platform.n_pes platform in
   let expected_duration =
     match expected_duration with
@@ -118,7 +119,7 @@ let route_walk_checks platform add (tr : Schedule.transaction) =
         walk route
       end
 
-let transaction_checks ~eps platform ctg schedule add =
+let transaction_checks platform ctg schedule add =
   let bandwidth = Platform.link_bandwidth platform in
   let latency = Platform.router_latency platform in
   fun (tr : Schedule.transaction) ->
@@ -152,7 +153,7 @@ let transaction_checks ~eps platform ctg schedule add =
    booked on one resource overlap? Flatten every booking to a
    (resource, start, finish, owner) tuple, sort, and compare neighbours
    within each resource run. *)
-let overlap_scan ~eps bookings report =
+let overlap_scan bookings report =
   let sorted =
     List.sort
       (fun (r1, s1, _, o1) (r2, s2, _, o2) ->
@@ -176,18 +177,18 @@ let overlap_scan ~eps bookings report =
   in
   match sorted with [] -> () | first :: rest -> scan first rest
 
-let pe_exclusion ~eps schedule add =
+let pe_exclusion schedule add =
   let bookings =
     Array.to_list (Schedule.placements schedule)
     |> List.filter_map (fun (p : Schedule.placement) ->
            if p.finish > p.start then Some (p.pe, p.start, p.finish, p.task) else None)
   in
-  overlap_scan ~eps bookings (fun pe a b ->
+  overlap_scan bookings (fun pe a b ->
       add
         (Diagnostic.error ~rule:"sched/pe-overlap" (Diagnostic.Pe pe)
            "tasks %d and %d run concurrently" a b))
 
-let link_exclusion ~eps schedule add =
+let link_exclusion schedule add =
   let bookings =
     Array.to_list (Schedule.transactions schedule)
     |> List.concat_map (fun (tr : Schedule.transaction) ->
@@ -199,7 +200,7 @@ let link_exclusion ~eps schedule add =
              in
              channels tr.route)
   in
-  overlap_scan ~eps bookings (fun (from_node, to_node) a b ->
+  overlap_scan bookings (fun (from_node, to_node) a b ->
       add
         (Diagnostic.error ~rule:"sched/link-overlap"
            (Diagnostic.Link { Noc_noc.Routing.from_node; to_node })
@@ -208,7 +209,7 @@ let link_exclusion ~eps schedule add =
 (* ------------------------------------------------------------------ *)
 (* Precedence and timing windows                                       *)
 
-let precedence ~eps ctg schedule add =
+let precedence ctg schedule add =
   Array.iter
     (fun (tr : Schedule.transaction) ->
       let e = Ctg.edge ctg tr.edge in
@@ -225,7 +226,7 @@ let precedence ~eps ctg schedule add =
              tr.finish))
     (Schedule.transactions schedule)
 
-let timing_windows ~eps ctg schedule add =
+let timing_windows ctg schedule add =
   Array.iter
     (fun (t : Task.t) ->
       let p = Schedule.placement schedule t.id in
@@ -245,7 +246,7 @@ let timing_windows ~eps ctg schedule add =
 
 (* ------------------------------------------------------------------ *)
 
-let check ?(eps = default_eps) ?claimed_energy platform ctg schedule =
+let check ?claimed_energy platform ctg schedule =
   let acc = ref [] in
   let add d = acc := d :: !acc in
   let n_tasks = Ctg.n_tasks ctg and n_edges = Ctg.n_edges ctg in
@@ -260,16 +261,16 @@ let check ?(eps = default_eps) ?claimed_energy platform ctg schedule =
          (Array.length (Schedule.transactions schedule))
          n_edges)
   else begin
-    Array.iter (placement_checks ~eps platform ctg add) (Schedule.placements schedule);
+    Array.iter (placement_checks platform ctg add) (Schedule.placements schedule);
     Array.iter
-      (transaction_checks ~eps platform ctg schedule add)
+      (transaction_checks platform ctg schedule add)
       (Schedule.transactions schedule);
     (* Only reason about exclusion and ordering of well-formed windows. *)
     if !acc = [] then begin
-      pe_exclusion ~eps schedule add;
-      link_exclusion ~eps schedule add;
-      precedence ~eps ctg schedule add;
-      timing_windows ~eps ctg schedule add;
+      pe_exclusion schedule add;
+      link_exclusion schedule add;
+      precedence ctg schedule add;
+      timing_windows ctg schedule add;
       match claimed_energy with
       | None -> ()
       | Some claimed ->
@@ -284,11 +285,6 @@ let check ?(eps = default_eps) ?claimed_energy platform ctg schedule =
   end;
   Diagnostic.sort (List.rev !acc)
 
-let certifies ?eps ?claimed_energy platform ctg schedule =
-  List.for_all
-    (fun (d : Diagnostic.t) -> d.severity <> Diagnostic.Error)
-    (check ?eps ?claimed_energy platform ctg schedule)
-
 (* ------------------------------------------------------------------ *)
 (* DVFS-scaled schedules                                               *)
 
@@ -297,7 +293,7 @@ let certifies ?eps ?claimed_energy platform ctg schedule =
    raw ratio array and the annotations as the [Schedule_io] records, so
    a bug in the reclamation pass cannot leak into its own audit. *)
 
-let check_scaled ?(eps = default_eps) ~ratios ~annotations ~base platform ctg scaled =
+let check_scaled ~ratios ~annotations ~base platform ctg scaled =
   let acc = ref [] in
   let add d = acc := d :: !acc in
   let n_tasks = Ctg.n_tasks ctg and n_edges = Ctg.n_edges ctg in
@@ -415,16 +411,16 @@ let check_scaled ?(eps = default_eps) ~ratios ~annotations ~base platform ctg sc
       ("dvfs/duration", "level x base duration", (bp.finish -. bp.start) *. slowdown)
     in
     Array.iter
-      (placement_checks ~eps ~expected_duration platform ctg add)
+      (placement_checks ~expected_duration platform ctg add)
       (Schedule.placements scaled);
     Array.iter
-      (transaction_checks ~eps platform ctg scaled add)
+      (transaction_checks platform ctg scaled add)
       (Schedule.transactions scaled);
     if !acc = [] then begin
-      pe_exclusion ~eps scaled add;
-      link_exclusion ~eps scaled add;
-      precedence ~eps ctg scaled add;
-      timing_windows ~eps ctg scaled add;
+      pe_exclusion scaled add;
+      link_exclusion scaled add;
+      precedence ctg scaled add;
+      timing_windows ctg scaled add;
       (* Monotonicity: reclamation may only shed computation energy. *)
       let scaled_comp =
         Array.fold_left
@@ -445,8 +441,3 @@ let check_scaled ?(eps = default_eps) ~ratios ~annotations ~base platform ctg sc
     end;
     Diagnostic.sort (List.rev !acc)
   end
-
-let certifies_scaled ?eps ~ratios ~annotations ~base platform ctg scaled =
-  List.for_all
-    (fun (d : Diagnostic.t) -> d.severity <> Diagnostic.Error)
-    (check_scaled ?eps ~ratios ~annotations ~base platform ctg scaled)

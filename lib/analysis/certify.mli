@@ -41,29 +41,20 @@ val energy :
     route). *)
 
 val check :
-  ?eps:float ->
   ?claimed_energy:float ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
   Noc_sched.Schedule.t ->
   Diagnostic.t list
-(** Certifies the schedule; empty means certified. [claimed_energy] is
-    cross-checked against {!energy} within [eps * max(1, claimed)];
-    omitting it skips the energy rule. Pairwise checks only run when the
-    per-element structure is sound, mirroring how a proof would not
-    reason about overlap of malformed windows. *)
-
-val certifies :
-  ?eps:float ->
-  ?claimed_energy:float ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  Noc_sched.Schedule.t ->
-  bool
-(** No error-severity diagnostic (warnings do not block). *)
+(** Certifies the schedule; empty means certified. Every comparison
+    allows a fixed tolerance [eps] = 1e-6 (relative to [max(1, x)] for
+    energies). [claimed_energy] is cross-checked against {!energy}
+    within [eps * max(1, claimed)]; omitting it skips the energy rule.
+    Pairwise checks only run when the per-element structure is sound,
+    mirroring how a proof would not reason about overlap of malformed
+    windows. *)
 
 val check_scaled :
-  ?eps:float ->
   ratios:float array ->
   annotations:Noc_sched.Schedule_io.annotation array ->
   base:Noc_sched.Schedule.t ->
@@ -99,13 +90,3 @@ val check_scaled :
     deadline windows) then re-runs on the scaled timeline, so a
     downclock that overran its slack is caught by the same rules that
     certify unscaled schedules. *)
-
-val certifies_scaled :
-  ?eps:float ->
-  ratios:float array ->
-  annotations:Noc_sched.Schedule_io.annotation array ->
-  base:Noc_sched.Schedule.t ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  Noc_sched.Schedule.t ->
-  bool

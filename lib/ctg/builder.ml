@@ -10,17 +10,17 @@ let create ~n_pes =
   if n_pes <= 0 then invalid_arg "Builder.create: n_pes must be positive";
   { n_pes; tasks_rev = []; n_tasks = 0; edges_rev = []; n_edges = 0 }
 
-let add_task t ?name ~exec_times ~energies ?release ?deadline () =
+let add_task t ?name ~exec_times ~energies ?deadline () =
   if Array.length exec_times <> t.n_pes then
     invalid_arg "Builder.add_task: wrong exec_times length";
   let id = t.n_tasks in
-  let task = Task.make ~id ?name ~exec_times ~energies ?release ?deadline () in
+  let task = Task.make ~id ?name ~exec_times ~energies ?deadline () in
   t.tasks_rev <- task :: t.tasks_rev;
   t.n_tasks <- id + 1;
   id
 
-let add_uniform_task t ?name ~time ~energy ?deadline () =
-  add_task t ?name
+let add_uniform_task t ~time ~energy ?deadline () =
+  add_task t
     ~exec_times:(Array.make t.n_pes time)
     ~energies:(Array.make t.n_pes energy)
     ?deadline ()

@@ -13,7 +13,6 @@ val add_task :
   ?name:string ->
   exec_times:float array ->
   energies:float array ->
-  ?release:float ->
   ?deadline:float ->
   unit ->
   int
@@ -21,7 +20,7 @@ val add_task :
     elements (checked immediately). *)
 
 val add_uniform_task :
-  t -> ?name:string -> time:float -> energy:float -> ?deadline:float -> unit -> int
+  t -> time:float -> energy:float -> ?deadline:float -> unit -> int
 (** Appends a task with identical cost on every PE — convenient for tests
     on homogeneous platforms. *)
 

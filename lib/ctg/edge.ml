@@ -8,4 +8,3 @@ let make ~id ~src ~dst ~volume =
   { id; src; dst; volume }
 
 let is_control_only t = t.volume = 0.
-let pp ppf t = Format.fprintf ppf "c(%d,%d)[%g bits]" t.src t.dst t.volume

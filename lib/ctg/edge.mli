@@ -18,5 +18,3 @@ val make : id:int -> src:int -> dst:int -> volume:float -> t
 
 val is_control_only : t -> bool
 (** True when [volume = 0]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -37,10 +37,3 @@ let mean_exec_time t = Noc_util.Stats.mean t.exec_times
 let exec_time_variance t = Noc_util.Stats.variance t.exec_times
 let energy_variance t = Noc_util.Stats.variance t.energies
 let weight t = energy_variance t *. exec_time_variance t
-
-let pp ppf t =
-  Format.fprintf ppf "%s(id=%d, pes=%d%a)" t.name t.id (n_pes t)
-    (fun ppf -> function
-      | None -> ()
-      | Some d -> Format.fprintf ppf ", d=%g" d)
-    t.deadline

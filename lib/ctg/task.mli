@@ -46,5 +46,3 @@ val weight : t -> float
 (** [W_ti = VAR_ei * VAR_ri], the slack-budgeting weight of EAS Step 1.
     Tasks whose placement matters more (high spread in both energy and
     time) receive more slack. *)
-
-val pp : Format.formatter -> t -> unit

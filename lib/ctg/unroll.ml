@@ -1,7 +1,5 @@
 type carried = { from_task : int; to_task : int; volume : float }
 
-let instance_of ctg k ~task = (k * Ctg.n_tasks ctg) + task
-
 let periodic ?(carried = []) ctg ~period ~copies =
   if not (period > 0.) then invalid_arg "Unroll.periodic: period must be positive";
   if copies < 1 then invalid_arg "Unroll.periodic: copies must be >= 1";

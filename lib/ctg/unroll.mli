@@ -26,7 +26,3 @@ val periodic :
     of instance [k] has id [k * n + i] and name ["<name>@k"]. Raises
     [Invalid_argument] on non-positive period or copies, or on carried
     arcs referencing unknown tasks. *)
-
-val instance_of : Ctg.t -> int -> task:int -> int
-(** [instance_of original k ~task] is the unrolled id of [task]'s [k]-th
-    instance ([k * n_tasks + task]). *)

@@ -7,7 +7,8 @@
     Sec. 6 are [EAS-base] ([~repair:false]) and [EAS] (the default). *)
 
 type stats = {
-  runtime_seconds : float;  (** Scheduling CPU time. *)
+  runtime_seconds : float;
+      (** Scheduling wall time ({!Noc_util.Clock.wall_s}), not CPU time. *)
   misses_before_repair : int;
   misses_after_repair : int;
   repair : Repair.stats option;  (** [None] when repair did not run. *)

@@ -37,7 +37,7 @@ let finish ~original ~migrated ~used_full_rerun ~repair schedule ctg =
       };
   }
 
-let run ?comm_model ?max_evaluations platform ctg ~faults schedule =
+let run platform ctg ~faults schedule =
   let degraded = Fault_set.degraded faults platform in
   if Degraded.is_trivial degraded then
     finish ~original:schedule ~migrated:0 ~used_full_rerun:false ~repair:None schedule
@@ -70,7 +70,7 @@ let run ?comm_model ?max_evaluations platform ctg ~faults schedule =
     (* Step 2: rebuild on the degraded fabric — surviving placements and
        the execution order are preserved, failed links are detoured. *)
     let rebuilt =
-      try Some (Rebuild.run ?comm_model ~degraded platform ctg ~assignment ~rank)
+      try Some (Rebuild.run ~degraded platform ctg ~assignment ~rank)
       with Invalid_argument _ -> None
     in
     (* Step 3: if deadlines still miss, run the repair search on the
@@ -82,9 +82,7 @@ let run ?comm_model ?max_evaluations platform ctg ~faults schedule =
       | Some s ->
         if fst (Repair.score ctg s) = 0 then Some (s, None)
         else
-          let s', st =
-            Repair.run ?comm_model ~degraded ~kernel ?max_evaluations platform ctg s
-          in
+          let s', st = Repair.run ~degraded ~kernel platform ctg s in
           Some (s', Some st)
     in
     match repaired with
@@ -92,7 +90,7 @@ let run ?comm_model ?max_evaluations platform ctg ~faults schedule =
       finish ~original:schedule ~migrated:!migrated ~used_full_rerun:false ~repair s ctg
     | _ ->
       let full =
-        (Eas.schedule ?comm_model ~degraded ~kernel platform ctg).Eas.schedule
+        (Eas.schedule ~degraded ~kernel platform ctg).Eas.schedule
       in
       (match repaired with
       | Some (s, repair)

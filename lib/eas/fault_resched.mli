@@ -34,8 +34,6 @@ type stats = {
 type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
 
 val run :
-  ?comm_model:Noc_sched.Comm_sched.model ->
-  ?max_evaluations:int ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
   faults:Noc_fault.Fault_set.t ->

@@ -28,11 +28,11 @@ let max_deviation planned realised =
   done;
   !worst
 
-let run ?jobs ?(seeds = [ 0; 1; 2; 7; 8 ]) ?(n_tasks = 120) ?(tightness = 1.4) () =
+let run ?jobs ?(seeds = [ 0; 1; 2; 7; 8 ]) () =
   let platform = Noc_tgff.Category.platform in
   Noc_noc.Platform.warm_routes platform;
   let params =
-    { Noc_tgff.Params.default with n_tasks; deadline_tightness = tightness }
+    { Noc_tgff.Params.default with n_tasks = 120; deadline_tightness = 1.4 }
   in
   Noc_util.Pool.map_list ?jobs
     (fun seed ->

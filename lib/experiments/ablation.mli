@@ -26,10 +26,9 @@ type row = {
       (** Total time the naive schedule's transactions spent blocked. *)
 }
 
-val run :
-  ?jobs:int -> ?seeds:int list -> ?n_tasks:int -> ?tightness:float -> unit -> row list
-(** Defaults: seeds {0, 1, 2, 7, 8}, 120 tasks, tightness 1.4, on the
-    category platform. Seeds fan out over a {!Noc_util.Pool} of [jobs]
-    domains; the rows are identical at every job count. *)
+val run : ?jobs:int -> ?seeds:int list -> unit -> row list
+(** 120-task graphs at tightness 1.4 on the category platform; default
+    seeds {0, 1, 2, 7, 8}. Seeds fan out over a {!Noc_util.Pool} of
+    [jobs] domains; the rows are identical at every job count. *)
 
 val render : row list -> string

@@ -5,10 +5,10 @@ type row = {
   fixed_buffer_energy : float;
 }
 
-let run ?(seeds = [ 0; 1; 2; 7; 8 ]) ?(n_tasks = 120) () =
+let run ?(seeds = [ 0; 1; 2; 7; 8 ]) () =
   let platform = Noc_tgff.Category.platform in
   let params =
-    { Noc_tgff.Params.default with n_tasks; deadline_tightness = 1.4 }
+    { Noc_tgff.Params.default with n_tasks = 120; deadline_tightness = 1.4 }
   in
   List.map
     (fun seed ->

@@ -16,8 +16,8 @@ type row = {
   fixed_buffer_energy : float;
 }
 
-val run : ?seeds:int list -> ?n_tasks:int -> unit -> row list
-(** Defaults: seeds {0, 1, 2, 7, 8}, 120 tasks, category platform,
-    tightness 1.4 (the contention-ablation setup). *)
+val run : ?seeds:int list -> unit -> row list
+(** 120-task graphs at tightness 1.4 on the category platform (the
+    contention-ablation setup); default seeds {0, 1, 2, 7, 8}. *)
 
 val render : row list -> string

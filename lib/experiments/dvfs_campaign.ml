@@ -63,7 +63,10 @@ let msb_work =
            w_build = (fun () -> (platform, build platform));
          })
 
-let evaluate ~table work =
+(* The ladder every row reclaims on. *)
+let table = Noc_dvfs.Vf_table.default
+
+let evaluate work =
   let platform, ctg = work.w_build () in
   let { Pipeline.metrics; dvfs; _ } =
     Pipeline.evaluate platform ctg { (Pipeline.request Runner.Eas) with ladder = Some table }
@@ -83,7 +86,7 @@ let evaluate ~table work =
     certified = Pipeline.refusal d.scaled_diagnostics = None;
   }
 
-let run ?jobs ?(table = Noc_dvfs.Vf_table.default) ?(indices = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ])
+let run ?jobs ?(indices = [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ])
     ?(scale = 1.) () =
   Noc_noc.Platform.warm_routes Noc_tgff.Category.platform;
   let work =
@@ -94,13 +97,13 @@ let run ?jobs ?(table = Noc_dvfs.Vf_table.default) ?(indices = [ 0; 1; 2; 3; 4; 
   Noc_util.Pool.map_list ?jobs
     (fun w ->
       Runner.traced ~label:("dvfs/" ^ w.w_category ^ "/" ^ w.w_name) @@ fun () ->
-      evaluate ~table w)
+      evaluate w)
     work
 
 let saving row =
   if row.eas_energy <= 0. then 0. else row.reclaimed /. row.eas_energy
 
-let render ?(table = Noc_dvfs.Vf_table.default) rows =
+let render rows =
   let header =
     [
       "benchmark"; "tasks"; "EAS (nJ)"; "EAS+DVFS (nJ)"; "reclaimed"; "downclocked";

@@ -17,18 +17,18 @@ type row = {
   downclocked : int;
   base_misses : int;
   scaled_misses : int;
-  certified : bool;  (** {!Noc_analysis.Certify.certifies_scaled} *)
+  certified : bool;  (** {!Noc_analysis.Certify.check_scaled} finds no error *)
 }
 
 val run :
   ?jobs:int ->
-  ?table:Noc_dvfs.Vf_table.t ->
   ?indices:int list ->
   ?scale:float ->
   unit ->
   row list
-(** [indices] selects the category benchmarks (default 0-9, the full
-    paper suites); [scale < 1] shrinks the generated graphs for quick
-    runs (the MSB rows are small and always run full-size). *)
+(** Every row reclaims on {!Noc_dvfs.Vf_table.default}. [indices]
+    selects the category benchmarks (default 0-9, the full paper
+    suites); [scale < 1] shrinks the generated graphs for quick runs
+    (the MSB rows are small and always run full-size). *)
 
-val render : ?table:Noc_dvfs.Vf_table.t -> row list -> string
+val render : row list -> string

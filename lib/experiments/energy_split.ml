@@ -4,7 +4,8 @@ type result = {
   edf : Noc_sched.Metrics.t;
 }
 
-let run ?(clip = Noc_msb.Profile.Foreman) () =
+let run () =
+  let clip = Noc_msb.Profile.Foreman in
   Runner.traced ~label:("energy_split/" ^ Noc_msb.Profile.clip_name clip)
   @@ fun () ->
   let platform = Noc_msb.Platforms.av_3x3 in

@@ -8,7 +8,7 @@ type result = {
   edf : Noc_sched.Metrics.t;
 }
 
-val run : ?clip:Noc_msb.Profile.clip -> unit -> result
-(** Integrated MSB on the 3x3 platform; default clip foreman. *)
+val run : unit -> result
+(** Integrated MSB on the 3x3 platform, clip foreman. *)
 
 val render : result -> string

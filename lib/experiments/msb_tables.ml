@@ -9,12 +9,12 @@ let platform_of = function
   | Encoder | Decoder -> Noc_msb.Platforms.av_2x2
   | Integrated -> Noc_msb.Platforms.av_3x3
 
-let graph_of ?ratio which ~clip =
+let graph_of which ~clip =
   let platform = platform_of which in
   match which with
-  | Encoder -> Noc_msb.Graphs.encoder ?ratio ~platform ~clip ()
-  | Decoder -> Noc_msb.Graphs.decoder ?ratio ~platform ~clip ()
-  | Integrated -> Noc_msb.Graphs.integrated ?ratio ~platform ~clip ()
+  | Encoder -> Noc_msb.Graphs.encoder ~platform ~clip ()
+  | Decoder -> Noc_msb.Graphs.decoder ~platform ~clip ()
+  | Integrated -> Noc_msb.Graphs.integrated ~platform ~clip ()
 
 type row = {
   clip : Noc_msb.Profile.clip;

@@ -9,7 +9,7 @@ type which = Encoder | Decoder | Integrated
 
 val which_name : which -> string
 val platform_of : which -> Noc_noc.Platform.t
-val graph_of : ?ratio:float -> which -> clip:Noc_msb.Profile.clip -> Noc_ctg.Ctg.t
+val graph_of : which -> clip:Noc_msb.Profile.clip -> Noc_ctg.Ctg.t
 
 type row = {
   clip : Noc_msb.Profile.clip;

@@ -1,7 +1,5 @@
 type algo = Eas | Eas_base | Edf
 
-let all_algos = [ Eas_base; Eas; Edf ]
-
 let algo_name = function
   | Eas -> "EAS"
   | Eas_base -> "EAS-base"

@@ -5,7 +5,6 @@
 
 type algo = Eas | Eas_base | Edf
 
-val all_algos : algo list
 val algo_name : algo -> string
 
 val algo_of_string : string -> algo option

@@ -5,9 +5,12 @@ type row = {
   mapped : Pipeline.t option;
 }
 
-type result = { seed : int; n_tasks : int; rows : row list }
+type result = { n_tasks : int; rows : row list }
 
-let run ?jobs ?(seed = 0) ?(n_tasks = 120) ?(map_search = false) () =
+(* The generator seed of the one application every topology runs. *)
+let seed = 0
+
+let run ?jobs ?(n_tasks = 120) ?(map_search = false) () =
   let topologies =
     [
       Noc_noc.Topology.mesh ~cols:4 ~rows:4;
@@ -51,7 +54,7 @@ let run ?jobs ?(seed = 0) ?(n_tasks = 120) ?(map_search = false) () =
         })
       topologies
   in
-  { seed; n_tasks; rows }
+  { n_tasks; rows }
 
 let render result =
   let with_map = List.exists (fun r -> r.mapped <> None) result.rows in
@@ -89,7 +92,7 @@ let render result =
     "Topology extension (Sec. 7): same application (%d tasks, seed %d), same\n\
      PE array, different fabrics. Computation energy is fabric-independent;\n\
      communication energy follows each fabric's route lengths.\n%s\n"
-    result.n_tasks result.seed
+    result.n_tasks seed
     (Noc_util.Text_table.render ~header rows)
 
 (* Big-mesh Pareto sweep: category-III graphs on 8x8/16x16 meshes, one
@@ -116,10 +119,14 @@ type pareto_row = {
   points : point list;  (** Identity first, then one point per weight. *)
 }
 
-type pareto = { index : int; scale : float; rows : pareto_row list }
+type pareto = { scale : float; rows : pareto_row list }
 
 let default_meshes = [ (8, 8); (16, 16) ]
-let default_balance_fracs = [ 0.; 0.1; 0.5; 2. ]
+
+(* The category-III benchmark of the sweep, and its balance weights:
+   pure energy, then increasing load-spread pressure. *)
+let index = 1
+let balance_fracs = [ 0.; 0.1; 0.5; 2. ]
 
 let point_of_candidate ~label ~balance_frac (c : Noc_map.Search.candidate) =
   {
@@ -132,8 +139,7 @@ let point_of_candidate ~label ~balance_frac (c : Noc_map.Search.candidate) =
     cert_errors = c.Noc_map.Search.cert_errors;
   }
 
-let pareto ?jobs ?(index = 1) ?(meshes = default_meshes)
-    ?(balance_fracs = default_balance_fracs) ?(scale = 1.) () =
+let pareto ?jobs ?(meshes = default_meshes) ?(scale = 1.) () =
   let params = Noc_tgff.Category.scaled_params Noc_tgff.Category.Category_iii ~scale in
   let rows =
     List.map
@@ -148,7 +154,6 @@ let pareto ?jobs ?(index = 1) ?(meshes = default_meshes)
         let kernel = Noc_eas.Kernel.build platform ctg in
         let tables = Noc_map.Objective.lift platform kernel ctg in
         let unit_balance = Noc_map.Objective.mean_exec_energy tables in
-        if balance_fracs = [] then invalid_arg "Topology_compare.pareto: no weights";
         let searches =
           (* The per-weight searches are independent; fan them out. *)
           Noc_util.Pool.map_list ?jobs
@@ -197,7 +202,7 @@ let pareto ?jobs ?(index = 1) ?(meshes = default_meshes)
         })
       meshes
   in
-  { index; scale; rows }
+  { scale; rows }
 
 let render_pareto p =
   let header =

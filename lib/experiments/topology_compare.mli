@@ -27,12 +27,12 @@ type row = {
           unless [map_search] was set. *)
 }
 
-type result = { seed : int; n_tasks : int; rows : row list }
+type result = { n_tasks : int; rows : row list }
 
 val run :
-  ?jobs:int -> ?seed:int -> ?n_tasks:int -> ?map_search:bool -> unit -> result
-(** Defaults: seed 0, 120 tasks, 4x4-sized topologies, no mapping
-    search. Topologies fan out over a {!Noc_util.Pool} of [jobs]
+  ?jobs:int -> ?n_tasks:int -> ?map_search:bool -> unit -> result
+(** Generator seed 0; defaults: 120 tasks, 4x4-sized topologies, no
+    mapping search. Topologies fan out over a {!Noc_util.Pool} of [jobs]
     domains; rows are identical at every job count. With
     [map_search:true] each row also anneals a task-to-tile mapping
     (default [Noc_map.Search] parameters) and reports the winner's
@@ -60,22 +60,15 @@ type pareto_row = {
   points : point list;  (** Identity first, then one point per weight. *)
 }
 
-type pareto = { index : int; scale : float; rows : pareto_row list }
+type pareto = { scale : float; rows : pareto_row list }
 
 val pareto :
-  ?jobs:int ->
-  ?index:int ->
-  ?meshes:(int * int) list ->
-  ?balance_fracs:float list ->
-  ?scale:float ->
-  unit ->
-  pareto
-(** Runs the sweep on category-III benchmark [index] (default 1) of
-    each mesh (default 8x8 and 16x16), one annealed search per balance
-    weight (default 0, 0.1, 0.5 and 2: pure energy, then increasing
-    load-spread pressure; fanned out over
-    [jobs]; one shared kernel per mesh), [scale] (default 1) shrinking
-    the graph for quick runs. Deterministic in every argument and
-    bit-identical at every job count. *)
+  ?jobs:int -> ?meshes:(int * int) list -> ?scale:float -> unit -> pareto
+(** Runs the sweep on category-III benchmark 1 of each mesh (default
+    8x8 and 16x16), one annealed search per balance weight (0, 0.1, 0.5
+    and 2: pure energy, then increasing load-spread pressure; fanned out
+    over [jobs]; one shared kernel per mesh), [scale] (default 1)
+    shrinking the graph for quick runs. Deterministic in every argument
+    and bit-identical at every job count. *)
 
 val render_pareto : pareto -> string

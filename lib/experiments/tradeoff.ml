@@ -2,7 +2,8 @@ type point = { ratio : float; eas : Pipeline.t; edf : Pipeline.t }
 
 let default_ratios = List.init 9 (fun i -> 1.0 +. (0.1 *. float_of_int i))
 
-let run ?(ratios = default_ratios) ?(clip = Noc_msb.Profile.Foreman) () =
+let run ?(ratios = default_ratios) () =
+  let clip = Noc_msb.Profile.Foreman in
   let platform = Noc_msb.Platforms.av_3x3 in
   List.map
     (fun ratio ->

@@ -13,8 +13,7 @@ type point = {
   edf : Pipeline.t;
 }
 
-val run :
-  ?ratios:float list -> ?clip:Noc_msb.Profile.clip -> unit -> point list
+val run : ?ratios:float list -> unit -> point list
 (** Defaults: ratios 1.0 to 1.8 in steps of 0.1, foreman. *)
 
 val render : point list -> string

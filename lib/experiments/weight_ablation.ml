@@ -18,11 +18,11 @@ let evaluate_scheme platform ctg weighting =
   Pipeline.gate (Pipeline.certify platform ctg schedule);
   Noc_sched.Metrics.compute platform ctg schedule
 
-let run ?jobs ?(seeds = List.init 6 Fun.id) ?(n_tasks = 150) ?(tightness = 2.3) () =
+let run ?jobs ?(seeds = List.init 6 Fun.id) ?(n_tasks = 150) () =
   let platform = Noc_tgff.Category.platform in
   Noc_noc.Platform.warm_routes platform;
   let params =
-    { Noc_tgff.Params.default with n_tasks; deadline_tightness = tightness }
+    { Noc_tgff.Params.default with n_tasks; deadline_tightness = 2.3 }
   in
   Noc_util.Pool.map_list ?jobs
     (fun seed ->

@@ -14,10 +14,9 @@ type row = {
           {!Pipeline.gate}. *)
 }
 
-val run :
-  ?jobs:int -> ?seeds:int list -> ?n_tasks:int -> ?tightness:float -> unit -> row list
-(** Defaults: seeds 0-5, 150 tasks, tightness 2.3 (the category-II
-    regime) on the category platform. Seeds fan out over a
+val run : ?jobs:int -> ?seeds:int list -> ?n_tasks:int -> unit -> row list
+(** Tightness 2.3 (the category-II regime) on the category platform;
+    defaults: seeds 0-5, 150 tasks. Seeds fan out over a
     {!Noc_util.Pool} of [jobs] domains; rows are identical at every job
     count. *)
 

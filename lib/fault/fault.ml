@@ -18,7 +18,6 @@ let pe ?(from_time = 0.) ?(until_time = infinity) index () =
   if index < 0 then invalid_arg "Fault.pe: negative PE index";
   { element = Pe index; from_time; until_time }
 
-let is_permanent t = t.until_time = infinity
 let active_at t ~time = t.from_time <= time && time < t.until_time
 
 (* Element ordering groups PEs before links; the total order makes fault

@@ -19,7 +19,6 @@ val link :
 val pe : ?from_time:float -> ?until_time:float -> int -> unit -> t
 (** PE fault; defaults to permanent from time 0. *)
 
-val is_permanent : t -> bool
 val active_at : t -> time:float -> bool
 
 val compare : t -> t -> int

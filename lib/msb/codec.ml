@@ -17,9 +17,12 @@ let affinity_time_factor affinity (kind : Noc_noc.Pe.kind) =
   | Media, Noc_noc.Pe.Dsp -> 0.8
   | Media, Noc_noc.Pe.Accel -> 0.45
 
+(* Every stage draws 12 nJ/us on a nominal PE. *)
+let power = 12.
+
 (* [(exec_times, energies)] per PE: time = base * clip scale * affinity
    factor * PE time factor; energy = time * power * PE power factor. *)
-let stage_costs platform ~(profile : Profile.t) ~base_time ~power ~affinity =
+let stage_costs platform ~(profile : Profile.t) ~base_time ~affinity =
   let n = Noc_noc.Platform.n_pes platform in
   let exec_times =
     Array.init n (fun p ->
@@ -48,10 +51,8 @@ let create platform ~profile =
     graph = Noc_ctg.Builder.create ~n_pes:(Noc_noc.Platform.n_pes platform);
   }
 
-let stage b ~name ~base_time ?(power = 12.) ~affinity ?deadline () =
-  let exec_times, energies =
-    stage_costs b.platform ~profile:b.profile ~base_time ~power ~affinity
-  in
+let stage b ~name ~base_time ~affinity ?deadline () =
+  let exec_times, energies = stage_costs b.platform ~profile:b.profile ~base_time ~affinity in
   Noc_ctg.Builder.add_task b.graph ~name ~exec_times ~energies ?deadline ()
 
 let flow b ~src ~dst ~kbits =

@@ -20,12 +20,11 @@ val stage :
   builder ->
   name:string ->
   base_time:float ->
-  ?power:float ->
   affinity:affinity ->
   ?deadline:float ->
   unit ->
   int
-(** Adds a stage task ([power] defaults to [12.] nJ/us) and returns its
+(** Adds a stage task drawing 12 nJ/us on a nominal PE and returns its
     id. *)
 
 val flow : builder -> src:int -> dst:int -> kbits:float -> unit

@@ -118,10 +118,9 @@ let encoder ?(ratio = 1.0) ~platform ~clip () =
   let _sink = add_encoder b ~deadline:(encoder_period /. ratio) in
   Codec.finish b
 
-let decoder ?(ratio = 1.0) ~platform ~clip () =
-  check_ratio ratio;
+let decoder ~platform ~clip () =
   let b = Codec.create platform ~profile:(Profile.scales clip) in
-  let _sink = add_decoder b ~deadline:(decoder_period /. ratio) in
+  let _sink = add_decoder b ~deadline:decoder_period in
   Codec.finish b
 
 let integrated ?(ratio = 1.0) ~platform ~clip () =

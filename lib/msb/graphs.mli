@@ -16,17 +16,13 @@
 val encoder_period : float
 (** Baseline encoder deadline, microseconds (1 / 40 f/s). *)
 
-val decoder_period : float
-(** Baseline decoder deadline, microseconds (1 / 67 f/s). *)
-
 val encoder :
   ?ratio:float -> platform:Noc_noc.Platform.t -> clip:Profile.clip -> unit -> Noc_ctg.Ctg.t
 (** 24-task A/V encoder CTG for the given platform and clip. [ratio]
     (default 1.0) tightens all deadlines by that factor. *)
 
-val decoder :
-  ?ratio:float -> platform:Noc_noc.Platform.t -> clip:Profile.clip -> unit -> Noc_ctg.Ctg.t
-(** 16-task A/V decoder CTG. *)
+val decoder : platform:Noc_noc.Platform.t -> clip:Profile.clip -> unit -> Noc_ctg.Ctg.t
+(** 16-task A/V decoder CTG, at the baseline rate. *)
 
 val integrated :
   ?ratio:float -> platform:Noc_noc.Platform.t -> clip:Profile.clip -> unit -> Noc_ctg.Ctg.t

@@ -24,7 +24,3 @@ let kind_name = function
   | Risc_lowpower -> "risc-lowpower"
   | Dsp -> "dsp"
   | Accel -> "accel"
-
-let pp ppf t =
-  Format.fprintf ppf "pe%d[%s, x%.2ft, x%.2fp]" t.index (kind_name t.kind)
-    t.time_factor t.power_factor

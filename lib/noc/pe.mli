@@ -35,4 +35,3 @@ val of_kind : index:int -> kind -> t
 val all_kinds : kind array
 
 val kind_name : kind -> string
-val pp : Format.formatter -> t -> unit

@@ -131,7 +131,6 @@ let digest t =
 let route t ~src ~dst = (route_info t ~src ~dst).nodes
 let route_links t ~src ~dst = (route_info t ~src ~dst).links
 let hops t ~src ~dst = (route_info t ~src ~dst).n_hops
-let bit_energy t ~src ~dst = Energy_model.bit_energy t.energy ~n_hops:(hops t ~src ~dst)
 
 let comm_energy t ~src ~dst ~bits =
   Energy_model.transfer_energy t.energy ~n_hops:(hops t ~src ~dst) ~bits

@@ -69,9 +69,6 @@ val warm_routes : t -> unit
     across a {!Noc_util.Pool} fan-out call this before spawning; the
     workers then only read the table. Idempotent. *)
 
-val bit_energy : t -> src:int -> dst:int -> float
-(** [e(r_{src,dst})] of Definition 2: energy per bit over the route. *)
-
 val comm_energy : t -> src:int -> dst:int -> bits:float -> float
 (** Total network energy for moving [bits] from [src] to [dst]. Zero when
     they share a tile. *)

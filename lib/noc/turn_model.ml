@@ -14,7 +14,6 @@
 
 type t = Xy | West_first | Odd_even
 
-let all = [ Xy; West_first; Odd_even ]
 let name = function Xy -> "xy" | West_first -> "west-first" | Odd_even -> "odd-even"
 
 let of_string s =

@@ -23,9 +23,6 @@
 
 type t = Xy | West_first | Odd_even
 
-val all : t list
-(** In canonical order: [Xy; West_first; Odd_even]. *)
-
 val name : t -> string
 (** ["xy"], ["west-first"], ["odd-even"] — the CLI spelling. *)
 

@@ -10,7 +10,7 @@ let with_lock m f =
    histograms), never inside per-F(i,k) hot loops. *)
 let registry_lock = Mutex.create ()
 
-type counter = { cname : string; cell : int Atomic.t }
+type counter = int Atomic.t
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
 
@@ -19,18 +19,17 @@ let counter name =
       match Hashtbl.find_opt counters name with
       | Some c -> c
       | None ->
-        let c = { cname = name; cell = Atomic.make 0 } in
+        let c = Atomic.make 0 in
         Hashtbl.add counters name c;
         c)
 
-let name c = c.cname
-let incr c = if Atomic.get enabled then Atomic.incr c.cell
-let add c n = if Atomic.get enabled then ignore (Atomic.fetch_and_add c.cell n)
-let value c = Atomic.get c.cell
+let incr c = if Atomic.get enabled then Atomic.incr c
+let add c n = if Atomic.get enabled then ignore (Atomic.fetch_and_add c n)
+let value c = Atomic.get c
 
 let snapshot () =
   with_lock registry_lock (fun () ->
-      Hashtbl.fold (fun name c acc -> (name, Atomic.get c.cell) :: acc) counters [])
+      Hashtbl.fold (fun name c acc -> (name, Atomic.get c) :: acc) counters [])
   |> List.sort compare
 
 type histogram = { hname : string; lock : Mutex.t; mutable samples : float list }
@@ -84,7 +83,7 @@ let summaries () =
 
 let reset () =
   with_lock registry_lock (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.cell 0) counters;
+      Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
       Hashtbl.iter
         (fun _ h -> with_lock h.lock (fun () -> h.samples <- []))
         histograms)

@@ -19,7 +19,6 @@ type counter
 val counter : string -> counter
 (** Find or create the counter registered under [name]. *)
 
-val name : counter -> string
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int

@@ -11,8 +11,7 @@
     contain at least one ["C"] counter event and a non-empty
     [otherData.counters] object. *)
 
-val check : ?require_counters:bool -> string -> (unit, string) result
-(** [check text] validates a trace document; the error is a one-line
-    human-readable reason. *)
-
 val check_file : ?require_counters:bool -> string -> (unit, string) result
+(** [check_file path] validates the trace document in [path]; the error
+    is a one-line human-readable reason (or the reason the file could
+    not be read). *)

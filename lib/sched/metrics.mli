@@ -31,9 +31,10 @@ val misses : Noc_ctg.Ctg.t -> Schedule.t -> (int * float) list
 val miss_count : t -> int
 
 val energy_of_assignment : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> (int -> int) -> float
-(** Eq. (3) evaluated on a bare task-to-PE mapping, without timing — the
+(** Eq. (3) evaluated on a bare task-to-PE mapping, without timing: the
     energy of a schedule depends only on the assignment, which this
-    computes directly (used by the repair procedure to rank candidate
-    migrations). *)
+    computes directly. The repair procedure does not call it; it prices
+    migrations through the EAS kernel ([Noc_eas.Repair.move_energy]). The
+    metamorphic and metrics tests check it against {!compute}. *)
 
 val pp : Format.formatter -> t -> unit

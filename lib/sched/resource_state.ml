@@ -105,13 +105,6 @@ let reserve_link t link (interval : Noc_util.Interval.t) =
 let earliest_pe_gap t ~pe ~after ~duration =
   Timeline.earliest_gap t.tables.(pe) ~after ~duration
 
-let earliest_route_gap t ~route ~after ~duration =
-  match route with
-  | [] -> after
-  | links ->
-    let tables = Array.of_list (List.map (link_table t) links) in
-    Timeline.earliest_gap_multi tables ~after ~duration
-
 (* The journal gets one entry per table, in array order: the entries
    [reserve_link] would have pushed over a route. *)
 let reserve_route_gap t tables ids window =
@@ -137,8 +130,6 @@ let[@inline] serial_at serials depth = if depth = 0 then 0 else serials.(depth -
 let mark t =
   Noc_obs.Counters.incr c_snapshots;
   { owner = t.id; depth = t.depth; serial = serial_at t.serials t.depth }
-
-let equal_mark a b = a.owner = b.owner && a.depth = b.depth && a.serial = b.serial
 
 let rollback t m =
   Noc_obs.Counters.incr c_rollbacks;

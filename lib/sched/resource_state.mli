@@ -42,18 +42,13 @@ val reserve_link : t -> Noc_noc.Routing.link -> Noc_util.Interval.t -> unit
     an empty interval reserves and journals nothing. *)
 
 val earliest_pe_gap : t -> pe:int -> after:float -> duration:float -> float
-val earliest_route_gap :
-  t -> route:Noc_noc.Routing.link list -> after:float -> duration:float -> float
-(** Earliest slot simultaneously free on every link of the route: the
-    paper's merged path schedule table (Fig. 3). With an empty route the
-    answer is [after]. *)
-
 val reserve_route_gap : t -> Noc_util.Timeline.t array -> int array -> float array -> unit
 (** [reserve_route_gap t tables ids window] finds the earliest window of
     [duration = window.(1)] at or after [after = window.(0)] free on
-    every table (as {!earliest_route_gap}), reserves it on each table in
-    array order with one journal entry per table (as {!reserve_link}
-    over the route), and writes the window's start into [window.(0)].
+    every table (the paper's merged path schedule table, Fig. 3),
+    reserves it on each table in array order with one journal entry per
+    table (as {!reserve_link} over the route), and writes the window's
+    start into [window.(0)].
     [ids.(k)] is the id of [tables.(k)] ({!link_id}); the caller keeps
     both, so the call builds no array. The window travels in the
     caller's float array, not as float arguments and result, so that
@@ -71,12 +66,6 @@ type mark
 
 val mark : t -> mark
 (** The current journal position. *)
-
-val equal_mark : mark -> mark -> bool
-(** Whether two marks name the same position of the same state: equal
-    depth and the same entry under it. Holds across a stretch of
-    reservations undone by a rollback; fails after any net reservation
-    or release. *)
 
 val rollback : t -> mark -> unit
 (** [rollback t m] releases every reservation made since [mark t]

@@ -224,9 +224,6 @@ let of_string_full platform ctg text =
   | Parse_error (line, col, msg) -> Error (Printf.sprintf "line %d, col %d: %s" line col msg)
   | Invalid_argument msg -> Error msg
 
-let of_string platform ctg text =
-  Result.map fst (of_string_full platform ctg text)
-
 let save ?dvfs ~path schedule =
   let oc = open_out path in
   Fun.protect
@@ -240,5 +237,3 @@ let load_full ~path platform ctg =
       ~finally:(fun () -> close_in ic)
       (fun () -> of_string_full platform ctg (In_channel.input_all ic))
   | exception Sys_error msg -> Error msg
-
-let load ~path platform ctg = Result.map fst (load_full ~path platform ctg)

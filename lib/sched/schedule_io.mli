@@ -13,7 +13,7 @@
 
     The [via] field records the transaction's route verbatim, so
     detour-routed schedules produced for degraded platforms round-trip
-    exactly. {!of_string} also accepts the legacy version-1 format
+    exactly. {!of_string_full} also accepts the legacy version-1 format
     (header [schedule 1], no [via] field), re-deriving each route as the
     platform's deterministic one, and version 2 (no [dvfs] lines — every
     task implicitly runs at f_max). Floats round-trip exactly: [place]
@@ -39,38 +39,29 @@ val to_string : ?dvfs:annotation array -> Schedule.t -> string
     task is appended. Raises [Invalid_argument] if the annotation array
     does not cover the schedule's tasks exactly. *)
 
-val of_string :
-  Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> string -> (Schedule.t, string) result
-(** Fields are separated by spaces or tabs; [#] starts a comment.
-    Structural errors (unknown ids, bad numbers, a route through a
-    missing node) read ["line L, col C: <description>"], naming the
-    offending token; a line of unknown shape is reported as
-    [unknown keyword "<first token>"], and missing lines (e.g.
-    [task 3 missing]) carry no position. The result is {e not} validated for
-    feasibility — the validator ({!module:Validate}) or the certifier
-    checks that. Accepts versions 1-3;
-    any DVFS annotations are parsed (and structurally checked) but
-    dropped — use {!of_string_full} to keep them. *)
-
 val of_string_full :
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
   string ->
   (Schedule.t * annotation array option, string) result
-(** Like {!of_string} but returns the DVFS annotations when the file
-    carries them ([None] for version 1/2 files, or a version-3 file with
-    no [dvfs] lines: every task at f_max). When any [dvfs] line is
-    present, every task must have exactly one, the header must say
-    [schedule 3], frequencies must lie in (0, 1] and energies must be
-    finite and non-negative. *)
+(** The schedule and its DVFS annotations ([None] for version 1/2
+    files, or a version-3 file with no [dvfs] lines: every task at
+    f_max). Fields are separated by spaces or tabs; [#] starts a
+    comment. Structural errors (unknown ids, bad numbers, a route
+    through a missing node) read ["line L, col C: <description>"],
+    naming the offending token; a line of unknown shape is reported as
+    [unknown keyword "<first token>"], and missing lines (e.g. [task 3
+    missing]) carry no position. When any [dvfs] line is present, every
+    task must have exactly one, the header must say [schedule 3],
+    frequencies must lie in (0, 1] and energies must be finite and
+    non-negative. The result is {e not} validated for feasibility — the
+    validator ({!module:Validate}) or the certifier checks that. *)
 
 val save : ?dvfs:annotation array -> path:string -> Schedule.t -> unit
-
-val load :
-  path:string -> Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> (Schedule.t, string) result
 
 val load_full :
   path:string ->
   Noc_noc.Platform.t ->
   Noc_ctg.Ctg.t ->
   (Schedule.t * annotation array option, string) result
+(** {!of_string_full} on the file's text. *)

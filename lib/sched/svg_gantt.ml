@@ -17,30 +17,26 @@ let escape_xml s =
     s;
   Buffer.contents buf
 
-let render ?(width = 960) ?(lane_height = 28) ?(show_links = true) platform ctg
-    schedule =
-  let margin_left = 90 and margin_top = 30 in
+let render platform ctg schedule =
+  let width = 960 and lane_height = 28 and margin_left = 90 and margin_top = 30 in
   let horizon = Float.max 1e-9 (Schedule.makespan schedule) in
   let plot_width = float_of_int (width - margin_left - 20) in
   let x_of t = float_of_int margin_left +. (t /. horizon *. plot_width) in
   let n_pes = Noc_noc.Platform.n_pes platform in
   (* Collect link lanes with traffic. *)
   let link_lanes =
-    if not show_links then []
-    else begin
-      let by_link = Hashtbl.create 16 in
-      Array.iter
-        (fun (tr : Schedule.transaction) ->
-          if tr.finish > tr.start then
-            List.iter
-              (fun (l : Noc_noc.Routing.link) ->
-                let key = (l.from_node, l.to_node) in
-                let existing = Option.value ~default:[] (Hashtbl.find_opt by_link key) in
-                Hashtbl.replace by_link key (tr :: existing))
-              (Schedule.links_of_transaction tr))
-        (Schedule.transactions schedule);
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_link [] |> List.sort compare
-    end
+    let by_link = Hashtbl.create 16 in
+    Array.iter
+      (fun (tr : Schedule.transaction) ->
+        if tr.finish > tr.start then
+          List.iter
+            (fun (l : Noc_noc.Routing.link) ->
+              let key = (l.from_node, l.to_node) in
+              let existing = Option.value ~default:[] (Hashtbl.find_opt by_link key) in
+              Hashtbl.replace by_link key (tr :: existing))
+            (Schedule.links_of_transaction tr))
+      (Schedule.transactions schedule);
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) by_link [] |> List.sort compare
   in
   let n_lanes = n_pes + List.length link_lanes in
   let height = margin_top + (n_lanes * lane_height) + 20 in
@@ -111,9 +107,8 @@ let render ?(width = 960) ?(lane_height = 28) ?(show_links = true) platform ctg
   add "</svg>\n";
   Buffer.contents buf
 
-let save ~path ?width ?lane_height ?show_links platform ctg schedule =
+let save ~path platform ctg schedule =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (render ?width ?lane_height ?show_links platform ctg schedule))
+    (fun () -> output_string oc (render platform ctg schedule))

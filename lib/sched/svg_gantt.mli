@@ -6,25 +6,7 @@
     misses are outlined in red; a time axis with ticks runs along the
     top. No external dependencies — the output is plain SVG 1.1. *)
 
-val render :
-  ?width:int ->
-  ?lane_height:int ->
-  ?show_links:bool ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  Schedule.t ->
-  string
-(** [render platform ctg schedule] returns the SVG text. [width] is the
-    drawing width in pixels (default 960), [lane_height] the per-lane
-    height (default 28), [show_links] adds the link lanes (default
-    true). *)
-
 val save :
-  path:string ->
-  ?width:int ->
-  ?lane_height:int ->
-  ?show_links:bool ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  Schedule.t ->
-  unit
+  path:string -> Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> Schedule.t -> unit
+(** [save ~path platform ctg schedule] writes the SVG document to
+    [path]: 960 pixels wide, 28 pixels per lane, link lanes included. *)

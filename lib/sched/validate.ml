@@ -20,12 +20,11 @@ let pp_violation ppf = function
 (* A transaction's recorded route must be a real walk through the
    fabric: it starts at the sender's tile, ends at the receiver's, moves
    only along topology links and reserves no link twice. The walk need
-   NOT be the platform's deterministic route — degraded-platform
-   reschedules legitimately record detours — unless the caller opts into
-   [strict_routes]. Same-tile transfers use no network at all, so they
-   may record either the empty route or the single shared tile (the v2
-   schedule loader and the schedulers produce the latter, hand-built
-   schedules often the former). *)
+   NOT be the platform's deterministic route: degraded-platform
+   reschedules legitimately record detours. Same-tile transfers use no
+   network at all, so they may record either the empty route or the
+   single shared tile (the v2 schedule loader and the schedulers produce
+   the latter, hand-built schedules often the former). *)
 let route_walk_error platform (tr : Schedule.transaction) =
   let topology = Noc_noc.Platform.topology platform in
   match tr.route with
@@ -59,7 +58,10 @@ let route_walk_error platform (tr : Schedule.transaction) =
       end
     end
 
-let structural_checks ~eps ~strict_routes platform ctg schedule add =
+(* The tolerance of every comparison. *)
+let eps = 1e-6
+
+let structural_checks platform ctg schedule add =
   let n_pes = Noc_noc.Platform.n_pes platform in
   let malformed fmt = Printf.ksprintf (fun s -> add (Malformed s)) fmt in
   if Schedule.n_tasks schedule <> Noc_ctg.Ctg.n_tasks ctg then
@@ -97,12 +99,6 @@ let structural_checks ~eps ~strict_routes platform ctg schedule add =
           (match route_walk_error platform tr with
           | Some detail -> malformed "transaction %d %s" tr.edge detail
           | None -> ());
-          if
-            strict_routes
-            && tr.src_pe <> tr.dst_pe
-            && tr.route <> Noc_noc.Platform.route platform ~src:tr.src_pe ~dst:tr.dst_pe
-          then
-            malformed "transaction %d does not follow the deterministic route" tr.edge;
           (* Duration follows from the recorded route's length, so a
              detour pays its extra router hops. *)
           let expected_duration =
@@ -116,7 +112,7 @@ let structural_checks ~eps ~strict_routes platform ctg schedule add =
         (Schedule.transactions schedule)
   end
 
-let task_compatibility ~eps platform schedule add =
+let task_compatibility platform schedule add =
   for pe = 0 to Noc_noc.Platform.n_pes platform - 1 do
     let placements = Schedule.tasks_on_pe schedule ~pe in
     (* Sweep by start time, carrying the longest-running earlier task. *)
@@ -130,7 +126,7 @@ let task_compatibility ~eps platform schedule add =
     (match placements with [] -> () | first :: rest -> scan first rest)
   done
 
-let transaction_compatibility ~eps schedule add =
+let transaction_compatibility schedule add =
   (* Group transactions by link, then check pairwise overlap per link. *)
   let by_link = Hashtbl.create 64 in
   Array.iter
@@ -164,7 +160,7 @@ let transaction_compatibility ~eps schedule add =
       match transactions with [] -> () | first :: rest -> scan first rest)
     keys
 
-let dependency_checks ~eps ctg schedule add =
+let dependency_checks ctg schedule add =
   Array.iter
     (fun (tr : Schedule.transaction) ->
       let edge = Noc_ctg.Ctg.edge ctg tr.edge in
@@ -190,7 +186,7 @@ let dependency_checks ~eps ctg schedule add =
              }))
     (Schedule.transactions schedule)
 
-let deadline_checks ~eps ctg schedule add =
+let deadline_checks ctg schedule add =
   Array.iter
     (fun (task : Noc_ctg.Task.t) ->
       (match task.release with
@@ -210,18 +206,17 @@ let deadline_checks ~eps ctg schedule add =
           add (Deadline_miss { task = task.id; deadline; finish = p.finish }))
     (Noc_ctg.Ctg.tasks ctg)
 
-let check ?(eps = 1e-6) ?(strict_routes = false) platform ctg schedule =
+let check platform ctg schedule =
   let acc = ref [] in
   let add v = acc := v :: !acc in
-  structural_checks ~eps ~strict_routes platform ctg schedule add;
+  structural_checks platform ctg schedule add;
   (* Pairwise checks only make sense on structurally sound schedules. *)
   if !acc = [] then begin
-    task_compatibility ~eps platform schedule add;
-    transaction_compatibility ~eps schedule add;
-    dependency_checks ~eps ctg schedule add;
-    deadline_checks ~eps ctg schedule add
+    task_compatibility platform schedule add;
+    transaction_compatibility schedule add;
+    dependency_checks ctg schedule add;
+    deadline_checks ctg schedule add
   end;
   List.rev !acc
 
-let is_feasible ?eps ?strict_routes platform ctg schedule =
-  check ?eps ?strict_routes platform ctg schedule = []
+let is_feasible platform ctg schedule = check platform ctg schedule = []

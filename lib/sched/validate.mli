@@ -19,12 +19,11 @@
       only along topology links, reserves no link twice). Routes are
       checked against the {e schedule's recorded links}, not recomputed
       deterministic routes, so detour-routed schedules produced for
-      degraded platforms validate; pass [~strict_routes:true] to
-      additionally require the platform's deterministic routing policy.
+      degraded platforms validate.
 
     The validator shares no code with the schedulers' internal
     book-keeping, so it catches scheduler bugs rather than reproducing
-    them. A small tolerance absorbs floating-point noise. *)
+    them. A fixed tolerance of 1e-6 absorbs floating-point noise. *)
 
 type violation =
   | Malformed of string
@@ -33,24 +32,9 @@ type violation =
   | Dependency of { edge : int; detail : string }
   | Deadline_miss of { task : int; deadline : float; finish : float }
 
-val check :
-  ?eps:float ->
-  ?strict_routes:bool ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  Schedule.t ->
-  violation list
-(** All violations found, deterministically ordered. [eps] defaults to
-    [1e-6]. [strict_routes] (default [false]) additionally rejects any
-    transaction whose route differs from the platform's deterministic
-    route — the fault-free routing-policy check. *)
+val check : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> Schedule.t -> violation list
+(** All violations found, deterministically ordered. *)
 
-val is_feasible :
-  ?eps:float ->
-  ?strict_routes:bool ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  Schedule.t ->
-  bool
+val is_feasible : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> Schedule.t -> bool
 
 val pp_violation : Format.formatter -> violation -> unit

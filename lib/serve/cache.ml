@@ -12,7 +12,6 @@ type 'a node = {
 type 'a t = {
   capacity : int;
   table : (string, 'a node) Hashtbl.t;
-  lock : Mutex.t;
   mutable head : 'a node option;
   mutable tail : 'a node option;
   mutable hand : 'a node option;
@@ -21,16 +20,11 @@ type 'a t = {
   mutable evictions : int;
 }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let create ~capacity =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be positive";
   {
     capacity;
     table = Hashtbl.create (2 * capacity);
-    lock = Mutex.create ();
     head = None;
     tail = None;
     hand = None;
@@ -40,18 +34,17 @@ let create ~capacity =
   }
 
 let capacity t = t.capacity
-let length t = with_lock t (fun () -> Hashtbl.length t.table)
+let length t = Hashtbl.length t.table
 
 let find t key =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some node ->
-        node.visited <- true;
-        t.hits <- t.hits + 1;
-        Some node.value
-      | None ->
-        t.misses <- t.misses + 1;
-        None)
+  match Hashtbl.find_opt t.table key with
+  | Some node ->
+    node.visited <- true;
+    t.hits <- t.hits + 1;
+    Some node.value
+  | None ->
+    t.misses <- t.misses + 1;
+    None
 
 let unlink t node =
   (match node.newer with Some n -> n.older <- node.older | None -> t.head <- node.older);
@@ -77,26 +70,24 @@ let evict t =
   t.evictions <- t.evictions + 1
 
 let add t key value =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some node ->
-        node.value <- value;
-        node.visited <- true
-      | None ->
-        if Hashtbl.length t.table >= t.capacity then evict t;
-        let node = { key; value; visited = false; newer = None; older = t.head } in
-        (match t.head with Some h -> h.newer <- Some node | None -> t.tail <- Some node);
-        t.head <- Some node;
-        Hashtbl.replace t.table key node)
+  match Hashtbl.find_opt t.table key with
+  | Some node ->
+    node.value <- value;
+    node.visited <- true
+  | None ->
+    if Hashtbl.length t.table >= t.capacity then evict t;
+    let node = { key; value; visited = false; newer = None; older = t.head } in
+    (match t.head with Some h -> h.newer <- Some node | None -> t.tail <- Some node);
+    t.head <- Some node;
+    Hashtbl.replace t.table key node
 
-let hits t = with_lock t (fun () -> t.hits)
-let misses t = with_lock t (fun () -> t.misses)
-let evictions t = with_lock t (fun () -> t.evictions)
+let hits t = t.hits
+let misses t = t.misses
+let evictions t = t.evictions
 
 let keys t =
-  with_lock t (fun () ->
-      let rec walk acc = function
-        | None -> List.rev acc
-        | Some node -> walk (node.key :: acc) node.older
-      in
-      walk [] t.head)
+  let rec walk acc = function
+    | None -> List.rev acc
+    | Some node -> walk (node.key :: acc) node.older
+  in
+  walk [] t.head

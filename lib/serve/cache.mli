@@ -1,9 +1,8 @@
 (** Bounded SIEVE memo for certified schedules, warmed kernels, parsed
     graphs and refusals.
 
-    Keys are the server's content-digest strings. The cache is guarded by a
-    mutex — the server fans independent requests over a domain pool and
-    every worker shares it. Eviction is SIEVE (Zhang et al., NSDI '24,
+    Keys are the server's content-digest strings. The daemon serves one
+    request at a time, so the cache holds no lock. Eviction is SIEVE (Zhang et al., NSDI '24,
     "SIEVE is Simpler than LRU"): entries sit in one FIFO queue in
     insertion order, a {!find} hit only sets the entry's visited bit,
     and at capacity a hand walks from the oldest entry towards the

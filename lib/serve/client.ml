@@ -21,9 +21,8 @@ let request t line =
 
 let close t = try close_in t.ic with Sys_error _ -> ()
 
-let with_connection ?retries ~socket_path f =
-  let t = connect ?retries ~socket_path () in
-  Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+let with_client t f = Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
+let with_connection ~socket_path f = with_client (connect ~socket_path ()) f
 
 let one_shot ?retries ~socket_path line =
-  with_connection ?retries ~socket_path (fun t -> request t line)
+  with_client (connect ?retries ~socket_path ()) (fun t -> request t line)

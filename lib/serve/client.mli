@@ -21,9 +21,8 @@ val request : t -> string -> string
 
 val close : t -> unit
 
-val with_connection :
-  ?retries:int -> socket_path:string -> (t -> 'a) -> 'a
-(** Connect, run, always close. *)
+val with_connection : socket_path:string -> (t -> 'a) -> 'a
+(** Connect (one attempt), run, always close. *)
 
 val one_shot : ?retries:int -> socket_path:string -> string -> string
-(** A whole conversation of one request. *)
+(** A whole conversation of one request, connecting as {!connect}. *)

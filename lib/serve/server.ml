@@ -11,9 +11,9 @@ module Fault_set = Noc_fault.Fault_set
 module Runner = Noc_experiments.Runner
 module Pipeline = Noc_experiments.Pipeline
 
-type config = { socket_path : string; capacity : int; jobs : int option }
+type config = { socket_path : string; capacity : int }
 
-let default_config ~socket_path = { socket_path; capacity = 64; jobs = None }
+let default_config ~socket_path = { socket_path; capacity = 64 }
 
 (* A cached result. [extra] holds the reply fields specific to the op
    that computed it: the downclock figures of a DVFS entry (whose
@@ -30,10 +30,8 @@ type entry = {
 }
 
 type state = {
-  config : config;
   platforms : (int * int, Platform.t * string) Hashtbl.t;
       (** Warm platform and its memoized content digest per mesh. *)
-  platforms_lock : Mutex.t;
   schedules : entry Cache.t;
   kernels : Noc_eas.Kernel.t Cache.t;
   parses : (Ctg.t * string) Cache.t;
@@ -47,40 +45,33 @@ type state = {
       (** [key -> message]: the certification refusals of unfaulted
           schedules, under the key their success would have been cached
           under (see {!obtain}). *)
-  requests : int Atomic.t;
-  errors : int Atomic.t;
+  mutable requests : int;
+  mutable errors : int;
 }
 
 let make_state config =
   Counters.set_enabled true;
   {
-    config;
     platforms = Hashtbl.create 4;
-    platforms_lock = Mutex.create ();
     schedules = Cache.create ~capacity:config.capacity;
     kernels = Cache.create ~capacity:(max 8 config.capacity);
     parses = Cache.create ~capacity:(max 8 config.capacity);
     refusals = Cache.create ~capacity:(max 8 config.capacity);
-    requests = Atomic.make 0;
-    errors = Atomic.make 0;
+    requests = 0;
+    errors = 0;
   }
 
 (* The CLI's platform, so the daemon serves bit-identical schedules to
-   one-shot `nocsched schedule` runs. Routes are warmed before the
-   platform is published so pool workers only ever read the memo. *)
+   one-shot `nocsched schedule` runs, with its routes warmed once. *)
 let platform_for state (cols, rows) =
-  Mutex.lock state.platforms_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock state.platforms_lock)
-    (fun () ->
-      match Hashtbl.find_opt state.platforms (cols, rows) with
-      | Some pd -> pd
-      | None ->
-        let p = Pipeline.mesh_platform (cols, rows) in
-        Platform.warm_routes p;
-        let pd = (p, Platform.digest p) in
-        Hashtbl.replace state.platforms (cols, rows) pd;
-        pd)
+  match Hashtbl.find_opt state.platforms (cols, rows) with
+  | Some pd -> pd
+  | None ->
+    let p = Pipeline.mesh_platform (cols, rows) in
+    Platform.warm_routes p;
+    let pd = (p, Platform.digest p) in
+    Hashtbl.replace state.platforms (cols, rows) pd;
+    pd
 
 (* Parse-and-digest, memoized on the raw text (see [state.parses]). *)
 let parse_graph state ctg_text =
@@ -122,9 +113,7 @@ let key ?ladder ~algo ~digests faults =
 (* Decision-log capture.                                               *)
 
 (* Reproduces a fresh one-shot process: ambient run label "" and a
-   sequence counter starting at 0 ([with_run] resets both). Global
-   state, so decision-carrying requests are never fanned over the pool
-   (see [parallel_ok]). *)
+   sequence counter starting at 0 ([with_run] resets both). *)
 let capture_decisions f =
   Decisions.reset ();
   Decisions.set_enabled true;
@@ -413,8 +402,8 @@ let handle_stats state ?id () =
   in
   Protocol.ok_line ?id ~op:"stats"
     [
-      ("requests", int_num (Atomic.get state.requests));
-      ("errors", int_num (Atomic.get state.errors));
+      ("requests", int_num state.requests);
+      ("errors", int_num state.errors);
       ("cache", cache_json state.schedules);
       ("kernel_cache", cache_json state.kernels);
       ("parse_cache", cache_json state.parses);
@@ -438,10 +427,10 @@ let dispatch state ?id = function
   | Protocol.Shutdown -> (Protocol.ok_line ?id ~op:"shutdown" [], true)
 
 let handle_line state line =
-  Atomic.incr state.requests;
+  state.requests <- state.requests + 1;
   match Protocol.parse_request line with
   | Error msg ->
-    Atomic.incr state.errors;
+    state.errors <- state.errors + 1;
     (Protocol.error_line msg, false)
   | Ok (request, id) ->
     let op = Protocol.op_name request in
@@ -455,24 +444,8 @@ let handle_line state line =
     Counters.observe (latency_hist op) ((Unix.gettimeofday () -. t0) *. 1000.);
     if String.length reply >= String.length {|{"error"|}
        && String.sub reply 0 8 = {|{"error"|}
-    then Atomic.incr state.errors;
+    then state.errors <- state.errors + 1;
     (reply, stop)
-
-(* Requests safe to fan over the domain pool: pure schedule lookups.
-   Decision capture mutates the global decision log, and fault-carrying
-   requests walk lazily-filled degraded route tables — both stay serial. *)
-let parallel_ok line =
-  match Protocol.parse_request line with
-  | Ok (Protocol.Schedule { decisions = false; _ }, _) -> true
-  | Ok ((Protocol.Schedule _ | Protocol.Simulate _ | Protocol.Reschedule _
-        | Protocol.Stats | Protocol.Shutdown), _)
-  | Error _ -> false
-
-let handle_batch state lines =
-  match state.config.jobs with
-  | Some jobs when jobs > 1 && List.length lines > 1 && List.for_all parallel_ok lines
-    -> Noc_util.Pool.map_list ~jobs (handle_line state) lines
-  | Some _ | None -> List.map (handle_line state) lines
 
 (* ------------------------------------------------------------------ *)
 (* Socket loop.                                                        *)
@@ -584,19 +557,14 @@ let run ?on_ready config =
             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
             | exception Unix.Unix_error _ -> close_conn fd))
       readable;
-    let batch = List.rev !batch in
-    (match batch with
-    | [] -> ()
-    | _ :: _ ->
-      let replies = handle_batch state (List.map snd batch) in
-      List.iter2
-        (fun (conn, _) (reply, is_shutdown) ->
-          if is_shutdown then stop := true;
-          if Hashtbl.mem conns conn.fd then
-            try Protocol.write_line conn.fd reply
-            with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-              close_conn conn.fd)
-        batch replies);
+    List.iter
+      (fun (conn, line) ->
+        let reply, is_shutdown = handle_line state line in
+        if is_shutdown then stop := true;
+        if Hashtbl.mem conns conn.fd then
+          try Protocol.write_line conn.fd reply
+          with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> close_conn conn.fd)
+      (List.rev !batch);
     (* An oversized request is answered after the lines that preceded it
        on its connection, and only that connection is closed. *)
     List.iter

@@ -30,13 +30,11 @@
       {!Noc_eas.Fault_resched} migrate → rebuild → repair ladder
       against the cached base schedule instead of a full EAS re-run;
       the base is computed (and cached) on demand.
-    - {b Concurrency.} A [select] loop multiplexes any number of
-      client connections; complete request lines collected in one
-      round are fanned over {!Noc_util.Pool} when more than one pure
-      [schedule] request is pending (fault-carrying and decision-log
-      requests are handled serially — they touch lazily-filled
-      degraded views and the global decision log). Responses go only
-      to the connection that asked.
+    - {b Connections.} A [select] loop multiplexes any number of
+      client connections and handles their complete request lines one
+      at a time, in arrival order, in the daemon's one domain; the
+      caches and warm platforms therefore hold no lock. Responses go
+      only to the connection that asked.
     - {b Observability.} Per-op request latencies land in
       [serve/<op>] histograms and cache traffic in [serve.cache.*]
       counters ({!Noc_obs.Counters}); the [stats] request (and the
@@ -45,8 +43,6 @@
 type config = {
   socket_path : string;
   capacity : int;  (** Schedule-cache entries (default 64). *)
-  jobs : int option;
-      (** Domains for fanning concurrent requests; [None] = serial. *)
 }
 
 val default_config : socket_path:string -> config

@@ -1,11 +1,12 @@
-let default_e_bbit = 1e-5
+(* A register-file-based holding cost of the same magnitude as the switch
+   energy, in nJ per bit per microsecond. *)
+let e_bbit = 1e-5
 
-let per_edge ?(e_bbit = default_e_bbit) ctg (outcome : Executor.outcome) =
-  Array.mapi
+let estimate ctg (outcome : Executor.outcome) =
+  let total = ref 0. in
+  Array.iteri
     (fun edge_id waiting ->
       let volume = (Noc_ctg.Ctg.edge ctg edge_id).Noc_ctg.Edge.volume in
-      volume *. e_bbit *. waiting)
-    outcome.Executor.edge_waiting
-
-let estimate ?e_bbit ctg outcome =
-  Array.fold_left ( +. ) 0. (per_edge ?e_bbit ctg outcome)
+      total := !total +. (volume *. e_bbit *. waiting))
+    outcome.Executor.edge_waiting;
+  !total

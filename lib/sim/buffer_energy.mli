@@ -17,12 +17,7 @@
     EAS schedules — the approximation only loses accuracy for schedules
     that ignore contention. *)
 
-val estimate :
-  ?e_bbit:float -> Noc_ctg.Ctg.t -> Executor.outcome -> float
-(** Total buffering energy (nJ) of one replay. [e_bbit] defaults to a
-    register-file-based holding cost of the same magnitude as the
-    switch energy: [1e-5] nJ per bit per microsecond. *)
-
-val per_edge :
-  ?e_bbit:float -> Noc_ctg.Ctg.t -> Executor.outcome -> float array
-(** Buffering energy by edge id. *)
+val estimate : Noc_ctg.Ctg.t -> Executor.outcome -> float
+(** Total buffering energy (nJ) of one replay, summed in edge-id order.
+    [e_bbit] is a register-file-based holding cost of the same
+    magnitude as the switch energy: [1e-5] nJ per bit per microsecond. *)

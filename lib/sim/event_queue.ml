@@ -9,8 +9,6 @@ type 'a t = {
 }
 
 let create () = { heap = [||]; size = 0; next_seq = 0 }
-let is_empty t = t.size = 0
-let length t = t.size
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
@@ -71,5 +69,3 @@ let pop t =
     end;
     Some (top.time, top.payload)
   end
-
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time

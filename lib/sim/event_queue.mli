@@ -6,12 +6,8 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_empty : 'a t -> bool
-val length : 'a t -> int
 
 val push : 'a t -> time:float -> 'a -> unit
 
 val pop : 'a t -> (float * 'a) option
 (** Earliest event, or [None] when empty. *)
-
-val peek_time : 'a t -> float option

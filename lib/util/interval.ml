@@ -5,7 +5,6 @@ let make ~start ~stop =
   assert (start <= stop);
   { start; stop }
 
-let duration t = t.stop -. t.start
 let is_empty t = t.start = t.stop
 
 let overlaps a b =

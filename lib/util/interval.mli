@@ -10,8 +10,6 @@ val make : start:float -> stop:float -> t
 (** [make ~start ~stop] builds an interval. Requires [start <= stop] and
     both bounds finite. *)
 
-val duration : t -> float
-
 val is_empty : t -> bool
 (** True when [start = stop]. *)
 

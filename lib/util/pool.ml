@@ -78,6 +78,6 @@ let map_range ?jobs ?(chunk = 1) ~n f =
     finish results
   end
 
-let map_list ?jobs ?chunk f items =
+let map_list ?jobs f items =
   let items = Array.of_list items in
-  map_range ?jobs ?chunk ~n:(Array.length items) (fun i -> f items.(i))
+  map_range ?jobs ~n:(Array.length items) (fun i -> f items.(i))

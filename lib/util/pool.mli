@@ -28,6 +28,6 @@ val map_range : ?jobs:int -> ?chunk:int -> n:int -> (int -> 'a) -> 'a list
     exception of the smallest failing index is re-raised — the same one
     a serial left-to-right run would have surfaced. *)
 
-val map_list : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f items] is [List.map f items] with the same contract as
-    {!map_range}. *)
+    {!map_range}, one item claimed at a time. *)

@@ -218,11 +218,6 @@ let[@inline] gap_multi tls at ~after ~duration =
   done;
   !candidate
 
-let earliest_gap_multi tls ~after ~duration =
-  assert (duration >= 0.);
-  if duration = 0. then after
-  else gap_multi tls (Array.make (Array.length tls) 0) ~after ~duration
-
 let reserve_gap_multi tls slots window =
   let after = window.(0) and duration = window.(1) in
   assert (duration >= 0.);

@@ -89,25 +89,20 @@ val merged_busy : t list -> after:float -> Interval.t list
     is the paper's "path schedule table" obtained by merging the occupied
     slots of a route's links (Fig. 3). *)
 
-val earliest_gap_multi : t array -> after:float -> duration:float -> float
-(** Earliest [s >= after] such that [s, s + duration) is simultaneously
-    free on every timeline in the array. The answer does not depend on
-    the order of the array. The search probes the tables round-robin,
-    moving its candidate to the stop of any slot it overlaps, and stops
-    once [n] probes in a row (one per table) leave the candidate in
-    place: one binary search per table, then a gallop from the table's
-    last index per later probe, as in {!reserve_gap_multi}. *)
-
 val reserve_gap_multi : t array -> int array -> float array -> unit
 (** [reserve_gap_multi tls slots window] reserves the earliest window
     free on every timeline: with [after = window.(0)] and [duration =
-    window.(1)], it reserves [[s, s + duration)] with [s =
-    earliest_gap_multi tls ~after ~duration] on every timeline in array
-    order as by {!reserve}, overlap check included, and writes [s] into
-    [window.(0)]. The gap search already locates each table's insertion
-    point, so no table is searched twice, and after a table's first
-    probe each later one gallops from its last index instead of
-    searching from the start; [slots.(k)] receives the slot index the
+    window.(1)], it reserves [[s, s + duration)], with [s] the earliest
+    start at or after [after] free on every timeline ([after] for no
+    timeline or a zero duration; the order of the array does not
+    matter), on every timeline in array order as by {!reserve}, overlap
+    check included, and writes [s] into [window.(0)]. The search probes
+    the tables round-robin, moving its candidate to the stop of any slot
+    it overlaps, and stops once [n] probes in a row (one per table)
+    leave the candidate in place. It already locates each table's
+    insertion point, so no table is searched twice, and after a table's
+    first probe (a binary search) each later one gallops from its last
+    index instead of searching from the start; [slots.(k)] receives the slot index the
     window took in [tls.(k)] ([slots] must be at least as long as
     [tls]). An empty window (zero duration, or one lost to rounding)
     reserves nothing and leaves [slots] meaningless. The timelines must

@@ -10,6 +10,25 @@ module Resource_state = Noc_sched.Resource_state
 
 type pending = { edge : int; src_pe : int; sender_finish : float; bits : float }
 
+(* Each table's own earliest gap, taken in turn until a whole pass
+   leaves the candidate in place. A table only moves the candidate past
+   starts it rules out itself, so the fixpoint is the earliest window
+   free on all of them. Shares no code with Timeline's round-robin,
+   galloping multi-table search. *)
+let earliest_common_gap tables ~after ~duration =
+  let rec settle candidate =
+    let next =
+      List.fold_left
+        (fun c tl -> Noc_util.Timeline.earliest_gap tl ~after:c ~duration)
+        candidate tables
+    in
+    if next = candidate then candidate else settle next
+  in
+  settle after
+
+let earliest_route_gap state ~route ~after ~duration =
+  earliest_common_gap (List.map (Resource_state.link_table state) route) ~after ~duration
+
 let place_transaction ?(model = Comm_sched.Contention_aware) ?degraded state
     (pending : pending) ~dst_pe =
   let platform = Resource_state.platform state in
@@ -41,8 +60,7 @@ let place_transaction ?(model = Comm_sched.Contention_aware) ?degraded state
       match model with
       | Comm_sched.Fixed_delay -> pending.sender_finish
       | Comm_sched.Contention_aware ->
-        Resource_state.earliest_route_gap state ~route:links
-          ~after:pending.sender_finish ~duration
+        earliest_route_gap state ~route:links ~after:pending.sender_finish ~duration
     in
     let interval = Noc_util.Interval.make ~start ~stop:(start +. duration) in
     (match model with

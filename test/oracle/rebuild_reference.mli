@@ -15,6 +15,24 @@ type pending = { edge : int; src_pe : int; sender_finish : float; bits : float }
 (** One receiving transaction still to be scheduled: its edge, the PE
     and finish time of its sender, and its volume. *)
 
+val earliest_common_gap :
+  Noc_util.Timeline.t list -> after:float -> duration:float -> float
+(** The earliest [s >= after] such that [[s, s + duration)] is free on
+    every table: the fixpoint of single-table
+    {!Noc_util.Timeline.earliest_gap} over the tables. [after] for no
+    table or a zero duration. The oracle of
+    {!Noc_util.Timeline.reserve_gap_multi}'s search. *)
+
+val earliest_route_gap :
+  Noc_sched.Resource_state.t ->
+  route:Noc_noc.Routing.link list ->
+  after:float ->
+  duration:float ->
+  float
+(** {!earliest_common_gap} over the route's link tables: the paper's
+    merged path schedule table (Fig. 3). The oracle of
+    {!Noc_sched.Resource_state.reserve_route_gap}'s search. *)
+
 val place_transaction :
   ?model:Noc_sched.Comm_sched.model ->
   ?degraded:Noc_noc.Degraded.t ->

@@ -165,7 +165,7 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Repai
 
 (* Noc_eas.Fault_resched.run's migrate / rebuild / repair / full-rerun
    pipeline with the reference search in the repair step. *)
-let fault_resched ?comm_model ?max_evaluations platform ctg ~faults schedule =
+let fault_resched platform ctg ~faults schedule =
   let module F = Noc_eas.Fault_resched in
   let count_rerouted candidate =
     let originals = Schedule.transactions schedule in
@@ -212,7 +212,7 @@ let fault_resched ?comm_model ?max_evaluations platform ctg ~faults schedule =
       (Array.copy assignment);
     let rebuilt =
       try
-        Some (Rebuild_reference.run ?comm_model ~degraded platform ctg ~assignment ~rank)
+        Some (Rebuild_reference.run ~degraded platform ctg ~assignment ~rank)
       with Invalid_argument _ -> None
     in
     let repaired =
@@ -221,7 +221,7 @@ let fault_resched ?comm_model ?max_evaluations platform ctg ~faults schedule =
       | Some s ->
         if fst (score ctg s) = 0 then Some (s, None)
         else
-          let s', st = run ?comm_model ~degraded ~kernel ?max_evaluations platform ctg s in
+          let s', st = run ~degraded ~kernel platform ctg s in
           Some (s', Some st)
     in
     match repaired with
@@ -230,10 +230,10 @@ let fault_resched ?comm_model ?max_evaluations platform ctg ~faults schedule =
     | _ -> (
       let full =
         let base =
-          Noc_eas.Eas.schedule ~repair:false ?comm_model ~degraded ~kernel platform ctg
+          Noc_eas.Eas.schedule ~repair:false ~degraded ~kernel platform ctg
         in
         if base.stats.misses_before_repair = 0 then base.schedule
-        else fst (run ?comm_model ~degraded ~kernel platform ctg base.schedule)
+        else fst (run ~degraded ~kernel platform ctg base.schedule)
       in
       match repaired with
       | Some (s, repair) when improves (score ctg s) (score ctg full) ->

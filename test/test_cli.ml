@@ -128,9 +128,9 @@ let test_schedule_map_search () =
   let code, _ = run_capture "schedule --algo edf --map-search" in
   Alcotest.(check int) "EDF rejects --map-search" 2 code
 
-(* [--jobs] fans out only map-search chains, campaign trials and serve
-   batches: a plain schedule runs in one domain at any job count, and
-   its stdout and saved schedule are byte for byte the serial ones. *)
+(* [--jobs] fans out only map-search chains and campaign trials: a plain
+   schedule runs in one domain at any job count, and its stdout and
+   saved schedule are byte for byte the serial ones. *)
 let test_schedule_jobs_invariant () =
   let run jobs =
     let out = Filename.temp_file "nocsched_jobs" ".out" in

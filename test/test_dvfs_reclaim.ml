@@ -19,9 +19,17 @@ let category_ctg kind index =
 
 let eas ctg = (Noc_eas.Eas.schedule platform ctg).Noc_eas.Eas.schedule
 
+(* Certified: no error-severity diagnostic of the scaled check. *)
+let certifies_scaled ~ratios ~annotations ~base ctg scaled =
+  let errors, _, _ =
+    Noc_analysis.Diagnostic.count
+      (Certify.check_scaled ~ratios ~annotations ~base platform ctg scaled)
+  in
+  errors = 0
+
 let certified_scaled ?(table = Vf_table.default) ctg base (r : Reclaim.result) =
-  Certify.certifies_scaled ~ratios:(Vf_table.ratios table)
-    ~annotations:r.annotations ~base platform ctg r.schedule
+  certifies_scaled ~ratios:(Vf_table.ratios table) ~annotations:r.annotations ~base ctg
+    r.schedule
 
 (* ------------------------------------------------------------------ *)
 (* Vf_table *)
@@ -202,9 +210,8 @@ let test_check_scaled_rejects_mutations () =
     mutate placements annotations transactions;
     let mutant = Schedule.make ~placements ~transactions in
     Alcotest.(check bool) label false
-      (Certify.certifies_scaled
-         ~ratios:(Vf_table.ratios Vf_table.default)
-         ~annotations ~base platform ctg mutant)
+      (certifies_scaled ~ratios:(Vf_table.ratios Vf_table.default) ~annotations ~base ctg
+         mutant)
   in
   let i = some_downclocked in
   rejects "duration disagreeing with level x base duration" (fun p _ _ ->

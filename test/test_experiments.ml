@@ -17,7 +17,7 @@ let contains_substring haystack needle =
 
 let test_runner_names () =
   Alcotest.(check (list string)) "algo names" [ "EAS-base"; "EAS"; "EDF" ]
-    (List.map Runner.algo_name Runner.all_algos)
+    (List.map Runner.algo_name [ Runner.Eas_base; Runner.Eas; Runner.Edf ])
 
 let test_runner_savings () =
   Alcotest.(check (float 1e-9)) "savings" 0.25 (Runner.savings ~baseline:100. 75.)
@@ -34,7 +34,7 @@ let test_pipeline_evaluate () =
         None (Pipeline.refusal e.diagnostics);
       Alcotest.(check bool) "positive energy" true
         (e.metrics.Noc_sched.Metrics.total_energy > 0.))
-    Runner.all_algos
+    [ Runner.Eas_base; Runner.Eas; Runner.Edf ]
 
 (* The gate every campaign row passes: any structural error raises,
    naming its rule; deadline misses alone do not. *)

@@ -47,9 +47,9 @@ let test_window_semantics () =
   Alcotest.(check bool) "inside" true (Fault.active_at f ~time:19.9);
   (* Half-open window: recovered exactly at until_time. *)
   Alcotest.(check bool) "at recovery" false (Fault.active_at f ~time:20.);
-  Alcotest.(check bool) "transient" false (Fault.is_permanent f);
+  Alcotest.(check bool) "transient" true (f.Fault.until_time < infinity);
   let p = parse_exn "pe:5" in
-  Alcotest.(check bool) "permanent" true (Fault.is_permanent p);
+  Alcotest.(check bool) "permanent" true (p.Fault.until_time = infinity);
   Alcotest.(check bool) "permanent active late" true
     (Fault.active_at p ~time:1e9)
 

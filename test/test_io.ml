@@ -7,6 +7,10 @@ module Schedule_io = Noc_sched.Schedule_io
 module Schedule = Noc_sched.Schedule
 module Utilization = Noc_sched.Utilization
 
+(* The schedule alone, its DVFS annotations dropped. *)
+let of_string platform ctg text = Result.map fst (Schedule_io.of_string_full platform ctg text)
+let load ~path platform ctg = Result.map fst (Schedule_io.load_full ~path platform ctg)
+
 let platform = Noc_tgff.Category.platform
 
 let random_ctg ?(n_tasks = 30) seed =
@@ -117,7 +121,7 @@ let schedules_equal a b =
 let test_schedule_roundtrip () =
   let g = random_ctg 3 in
   let s = (Noc_eas.Eas.schedule platform g).Noc_eas.Eas.schedule in
-  match Schedule_io.of_string platform g (Schedule_io.to_string s) with
+  match of_string platform g (Schedule_io.to_string s) with
   | Error msg -> Alcotest.fail msg
   | Ok s' ->
     Alcotest.(check bool) "exact roundtrip" true (schedules_equal s s');
@@ -132,7 +136,7 @@ let test_schedule_file_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Schedule_io.save ~path s;
-      match Schedule_io.load ~path platform g with
+      match load ~path platform g with
       | Error msg -> Alcotest.fail msg
       | Ok s' -> Alcotest.(check bool) "file roundtrip" true (schedules_equal s s'))
 
@@ -141,7 +145,7 @@ let test_schedule_parse_errors () =
   let s = (Noc_eas.Eas.schedule platform g).Noc_eas.Eas.schedule in
   let text = Schedule_io.to_string s in
   let check_error mangled fragment =
-    match Schedule_io.of_string platform g mangled with
+    match of_string platform g mangled with
     | Ok _ -> Alcotest.fail "expected parse error"
     | Error msg ->
       let contains =
@@ -186,7 +190,7 @@ let detour_schedule =
 
 let test_detour_schedule_roundtrip () =
   match
-    Schedule_io.of_string detour_platform detour_ctg
+    of_string detour_platform detour_ctg
       (Schedule_io.to_string detour_schedule)
   with
   | Error msg -> Alcotest.fail msg
@@ -205,7 +209,7 @@ let test_legacy_v1_load () =
      place 1 pe 3 start 20 finish 30\n\
      trans 0 start 10 finish 15\n"
   in
-  match Schedule_io.of_string detour_platform detour_ctg text with
+  match of_string detour_platform detour_ctg text with
   | Error msg -> Alcotest.fail msg
   | Ok s ->
     Alcotest.(check (list int)) "deterministic route re-derived"
@@ -333,11 +337,11 @@ let test_error_positions () =
   check_error "ctg whole-text errors stay unpositioned" "missing header line (ctg 1)"
     (Ctg_io.of_string "pes 2\n");
   check_error "schedule route" {|line 4, col 15: route node: not an integer ("")|}
-    (Schedule_io.of_string detour_platform detour_ctg
+    (of_string detour_platform detour_ctg
        "schedule 2\nplace 0 pe 0 start 0 finish 10\nplace 1 pe 3 start 20 finish 30\n\
         trans 0 via 0,,3 start 10 finish 15\n");
   check_error "schedule platform lookup" "line 4, col 1: index out of bounds"
-    (Schedule_io.of_string detour_platform detour_ctg
+    (of_string detour_platform detour_ctg
        "schedule 1\nplace 0 pe 0 start 0 finish 10\nplace 1 pe 99 start 20 finish 30\n\
         trans 0 start 10 finish 15\n");
   check_error "json" "at byte 8, line 2, col 3: expected , or } in object, found x"
@@ -354,7 +358,7 @@ let test_schedule_tabs () =
     "schedule 2\nplace 0\tpe 0 start 0 finish 10\nplace 1 pe 3 start 20 finish 30\n\
      trans 0 via 0,2,3\tstart 10 finish 15\n"
   in
-  match Schedule_io.of_string detour_platform detour_ctg text with
+  match of_string detour_platform detour_ctg text with
   | Error msg -> Alcotest.fail msg
   | Ok s ->
     Alcotest.(check bool) "tab-separated schedule parses" true (schedules_equal detour_schedule s)

@@ -20,8 +20,15 @@ let test_platform_sizes () =
 
 let test_deadlines_from_frame_rates () =
   Alcotest.(check (float 1e-6)) "encoder period = 1/40 s" 25_000. Graphs.encoder_period;
-  Alcotest.(check bool) "decoder period = 1/67 s" true
-    (Float.abs (Graphs.decoder_period -. 14_925.37) < 1.);
+  let dec = Graphs.decoder ~platform:Platforms.av_2x2 ~clip:Profile.Akiyo () in
+  List.iter
+    (fun i ->
+      match (Ctg.task dec i).Noc_ctg.Task.deadline with
+      | None -> ()
+      | Some d ->
+        Alcotest.(check bool) "decoder deadline = 1/67 s" true (Float.abs (d -. 14_925.37) < 1.))
+    (Ctg.deadline_tasks dec);
+  Alcotest.(check bool) "decoder has deadline tasks" true (Ctg.deadline_tasks dec <> []);
   let enc = Graphs.encoder ~platform:Platforms.av_2x2 ~clip:Profile.Akiyo () in
   List.iter
     (fun i ->
@@ -33,8 +40,8 @@ let test_deadlines_from_frame_rates () =
     (Ctg.deadline_tasks enc <> [])
 
 let test_ratio_scales_deadlines () =
-  let base = Graphs.decoder ~platform:Platforms.av_2x2 ~clip:Profile.Akiyo () in
-  let faster = Graphs.decoder ~ratio:2.0 ~platform:Platforms.av_2x2 ~clip:Profile.Akiyo () in
+  let base = Graphs.encoder ~platform:Platforms.av_2x2 ~clip:Profile.Akiyo () in
+  let faster = Graphs.encoder ~ratio:2.0 ~platform:Platforms.av_2x2 ~clip:Profile.Akiyo () in
   let deadline g =
     match Ctg.deadline_tasks g with
     | t :: _ -> Option.get (Ctg.task g t).Noc_ctg.Task.deadline

@@ -75,7 +75,6 @@ let test_log_levels () =
 let test_counters_basics () =
   with_obs (fun () ->
       let c = Counters.counter "test.obs.basics" in
-      Alcotest.(check string) "name" "test.obs.basics" (Counters.name c);
       Counters.incr c;
       Counters.add c 41;
       Alcotest.(check int) "value" 42 (Counters.value c);
@@ -239,13 +238,22 @@ let qcheck_json_roundtrip =
 
 (* Trace + Trace_check on a real scheduler run *)
 
+(* [Trace_check.check_file] on [text], written to a temporary file. *)
+let check_trace ?require_counters text =
+  let path = Filename.temp_file "nocsched_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Trace_check.check_file ?require_counters path)
+
 let test_trace_export_validates () =
   with_obs (fun () ->
       let platform, ctg, _ = small_workload () in
       ignore (Eas.schedule platform ctg);
       Alcotest.(check bool) "spans recorded" true (Trace.event_count () > 0);
       let text = Trace.export () in
-      (match Trace_check.check ~require_counters:true text with
+      (match check_trace ~require_counters:true text with
       | Ok () -> ()
       | Error e -> Alcotest.failf "exported trace rejected: %s" e);
       (* The export must itself be the JSON our own parser accepts, and
@@ -268,13 +276,13 @@ let test_trace_parallel_campaign_validates () =
         (Noc_experiments.Random_suite.run ~jobs:2 ~indices:[ 0; 1; 2; 3 ]
            ~scale:0.08 Noc_tgff.Category.Category_i);
       let text = Trace.export () in
-      match Trace_check.check ~require_counters:true text with
+      match check_trace ~require_counters:true text with
       | Ok () -> ()
       | Error e -> Alcotest.failf "pool-domain trace rejected: %s" e)
 
 let test_trace_check_rejects_malformed () =
   let reject label text =
-    match Trace_check.check text with
+    match check_trace text with
     | Ok () -> Alcotest.failf "%s: should have been rejected" label
     | Error _ -> ()
   in
@@ -295,7 +303,7 @@ let test_trace_check_rejects_malformed () =
         {"name": "b", "ph": "X", "pid": 0, "tid": 0, "ts": 5, "dur": 10}],
        "otherData": {"schema": "nocsched/trace/v1"}}|};
   match
-    Trace_check.check ~require_counters:true
+    check_trace ~require_counters:true
       {|{"traceEvents": [], "otherData": {"schema": "nocsched/trace/v1"}}|}
   with
   | Ok () -> Alcotest.fail "counters requirement not enforced"

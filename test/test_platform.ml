@@ -37,11 +37,11 @@ let test_construction_checks () =
         ~link_bandwidth:0. ())
 
 let test_bit_energy_matches_eq2 () =
-  (* PE 0 to PE 2: distance 2 -> 3 routers, 2 links -> 3*1 + 2*2 = 7. *)
+  (* PE 0 to PE 2: distance 2 -> 3 routers, 2 links -> 3*1 + 2*2 = 7 per bit. *)
   Alcotest.(check (float 1e-12)) "eq2 over route" 7.
-    (Platform.bit_energy platform ~src:0 ~dst:2);
+    (Platform.comm_energy platform ~src:0 ~dst:2 ~bits:1.);
   Alcotest.(check (float 1e-12)) "same tile free" 0.
-    (Platform.bit_energy platform ~src:4 ~dst:4)
+    (Platform.comm_energy platform ~src:4 ~dst:4 ~bits:1.)
 
 let test_comm_energy () =
   Alcotest.(check (float 1e-9)) "scales with bits" 700.

@@ -148,7 +148,9 @@ let reserve_random state (target, after, duration) =
     Resource_state.reserve_pe_gap state ~pe:target [| after; duration |]
   else
     let link = links.((target - n) mod Array.length links) in
-    let start = Resource_state.earliest_route_gap state ~route:[ link ] ~after ~duration in
+    let start =
+      Noc_oracle.Rebuild_reference.earliest_route_gap state ~route:[ link ] ~after ~duration
+    in
     Resource_state.reserve_link state link (iv start (start +. duration))
 
 let raises f = try f (); false with Invalid_argument _ -> true
@@ -208,8 +210,10 @@ let qcheck_rollback_redo =
 
 (* The table-array fast path against the route-list one: on equal
    states, [reserve_route_gap] over the route's link tables takes the
-   window [earliest_route_gap] finds (it returns its start) and journals it as [reserve_link]
-   over the route does, so a rollback undoes either the same way. *)
+   window the oracle's fixpoint search finds
+   ([Rebuild_reference.earliest_route_gap]) and journals it as
+   [reserve_link] over the route does, so a rollback undoes either the
+   same way. *)
 let qcheck_reserve_route_gap =
   let reservation = QCheck.(triple (int_range 0 11) (int_range 0 30) (int_range 1 6)) in
   let gen =
@@ -233,7 +237,7 @@ let qcheck_reserve_route_gap =
         (Array.of_list (List.map (Resource_state.link_table fast) route))
         (Array.of_list (List.map (Resource_state.link_id fast) route))
         window;
-      let start = Resource_state.earliest_route_gap slow ~route ~after ~duration in
+      let start = Noc_oracle.Rebuild_reference.earliest_route_gap slow ~route ~after ~duration in
       let interval = iv start (start +. duration) in
       List.iter (fun l -> Resource_state.reserve_link slow l interval) route;
       let same_window = window.(0) = start in

@@ -76,6 +76,18 @@ let test_reserve_and_gap () =
   Alcotest.(check (float 0.)) "other PE free" 0.
     (Resource_state.earliest_pe_gap st ~pe:1 ~after:0. ~duration:5.)
 
+(* The start [reserve_route_gap] takes for a window of [duration] at or
+   after [after] on [route], rolled back again. *)
+let route_gap st route ~after ~duration =
+  let mark = Resource_state.mark st in
+  let window = [| after; duration |] in
+  Resource_state.reserve_route_gap st
+    (Array.of_list (List.map (Resource_state.link_table st) route))
+    (Array.of_list (List.map (Resource_state.link_id st) route))
+    window;
+  Resource_state.rollback st mark;
+  window.(0)
+
 let test_rollback_undoes_everything () =
   let st = Resource_state.create platform in
   Resource_state.reserve_pe_gap st ~pe:0 [| 0.; 10. |];
@@ -86,9 +98,7 @@ let test_rollback_undoes_everything () =
   Alcotest.(check (float 0.)) "pe reservation undone" 10.
     (Resource_state.earliest_pe_gap st ~pe:0 ~after:0. ~duration:1.);
   Alcotest.(check (float 0.)) "link reservation undone" 0.
-    (Resource_state.earliest_route_gap st
-       ~route:[ { Noc_noc.Routing.from_node = 0; to_node = 1 } ]
-       ~after:0. ~duration:5.)
+    (route_gap st [ { Noc_noc.Routing.from_node = 0; to_node = 1 } ] ~after:0. ~duration:5.)
 
 let test_nested_marks () =
   let st = Resource_state.create platform in
@@ -111,9 +121,9 @@ let test_route_gap_merges_links () =
   Resource_state.reserve_link st l12 (iv 6. 10.);
   (* The path is free only in [4, 6) and after 10. *)
   Alcotest.(check (float 0.)) "short window" 4.
-    (Resource_state.earliest_route_gap st ~route:[ l01; l12 ] ~after:0. ~duration:2.);
+    (route_gap st [ l01; l12 ] ~after:0. ~duration:2.);
   Alcotest.(check (float 0.)) "long window" 10.
-    (Resource_state.earliest_route_gap st ~route:[ l01; l12 ] ~after:0. ~duration:3.)
+    (route_gap st [ l01; l12 ] ~after:0. ~duration:3.)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 3 transactions *)
@@ -247,7 +257,7 @@ let unchanged_by (ls : List_sched.t) f =
     compare (arrays ()) before = 0
     && compare (busy_sets ls.state) busy = 0
     && versions ls.state = seen
-    && Resource_state.equal_mark (Resource_state.mark ls.state) head )
+    && Resource_state.mark ls.state = head )
 
 (* PE 2's outgoing links fail. Task 2 receives from task 0 on PE 1
    (finish 10, sent first in the Fig. 3 order) and from task 1 on PE 2

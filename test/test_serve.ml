@@ -35,8 +35,7 @@ let reversed g =
            let (e : Edge.t) = edges.(n - 1 - i) in
            Edge.make ~id:i ~src:e.Edge.src ~dst:e.Edge.dst ~volume:e.Edge.volume))
 
-let mk_state ?(capacity = 64) ?jobs () =
-  Server.make_state { Server.socket_path = "unused"; capacity; jobs }
+let mk_state ?(capacity = 64) () = Server.make_state { Server.socket_path = "unused"; capacity }
 
 let schedule_line ?(algo = Runner.Eas) ?(decisions = false) ?dvfs ?id ctg =
   Protocol.request_to_line ?id
@@ -316,9 +315,9 @@ let certify_reply_schedule ?ctg obj =
     | Some g -> g
     | None -> Alcotest.fail "certify_reply_schedule needs the graph"
   in
-  match Noc_sched.Schedule_io.of_string platform ctg (str_member "schedule" obj) with
+  match Noc_sched.Schedule_io.of_string_full platform ctg (str_member "schedule" obj) with
   | Error msg -> Alcotest.failf "reply schedule does not parse: %s" msg
-  | Ok schedule ->
+  | Ok (schedule, _) ->
     let diags = Noc_analysis.Certify.check platform ctg schedule in
     let errors, _, _ = Noc_analysis.Diagnostic.count diags in
     Alcotest.(check int) "certifier errors" 0 errors
@@ -619,7 +618,7 @@ let test_one_shot_differential () =
 (* Live daemon: concurrent clients over the Unix socket.               *)
 
 (* A daemon on a private socket, in its own domain, once it listens. *)
-let start_daemon ~name ~capacity ~jobs =
+let start_daemon ~name ~capacity =
   let socket_path =
     Printf.sprintf "%s/nocsched-test-%s-%d.sock" (Filename.get_temp_dir_name ()) name
       (Unix.getpid ())
@@ -629,7 +628,7 @@ let start_daemon ~name ~capacity ~jobs =
     Domain.spawn (fun () ->
         Server.run
           ~on_ready:(fun () -> Atomic.set ready true)
-          { Server.socket_path; capacity; jobs })
+          { Server.socket_path; capacity })
   in
   while not (Atomic.get ready) do
     Unix.sleepf 0.002
@@ -637,36 +636,30 @@ let start_daemon ~name ~capacity ~jobs =
   (socket_path, daemon)
 
 let test_concurrent_clients () =
-  let socket_path, daemon = start_daemon ~name:"serve" ~capacity:16 ~jobs:(Some 2) in
-  (* Expected energies, computed directly. *)
-  let energy_of g =
-    let s = eas_schedule g in
-    (Noc_sched.Metrics.compute platform g s).Noc_sched.Metrics.total_energy
-  in
+  let socket_path, daemon = start_daemon ~name:"serve" ~capacity:16 in
   let seeds_a = [ 10; 11; 12 ] and seeds_b = [ 13; 14; 15 ] in
+  let line name seed = schedule_line ~id:(Printf.sprintf "%s-%d" name seed) (graph seed) in
   let client_loop name seeds =
-    Client.with_connection ~retries:100 ~socket_path (fun c ->
-        List.map
-          (fun seed ->
-            let id = Printf.sprintf "%s-%d" name seed in
-            (seed, id, Client.request c (schedule_line ~id (graph seed))))
-          seeds)
+    Client.with_connection ~socket_path (fun c ->
+        List.map (fun seed -> (line name seed, Client.request c (line name seed))) seeds)
   in
   (* Two clients in parallel domains, interleaving requests. Replies are
      checked once both have joined: Alcotest's reporting is not safe to
-     call from two domains at once. *)
+     call from two domains at once. Each reply must carry the schedule
+     text a fresh in-process state answers the same line with. *)
   let da = Domain.spawn (fun () -> client_loop "a" seeds_a) in
   let db = Domain.spawn (fun () -> client_loop "b" seeds_b) in
   let ra = Domain.join da and rb = Domain.join db in
   List.iter
-    (fun (seed, id, reply) ->
+    (fun (request, reply) ->
       let obj = parse_reply reply in
       if not (is_ok obj) then Alcotest.failf "daemon refused: %s" reply;
-      Alcotest.(check string) "reply routed to the right request" id
+      let fresh = parse_reply (fst (Server.handle_line (mk_state ()) request)) in
+      Alcotest.(check string) "reply routed to the right request" (str_member "id" fresh)
         (str_member "id" obj);
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "energy for seed %d" seed)
-        (energy_of (graph seed)) (num_member "energy" obj))
+      Alcotest.(check string)
+        (Printf.sprintf "schedule text for %s" (str_member "id" obj))
+        (str_member "schedule" fresh) (str_member "schedule" obj))
     (ra @ rb);
   (* Clean shutdown through the protocol; the socket file disappears. *)
   let reply =
@@ -812,7 +805,7 @@ let test_line_buffer_cap () =
    connection is closed, while another client is served before, during
    and after. *)
 let test_oversized_request_refused () =
-  let socket_path, daemon = start_daemon ~name:"oversized" ~capacity:4 ~jobs:None in
+  let socket_path, daemon = start_daemon ~name:"oversized" ~capacity:4 in
   let stats () =
     is_ok
       (parse_reply
@@ -857,7 +850,7 @@ let test_oversized_request_refused () =
 
 (* Garbage on one connection leaves the daemon serving the others. *)
 let test_daemon_survives_garbage () =
-  let socket_path, daemon = start_daemon ~name:"garbage" ~capacity:4 ~jobs:None in
+  let socket_path, daemon = start_daemon ~name:"garbage" ~capacity:4 in
   let rng = Noc_util.Prng.create ~seed:77 in
   let burst =
     String.init 65536 (fun _ ->

@@ -36,20 +36,16 @@ let test_queue_fifo_on_ties () =
 
 let test_queue_interleaved () =
   let q = Event_queue.create () in
+  let pop label want =
+    Alcotest.(check (option (pair (float 0.) int))) label want (Event_queue.pop q)
+  in
   Event_queue.push q ~time:2. 2;
-  Alcotest.(check (option (float 0.))) "peek" (Some 2.) (Event_queue.peek_time q);
   Event_queue.push q ~time:1. 1;
-  Alcotest.(check (option (float 0.))) "peek updated" (Some 1.) (Event_queue.peek_time q);
-  ignore (Event_queue.pop q);
+  pop "earlier push jumps ahead" (Some (1., 1));
   Event_queue.push q ~time:0.5 0;
-  Alcotest.(check int) "two left" 2 (Event_queue.length q);
-  (match Event_queue.pop q with
-  | Some (t, v) ->
-    Alcotest.(check (float 0.)) "earliest" 0.5 t;
-    Alcotest.(check int) "payload" 0 v
-  | None -> Alcotest.fail "queue not empty");
-  ignore (Event_queue.pop q);
-  Alcotest.(check bool) "empty at the end" true (Event_queue.is_empty q)
+  pop "earliest" (Some (0.5, 0));
+  pop "last one left" (Some (2., 2));
+  pop "empty at the end" None
 
 let test_queue_random_sorts () =
   let q = Event_queue.create () in

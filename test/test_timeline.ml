@@ -123,19 +123,29 @@ let test_merged_busy_filters_after () =
   Alcotest.(check int) "early slots dropped" 1
     (List.length (Timeline.merged_busy [ a ] ~after:6.))
 
+(* The start [reserve_gap_multi] takes for a window of [duration] at or
+   after [after]. *)
+let multi_gap tls ~after ~duration =
+  let window = [| after; duration |] in
+  Timeline.reserve_gap_multi tls (Array.make (Array.length tls) 0) window;
+  window.(0)
+
 let test_multi_gap () =
-  let a = Timeline.create () and b = Timeline.create () in
-  Timeline.reserve a (iv 0. 10.);
-  Timeline.reserve b (iv 12. 20.);
+  let tables () =
+    let a = Timeline.create () and b = Timeline.create () in
+    Timeline.reserve a (iv 0. 10.);
+    Timeline.reserve b (iv 12. 20.);
+    [| a; b |]
+  in
   (* Free on both only in [10, 12) and after 20. *)
   Alcotest.(check (float 0.)) "short fits between" 10.
-    (Timeline.earliest_gap_multi [| a; b |] ~after:0. ~duration:2.);
+    (multi_gap (tables ()) ~after:0. ~duration:2.);
   Alcotest.(check (float 0.)) "long goes after both" 20.
-    (Timeline.earliest_gap_multi [| a; b |] ~after:0. ~duration:3.)
+    (multi_gap (tables ()) ~after:0. ~duration:3.)
 
 let test_multi_gap_empty_list () =
   Alcotest.(check (float 0.)) "no timelines: immediately" 4.
-    (Timeline.earliest_gap_multi [||] ~after:4. ~duration:100.)
+    (multi_gap [||] ~after:4. ~duration:100.)
 
 (* Property: repeatedly reserving at the earliest gap never raises and
    leaves the timeline consistent (disjoint sorted slots). *)

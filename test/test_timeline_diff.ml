@@ -12,6 +12,7 @@
 
 module Timeline = Noc_util.Timeline
 module Reference = Noc_oracle.Timeline_reference
+module Rebuild_reference = Noc_oracle.Rebuild_reference
 module Interval = Noc_util.Interval
 
 type op =
@@ -137,7 +138,8 @@ let qcheck_traces =
     ~count:1000 trace_arb agree
 
 (* Multi-timeline operations: reserve across several tables, then compare
-   merged_busy and earliest_gap_multi, and reserve the gap with
+   merged_busy and the earliest common gap (the reference's, and the
+   fixpoint of single-table searches), and reserve the gap with
    reserve_gap_multi. *)
 let multi_arb =
   QCheck.make
@@ -168,7 +170,9 @@ let qcheck_multi =
         List.length merged_tl = List.length merged_rf
         && List.for_all2 Interval.equal merged_tl merged_rf
       in
-      let same_gap = Timeline.earliest_gap_multi tls ~after ~duration = gap in
+      let same_gap =
+        Rebuild_reference.earliest_common_gap (Array.to_list tls) ~after ~duration = gap
+      in
       (* The fused search-and-reserve takes the same window, leaves
          every table as a reserve of it would, and reports the slot the
          window took in each. *)
@@ -191,7 +195,7 @@ let qcheck_multi =
    skips several slots of several tables and the gallop takes steps
    longer than one slot. Each step runs over a random subset of the
    tables, in index order. The window must be the reference's earliest
-   common gap, and each recorded slot index must be the one
+   common gap and the fixpoint of single-table searches, and each recorded slot index must be the one
    [Timeline_reference.reserve_slot] accepts for that window. *)
 let dense_arb =
   let table = QCheck.Gen.(list_size (int_range 0 30) (pair (int_bound 2) (int_range 1 3))) in
@@ -232,6 +236,9 @@ let qcheck_dense_gap_search =
           let tls' = sub tls and rfs' = sub rfs in
           let after = float_of_int a and duration = float_of_int d in
           let want = Reference.earliest_gap_multi (Array.to_list rfs') ~after ~duration in
+          let fixpoint =
+            Rebuild_reference.earliest_common_gap (Array.to_list tls') ~after ~duration
+          in
           let slots = Array.make (Array.length tls') (-1) and window = [| after; duration |] in
           Timeline.reserve_gap_multi tls' slots window;
           let same_slots =
@@ -245,7 +252,8 @@ let qcheck_dense_gap_search =
                                ~stops:[| want +. duration |] 0)))
                     rfs')
           in
-          window.(0) = want && same_slots && Array.for_all2 same_busy tls rfs)
+          fixpoint = want && window.(0) = want && same_slots
+          && Array.for_all2 same_busy tls rfs)
         steps)
 
 (* The two ways a gap search ends: after a table late in a round moved
@@ -268,8 +276,8 @@ let test_gap_search_streak () =
       (label ^ ": reference") want
       (Reference.earliest_gap_multi rfs ~after ~duration);
     Alcotest.(check (float 0.))
-      (label ^ ": search") want
-      (Timeline.earliest_gap_multi tls ~after ~duration);
+      (label ^ ": fixpoint") want
+      (Rebuild_reference.earliest_common_gap (Array.to_list tls) ~after ~duration);
     let slots = Array.make (Array.length tls) (-1) and window = [| after; duration |] in
     Timeline.reserve_gap_multi tls slots window;
     Alcotest.(check (float 0.)) (label ^ ": reserved window") want window.(0);

@@ -24,11 +24,15 @@ let test_release_validated () =
   expect_invalid (fun () ->
       Task.make ~id:0 ~exec_times:[| 1. |] ~energies:[| 1. |] ~release:10. ~deadline:5. ())
 
+(* One task of 10 time units on either of two PEs, released at
+   [release]. *)
+let released ?deadline release =
+  Ctg.make_exn
+    ~tasks:[| Task.make ~id:0 ~exec_times:[| 10.; 10. |] ~energies:[| 1.; 1. |] ~release ?deadline () |]
+    ~edges:[||]
+
 let test_schedulers_respect_release () =
-  let b = Builder.create ~n_pes:2 in
-  ignore
-    (Builder.add_task b ~exec_times:[| 10.; 10. |] ~energies:[| 1.; 1. |] ~release:50. ());
-  let ctg = Builder.build_exn b in
+  let ctg = released 50. in
   let check name s =
     Alcotest.(check bool) (name ^ " starts at or after release") true
       ((Schedule.placement s 0).Schedule.start >= 50.)
@@ -40,10 +44,7 @@ let test_schedulers_respect_release () =
     (Noc_baselines.Energy_greedy.schedule platform2 ctg)
 
 let test_validator_checks_release () =
-  let b = Builder.create ~n_pes:2 in
-  ignore
-    (Builder.add_task b ~exec_times:[| 10.; 10. |] ~energies:[| 1.; 1. |] ~release:50. ());
-  let ctg = Builder.build_exn b in
+  let ctg = released 50. in
   let early =
     Schedule.make
       ~placements:[| { Schedule.task = 0; pe = 0; start = 0.; finish = 10. } |]
@@ -53,11 +54,7 @@ let test_validator_checks_release () =
     (Noc_sched.Validate.is_feasible platform2 ctg early)
 
 let test_release_roundtrips () =
-  let b = Builder.create ~n_pes:2 in
-  ignore
-    (Builder.add_task b ~exec_times:[| 10.; 10. |] ~energies:[| 1.; 1. |] ~release:25.
-       ~deadline:100. ());
-  let ctg = Builder.build_exn b in
+  let ctg = released ~deadline:100. 25. in
   match Noc_ctg.Ctg_io.of_string (Noc_ctg.Ctg_io.to_string ctg) with
   | Error msg -> Alcotest.fail msg
   | Ok g ->
@@ -83,8 +80,9 @@ let test_unroll_structure () =
   let unrolled = Unroll.periodic base ~period:60. ~copies:3 in
   Alcotest.(check int) "3x tasks" 6 (Ctg.n_tasks unrolled);
   Alcotest.(check int) "3x edges" 3 (Ctg.n_edges unrolled);
+  (* Instance k of task t has id k * n_tasks + t. *)
   Alcotest.(check string) "instance names" "produce@2"
-    (Ctg.task unrolled (Unroll.instance_of base 2 ~task:0)).Task.name;
+    (Ctg.task unrolled ((2 * Ctg.n_tasks base) + 0)).Task.name;
   (* Instance k sources released at k * period, deadlines shifted. *)
   Alcotest.(check (option (float 0.))) "release of instance 1" (Some 60.)
     (Ctg.task unrolled 2).Task.release;

@@ -150,8 +150,7 @@ let test_wrong_duration_detected () =
 
 (* [0; 2; 3] is the YX detour: a perfectly valid walk through the 2x2
    mesh, just not the platform's deterministic XY route. The default
-   check accepts it (degraded-platform reschedules record such routes);
-   [~strict_routes:true] rejects it. *)
+   check accepts it (degraded-platform reschedules record such routes). *)
 let detour_schedule () =
   let detour =
     {
@@ -175,11 +174,6 @@ let detour_schedule () =
 let test_detour_route_passes_default () =
   Alcotest.(check int) "detour walk accepted" 0
     (List.length (Validate.check platform ctg (detour_schedule ())))
-
-let test_wrong_route_detected () =
-  let violations = Validate.check ~strict_routes:true platform ctg (detour_schedule ()) in
-  Alcotest.(check bool) "route mismatch reported under strict mode" true
-    (count_of (function Validate.Malformed _ -> true | _ -> false) violations > 0)
 
 let test_broken_walk_detected () =
   (* [0; 3] jumps diagonally across the mesh: not a link, rejected even
@@ -247,7 +241,6 @@ let suite =
     Alcotest.test_case "wrong duration detected" `Quick test_wrong_duration_detected;
     Alcotest.test_case "detour route passes default check" `Quick
       test_detour_route_passes_default;
-    Alcotest.test_case "wrong route detected (strict)" `Quick test_wrong_route_detected;
     Alcotest.test_case "broken walk detected" `Quick test_broken_walk_detected;
     Alcotest.test_case "wrong PE consistency detected" `Quick
       test_wrong_pe_consistency_detected;

@@ -1,4 +1,4 @@
-.PHONY: all build test test-jobs experiment-quick perfbench-smoke bench bench-json bench-parallel bench-obs bench-serve bench-mapping serve-smoke trace-smoke quick-bench analyze analyze-adaptive verify examples doc clean
+.PHONY: all build test test-release test-jobs experiment-quick perfbench-smoke bench bench-json bench-parallel bench-obs bench-serve bench-mapping serve-smoke trace-smoke quick-bench analyze analyze-adaptive verify examples doc clean
 
 all: build
 
@@ -11,6 +11,13 @@ build:
 # suites.
 test:
 	dune runtest
+
+# The suite again under the release profile, in its own build
+# directory: release drops the dev profile's -opaque, so modules are
+# inlined across, and the goldens must agree in both profiles (~40 s
+# plus a full build).
+test-release:
+	dune runtest --profile release --build-dir _build_release --force
 
 # The suite again on two- and four-domain pools, as CI runs it.
 # NOCSCHED_JOBS sets the default pool size of what fans out over
@@ -177,17 +184,17 @@ analyze-adaptive: build
 # The full gate CI runs: build, the complete test suite (which holds
 # every deterministic gate: job-count invariance, DVFS reclamation,
 # routing proofs and detour survival, the mapping Pareto guarantee and
-# the committed fault table), the suite again on two- and four-domain
-# pools, every example program, every campaign scaled down (the first
-# half of quick-bench; its quick timing gates are left out because they
-# rewrite the BENCH files, and the full-size gates run below), every
-# campaign at full size (each schedule through the certifier gate), the
-# perfbench smoke test, the static analysis sweeps (deterministic and
-# adaptive routing), the trace and daemon smokes, then the timing gates
-# of bench/main.exe (timeline and category-I EAS, parallel speedup,
-# observability overhead, the scheduling-service latencies and mapping
-# delta-eval).
-verify: build test test-jobs examples experiment-quick bench perfbench-smoke analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-mapping
+# the committed fault table), the suite again under the release profile
+# and on two- and four-domain pools, every example program, every
+# campaign scaled down (the first half of quick-bench; its quick timing
+# gates are left out because they rewrite the BENCH files, and the
+# full-size gates run below), every campaign at full size (each
+# schedule through the certifier gate), the perfbench smoke test, the
+# static analysis sweeps (deterministic and adaptive routing), the trace
+# and daemon smokes, then the timing gates of bench/main.exe (timeline
+# and category-I EAS, parallel speedup, observability overhead, the
+# scheduling-service latencies and mapping delta-eval).
+verify: build test test-release test-jobs examples experiment-quick bench perfbench-smoke analyze analyze-adaptive trace-smoke serve-smoke bench-json bench-parallel bench-obs bench-serve bench-mapping
 
 examples:
 	dune exec examples/quickstart.exe

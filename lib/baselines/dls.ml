@@ -13,11 +13,11 @@ let static_levels ctg =
   done;
   sl
 
-let schedule ?comm_model platform ctg =
+let schedule platform ctg =
   let n = Noc_ctg.Ctg.n_tasks ctg in
   let n_pes = Noc_noc.Platform.n_pes platform in
   let sl = static_levels ctg in
-  let ls = List_sched.make ?comm_model platform ctg in
+  let ls = List_sched.make platform ctg in
   let unscheduled_preds = Array.init n (fun i -> List.length (Noc_ctg.Ctg.preds ctg i)) in
   let ready = ref [] in
   for i = n - 1 downto 0 do

@@ -22,10 +22,6 @@ val static_levels : Noc_ctg.Ctg.t -> float array
 (** [SL(i)]: longest mean-execution-time path from task [i] (inclusive)
     to any sink. *)
 
-val schedule :
-  ?comm_model:Noc_sched.Comm_sched.model ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  Noc_sched.Schedule.t
+val schedule : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> Noc_sched.Schedule.t
 (** Places every task through {!Noc_sched.List_sched.place}, pricing
     each pair's earliest start with {!Noc_sched.List_sched.probe}. *)

@@ -1,8 +1,8 @@
 module List_sched = Noc_sched.List_sched
 
-let schedule ?comm_model platform ctg =
+let schedule platform ctg =
   let n_pes = Noc_noc.Platform.n_pes platform in
-  let ls = List_sched.make ?comm_model platform ctg in
+  let ls = List_sched.make platform ctg in
   Array.iter
     (fun i ->
       let task = Noc_ctg.Ctg.task ctg i in

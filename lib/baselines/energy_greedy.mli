@@ -12,8 +12,4 @@
     should approach this heuristic's energy; when they are tight EAS
     must spend more, while this heuristic starts missing deadlines. *)
 
-val schedule :
-  ?comm_model:Noc_sched.Comm_sched.model ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  Noc_sched.Schedule.t
+val schedule : Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> Noc_sched.Schedule.t

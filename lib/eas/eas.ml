@@ -15,8 +15,7 @@ let count_misses ctg schedule =
       else acc)
     0 (Noc_ctg.Ctg.tasks ctg)
 
-let schedule ?(repair = true) ?comm_model ?degraded ?weighting ?kernel ?pinned ?jobs:_
-    platform ctg =
+let schedule ?(repair = true) ?comm_model ?weighting ?kernel ?pinned ?jobs:_ platform ctg =
   let span ?args name f = Noc_obs.Trace.span ~cat:"eas" ?args name f in
   span "eas/schedule"
     ~args:(fun () ->
@@ -29,12 +28,12 @@ let schedule ?(repair = true) ?comm_model ?degraded ?weighting ?kernel ?pinned ?
   let kernel =
     match kernel with
     | Some k -> k
-    | None -> span "eas/kernel" (fun () -> Kernel.build ?degraded platform ctg)
+    | None -> span "eas/kernel" (fun () -> Kernel.build platform ctg)
   in
   let budget = span "eas/budget" (fun () -> Budget.compute ?weighting ~kernel ctg) in
   let base =
     span "eas/level_sched" (fun () ->
-        Level_sched.run ?comm_model ?degraded ~kernel ?pinned platform ctg budget)
+        Level_sched.run ?comm_model ~kernel ?pinned platform ctg budget)
   in
   let misses_before_repair = count_misses ctg base in
   (* Under a pinned mapping the repair pass may only reorder (LTS): a
@@ -47,7 +46,7 @@ let schedule ?(repair = true) ?comm_model ?degraded ?weighting ?kernel ?pinned ?
     if repair && misses_before_repair > 0 then
       let s, st =
         span "eas/repair" (fun () ->
-            Repair.run ?comm_model ?degraded ~kernel ?moves platform ctg base)
+            Repair.run ?comm_model ~kernel ?moves platform ctg base)
       in
       (s, Some st)
     else (base, None)

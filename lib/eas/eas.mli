@@ -19,7 +19,6 @@ type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
 val schedule :
   ?repair:bool ->
   ?comm_model:Noc_sched.Comm_sched.model ->
-  ?degraded:Noc_noc.Degraded.t ->
   ?weighting:Budget.weighting ->
   ?kernel:Kernel.t ->
   ?pinned:int array ->
@@ -32,12 +31,14 @@ val schedule :
     [comm_model] defaults to [Contention_aware] (use [Fixed_delay] only
     for the ablation study — the resulting transactions ignore link
     contention); [weighting] (default [Variance_product]) selects the
-    Step 1 slack-weighting scheme for the corresponding ablation. With
-    [degraded], the whole pipeline schedules for the degraded platform:
-    failed PEs receive nothing and routes detour around failed links
-    (see {!Level_sched.run} for the failure cases). The flat-array
-    {!Kernel} is built once (span ["eas/kernel"]) and threaded through
-    all three steps; pass [kernel] to reuse a prebuilt one across runs.
+    Step 1 slack-weighting scheme for the corresponding ablation. The
+    flat-array {!Kernel} is built once over the fault-free platform
+    (span ["eas/kernel"]) and threaded through all three steps; pass
+    [kernel] to reuse a prebuilt one across runs. A kernel built over a
+    fault view ([Kernel.build ~degraded]) schedules the whole pipeline
+    for the degraded platform: failed PEs receive nothing and routes
+    detour around failed links (see {!Level_sched.run} for the failure
+    cases).
     [jobs] is accepted and ignored: the run is serial, in the calling
     domain.
 

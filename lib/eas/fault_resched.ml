@@ -43,10 +43,7 @@ let run platform ctg ~faults schedule =
     finish ~original:schedule ~migrated:0 ~used_full_rerun:false ~repair:None schedule
       ctg
   else begin
-    let alive =
-      List.filter (Degraded.pe_alive degraded)
-        (List.init (Noc_noc.Platform.n_pes platform) Fun.id)
-    in
+    let alive = Degraded.alive_pes degraded in
     if alive = [] then invalid_arg "Fault_resched.run: every PE is failed";
     (* One kernel over the degraded fabric prices every migration here
        and feeds the repair search and the full rerun below. *)
@@ -82,16 +79,14 @@ let run platform ctg ~faults schedule =
       | Some s ->
         if fst (Repair.score ctg s) = 0 then Some (s, None)
         else
-          let s', st = Repair.run ~degraded ~kernel platform ctg s in
+          let s', st = Repair.run ~kernel platform ctg s in
           Some (s', Some st)
     in
     match repaired with
     | Some (s, repair) when fst (Repair.score ctg s) = 0 ->
       finish ~original:schedule ~migrated:!migrated ~used_full_rerun:false ~repair s ctg
     | _ ->
-      let full =
-        (Eas.schedule ~degraded ~kernel platform ctg).Eas.schedule
-      in
+      let full = (Eas.schedule ~kernel platform ctg).Eas.schedule in
       (match repaired with
       | Some (s, repair)
         when Repair.improves (Repair.score ctg s) (Repair.score ctg full) ->

@@ -15,6 +15,9 @@
       full EAS re-run from scratch is tried, keeping whichever schedule
       scores better (fewest misses, then least total lateness).
 
+    One {!Kernel} built over the degraded view prices the migrations
+    and carries that view into both the repair search and the re-run.
+
     The result targets the degraded platform: check it against its
     recorded routes (the certifier, or {!module:Noc_sched.Validate} in
     its default mode), not in the strict-routes mode. *)

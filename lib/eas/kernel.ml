@@ -16,6 +16,7 @@ type t = {
   ebits : float array;  (* bit energy over the route; meaningless when hops < 0 *)
   link_bandwidth : float;
   router_latency : float;
+  degraded : Noc_noc.Degraded.t option;  (* the fault view priced here *)
 }
 
 let n_tasks t = t.n_tasks
@@ -42,26 +43,21 @@ let build ?degraded platform ctg =
   done;
   let hops = Array.make (n_pes * n_pes) (-1) in
   let ebits = Array.make (n_pes * n_pes) 0. in
-  let nontrivial =
-    match degraded with
-    | Some view when not (Noc_noc.Degraded.is_trivial view) -> Some view
-    | Some _ | None -> None
-  in
   for src = 0 to n_pes - 1 do
     for dst = 0 to n_pes - 1 do
-      let idx = (src * n_pes) + dst in
-      match nontrivial with
-      | Some view -> (
-        match Noc_noc.Degraded.route_opt view ~src ~dst with
-        | None -> ()  (* hops stays -1: disconnected *)
-        | Some route ->
-          let h = Noc_noc.Platform.route_hops route in
-          hops.(idx) <- h;
-          ebits.(idx) <- Noc_noc.Energy_model.bit_energy energy ~n_hops:h)
-      | None ->
-        let h = Noc_noc.Platform.hops platform ~src ~dst in
+      let h =
+        match degraded with
+        | None -> Noc_noc.Platform.hops platform ~src ~dst
+        | Some view -> (
+          match Noc_noc.Degraded.route_opt view ~src ~dst with
+          | None -> -1  (* disconnected *)
+          | Some route -> Noc_noc.Platform.route_hops route)
+      in
+      if h >= 0 then begin
+        let idx = (src * n_pes) + dst in
         hops.(idx) <- h;
         ebits.(idx) <- Noc_noc.Energy_model.bit_energy energy ~n_hops:h
+      end
     done
   done;
   {
@@ -76,7 +72,13 @@ let build ?degraded platform ctg =
     ebits;
     link_bandwidth = Noc_noc.Platform.link_bandwidth platform;
     router_latency = Noc_noc.Platform.router_latency platform;
+    degraded;
   }
+
+let degraded t = t.degraded
+
+let pe_alive t pe =
+  match t.degraded with None -> true | Some view -> Noc_noc.Degraded.pe_alive view pe
 
 let exec_time t ~task ~pe = t.exec_times.((task * t.n_pes) + pe)
 let exec_energy t ~task ~pe = t.exec_energies.((task * t.n_pes) + pe)

@@ -1,11 +1,12 @@
 (** Flat-array price kernel: the dense cost matrices behind EAS.
 
-    [build] precomputes, once per (platform, graph) pair, every price
-    the EAS loops would otherwise re-derive per candidate: per-(task, PE)
-    computation time and energy, per-task release/mean/weight, and
-    per-(src, dst) route hops and bit energy — flat [float array]s
-    indexed [task * n_pes + pe] and [src * n_pes + dst]. Timing is not
-    here: F(i,k) comes from {!Noc_sched.List_sched}'s Fig. 3 walk.
+    [build] precomputes, once per (platform, graph, fault view), every
+    price the EAS loops would otherwise re-derive per candidate:
+    per-(task, PE) computation time and energy, per-task
+    release/mean/weight, and per-(src, dst) route hops and bit energy —
+    flat [float array]s indexed [task * n_pes + pe] and
+    [src * n_pes + dst]. Timing is not here: F(i,k) comes from
+    {!Noc_sched.List_sched}'s Fig. 3 walk.
 
     Every value is produced by exactly the float expression the
     per-call platform query (and the test-only [Level_sched_reference])
@@ -14,19 +15,27 @@
     differential suite ([test_kernel_diff]) and the qcheck matrix
     properties ([test_kernel]) enforce this.
 
-    On a degraded platform the matrices are built over the surviving
-    routes; a disconnected (src, dst) pair is stored with [hops = -1]
-    and surfaces as [Invalid_argument] ({!comm_energy},
-    {!comm_duration}) or [infinity] ({!comm_energy_inf}), matching the
-    reference path's behaviour exactly. *)
+    The kernel is where the fault view enters EAS: it keeps the view it
+    priced ({!degraded}), and {!Level_sched.run}, {!Repair.run} and
+    {!Eas.schedule} read it from there, so the prices, the alive PEs and
+    the routes a schedule takes all come from one view. Over a view the
+    matrices follow the surviving routes; a disconnected (src, dst)
+    pair is stored with [hops = -1] and surfaces as [Invalid_argument]
+    ({!comm_energy}, {!comm_duration}) or [infinity]
+    ({!comm_energy_inf}), matching the reference path's behaviour
+    exactly. *)
 
 type t
 
 val build : ?degraded:Noc_noc.Degraded.t -> Noc_noc.Platform.t -> Noc_ctg.Ctg.t -> t
-(** Builds the matrices. With a non-trivial [degraded] view, hops and
-    energies follow the view's detours and disconnections; a trivial
-    view mirrors the platform (same convention as
-    {!Noc_sched.List_sched.make}). *)
+(** Builds the matrices, over the routes of [degraded] when given
+    (its detours and disconnections), else over the platform's. *)
+
+val degraded : t -> Noc_noc.Degraded.t option
+(** The fault view the kernel was built over. *)
+
+val pe_alive : t -> int -> bool
+(** Whether the PE may run tasks: always on a kernel without a view. *)
 
 val n_tasks : t -> int
 val n_pes : t -> int

@@ -24,14 +24,11 @@ let assignment_energy kernel (ls : List_sched.t) i k =
   in
   Kernel.exec_energy kernel ~task:i ~pe:k +. comm
 
-let run ?comm_model ?degraded ?kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
+let run ?comm_model ?kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
   let n = Noc_ctg.Ctg.n_tasks ctg in
   let n_pes = Noc_noc.Platform.n_pes platform in
-  let pe_alive k =
-    match degraded with
-    | None -> true
-    | Some view -> Noc_noc.Degraded.pe_alive view k
-  in
+  let kernel = match kernel with Some k -> k | None -> Kernel.build platform ctg in
+  let pe_alive = Kernel.pe_alive kernel in
   if not (List.exists pe_alive (List.init n_pes Fun.id)) then
     invalid_arg "Level_sched.run: every PE is failed";
   (match pinned with
@@ -54,10 +51,7 @@ let run ?comm_model ?degraded ?kernel ?pinned ?jobs:_ platform ctg (budget : Bud
     | None -> fun _ k -> pe_alive k
     | Some m -> fun i k -> pe_alive k && m.(i) = k
   in
-  let kernel =
-    match kernel with Some k -> k | None -> Kernel.build ?degraded platform ctg
-  in
-  let ls = List_sched.make ?comm_model ?degraded platform ctg in
+  let ls = List_sched.make ?comm_model ?degraded:(Kernel.degraded kernel) platform ctg in
   let unscheduled_preds = Array.init n (fun i -> List.length (Noc_ctg.Ctg.preds ctg i)) in
   let ready = ref [] in
   for i = n - 1 downto 0 do

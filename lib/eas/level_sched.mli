@@ -32,7 +32,6 @@
 
 val run :
   ?comm_model:Noc_sched.Comm_sched.model ->
-  ?degraded:Noc_noc.Degraded.t ->
   ?kernel:Kernel.t ->
   ?pinned:int array ->
   ?jobs:int ->
@@ -41,12 +40,13 @@ val run :
   Budget.t ->
   Noc_sched.Schedule.t
 (** Builds a complete schedule (always succeeds; deadlines may be
-    missed, which Step 3 then repairs). With [degraded], failed PEs
-    receive no tasks and transactions detour around failed links; raises
-    [Invalid_argument] when the fault set makes the graph unschedulable
-    (every PE failed, or a task unreachable from its predecessors on
-    every alive PE). [kernel] (built on demand otherwise) must describe
-    the same platform/graph/fault-set triple.
+    missed, which Step 3 then repairs). [kernel] (built over the
+    fault-free platform otherwise) must be built for the same platform
+    and graph; on a kernel with a fault view ({!Kernel.degraded}), failed
+    PEs receive no tasks and transactions detour around failed links.
+    Raises [Invalid_argument] when the fault view makes the graph
+    unschedulable (every PE failed, or a task unreachable from its
+    predecessors on every alive PE).
 
     [pinned] restricts each task [i]'s candidate set to the single PE
     [pinned.(i)] — the mapping-search front-end ([lib/map])

@@ -107,13 +107,11 @@ let ordered_critical ctg schedule critical =
          let c = Float.compare (finish b) (finish a) in
          if c <> 0 then c else compare a b)
 
-let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
-    platform ctg schedule =
+let run ?comm_model ?kernel ?(max_evaluations = 4_000) ?(moves = Both) platform ctg
+    schedule =
   let n = Noc_ctg.Ctg.n_tasks ctg in
   let n_pes = Noc_noc.Platform.n_pes platform in
-  let kernel =
-    match kernel with Some k -> k | None -> Kernel.build ?degraded platform ctg
-  in
+  let kernel = match kernel with Some k -> k | None -> Kernel.build platform ctg in
   let incident_cache = Array.make n None in
   let incident_arcs i =
     match incident_cache.(i) with
@@ -132,7 +130,8 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
      accepted move. Neither recording counts as an evaluation. *)
   let incumbent =
     lazy
-      (Rebuild.checkpoint ?comm_model ?degraded platform ctg ~assignment ~rank)
+      (Rebuild.checkpoint ?comm_model ?degraded:(Kernel.degraded kernel) platform ctg
+         ~assignment ~rank)
   in
   (* [restart] names the first step the mutated move can change. A
      candidate that strands a transaction on a disconnected pair is
@@ -210,15 +209,10 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Both)
     let critical = critical_tasks ctg !current in
     let try_critical t1 =
       let home = assignment.(t1) in
-      let pe_alive k =
-        match degraded with
-        | None -> true
-        | Some view -> Noc_noc.Degraded.pe_alive view k
-      in
       let ins, outs = incident_arcs t1 in
       let destinations =
         List.init n_pes Fun.id
-        |> List.filter (fun k -> k <> home && pe_alive k)
+        |> List.filter (fun k -> k <> home && Kernel.pe_alive kernel k)
         |> List.map (fun k ->
                (move_energy_arcs kernel ~assignment ~ins ~outs t1 k, k))
         |> List.sort (fun (e1, k1) (e2, k2) ->

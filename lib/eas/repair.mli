@@ -58,7 +58,6 @@ val move_energy :
 
 val run :
   ?comm_model:Noc_sched.Comm_sched.model ->
-  ?degraded:Noc_noc.Degraded.t ->
   ?kernel:Kernel.t ->
   ?max_evaluations:int ->
   ?moves:moves ->
@@ -69,8 +68,9 @@ val run :
 (** Returns the repaired schedule (the input when nothing helps) and the
     search statistics. [max_evaluations] (default 4000) bounds the
     candidate evaluations as a safety net; [moves] (default [Both]) restricts the move
-    set for the repair ablation. With [degraded], GTM only migrates onto
-    alive PEs, rebuilds detour around failed links, and move energies
-    are priced over the degraded routes — the engine behind
-    {!Fault_resched}. [kernel] (built on demand otherwise) must describe
-    the same platform/graph/fault-set triple. *)
+    set for the repair ablation. [kernel] (built over the fault-free
+    platform otherwise) must be built for the same platform and graph;
+    on a kernel with a fault view ({!Kernel.degraded}), GTM only migrates
+    onto alive PEs, rebuilds detour around failed links, and move
+    energies are priced over the degraded routes — the engine behind
+    {!Fault_resched}. *)

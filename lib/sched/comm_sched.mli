@@ -1,5 +1,5 @@
-(** The communication scheduler of the paper's Fig. 3: its models,
-    routes and evaluation order.
+(** The communication scheduler of the paper's Fig. 3: its models and
+    evaluation order.
 
     Given the list of receiving communication transactions (LCT) of a
     task, transactions are sorted by their sender's finish time; each is
@@ -18,15 +18,6 @@
 type model =
   | Contention_aware  (** The paper's scheduler: links are reserved. *)
   | Fixed_delay  (** Naive model: no reservation, no contention. *)
-
-val route :
-  ?degraded:Noc_noc.Degraded.t ->
-  Noc_noc.Platform.t ->
-  src_pe:int ->
-  dst_pe:int ->
-  int list
-(** The routers a transaction visits: [[src_pe]] on one tile, else the
-    platform's (or non-trivial degraded view's) route. *)
 
 val compare_sends : finish:float array -> edge_src:int array -> int -> int -> int
 (** [compare_sends ~finish ~edge_src a b] is the Fig. 3 evaluation

@@ -3,10 +3,10 @@ module Timeline = Noc_util.Timeline
 type t = {
   ctg : Noc_ctg.Ctg.t;
   comm_model : Comm_sched.model;
-  degraded : Noc_noc.Degraded.t option;
   state : Resource_state.t;
   n_pes : int;
   hops : int array;
+  routes : int list array;
   route_tables : Timeline.t array array;
   route_ids : int array array;
   window : float array;
@@ -42,13 +42,16 @@ let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
   in
   let succ_start, succ = csr n (Noc_ctg.Ctg.succs ctg) in
   let state = Resource_state.create platform in
-  (* The route lookup, filled for every pair up front so that walks only
-     read it. A trivial view mirrors the platform. *)
+  (* The route lookup, filled for every pair up front so that walks and
+     [schedule] only read it. *)
   let n_pes = Noc_noc.Platform.n_pes platform in
   let hops = Array.make (n_pes * n_pes) (-1) in
+  let routes = Array.make (n_pes * n_pes) [] in
   let route_tables = Array.make (n_pes * n_pes) [||] in
   let route_ids = Array.make (n_pes * n_pes) [||] in
-  let set_route idx links =
+  let set_route idx route links =
+    hops.(idx) <- Noc_noc.Platform.route_hops route;
+    routes.(idx) <- route;
     route_tables.(idx) <- Array.of_list (List.map (Resource_state.link_table state) links);
     route_ids.(idx) <- Array.of_list (List.map (Resource_state.link_id state) links)
   in
@@ -56,24 +59,23 @@ let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
     for dst = 0 to n_pes - 1 do
       let idx = (src * n_pes) + dst in
       match degraded with
-      | Some view when not (Noc_noc.Degraded.is_trivial view) -> (
+      | None ->
+        set_route idx
+          (Noc_noc.Platform.route platform ~src ~dst)
+          (Noc_noc.Platform.route_links platform ~src ~dst)
+      | Some view -> (
         match Noc_noc.Degraded.route_opt view ~src ~dst with
         | None -> ()
-        | Some route ->
-          hops.(idx) <- Noc_noc.Platform.route_hops route;
-          set_route idx (Noc_noc.Degraded.route_links view ~src ~dst))
-      | Some _ | None ->
-        hops.(idx) <- Noc_noc.Platform.hops platform ~src ~dst;
-        set_route idx (Noc_noc.Platform.route_links platform ~src ~dst)
+        | Some route -> set_route idx route (Noc_noc.Degraded.route_links view ~src ~dst))
     done
   done;
   {
     ctg;
     comm_model;
-    degraded;
     state;
     n_pes;
     hops;
+    routes;
     route_tables;
     route_ids;
     window = [| 0.; 0. |];
@@ -227,7 +229,6 @@ let data_ready_tables t i k =
   | Comm_sched.Contention_aware | Comm_sched.Fixed_delay -> [||]
 
 let schedule t =
-  let platform = Resource_state.platform t.state in
   let placements =
     Array.init (Array.length t.pe) (fun i ->
         { Schedule.task = i; pe = t.pe.(i); start = t.start.(i); finish = t.finish.(i) })
@@ -240,7 +241,7 @@ let schedule t =
           Schedule.edge = e.id;
           src_pe;
           dst_pe;
-          route = Comm_sched.route ?degraded:t.degraded platform ~src_pe ~dst_pe;
+          route = t.routes.((src_pe * t.n_pes) + dst_pe);
           start = t.tx_start.(e.id);
           finish = t.tx_finish.(e.id);
         })

@@ -17,19 +17,19 @@
 type t = private {
   ctg : Noc_ctg.Ctg.t;
   comm_model : Comm_sched.model;
-  degraded : Noc_noc.Degraded.t option;
   state : Resource_state.t;  (** The link and PE tables every step reserves on. *)
   n_pes : int;
   hops : int array;
       (** The route lookup of the schedule's view (the platform, or the
-          degraded view when it is not trivial), indexed
-          [src * n_pes + dst]: the route's hop count
-          ({!Noc_noc.Platform.hops}, or {!Noc_noc.Platform.route_hops} of
-          the view's route), [-1] when the view
-          disconnects the pair, and at the same index of [route_tables]
-          the route's link tables in route order, with their table ids
-          ({!Resource_state.link_id}) at the same index of [route_ids].
-          Filled for every pair by {!make}, so walks only read it. *)
+          degraded view given to {!make}), indexed [src * n_pes + dst]:
+          the route's hop count ({!Noc_noc.Platform.route_hops}), [-1]
+          when the view disconnects the pair, and at the same index of
+          [routes] the routers it visits ([[src]] on one tile), of
+          [route_tables] its link tables in route order, and of
+          [route_ids] their table ids ({!Resource_state.link_id}).
+          Filled for every pair by {!make}, so walks and {!schedule}
+          only read it. *)
+  routes : int list array;
   route_tables : Noc_util.Timeline.t array array;
   route_ids : int array array;
   window : float array;
@@ -77,8 +77,8 @@ val make :
   Noc_ctg.Ctg.t ->
   t
 (** An empty partial schedule on fresh resource tables (default model
-    [Contention_aware]). With a non-trivial [degraded] view, routes and
-    durations follow its detours around failed links. *)
+    [Contention_aware]). With [degraded], routes and durations follow
+    the view's detours around failed links. *)
 
 val place : t -> int -> int -> unit
 (** [place t i k] places task [i] on PE [k] (its senders must all be
@@ -122,8 +122,8 @@ val probe : t -> int -> int -> float
     {!data_ready} does. *)
 
 val schedule : t -> Schedule.t
-(** The partial schedule, every task placed, as a {!Schedule.t}: routes
-    from {!Comm_sched.route}. *)
+(** The partial schedule, every task placed, as a {!Schedule.t}: each
+    transaction's route read from [routes]. *)
 
 val lateness : Noc_ctg.Task.t -> float -> float
 (** [lateness task finish]: how far [finish] lies past the task's

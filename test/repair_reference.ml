@@ -230,7 +230,7 @@ let fault_resched platform ctg ~faults schedule =
     | _ -> (
       let full =
         let base =
-          Noc_eas.Eas.schedule ~repair:false ~degraded ~kernel platform ctg
+          Noc_eas.Eas.schedule ~repair:false ~kernel platform ctg
         in
         if base.stats.misses_before_repair = 0 then base.schedule
         else fst (run ~degraded ~kernel platform ctg base.schedule)

@@ -8,6 +8,7 @@
 module Level_sched = Noc_eas.Level_sched
 module Reference = Level_sched_reference
 module Budget = Noc_eas.Budget
+module Kernel = Noc_eas.Kernel
 module Schedule = Noc_sched.Schedule
 module Category = Noc_tgff.Category
 module Params = Noc_tgff.Params
@@ -120,7 +121,8 @@ let test_schedules_identical () =
       let expected = Reference.run ?degraded platform ctg budget in
       let expected_fp = fingerprint expected in
       let expected_approx = approx_fingerprint expected in
-      let actual = Level_sched.run ?degraded platform ctg budget in
+      let kernel = Kernel.build ?degraded platform ctg in
+      let actual = Level_sched.run ~kernel platform ctg budget in
       Alcotest.(check string)
         (Printf.sprintf "%s: placements to 1e-9" label)
         expected_approx (approx_fingerprint actual);
@@ -168,10 +170,47 @@ let test_decision_logs_identical () =
         (String.length reference_log > 0);
       let kernel_log =
         capture_log (fun () ->
-            Decisions.with_run label (fun () -> Level_sched.run ?degraded platform ctg budget))
+            Decisions.with_run label (fun () ->
+                Level_sched.run ~kernel:(Kernel.build ?degraded platform ctg) platform ctg
+                  budget))
       in
       Alcotest.(check string) (Printf.sprintf "%s: decision log" label) reference_log kernel_log)
     (decision_corpus ())
+
+(* A kernel built over a fault view is the whole fault input: passed
+   alone, without the view beside it, it must keep every task off the
+   failed PEs and every transaction on surviving links, in Step 2 and in
+   the full pipeline alike. The 60-task category-I graph puts tasks on
+   PE 5 and on PE 10 when no fault is known. *)
+let test_kernel_carries_view () =
+  let platform = Category.platform in
+  let params = { (Category.params Category.Category_i) with Params.n_tasks = 60 } in
+  let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed:3 in
+  let link = List.hd (Noc_noc.Platform.all_links platform) in
+  let check label view schedule =
+    Array.iter
+      (fun (p : Schedule.placement) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: task %d on alive PE %d" label p.Schedule.task p.Schedule.pe)
+          true
+          (Degraded.pe_alive view p.Schedule.pe))
+      (Schedule.placements schedule);
+    Array.iter
+      (fun (t : Schedule.transaction) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: edge %d on a surviving route" label t.Schedule.edge)
+          true
+          (Degraded.route_valid view t.Schedule.route))
+      (Schedule.transactions schedule)
+  in
+  List.iter
+    (fun (name, failed_pes, failed_links) ->
+      let view = Degraded.make platform ~failed_pes ~failed_links in
+      let kernel = Kernel.build ~degraded:view platform ctg in
+      check (name ^ "/eas") view (Noc_eas.Eas.schedule ~kernel platform ctg).Noc_eas.Eas.schedule;
+      check (name ^ "/level_sched") view
+        (Level_sched.run ~kernel platform ctg (Budget.compute ~kernel ctg)))
+    [ ("pe-5", [ 5 ], []); ("pe-10", [ 10 ], []); ("link", [], [ link ]) ]
 
 let suite =
   [
@@ -179,4 +218,6 @@ let suite =
       test_schedules_identical;
     Alcotest.test_case "decision logs identical" `Quick
       test_decision_logs_identical;
+    Alcotest.test_case "a kernel's fault view reaches every placement" `Quick
+      test_kernel_carries_view;
   ]

@@ -38,7 +38,8 @@ let tgff_ctg ~n_tasks ~seed =
   Noc_tgff.Generate.generate ~params ~platform:tgff_platform ~seed
 
 let base ?degraded platform ctg =
-  (Eas.schedule ~repair:false ?degraded platform ctg).Eas.schedule
+  let kernel = Noc_eas.Kernel.build ?degraded platform ctg in
+  (Eas.schedule ~repair:false ~kernel platform ctg).Eas.schedule
 
 let pp_stats (s : Repair.stats) =
   Printf.sprintf "swaps=%d migrations=%d evaluations=%d" s.accepted_swaps
@@ -48,7 +49,8 @@ let pp_stats (s : Repair.stats) =
    caller can check the corpus exercised the search at all. *)
 let check_repair ?degraded ?max_evaluations ?moves ~label platform ctg schedule =
   let got, got_stats =
-    Repair.run ?degraded ?max_evaluations ?moves platform ctg schedule
+    let kernel = Noc_eas.Kernel.build ?degraded platform ctg in
+    Repair.run ~kernel ?max_evaluations ?moves platform ctg schedule
   in
   let want, want_stats =
     Reference.run ?degraded ?max_evaluations ?moves platform ctg schedule

@@ -7,10 +7,10 @@ module Routing = Noc_noc.Routing
 module Platform = Noc_noc.Platform
 module Degraded = Noc_noc.Degraded
 
-let platform_of topo n =
+let platform_of ?routing topo n =
   Platform.make ~topology:topo
     ~pes:(Array.init n (fun index -> Noc_noc.Pe.of_kind ~index Noc_noc.Pe.Dsp))
-    ~link_bandwidth:100. ()
+    ~link_bandwidth:100. ?routing ()
 
 (* (cols, rows) in [2, 5] x [2, 5] picks a topology instance; honeycomb
    sizes its own node count. *)
@@ -47,14 +47,23 @@ let qcheck_platform_memo_matches_fresh =
       done;
       !ok)
 
+(* A trivial view must return the platform's routes, links and hops for
+   every pair, under XY on every topology family and under the adaptive
+   turn models on meshes: schedulers take a view's routes without first
+   asking whether it is trivial. *)
 let qcheck_trivial_degraded_matches_platform =
   QCheck.Test.make
     ~name:"trivial Degraded view mirrors the platform's routes" ~count:30
-    topo_gen
-    (fun spec ->
+    QCheck.(pair topo_gen (int_range 0 2))
+    (fun (((kind, _, _) as spec), pick) ->
       let _, topo = instantiate spec in
       let n = Topology.n_nodes topo in
-      let platform = platform_of topo n in
+      let routing =
+        (* The adaptive turn models are mesh-only. *)
+        if kind = 0 then [| Noc_noc.Turn_model.Xy; West_first; Odd_even |].(pick)
+        else Noc_noc.Turn_model.Xy
+      in
+      let platform = platform_of ~routing topo n in
       let view = Degraded.make platform ~failed_pes:[] ~failed_links:[] in
       let ok = ref (Degraded.is_trivial view) in
       for src = 0 to n - 1 do
@@ -62,6 +71,7 @@ let qcheck_trivial_degraded_matches_platform =
           ok :=
             !ok
             && Degraded.route view ~src ~dst = Platform.route platform ~src ~dst
+            && Degraded.route_links view ~src ~dst = Platform.route_links platform ~src ~dst
             && Degraded.hops view ~src ~dst = Platform.hops platform ~src ~dst
         done
       done;

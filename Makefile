@@ -1,4 +1,4 @@
-.PHONY: all build test test-release test-jobs experiment-quick perfbench-smoke bench bench-json bench-parallel bench-obs bench-serve bench-mapping serve-smoke trace-smoke quick-bench analyze analyze-adaptive verify examples doc clean
+.PHONY: all build test test-release test-jobs experiment-quick perfbench-smoke bench bench-json bench-parallel bench-obs bench-serve bench-mapping serve-smoke trace-smoke quick-bench analyze analyze-adaptive verify examples doc surface clean
 
 all: build
 
@@ -206,6 +206,12 @@ examples:
 
 doc:
 	dune build @doc
+
+# The library's exported surface, the two counts change notes quote:
+# optional arguments and `val` declarations across lib/*/*.mli.
+surface:
+	@echo "optional arguments: $$(grep -ohE '\?[a-z_]+ *:' lib/*/*.mli | wc -l)"
+	@echo "exported vals: $$(grep -h '^val ' lib/*/*.mli | wc -l)"
 
 clean:
 	dune clean

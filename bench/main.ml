@@ -631,7 +631,7 @@ module Mapping_bench = struct
     let seed = Noc_tgff.Category.seed_of Noc_tgff.Category.Category_iii 1 in
     let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
     let kernel = Noc_eas.Kernel.build platform ctg in
-    let tables = Objective.lift platform kernel ctg in
+    let tables = Objective.lift kernel in
     let n_tasks = Noc_ctg.Ctg.n_tasks ctg in
     let state =
       Objective.create tables

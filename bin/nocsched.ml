@@ -439,7 +439,7 @@ let schedule_cmd =
       else begin
         if algo = Noc_experiments.Runner.Edf then
           failwith "--map-search needs a placement-aware scheduler (eas or eas-base)";
-        let r = Noc_map.Search.run ?jobs platform ctg in
+        let r = Noc_map.Search.run ?jobs (Noc_eas.Kernel.build platform ctg) in
         Noc_obs.Log.infof "map search: winner %s (static value %.6g)"
           (Noc_map.Search.origin_name r.Noc_map.Search.winner.origin)
           r.Noc_map.Search.winner.static_value;
@@ -560,7 +560,7 @@ let map_cmd =
        setting means the same pressure on every platform; lifting the
        tables here (instead of inside [run]) converts it once. *)
     let kernel = Noc_eas.Kernel.build platform ctg in
-    let tables = Noc_map.Objective.lift platform kernel ctg in
+    let tables = Noc_map.Objective.lift kernel in
     let weights =
       {
         Noc_map.Objective.latency;
@@ -571,7 +571,7 @@ let map_cmd =
       { Noc_map.Search.default_params with chains; iters; survivors;
         seed = sa_seed; weights }
     in
-    let r = Noc_map.Search.run ?jobs ~params ~kernel platform ctg in
+    let r = Noc_map.Search.run ?jobs ~params kernel in
     Format.printf "%a@." Noc_map.Search.pp_result r;
     let winner = r.Noc_map.Search.winner in
     Format.printf "winner %s on %a / %a@."

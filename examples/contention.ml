@@ -28,7 +28,8 @@ let () =
   in
   let report name comm_model =
     let planned =
-      (Noc_eas.Eas.schedule ~comm_model platform ctg).Noc_eas.Eas.schedule
+      let kernel = Noc_eas.Kernel.build ~comm_model platform ctg in
+      (Noc_eas.Eas.schedule ~kernel platform ctg).Noc_eas.Eas.schedule
     in
     let replay = Noc_sim.Executor.run platform ctg planned in
     let pm, _ = lateness planned in

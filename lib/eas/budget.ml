@@ -15,6 +15,10 @@ type backward = {
 }
 
 let compute ?(weighting = Variance_product) ?kernel ctg =
+  (* Step 1 reads no platform: only the graph is checked. *)
+  Option.iter
+    (fun kernel -> Kernel.check kernel ~caller:"Budget.compute" (Kernel.platform kernel) ctg)
+    kernel;
   let n = Noc_ctg.Ctg.n_tasks ctg in
   let task i = Noc_ctg.Ctg.task ctg i in
   (* The kernel carries the same per-task means and variance-product

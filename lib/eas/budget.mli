@@ -35,4 +35,6 @@ val compute : ?weighting:weighting -> ?kernel:Kernel.t -> Noc_ctg.Ctg.t -> t
     schemes feed the slack-weighting ablation (see
     {!Noc_experiments.Weight_ablation}). With [kernel] the per-task
     means and variance-product weights are read from the prebuilt
-    matrices instead of being re-derived — same floats either way. *)
+    matrices instead of being re-derived — same floats either way —
+    and [Invalid_argument] is raised ({!Kernel.check}) unless [ctg] is
+    physically the kernel's own graph. *)

@@ -15,7 +15,7 @@ let count_misses ctg schedule =
       else acc)
     0 (Noc_ctg.Ctg.tasks ctg)
 
-let schedule ?(repair = true) ?comm_model ?weighting ?kernel ?pinned ?jobs:_ platform ctg =
+let schedule ?(repair = true) ?weighting ?kernel ?pinned ?jobs:_ platform ctg =
   let span ?args name f = Noc_obs.Trace.span ~cat:"eas" ?args name f in
   span "eas/schedule"
     ~args:(fun () ->
@@ -30,10 +30,11 @@ let schedule ?(repair = true) ?comm_model ?weighting ?kernel ?pinned ?jobs:_ pla
     | Some k -> k
     | None -> span "eas/kernel" (fun () -> Kernel.build platform ctg)
   in
+  Kernel.check kernel ~caller:"Eas.schedule" platform ctg;
   let budget = span "eas/budget" (fun () -> Budget.compute ?weighting ~kernel ctg) in
   let base =
     span "eas/level_sched" (fun () ->
-        Level_sched.run ?comm_model ~kernel ?pinned platform ctg budget)
+        Level_sched.run ~kernel ?pinned platform ctg budget)
   in
   let misses_before_repair = count_misses ctg base in
   (* Under a pinned mapping the repair pass may only reorder (LTS): a
@@ -46,7 +47,7 @@ let schedule ?(repair = true) ?comm_model ?weighting ?kernel ?pinned ?jobs:_ pla
     if repair && misses_before_repair > 0 then
       let s, st =
         span "eas/repair" (fun () ->
-            Repair.run ?comm_model ~kernel ?moves platform ctg base)
+            Repair.run ~kernel ?moves platform ctg base)
       in
       (s, Some st)
     else (base, None)
@@ -62,5 +63,3 @@ let schedule ?(repair = true) ?comm_model ?weighting ?kernel ?pinned ?jobs:_ pla
         repair = repair_stats;
       };
   }
-
-let name ~repair = if repair then "EAS" else "EAS-base"

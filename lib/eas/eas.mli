@@ -18,7 +18,6 @@ type outcome = { schedule : Noc_sched.Schedule.t; stats : stats }
 
 val schedule :
   ?repair:bool ->
-  ?comm_model:Noc_sched.Comm_sched.model ->
   ?weighting:Budget.weighting ->
   ?kernel:Kernel.t ->
   ?pinned:int array ->
@@ -28,19 +27,16 @@ val schedule :
   outcome
 (** [schedule platform ctg] statically co-schedules the graph's tasks
     and transactions on the platform. [repair] defaults to [true];
-    [comm_model] defaults to [Contention_aware] (use [Fixed_delay] only
-    for the ablation study — the resulting transactions ignore link
-    contention); [weighting] (default [Variance_product]) selects the
-    Step 1 slack-weighting scheme for the corresponding ablation. The
-    flat-array {!Kernel} is built once over the fault-free platform
-    (span ["eas/kernel"]) and threaded through all three steps; pass
-    [kernel] to reuse a prebuilt one across runs. A kernel built over a
-    fault view ([Kernel.build ~degraded]) schedules the whole pipeline
-    for the degraded platform: failed PEs receive nothing and routes
-    detour around failed links (see {!Level_sched.run} for the failure
-    cases).
-    [jobs] is accepted and ignored: the run is serial, in the calling
-    domain.
+    [weighting] (default [Variance_product]) selects the Step 1
+    slack-weighting scheme for the corresponding ablation. The
+    {!Kernel} (by default built over the fault-free platform under the
+    contention-aware model, span ["eas/kernel"]) is threaded through
+    all three steps: one built over a fault view schedules for the
+    degraded platform (see {!Level_sched.run}), one built with
+    [~comm_model:Fixed_delay] runs the Sec. 6 ablation. Raises
+    [Invalid_argument] ({!Kernel.check}) unless [platform] and [ctg]
+    are the kernel's own. [jobs] is ignored (the run is serial, in the
+    calling domain); it stays only for the calls of [perfbench/].
 
     [pinned] fixes the task-to-PE assignment (see {!Level_sched.run}):
     Step 2 keeps only the timing machinery, and repair is restricted to
@@ -48,7 +44,5 @@ val schedule :
     Eq.-3 energy — is preserved end to end. *)
 
 val count_misses : Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> int
-(** Number of tasks whose scheduled finish exceeds their deadline. *)
-
-val name : repair:bool -> string
-(** ["EAS"] or ["EAS-base"], as the paper labels the configurations. *)
+(** Number of tasks whose scheduled finish exceeds their deadline.
+    Exported only for the calls of [perfbench/]. *)

@@ -57,7 +57,7 @@ let run platform ctg ~faults schedule =
         if not (Degraded.pe_alive degraded pe) then begin
           let best =
             alive
-            |> List.map (fun k -> (Repair.move_energy kernel ctg ~assignment i k, k))
+            |> List.map (fun k -> (Repair.move_energy kernel ~assignment i k, k))
             |> List.sort compare |> List.hd |> snd
           in
           assignment.(i) <- best;
@@ -67,7 +67,7 @@ let run platform ctg ~faults schedule =
     (* Step 2: rebuild on the degraded fabric — surviving placements and
        the execution order are preserved, failed links are detoured. *)
     let rebuilt =
-      try Some (Rebuild.run ~degraded platform ctg ~assignment ~rank)
+      try Some (Rebuild.run kernel ~assignment ~rank)
       with Invalid_argument _ -> None
     in
     (* Step 3: if deadlines still miss, run the repair search on the

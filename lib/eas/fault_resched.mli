@@ -16,7 +16,8 @@
       scores better (fewest misses, then least total lateness).
 
     One {!Kernel} built over the degraded view prices the migrations
-    and carries that view into both the repair search and the re-run.
+    and carries that view into the rebuild, the repair search and the
+    re-run.
 
     The result targets the degraded platform: check it against its
     recorded routes (the certifier, or {!module:Noc_sched.Validate} in

@@ -1,14 +1,15 @@
-(* Flat dense matrices, indexed [task * n_pes + pe] and [src * n_pes + dst].
-   Every float stored here is produced by exactly the expression the
-   per-call platform query would have evaluated (same operands, same
-   operation order), so consulting the kernel instead of the platform is
-   invisible at the bit level — the contract the differential suite
-   pins. *)
+(* Flat dense matrices, indexed by task and [src * n_pes + dst]. Every
+   float stored here is produced by exactly the expression the per-call
+   platform query would have evaluated (same operands, same operation
+   order), so consulting the kernel instead of the platform is invisible
+   at the bit level — the contract the differential suite pins. The
+   per-(task, PE) costs are read from the graph's own task rows: the
+   kernel holds the graph anyway, and a copy would double what a cached
+   kernel keeps alive. *)
 type t = {
   n_tasks : int;
   n_pes : int;
-  exec_times : float array;  (* task * n_pes + pe *)
-  exec_energies : float array;  (* task * n_pes + pe *)
+  tasks : Noc_ctg.Task.t array;  (* the graph's, not a copy *)
   releases : float array;  (* per task; [neg_infinity] when unconstrained *)
   mean_times : float array;  (* per task *)
   weights : float array;  (* per task: VAR_e * VAR_r *)
@@ -16,25 +17,24 @@ type t = {
   ebits : float array;  (* bit energy over the route; meaningless when hops < 0 *)
   link_bandwidth : float;
   router_latency : float;
+  platform : Noc_noc.Platform.t;
+  ctg : Noc_ctg.Ctg.t;
+  comm_model : Noc_sched.Comm_sched.model;
   degraded : Noc_noc.Degraded.t option;  (* the fault view priced here *)
 }
 
 let n_tasks t = t.n_tasks
 let n_pes t = t.n_pes
 
-let build ?degraded platform ctg =
+let build ?degraded ?(comm_model = Noc_sched.Comm_sched.Contention_aware) platform ctg =
   let n_pes = Noc_noc.Platform.n_pes platform in
   let n_tasks = Noc_ctg.Ctg.n_tasks ctg in
   let energy = Noc_noc.Platform.energy_model platform in
-  let exec_times = Array.make (n_tasks * n_pes) 0. in
-  let exec_energies = Array.make (n_tasks * n_pes) 0. in
   let releases = Array.make n_tasks neg_infinity in
   let mean_times = Array.make n_tasks 0. in
   let weights = Array.make n_tasks 0. in
   for i = 0 to n_tasks - 1 do
     let task = Noc_ctg.Ctg.task ctg i in
-    Array.blit task.Noc_ctg.Task.exec_times 0 exec_times (i * n_pes) n_pes;
-    Array.blit task.Noc_ctg.Task.energies 0 exec_energies (i * n_pes) n_pes;
     (match task.Noc_ctg.Task.release with
     | None -> ()
     | Some release -> releases.(i) <- release);
@@ -63,8 +63,7 @@ let build ?degraded platform ctg =
   {
     n_tasks;
     n_pes;
-    exec_times;
-    exec_energies;
+    tasks = Noc_ctg.Ctg.tasks ctg;
     releases;
     mean_times;
     weights;
@@ -72,16 +71,29 @@ let build ?degraded platform ctg =
     ebits;
     link_bandwidth = Noc_noc.Platform.link_bandwidth platform;
     router_latency = Noc_noc.Platform.router_latency platform;
+    platform;
+    ctg;
+    comm_model;
     degraded;
   }
 
+let platform t = t.platform
+let ctg t = t.ctg
+let comm_model t = t.comm_model
 let degraded t = t.degraded
+
+(* Physical equality: the prices were derived from these very values,
+   and comparing contents would walk the whole graph on every call. *)
+let check t ~caller platform ctg =
+  if platform != t.platform then
+    invalid_arg (caller ^ ": the kernel was built for another platform");
+  if ctg != t.ctg then invalid_arg (caller ^ ": the kernel was built for another graph")
 
 let pe_alive t pe =
   match t.degraded with None -> true | Some view -> Noc_noc.Degraded.pe_alive view pe
 
-let exec_time t ~task ~pe = t.exec_times.((task * t.n_pes) + pe)
-let exec_energy t ~task ~pe = t.exec_energies.((task * t.n_pes) + pe)
+let exec_time t ~task ~pe = t.tasks.(task).Noc_ctg.Task.exec_times.(pe)
+let exec_energy t ~task ~pe = t.tasks.(task).Noc_ctg.Task.energies.(pe)
 let mean_time t task = t.mean_times.(task)
 let weight t task = t.weights.(task)
 let release t task = t.releases.(task)

@@ -24,10 +24,10 @@ let assignment_energy kernel (ls : List_sched.t) i k =
   in
   Kernel.exec_energy kernel ~task:i ~pe:k +. comm
 
-let run ?comm_model ?kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
-  let n = Noc_ctg.Ctg.n_tasks ctg in
-  let n_pes = Noc_noc.Platform.n_pes platform in
-  let kernel = match kernel with Some k -> k | None -> Kernel.build platform ctg in
+let run ~kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
+  Kernel.check kernel ~caller:"Level_sched.run" platform ctg;
+  let n = Kernel.n_tasks kernel in
+  let n_pes = Kernel.n_pes kernel in
   let pe_alive = Kernel.pe_alive kernel in
   if not (List.exists pe_alive (List.init n_pes Fun.id)) then
     invalid_arg "Level_sched.run: every PE is failed";
@@ -51,7 +51,10 @@ let run ?comm_model ?kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
     | None -> fun _ k -> pe_alive k
     | Some m -> fun i k -> pe_alive k && m.(i) = k
   in
-  let ls = List_sched.make ?comm_model ?degraded:(Kernel.degraded kernel) platform ctg in
+  let ls =
+    List_sched.make ~comm_model:(Kernel.comm_model kernel)
+      ?degraded:(Kernel.degraded kernel) platform ctg
+  in
   let unscheduled_preds = Array.init n (fun i -> List.length (Noc_ctg.Ctg.preds ctg i)) in
   let ready = ref [] in
   for i = n - 1 downto 0 do

@@ -31,8 +31,7 @@
     [test_kernel_diff] enforces this. *)
 
 val run :
-  ?comm_model:Noc_sched.Comm_sched.model ->
-  ?kernel:Kernel.t ->
+  kernel:Kernel.t ->
   ?pinned:int array ->
   ?jobs:int ->
   Noc_noc.Platform.t ->
@@ -40,11 +39,13 @@ val run :
   Budget.t ->
   Noc_sched.Schedule.t
 (** Builds a complete schedule (always succeeds; deadlines may be
-    missed, which Step 3 then repairs). [kernel] (built over the
-    fault-free platform otherwise) must be built for the same platform
-    and graph; on a kernel with a fault view ({!Kernel.degraded}), failed
-    PEs receive no tasks and transactions detour around failed links.
-    Raises [Invalid_argument] when the fault view makes the graph
+    missed, which Step 3 then repairs), timing transactions under the
+    kernel's communication model. Raises [Invalid_argument]
+    ({!Kernel.check}) unless the platform and the graph are the
+    kernel's own (they stay for the calls of [perfbench/]). On a
+    kernel with a fault view ({!Kernel.degraded}), failed PEs receive
+    no tasks and transactions detour around failed links. Raises
+    [Invalid_argument] when the fault view makes the graph
     unschedulable (every PE failed, or a task unreachable from its
     predecessors on every alive PE).
 
@@ -57,5 +58,5 @@ val run :
     still front-runs certain violators. Raises [Invalid_argument] on a
     length mismatch, an out-of-range PE or a pinned-but-failed PE.
 
-    [jobs] is accepted and ignored: the run is serial, in the calling
-    domain. *)
+    [jobs] is ignored (the run is serial, in the calling domain); it
+    stays only for the calls of [perfbench/]. *)

@@ -66,11 +66,13 @@ let pop h =
    materialised by {!run} and {!candidate}. *)
 type env = { ls : List_sched.t; n_pes : int; ready : heap }
 
-let make_env ?comm_model ?degraded platform ctg =
-  let n = Noc_ctg.Ctg.n_tasks ctg in
+let make_env kernel =
+  let n = Kernel.n_tasks kernel in
   {
-    ls = List_sched.make ?comm_model ?degraded platform ctg;
-    n_pes = Noc_noc.Platform.n_pes platform;
+    ls =
+      List_sched.make ~comm_model:(Kernel.comm_model kernel)
+        ?degraded:(Kernel.degraded kernel) (Kernel.platform kernel) (Kernel.ctg kernel);
+    n_pes = Kernel.n_pes kernel;
     ready = { ids = Array.make n 0; ranks = Array.make n 0; size = 0 };
   }
 
@@ -99,18 +101,17 @@ let start_walk env ~rank ~waiting =
     if waiting.(i) = 0 then push env.ready rank i
   done
 
-let check_lengths ctg ~assignment ~rank =
-  let n = Noc_ctg.Ctg.n_tasks ctg in
-  Array.length assignment = n && Array.length rank = n
+let check_lengths n ~assignment ~rank = Array.length assignment = n && Array.length rank = n
 
-let run ?comm_model ?degraded platform ctg ~assignment ~rank =
+let run kernel ~assignment ~rank =
   Noc_obs.Counters.incr c_runs;
-  if not (check_lengths ctg ~assignment ~rank) then
+  let n = Kernel.n_tasks kernel in
+  if not (check_lengths n ~assignment ~rank) then
     invalid_arg "Rebuild.run: array length mismatch";
-  let env = make_env ?comm_model ?degraded platform ctg in
-  let waiting = Array.make (Noc_ctg.Ctg.n_tasks ctg) 0 in
+  let env = make_env kernel in
+  let waiting = Array.make n 0 in
   start_walk env ~rank ~waiting;
-  for _ = 1 to Noc_ctg.Ctg.n_tasks ctg do
+  for _ = 1 to n do
     step env ~assignment ~rank ~waiting (pop env.ready)
   done;
   List_sched.schedule env.ls
@@ -175,8 +176,7 @@ let[@inline] late inc i finish =
 let rebase inc ~assignment ~rank =
   Noc_obs.Counters.incr c_checkpoints;
   let env = inc.env in
-  let ctg = env.ls.ctg in
-  let n = Noc_ctg.Ctg.n_tasks ctg in
+  let n = Noc_ctg.Ctg.n_tasks env.ls.ctg in
   Resource_state.rollback env.ls.state inc.origin;
   inc.stop <- 0;
   Array.fill env.ls.pe 0 n (-1);
@@ -185,7 +185,7 @@ let rebase inc ~assignment ~rank =
   Array.fill env.ls.tx_start 0 (Array.length env.ls.tx_start) nan;
   Array.fill env.ls.tx_finish 0 (Array.length env.ls.tx_finish) nan;
   Array.fill inc.pos 0 n (-1);
-  if not (check_lengths ctg ~assignment ~rank) then begin
+  if not (check_lengths n ~assignment ~rank) then begin
     inc.reached <- -1;
     inc.at <- 0
   end
@@ -248,16 +248,16 @@ let rebase inc ~assignment ~rank =
   Array.blit env.ls.tx_start 0 inc.base_tx_start 0 (Array.length env.ls.tx_start);
   Array.blit env.ls.tx_finish 0 inc.base_tx_finish 0 (Array.length env.ls.tx_finish)
 
-let checkpoint ?comm_model ?degraded platform ctg ~assignment ~rank =
-  let n = Noc_ctg.Ctg.n_tasks ctg in
-  let env = make_env ?comm_model ?degraded platform ctg in
+let checkpoint kernel ~assignment ~rank =
+  let n = Kernel.n_tasks kernel in
+  let env = make_env kernel in
   let inc =
     {
       env;
       deadlines =
         Array.map
           (fun (task : Noc_ctg.Task.t) -> Option.value task.deadline ~default:infinity)
-          (Noc_ctg.Ctg.tasks ctg);
+          (Noc_ctg.Ctg.tasks (Kernel.ctg kernel));
       base_pe = Array.copy env.ls.pe;
       base_start = Array.copy env.ls.start;
       base_finish = Array.copy env.ls.finish;

@@ -11,20 +11,14 @@
     the corresponding tasks wherever dependencies allow it, and changing
     an assignment entry migrates a task; both exactly as Step 3 needs. *)
 
-val run :
-  ?comm_model:Noc_sched.Comm_sched.model ->
-  ?degraded:Noc_noc.Degraded.t ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  assignment:int array ->
-  rank:int array ->
-  Noc_sched.Schedule.t
-(** [assignment.(i)] is the PE of task [i]; [rank.(i)] its priority
-    (lower runs earlier among simultaneously-ready tasks). Raises
-    [Invalid_argument] on out-of-range PEs or mismatched lengths. With
-    [degraded], transactions detour around failed links (and raise
-    [Invalid_argument] if the fault set disconnects a needed pair); the
-    caller is responsible for assigning tasks only to alive PEs. *)
+val run : Kernel.t -> assignment:int array -> rank:int array -> Noc_sched.Schedule.t
+(** Schedules the kernel's graph on its platform, under its
+    communication model and fault view. [assignment.(i)] is the PE of
+    task [i]; [rank.(i)] its priority (lower runs earlier among
+    simultaneously-ready tasks). Raises [Invalid_argument] on
+    out-of-range PEs or mismatched lengths, or when the fault view
+    disconnects a needed pair (transactions detour around failed
+    links); the caller assigns tasks only to alive PEs. *)
 
 val of_schedule :
   Noc_sched.Schedule.t -> int array * int array
@@ -53,14 +47,7 @@ type outcome =
   | Abandoned  (** The bound ruled the candidate out before it finished. *)
   | Failed  (** A step raised [Invalid_argument], as {!run} would. *)
 
-val checkpoint :
-  ?comm_model:Noc_sched.Comm_sched.model ->
-  ?degraded:Noc_noc.Degraded.t ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  assignment:int array ->
-  rank:int array ->
-  incumbent
+val checkpoint : Kernel.t -> assignment:int array -> rank:int array -> incumbent
 (** Runs the list scheduler once on [(assignment, rank)] and records its
     checkpoints, with the misses and lateness so far before each step.
     A placement's lateness is {!Noc_sched.List_sched.lateness}'s, read

@@ -92,8 +92,8 @@ let move_energy_arcs kernel ~assignment ~ins ~outs i k =
   in
   Kernel.exec_energy kernel ~task:i ~pe:k +. incident_comm
 
-let move_energy kernel ctg ~assignment i k =
-  let ins, outs = incident_arcs_of ctg i in
+let move_energy kernel ~assignment i k =
+  let ins, outs = incident_arcs_of (Kernel.ctg kernel) i in
   move_energy_arcs kernel ~assignment ~ins ~outs i k
 
 (* Critical tasks in decreasing urgency: the later past its own deadline
@@ -107,11 +107,10 @@ let ordered_critical ctg schedule critical =
          let c = Float.compare (finish b) (finish a) in
          if c <> 0 then c else compare a b)
 
-let run ?comm_model ?kernel ?(max_evaluations = 4_000) ?(moves = Both) platform ctg
-    schedule =
-  let n = Noc_ctg.Ctg.n_tasks ctg in
-  let n_pes = Noc_noc.Platform.n_pes platform in
-  let kernel = match kernel with Some k -> k | None -> Kernel.build platform ctg in
+let run ~kernel ?(max_evaluations = 4_000) ?(moves = Both) platform ctg schedule =
+  Kernel.check kernel ~caller:"Repair.run" platform ctg;
+  let n = Kernel.n_tasks kernel in
+  let n_pes = Kernel.n_pes kernel in
   let incident_cache = Array.make n None in
   let incident_arcs i =
     match incident_cache.(i) with
@@ -128,11 +127,7 @@ let run ?comm_model ?kernel ?(max_evaluations = 4_000) ?(moves = Both) platform 
   (* Every candidate is priced against the checkpoints of the current
      (assignment, rank): recorded on first use and again after each
      accepted move. Neither recording counts as an evaluation. *)
-  let incumbent =
-    lazy
-      (Rebuild.checkpoint ?comm_model ?degraded:(Kernel.degraded kernel) platform ctg
-         ~assignment ~rank)
-  in
+  let incumbent = lazy (Rebuild.checkpoint kernel ~assignment ~rank) in
   (* [restart] names the first step the mutated move can change. A
      candidate that strands a transaction on a disconnected pair is
      simply not an improvement. *)

@@ -46,19 +46,17 @@ val critical_tasks : Noc_ctg.Ctg.t -> Noc_sched.Schedule.t -> bool array
 (** [critical_tasks ctg s] marks every task that misses its own deadline
     and every ancestor of such a task. *)
 
-val move_energy :
-  Kernel.t -> Noc_ctg.Ctg.t -> assignment:int array -> int -> int -> float
-(** [move_energy kernel ctg ~assignment i k] estimates the energy of
+val move_energy : Kernel.t -> assignment:int array -> int -> int -> float
+(** [move_energy kernel ~assignment i k] estimates the energy of
     running task [i] on PE [k]: computation on [k] plus communication of
-    every incident arc whose other endpoint is fixed by [assignment],
-    priced from the kernel matrices. On a kernel built over a degraded
-    view, detours are priced by their real length and a disconnected
-    pair costs [infinity]. Orders GTM destinations and
-    {!Fault_resched}'s migrations. *)
+    every incident arc of the kernel's graph whose other endpoint is
+    fixed by [assignment], priced from the kernel matrices. On a kernel
+    built over a degraded view, detours are priced by their real length
+    and a disconnected pair costs [infinity]. Orders GTM destinations
+    and {!Fault_resched}'s migrations. *)
 
 val run :
-  ?comm_model:Noc_sched.Comm_sched.model ->
-  ?kernel:Kernel.t ->
+  kernel:Kernel.t ->
   ?max_evaluations:int ->
   ?moves:moves ->
   Noc_noc.Platform.t ->
@@ -68,9 +66,10 @@ val run :
 (** Returns the repaired schedule (the input when nothing helps) and the
     search statistics. [max_evaluations] (default 4000) bounds the
     candidate evaluations as a safety net; [moves] (default [Both]) restricts the move
-    set for the repair ablation. [kernel] (built over the fault-free
-    platform otherwise) must be built for the same platform and graph;
-    on a kernel with a fault view ({!Kernel.degraded}), GTM only migrates
+    set for the repair ablation. Raises [Invalid_argument]
+    ({!Kernel.check}) unless the platform and the graph are the
+    kernel's own (they stay for the calls of [perfbench/]). On a
+    kernel with a fault view ({!Kernel.degraded}), GTM only migrates
     onto alive PEs, rebuilds detour around failed links, and move
     energies are priced over the degraded routes — the engine behind
     {!Fault_resched}. *)

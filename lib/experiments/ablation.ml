@@ -43,8 +43,10 @@ let run ?jobs ?(seeds = [ 0; 1; 2; 7; 8 ]) () =
          overlap, so it would fail the certifier by design and is only
          replayed, never certified. *)
       let fixed =
-        (Noc_eas.Eas.schedule ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg)
-          .schedule
+        let kernel =
+          Noc_eas.Kernel.build ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg
+        in
+        (Noc_eas.Eas.schedule ~kernel platform ctg).schedule
       in
       let aware_replay = Noc_sim.Executor.run platform ctg aware in
       let fixed_replay = Noc_sim.Executor.run platform ctg fixed in

@@ -18,8 +18,10 @@ let run ?(seeds = [ 0; 1; 2; 7; 8 ]) () =
       (* As in {!Ablation}, the fixed-delay arm is the wrong model whose
          link overlaps are the point: replayed, never certified. *)
       let fixed =
-        (Noc_eas.Eas.schedule ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg)
-          .schedule
+        let kernel =
+          Noc_eas.Kernel.build ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg
+        in
+        (Noc_eas.Eas.schedule ~kernel platform ctg).schedule
       in
       let aware_replay = Noc_sim.Executor.run platform ctg aware.schedule in
       let fixed_replay = Noc_sim.Executor.run platform ctg fixed in

@@ -34,10 +34,13 @@ let run ?jobs ?(indices = List.init 5 Fun.id) ?scale () =
       if base_misses = 0 then None
       else begin
         let base_energy = base.metrics.total_energy in
+        let kernel = Noc_eas.Kernel.build platform ctg in
         let attempts =
           List.map
             (fun moves ->
-              let repaired, stats = Noc_eas.Repair.run ~moves platform ctg base.schedule in
+              let repaired, stats =
+                Noc_eas.Repair.run ~kernel ~moves platform ctg base.schedule
+              in
               (* No request names a move set, so each variant is
                  certified on its own. *)
               Pipeline.gate (Pipeline.certify platform ctg repaired);

@@ -41,7 +41,7 @@ let run ?jobs ?(n_tasks = 120) ?(map_search = false) () =
                through the pipeline so the row is certified like the
                others. The inner [jobs] stays 1: this trial already runs
                on a pool worker. *)
-            let r = Noc_map.Search.run ~jobs:1 platform ctg in
+            let r = Noc_map.Search.run ~jobs:1 (Noc_eas.Kernel.build platform ctg) in
             Some
               (evaluate
                  { (Pipeline.request Runner.Eas) with pinned = Some r.Noc_map.Search.winner.mapping })
@@ -152,7 +152,7 @@ let pareto ?jobs ?(meshes = default_meshes) ?(scale = 1.) () =
         let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed in
         (* One kernel per mesh, shared by every weight setting. *)
         let kernel = Noc_eas.Kernel.build platform ctg in
-        let tables = Noc_map.Objective.lift platform kernel ctg in
+        let tables = Noc_map.Objective.lift kernel in
         let unit_balance = Noc_map.Objective.mean_exec_energy tables in
         let searches =
           (* The per-weight searches are independent; fan them out. *)
@@ -165,7 +165,7 @@ let pareto ?jobs ?(meshes = default_meshes) ?(scale = 1.) () =
                   weights = { Noc_map.Objective.latency = 0.; balance = frac *. unit_balance };
                 }
               in
-              (frac, Noc_map.Search.run ~jobs:1 ~params ~kernel platform ctg))
+              (frac, Noc_map.Search.run ~jobs:1 ~params kernel))
             balance_fracs
         in
         let identity_point =

@@ -41,12 +41,11 @@ type tables = {
   incident : int array array;  (* task -> incident arc ids, ascending *)
 }
 
-let lift ?(weights = energy_only) platform kernel ctg =
+let lift ?(weights = energy_only) kernel =
   Noc_obs.Trace.span ~cat:"map" "map/tables" @@ fun () ->
+  let platform = Noc_eas.Kernel.platform kernel and ctg = Noc_eas.Kernel.ctg kernel in
   let n_tasks = Noc_eas.Kernel.n_tasks kernel in
   let n_pes = Noc_eas.Kernel.n_pes kernel in
-  if n_pes <> Noc_noc.Platform.n_pes platform then
-    invalid_arg "Objective.lift: kernel and platform disagree on PE count";
   let exec_energy =
     Array.init (n_tasks * n_pes) (fun idx ->
         Noc_eas.Kernel.exec_energy kernel ~task:(idx / n_pes) ~pe:(idx mod n_pes))

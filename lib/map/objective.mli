@@ -32,10 +32,11 @@ type tables
 (** Per-(task, pe) and per-(src, dst) cost tables lifted from the flat
     kernel matrices; read-only and safe to share across domains. *)
 
-val lift :
-  ?weights:weights -> Noc_noc.Platform.t -> Noc_eas.Kernel.t -> Noc_ctg.Ctg.t -> tables
-(** Lifts the scoring tables from a built kernel (defaults to
-    {!energy_only}). The kernel is not retained. *)
+val lift : ?weights:weights -> Noc_eas.Kernel.t -> tables
+(** Lifts the scoring tables of the kernel's graph on its platform
+    ({!Noc_eas.Kernel.ctg}, {!Noc_eas.Kernel.platform}) from its
+    matrices ([weights] defaults to {!energy_only}). The kernel is not
+    retained. *)
 
 val mean_exec_energy : tables -> float
 (** Mean of the (task, pe) energy matrix — the natural unit for scaling

@@ -174,8 +174,9 @@ let run_chain tables ~params ~n_tasks ~n_pes ~capacity chain =
    Step 2's parallel probe refresh would spawn a domain pool per commit
    iteration and buy nothing (profiled at ~6s per 2000-task evaluation
    against 0.15s serial). *)
-let evaluate ~kernel ~origin platform ctg mapping =
+let evaluate ~kernel ~origin mapping =
   Noc_obs.Trace.span ~cat:"map" "map/evaluate" @@ fun () ->
+  let platform = Noc_eas.Kernel.platform kernel and ctg = Noc_eas.Kernel.ctg kernel in
   let outcome = Noc_eas.Eas.schedule ~pinned:mapping ~kernel platform ctg in
   let metrics = Noc_sched.Metrics.compute platform ctg outcome.Noc_eas.Eas.schedule in
   let diags =
@@ -202,7 +203,7 @@ let evaluate ~kernel ~origin platform ctg mapping =
       stats = outcome.Noc_eas.Eas.stats;
     }
 
-let run ?jobs ?(params = default_params) ?kernel platform ctg =
+let run ?jobs ?(params = default_params) kernel =
   Noc_obs.Trace.span ~cat:"map" "map/search"
     ~args:(fun () ->
       [
@@ -212,19 +213,11 @@ let run ?jobs ?(params = default_params) ?kernel platform ctg =
   @@ fun () ->
   if params.chains < 1 then invalid_arg "Search.run: chains must be >= 1";
   if params.iters < 0 then invalid_arg "Search.run: iters must be >= 0";
-  let n_tasks = Noc_ctg.Ctg.n_tasks ctg in
-  let n_pes = Noc_noc.Platform.n_pes platform in
-  (* One kernel build (the dominant cost at 16x16 — it also warms the
-     platform route memo) shared read-only by the tables, every chain
-     and every survivor evaluation. *)
-  let kernel =
-    match kernel with
-    | Some k -> k
-    | None ->
-      Noc_obs.Trace.span ~cat:"map" "map/kernel" (fun () ->
-          Noc_eas.Kernel.build platform ctg)
-  in
-  let tables = Objective.lift ~weights:params.weights platform kernel ctg in
+  let n_tasks = Noc_eas.Kernel.n_tasks kernel in
+  let n_pes = Noc_eas.Kernel.n_pes kernel in
+  (* One kernel (the dominant cost at 16x16) shared read-only by the
+     tables, every chain and every survivor evaluation. *)
+  let tables = Objective.lift ~weights:params.weights kernel in
   let capacity =
     match params.capacity with
     | Some c ->
@@ -249,12 +242,10 @@ let run ?jobs ?(params = default_params) ?kernel platform ctg =
   let candidates =
     List.map
       (fun r ->
-        evaluate ~kernel ~origin:(Chain r.chain) platform ctg r.best_mapping
-          r.value)
+        evaluate ~kernel ~origin:(Chain r.chain) r.best_mapping r.value)
       survivors
     @ [
-        evaluate ~kernel ~origin:Identity platform ctg identity
-          (Objective.full_value tables identity);
+        evaluate ~kernel ~origin:Identity identity (Objective.full_value tables identity);
       ]
   in
   let winner =

@@ -59,16 +59,11 @@ type result = {
 
 val identity_mapping : n_tasks:int -> n_pes:int -> int array
 
-val run :
-  ?jobs:int ->
-  ?params:params ->
-  ?kernel:Noc_eas.Kernel.t ->
-  Noc_noc.Platform.t ->
-  Noc_ctg.Ctg.t ->
-  result
-(** Runs the search. The kernel (built once here when not supplied) is
+val run : ?jobs:int -> ?params:params -> Noc_eas.Kernel.t -> result
+(** Searches mappings of the kernel's graph onto its platform
+    ({!Noc_eas.Kernel.ctg}, {!Noc_eas.Kernel.platform}). The kernel is
     shared read-only by the scoring tables, all chains and every
-    survivor evaluation. *)
+    survivor evaluation. [jobs] sizes the pool the chains fan out on. *)
 
 val origin_name : origin -> string
 val pp_result : Format.formatter -> result -> unit

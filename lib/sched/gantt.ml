@@ -12,7 +12,7 @@ let paint row ~width ~horizon ~start ~finish symbol =
     done
   end
 
-let render ?(width = 72) ?(show_links = true) platform _ctg schedule =
+let render ?(width = 72) platform _ctg schedule =
   let horizon = Schedule.makespan schedule in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
@@ -27,28 +27,26 @@ let render ?(width = 72) ?(show_links = true) platform _ctg schedule =
       (Schedule.tasks_on_pe schedule ~pe);
     Buffer.add_string buf (Printf.sprintf "pe %2d |%s|\n" pe (Bytes.to_string row))
   done;
-  if show_links then begin
-    let by_link = Hashtbl.create 32 in
-    Array.iter
-      (fun (tr : Schedule.transaction) ->
-        if tr.finish > tr.start then
-          List.iter
-            (fun (link : Noc_noc.Routing.link) ->
-              let key = (link.from_node, link.to_node) in
-              let cur = Option.value ~default:[] (Hashtbl.find_opt by_link key) in
-              Hashtbl.replace by_link key (tr :: cur))
-            (Schedule.links_of_transaction tr))
-      (Schedule.transactions schedule);
-    let keys = Hashtbl.fold (fun k _ acc -> k :: acc) by_link [] |> List.sort compare in
-    List.iter
-      (fun ((a, b) as key) ->
-        let row = Bytes.make width '.' in
+  let by_link = Hashtbl.create 32 in
+  Array.iter
+    (fun (tr : Schedule.transaction) ->
+      if tr.finish > tr.start then
         List.iter
-          (fun (tr : Schedule.transaction) ->
-            paint row ~width ~horizon ~start:tr.start ~finish:tr.finish '#')
-          (Hashtbl.find by_link key);
-        Buffer.add_string buf
-          (Printf.sprintf "%2d->%-2d|%s|\n" a b (Bytes.to_string row)))
-      keys
-  end;
+          (fun (link : Noc_noc.Routing.link) ->
+            let key = (link.from_node, link.to_node) in
+            let cur = Option.value ~default:[] (Hashtbl.find_opt by_link key) in
+            Hashtbl.replace by_link key (tr :: cur))
+          (Schedule.links_of_transaction tr))
+    (Schedule.transactions schedule);
+  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) by_link [] |> List.sort compare in
+  List.iter
+    (fun ((a, b) as key) ->
+      let row = Bytes.make width '.' in
+      List.iter
+        (fun (tr : Schedule.transaction) ->
+          paint row ~width ~horizon ~start:tr.start ~finish:tr.finish '#')
+        (Hashtbl.find by_link key);
+      Buffer.add_string buf
+        (Printf.sprintf "%2d->%-2d|%s|\n" a b (Bytes.to_string row)))
+    keys;
   Buffer.contents buf

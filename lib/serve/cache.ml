@@ -69,6 +69,8 @@ let evict t =
   Hashtbl.remove t.table victim.key;
   t.evictions <- t.evictions + 1
 
+let peek t key = Option.map (fun node -> node.value) (Hashtbl.find_opt t.table key)
+
 let add t key value =
   match Hashtbl.find_opt t.table key with
   | Some node ->

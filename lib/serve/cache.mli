@@ -25,6 +25,9 @@ val length : 'a t -> int
 val find : 'a t -> string -> 'a option
 (** Records a hit (marking the entry visited) or a miss. *)
 
+val peek : 'a t -> string -> 'a option
+(** Like {!find}, but records nothing: no hit, no miss, no visited bit. *)
+
 val add : 'a t -> string -> 'a -> unit
 (** Inserts at the newest end of the queue, evicting one entry when a
     genuine insertion would exceed capacity. Replacing an existing key

@@ -73,15 +73,25 @@ let platform_for state (cols, rows) =
     Hashtbl.replace state.platforms (cols, rows) pd;
     pd
 
-(* Parse-and-digest, memoized on the raw text (see [state.parses]). *)
-let parse_graph state ctg_text =
+(* The kernel cache's key: the graph's and the platform's digests. *)
+let kernel_key ~ctg_digest ~platform_digest = ctg_digest ^ ":" ^ platform_digest
+
+(* Parse-and-digest, memoized on the raw text (see [state.parses]). A
+   graph whose kernel is cached for [mesh] is replaced by the graph
+   value that kernel holds, so the daemon keeps one copy of it. *)
+let parse_graph state ~mesh ctg_text =
   match Cache.find state.parses ctg_text with
   | Some v -> Ok v
   | None -> (
     match Ctg_io.of_string ctg_text with
     | Error _ as e -> e
     | Ok ctg ->
-      let v = (ctg, Ctg.digest ctg) in
+      let ctg_digest = Ctg.digest ctg in
+      let kernel =
+        Option.bind (Hashtbl.find_opt state.platforms mesh) (fun (_, platform_digest) ->
+            Cache.peek state.kernels (kernel_key ~ctg_digest ~platform_digest))
+      in
+      let v = (Option.fold ~none:ctg ~some:Noc_eas.Kernel.ctg kernel, ctg_digest) in
       Cache.add state.parses ctg_text v;
       Ok v)
 
@@ -141,7 +151,7 @@ let make_entry ?decisions ?dvfs ?(extra = []) ~energy ~misses schedule =
   }
 
 let kernel_for state platform ctg ~ctg_digest ~platform_digest =
-  let key = ctg_digest ^ ":" ^ platform_digest in
+  let key = kernel_key ~ctg_digest ~platform_digest in
   match Cache.find state.kernels key with
   | Some k -> k
   | None ->
@@ -153,17 +163,20 @@ let kernel_for state platform ctg ~ctg_digest ~platform_digest =
    when [want_decisions]; a certification refusal is [Error]. Kernels
    are reused across runs: [Kernel.build] is deterministic and the
    kernel is read-only after construction, so reuse is bit-neutral.
-   EDF takes none. *)
+   A reused kernel is run on the graph and platform it records: the
+   kernel cache is keyed by content digest but the parse cache by raw
+   text, so another text of a digest-equal graph parses to another
+   [Ctg.t], which the kernel would refuse. EDF takes none. *)
 let run_fresh ?ladder state platform ctg algo ~digests ~want_decisions =
   let ctg_digest, platform_digest = digests in
   let run () =
-    let kernel =
-      match algo with
-      | Runner.Edf -> None
-      | Runner.Eas | Runner.Eas_base ->
-        Some (kernel_for state platform ctg ~ctg_digest ~platform_digest)
-    in
-    Pipeline.run platform ctg { (Pipeline.request algo) with ladder; kernel }
+    let request = { (Pipeline.request algo) with ladder } in
+    match algo with
+    | Runner.Edf -> Pipeline.run platform ctg request
+    | Runner.Eas | Runner.Eas_base ->
+      let kernel = kernel_for state platform ctg ~ctg_digest ~platform_digest in
+      Pipeline.run (Noc_eas.Kernel.platform kernel) (Noc_eas.Kernel.ctg kernel)
+        { request with kernel = Some kernel }
   in
   let r, decisions =
     if want_decisions then
@@ -224,7 +237,7 @@ let schedule_fields ~cached ~key ~algo (entry : entry) =
   @ entry.extra
 
 let with_graph state ?id ~ctg_text ~mesh k =
-  match parse_graph state ctg_text with
+  match parse_graph state ~mesh ctg_text with
   | Error msg -> Protocol.error_line ?id ("ctg: " ^ msg)
   | Ok (ctg, ctg_digest) ->
     let platform, platform_digest = platform_for state mesh in

@@ -8,7 +8,10 @@
       built once, their route memos eagerly warmed, and kept resident;
       flat-array {!Noc_eas.Kernel} matrices are memoized per
       (CTG, platform) digest pair in their own {!Cache}, so a
-      cache-missed request pays the build at most once.
+      cache-missed request pays the build at most once. A kernel
+      records the graph it was built for, and a fresh run schedules
+      and certifies that graph ({!Noc_eas.Kernel.ctg}), so another
+      text of a digest-equal graph reuses it.
     - {b Schedule cache.} Results are memoized in a SIEVE {!Cache}
       keyed by [algo:ctg:platform:faults:dvfs], content digests of
       everything a served schedule depends on: the algorithm, the

@@ -10,7 +10,6 @@ let is_empty t = t.start = t.stop
 let overlaps a b =
   (not (is_empty a)) && (not (is_empty b)) && a.start < b.stop && b.start < a.stop
 
-let contains t x = t.start <= x && x < t.stop
 let shift t dt = make ~start:(t.start +. dt) ~stop:(t.stop +. dt)
 
 let merge a b = make ~start:(Float.min a.start b.start) ~stop:(Float.max a.stop b.stop)

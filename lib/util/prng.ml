@@ -17,8 +17,6 @@ let split t =
   let seed64 = next_raw t in
   { state = seed64 }
 
-let copy t = { state = t.state }
-
 (* Non-negative 62-bit value, uniform. OCaml's native int has 63 bits, so
    keeping 62 random bits guarantees a non-negative result. *)
 let next_nonneg t = Int64.to_int (Int64.shift_right_logical (next_raw t) 2)

@@ -15,9 +15,6 @@ val create : seed:int -> t
 val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t]. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -27,19 +27,6 @@ let argmin arr =
   done;
   !best
 
-let two_smallest arr =
-  assert (Array.length arr > 0);
-  let best = ref infinity and second = ref infinity in
-  Array.iter
-    (fun x ->
-      if x < !best then begin
-        second := !best;
-        best := x
-      end
-      else if x < !second then second := x)
-    arr;
-  if Array.length arr = 1 then (!best, !best) else (!best, !second)
-
 (* Percentile with linear interpolation between closest ranks (the
    "exclusive of the extremes" convention is deliberately avoided so
    p=0 and p=100 are exactly the min and max). Sorts a copy: callers on

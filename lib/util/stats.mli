@@ -15,10 +15,6 @@ val max_value : float array -> float
 val argmin : float array -> int
 (** Index of the smallest element (smallest index on ties). *)
 
-val two_smallest : float array -> float * float
-(** [(best, second_best)] values of an array with at least one element;
-    when the array has a single element both components are equal. *)
-
 val sum : float array -> float
 
 val percentile : float array -> p:float -> float

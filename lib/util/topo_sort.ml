@@ -27,8 +27,6 @@ let sort ~n ~succ =
     Error
       (List.filter (fun v -> indegree.(v) > 0) (List.init n Fun.id))
 
-let is_acyclic ~n ~succ = Result.is_ok (sort ~n ~succ)
-
 let longest_path_lengths ~n ~succ ~weight =
   match sort ~n ~succ with
   | Error _ -> invalid_arg "Topo_sort.longest_path_lengths: graph has a cycle"

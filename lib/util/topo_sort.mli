@@ -8,8 +8,6 @@ val sort : n:int -> succ:(int -> int list) -> (int array, int list) result
     deterministic: among ready vertices, the smallest index comes first
     (Kahn's algorithm with an ordered frontier). *)
 
-val is_acyclic : n:int -> succ:(int -> int list) -> bool
-
 val longest_path_lengths :
   n:int -> succ:(int -> int list) -> weight:(int -> float) -> float array
 (** [longest_path_lengths ~n ~succ ~weight] returns, for every vertex, the

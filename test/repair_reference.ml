@@ -131,7 +131,7 @@ let run ?comm_model ?degraded ?kernel ?(max_evaluations = 4_000) ?(moves = Repai
       let destinations =
         List.init n_pes Fun.id
         |> List.filter (fun k -> k <> home && pe_alive k)
-        |> List.map (fun k -> (Repair.move_energy kernel ctg ~assignment t1 k, k))
+        |> List.map (fun k -> (Repair.move_energy kernel ~assignment t1 k, k))
         |> List.sort compare |> List.map snd
       in
       List.exists
@@ -203,7 +203,7 @@ let fault_resched platform ctg ~faults schedule =
           let best =
             List.init n_pes Fun.id
             |> List.filter (Degraded.pe_alive degraded)
-            |> List.map (fun k -> (Repair.move_energy kernel ctg ~assignment i k, k))
+            |> List.map (fun k -> (Repair.move_energy kernel ~assignment i k, k))
             |> List.sort compare |> List.hd |> snd
           in
           assignment.(i) <- best;

@@ -69,7 +69,7 @@ let missing_case () =
 
 let test_lts_only_preserves_energy () =
   let ctg, base, _ = missing_case () in
-  let repaired, stats = Repair.run ~moves:Repair.Lts_only platform ctg base in
+  let repaired, stats = Repair.run ~kernel:(Noc_eas.Kernel.build platform ctg) ~moves:Repair.Lts_only platform ctg base in
   let e s = (Metrics.compute platform ctg s).Metrics.total_energy in
   (* The paper: LTS only reorders tasks on one PE, so Eq. 3 energy is
      untouched no matter how many swaps were accepted. *)
@@ -78,13 +78,13 @@ let test_lts_only_preserves_energy () =
 
 let test_gtm_only_never_swaps () =
   let ctg, base, _ = missing_case () in
-  let _, stats = Repair.run ~moves:Repair.Gtm_only platform ctg base in
+  let _, stats = Repair.run ~kernel:(Noc_eas.Kernel.build platform ctg) ~moves:Repair.Gtm_only platform ctg base in
   Alcotest.(check int) "no swaps in GTM mode" 0 stats.Repair.accepted_swaps
 
 let test_both_at_least_as_good () =
   let ctg, base, _ = missing_case () in
   let misses moves =
-    let repaired, _ = Repair.run ~moves platform ctg base in
+    let repaired, _ = Repair.run ~kernel:(Noc_eas.Kernel.build platform ctg) ~moves platform ctg base in
     Metrics.miss_count (Metrics.compute platform ctg repaired)
   in
   let both = misses Repair.Both in

@@ -94,10 +94,6 @@ let test_stats_consistency () =
     (outcome.Eas.stats.Eas.misses_after_repair
     <= outcome.Eas.stats.Eas.misses_before_repair)
 
-let test_names () =
-  Alcotest.(check string) "EAS" "EAS" (Eas.name ~repair:true);
-  Alcotest.(check string) "EAS-base" "EAS-base" (Eas.name ~repair:false)
-
 (* ------------------------------------------------------------------ *)
 (* Rebuild *)
 
@@ -105,7 +101,9 @@ let test_rebuild_roundtrip () =
   let ctg = random_ctg 5 in
   let s = (Eas.schedule category_platform ctg).Eas.schedule in
   let assignment, rank = Rebuild.of_schedule s in
-  let rebuilt = Rebuild.run category_platform ctg ~assignment ~rank in
+  let rebuilt =
+    Rebuild.run (Noc_eas.Kernel.build category_platform ctg) ~assignment ~rank
+  in
   (* Same assignment... *)
   for i = 0 to Noc_ctg.Ctg.n_tasks ctg - 1 do
     Alcotest.(check int) "assignment preserved"
@@ -125,7 +123,8 @@ let test_rebuild_validates_input () =
   Alcotest.(check bool) "bad PE rejected" true
     (try
        ignore
-         (Rebuild.run category_platform ctg ~assignment:(Array.make n 99)
+         (Rebuild.run (Noc_eas.Kernel.build category_platform ctg)
+            ~assignment:(Array.make n 99)
             ~rank:(Array.init n Fun.id));
        false
      with Invalid_argument _ -> true)
@@ -181,7 +180,8 @@ let test_repair_fixes_misses () =
   | None -> Alcotest.fail "calibration: no missing seed found"
   | Some (ctg, base) ->
     let repaired, stats =
-      Repair.run category_platform ctg base.Eas.schedule
+      Repair.run ~kernel:(Noc_eas.Kernel.build category_platform ctg) category_platform
+        ctg base.Eas.schedule
     in
     let misses =
       List.length (Metrics.compute category_platform ctg repaired).Metrics.deadline_misses
@@ -198,7 +198,9 @@ let test_repair_fixes_misses () =
 let test_repair_noop_on_clean_schedule () =
   let ctg = random_ctg 1 in
   let s = (Eas.schedule ~repair:false category_platform ctg).Eas.schedule in
-  let repaired, stats = Repair.run category_platform ctg s in
+  let repaired, stats =
+    Repair.run ~kernel:(Noc_eas.Kernel.build category_platform ctg) category_platform ctg s
+  in
   Alcotest.(check int) "no evaluations" 0 stats.Repair.evaluations;
   Alcotest.(check bool) "schedule unchanged" true (repaired == s)
 
@@ -252,7 +254,6 @@ let suite =
       test_communication_clusters_tasks;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
-    Alcotest.test_case "configuration names" `Quick test_names;
     Alcotest.test_case "rebuild roundtrip" `Quick test_rebuild_roundtrip;
     Alcotest.test_case "rebuild validates input" `Quick test_rebuild_validates_input;
     Alcotest.test_case "critical task marking" `Quick test_critical_tasks_marking;

@@ -49,11 +49,6 @@ let test_link_rows_present () =
   in
   Alcotest.(check bool) "link row shown" true has_link
 
-let test_links_can_be_hidden () =
-  let out = Gantt.render ~width:40 ~show_links:false platform ctg schedule in
-  Alcotest.(check bool) "no link rows" false
-    (List.exists (fun l -> String.contains l '#') (lines_of out))
-
 let test_row_width_respected () =
   let out = Gantt.render ~width:32 platform ctg schedule in
   List.iter
@@ -84,7 +79,6 @@ let suite =
   [
     Alcotest.test_case "renders all PEs" `Quick test_renders_all_pes;
     Alcotest.test_case "link rows present" `Quick test_link_rows_present;
-    Alcotest.test_case "links can be hidden" `Quick test_links_can_be_hidden;
     Alcotest.test_case "row width respected" `Quick test_row_width_respected;
     Alcotest.test_case "busy cells marked" `Quick test_busy_cells_marked;
     Alcotest.test_case "degenerate schedule" `Quick test_empty_schedule;

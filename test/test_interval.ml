@@ -25,13 +25,6 @@ let test_empty_overlaps_nothing () =
   Alcotest.(check bool) "empty vs full" false (Interval.overlaps (iv 1. 1.) (iv 0. 2.));
   Alcotest.(check bool) "full vs empty" false (Interval.overlaps (iv 0. 2.) (iv 1. 1.))
 
-let test_contains () =
-  let i = iv 1. 3. in
-  Alcotest.(check bool) "start included" true (Interval.contains i 1.);
-  Alcotest.(check bool) "middle" true (Interval.contains i 2.);
-  Alcotest.(check bool) "stop excluded" false (Interval.contains i 3.);
-  Alcotest.(check bool) "before" false (Interval.contains i 0.5)
-
 let test_shift () =
   let i = Interval.shift (iv 1. 3.) 10. in
   Alcotest.(check (float 0.)) "start" 11. i.Interval.start;
@@ -82,7 +75,6 @@ let suite =
     Alcotest.test_case "make empty" `Quick test_make_empty;
     Alcotest.test_case "overlaps basic" `Quick test_overlaps_basic;
     Alcotest.test_case "empty overlaps nothing" `Quick test_empty_overlaps_nothing;
-    Alcotest.test_case "contains" `Quick test_contains;
     Alcotest.test_case "shift" `Quick test_shift;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "compare_start" `Quick test_compare_start;

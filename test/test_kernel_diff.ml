@@ -212,6 +212,31 @@ let test_kernel_carries_view () =
         (Level_sched.run ~kernel platform ctg (Budget.compute ~kernel ctg)))
     [ ("pe-5", [ 5 ], []); ("pe-10", [ 10 ], []); ("link", [], [ link ]) ]
 
+(* A kernel prices one problem. Passed beside another graph, or beside
+   an equal but separately built platform, every entry point that still
+   takes them must refuse it rather than schedule one problem with the
+   prices of another. *)
+let test_kernel_mismatch_raises () =
+  let kind = Category.Category_i in
+  let platform = Category.platform in
+  let graph0 = Category.benchmark kind ~index:0 and graph1 = Category.benchmark kind ~index:1 in
+  let kernel = Kernel.build platform graph0 in
+  let twin = Noc_noc.Platform.heterogeneous_mesh ~seed:42 ~cols:4 ~rows:4 () in
+  let base = (Noc_eas.Eas.schedule ~repair:false ~kernel platform graph0).Noc_eas.Eas.schedule in
+  let budget = Budget.compute ~kernel graph0 in
+  let raises label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted a kernel built for another problem" label
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (what, p, g) ->
+      raises (what ^ ": Eas.schedule") (fun () -> Noc_eas.Eas.schedule ~kernel p g);
+      raises (what ^ ": Level_sched.run") (fun () -> Level_sched.run ~kernel p g budget);
+      raises (what ^ ": Repair.run") (fun () -> Noc_eas.Repair.run ~kernel p g base))
+    [ ("graph 1", platform, graph1); ("twin platform", twin, graph0) ];
+  raises "graph 1: Budget.compute" (fun () -> Budget.compute ~kernel graph1)
+
 let suite =
   [
     Alcotest.test_case "52-case corpus: kernel = reference" `Quick
@@ -220,4 +245,6 @@ let suite =
       test_decision_logs_identical;
     Alcotest.test_case "a kernel's fault view reaches every placement" `Quick
       test_kernel_carries_view;
+    Alcotest.test_case "a kernel for another problem raises" `Quick
+      test_kernel_mismatch_raises;
   ]

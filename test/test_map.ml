@@ -20,8 +20,7 @@ let random_ctg platform ~n_tasks ~seed =
   Noc_tgff.Generate.generate ~params ~platform ~seed
 
 let tables ?weights platform ctg =
-  let kernel = Noc_eas.Kernel.build platform ctg in
-  Objective.lift ?weights platform kernel ctg
+  Objective.lift ?weights (Noc_eas.Kernel.build platform ctg)
 
 (* The differential law (the mli's advertised contract): after ANY
    sequence of random moves and swaps, the maintained value is
@@ -143,7 +142,7 @@ let test_jobs_invariance () =
   List.iter
     (fun (label, case, params) ->
       let platform, ctg = case () in
-      let run jobs = Search.run ~jobs ~params platform ctg in
+      let run jobs = Search.run ~jobs ~params (Noc_eas.Kernel.build platform ctg) in
       let r1 = digest (run 1) in
       Alcotest.(check bool) (label ^ ": jobs 1 = jobs 2") true (r1 = digest (run 2));
       Alcotest.(check bool) (label ^ ": jobs 1 = jobs 4") true (r1 = digest (run 4)))
@@ -154,7 +153,8 @@ let test_chain_prefix () =
     (fun (label, case, params) ->
       let platform, ctg = case () in
       let chains c =
-        (Search.run ~jobs:1 ~params:{ params with chains = c } platform ctg)
+        (Search.run ~jobs:1 ~params:{ params with chains = c }
+           (Noc_eas.Kernel.build platform ctg))
           .chain_results
       in
       let narrow = chains 2 and wide = chains 4 in
@@ -173,7 +173,7 @@ let test_chain_prefix () =
    objective IS the (schedule-independent) Eq.-3 energy. *)
 let test_never_loses_to_identity () =
   let platform, ctg = search_case () in
-  let r = Search.run ~jobs:1 ~params:small_params platform ctg in
+  let r = Search.run ~jobs:1 ~params:small_params (Noc_eas.Kernel.build platform ctg) in
   let best = List.hd r.candidates in
   let identity =
     List.find (fun (c : Search.candidate) -> c.origin = Search.Identity)
@@ -222,7 +222,7 @@ let test_capacity_respected () =
   let r =
     Search.run ~jobs:1
       ~params:{ small_params with capacity = Some cap }
-      platform ctg
+      (Noc_eas.Kernel.build platform ctg)
   in
   List.iter
     (fun (c : Search.candidate) ->

@@ -76,7 +76,10 @@ let test_repair_stats_counts () =
     end
   in
   let ctg, base = find_missing 0 in
-  let _, stats = Noc_eas.Repair.run platform ctg base.Noc_eas.Eas.schedule in
+  let _, stats =
+    Noc_eas.Repair.run ~kernel:(Noc_eas.Kernel.build platform ctg) platform ctg
+      base.Noc_eas.Eas.schedule
+  in
   Alcotest.(check bool) "evaluations bound accepted moves" true
     (stats.Noc_eas.Repair.evaluations
     >= stats.Noc_eas.Repair.accepted_swaps + stats.Noc_eas.Repair.accepted_migrations)
@@ -89,8 +92,10 @@ let test_fixed_delay_end_to_end () =
   let params = { Noc_tgff.Params.default with n_tasks = 120 } in
   let ctg = Noc_tgff.Generate.generate ~params ~platform ~seed:0 in
   let s =
-    (Noc_eas.Eas.schedule ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg)
-      .Noc_eas.Eas.schedule
+    let kernel =
+      Noc_eas.Kernel.build ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg
+    in
+    (Noc_eas.Eas.schedule ~kernel platform ctg).Noc_eas.Eas.schedule
   in
   let violations = Noc_sched.Validate.check platform ctg s in
   let only_expected =

@@ -69,12 +69,6 @@ let test_split_independent () =
   let x = Prng.int64 a and y = Prng.int64 b in
   Alcotest.(check bool) "split streams differ" true (x <> y)
 
-let test_copy_preserves_state () =
-  let a = Prng.create ~seed:6 in
-  ignore (Prng.int64 a);
-  let b = Prng.copy a in
-  Alcotest.(check int64) "copy continues identically" (Prng.int64 a) (Prng.int64 b)
-
 let test_choose () =
   let rng = Prng.create ~seed:14 in
   let arr = [| 10; 20; 30 |] in
@@ -129,7 +123,6 @@ let suite =
     Alcotest.test_case "gaussian moments" `Quick test_gaussian_moments;
     Alcotest.test_case "lognormal positive" `Quick test_lognormal_positive;
     Alcotest.test_case "split independent" `Quick test_split_independent;
-    Alcotest.test_case "copy preserves state" `Quick test_copy_preserves_state;
     Alcotest.test_case "choose" `Quick test_choose;
     Alcotest.test_case "sample without replacement" `Quick test_sample_without_replacement;
     Alcotest.test_case "sample full range" `Quick test_sample_full;

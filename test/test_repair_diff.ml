@@ -308,7 +308,8 @@ let qcheck_suffix_replay =
         rank.(i) <- rank.(j);
         rank.(j) <- tmp
       done;
-      let inc = Rebuild.checkpoint ?degraded small_platform ctg ~assignment ~rank in
+      let kernel = Noc_eas.Kernel.build ?degraded small_platform ctg in
+      let inc = Rebuild.checkpoint kernel ~assignment ~rank in
       let swap a b =
         let tmp = rank.(a) in
         rank.(a) <- rank.(b);
@@ -333,7 +334,7 @@ let qcheck_suffix_replay =
             try
               Some
                 (Schedule_io.to_string
-                   (Rebuild.run ?degraded small_platform ctg ~assignment ~rank))
+                   (Rebuild.run kernel ~assignment ~rank))
             with Invalid_argument _ -> None
           in
           let got =
@@ -376,11 +377,17 @@ let qcheck_rebuild_vs_reference =
       let assignment = Array.init n (fun _ -> Random.State.int rng n_pes) in
       let rank = Array.init n (fun _ -> Random.State.int rng (2 * n)) in
       let build run =
-        match run ?comm_model ?degraded small_platform ctg ~assignment ~rank with
+        match run () with
         | schedule -> Some (Schedule_io.to_string schedule)
         | exception Invalid_argument _ -> None
       in
-      build Noc_oracle.Rebuild_reference.run = build Rebuild.run)
+      build (fun () ->
+          Noc_oracle.Rebuild_reference.run ?comm_model ?degraded small_platform ctg
+            ~assignment ~rank)
+      = build (fun () ->
+            Rebuild.run
+              (Noc_eas.Kernel.build ?degraded ?comm_model small_platform ctg)
+              ~assignment ~rank))
 
 let suite =
   [

@@ -360,6 +360,43 @@ let test_reversed_edges_miss () =
     (str_member "schedule" reply);
   certify_reply_schedule ~ctg:r reply
 
+(* The parse cache is keyed by the request's raw text, the kernel cache
+   by the graph's content digest. An [eas-base] request for the graph of
+   an earlier [eas] request, with one extra comment line, misses the
+   parse and schedule caches but hits the kernel cache: it must be
+   served exactly as a fresh daemon serves it. So must the plain text,
+   parsed by an [edf] request before any kernel existed, once an [eas]
+   request for the commented text has cached a kernel built on another
+   graph value: the daemon runs the graph the kernel records. *)
+let test_kernel_reused_across_texts () =
+  let g = graph ~tasks:40 6 in
+  let line algo ctg_text =
+    Protocol.request_to_line
+      (Protocol.Schedule { ctg_text; mesh = (4, 4); algo; decisions = false; dvfs = None })
+  in
+  let plain = Ctg_io.to_string g in
+  let commented = "# the same graph, another text\n" ^ plain in
+  let served_fresh state request =
+    let reply, _ = Server.handle_line state request in
+    let obj = parse_reply reply in
+    if not (is_ok obj) then Alcotest.failf "request refused: %s" reply;
+    Alcotest.(check bool) "a schedule-cache miss" false (bool_member "cached" obj);
+    let stats = expect_ok state (Protocol.request_to_line Protocol.Stats) in
+    (match Json.member "kernel_cache" stats with
+    | Some c -> Alcotest.(check (float 0.)) "a kernel-cache hit" 1. (num_member "hits" c)
+    | None -> Alcotest.fail "stats reply lacks kernel_cache");
+    Alcotest.(check string) "a fresh daemon's reply"
+      (fst (Server.handle_line (mk_state ()) request))
+      reply
+  in
+  let state = mk_state () in
+  ignore (expect_ok state (line Runner.Eas plain));
+  served_fresh state (line Runner.Eas_base commented);
+  let state = mk_state () in
+  ignore (expect_ok state (line Runner.Edf plain));
+  ignore (expect_ok state (line Runner.Eas commented));
+  served_fresh state (line Runner.Eas_base plain)
+
 let test_eviction_at_capacity () =
   let state = mk_state ~capacity:1 () in
   let ga = graph 2 and gb = graph 3 in
@@ -1028,6 +1065,8 @@ let suite =
     Alcotest.test_case "cached hit bit-identity" `Quick test_cached_hit_bit_identity;
     Alcotest.test_case "reversed edges miss" `Quick test_reversed_edges_miss;
     Alcotest.test_case "eviction at capacity" `Quick test_eviction_at_capacity;
+    Alcotest.test_case "a kernel is reused across texts of one graph" `Quick
+      test_kernel_reused_across_texts;
     Alcotest.test_case "incremental reschedule" `Quick test_reschedule_incremental;
     Alcotest.test_case "simulate request" `Quick test_simulate_request;
     Alcotest.test_case "stats shape" `Quick test_stats_shape;

@@ -128,9 +128,11 @@ let test_fixed_delay_exposes_contention () =
     (fun seed ->
       let ctg = random_ctg ~n_tasks:120 ~tightness:1.4 seed in
       let planned =
-        (Noc_eas.Eas.schedule ~comm_model:Noc_sched.Comm_sched.Fixed_delay
-           category_platform ctg)
-          .Noc_eas.Eas.schedule
+        let kernel =
+          Noc_eas.Kernel.build ~comm_model:Noc_sched.Comm_sched.Fixed_delay
+            category_platform ctg
+        in
+        (Noc_eas.Eas.schedule ~kernel category_platform ctg).Noc_eas.Eas.schedule
       in
       let outcome = Executor.run category_platform ctg planned in
       if outcome.Executor.waiting_time > 0. then blocked := true;

@@ -26,8 +26,10 @@ let test_fixed_buffering_positive () =
   for seed = 0 to 4 do
     let ctg = random_ctg ~n_tasks:120 seed in
     let s =
-      (Noc_eas.Eas.schedule ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg)
-        .Noc_eas.Eas.schedule
+      let kernel =
+        Noc_eas.Kernel.build ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg
+      in
+      (Noc_eas.Eas.schedule ~kernel platform ctg).Noc_eas.Eas.schedule
     in
     let replay = Executor.run platform ctg s in
     if Buffer_energy.estimate ctg replay > 0. then positive := true
@@ -37,8 +39,10 @@ let test_fixed_buffering_positive () =
 let test_per_edge_consistency () =
   let ctg = random_ctg ~n_tasks:120 2 in
   let s =
-    (Noc_eas.Eas.schedule ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg)
-      .Noc_eas.Eas.schedule
+    let kernel =
+      Noc_eas.Kernel.build ~comm_model:Noc_sched.Comm_sched.Fixed_delay platform ctg
+    in
+    (Noc_eas.Eas.schedule ~kernel platform ctg).Noc_eas.Eas.schedule
   in
   let replay = Executor.run platform ctg s in
   let waits = replay.Executor.edge_waiting in

@@ -25,21 +25,6 @@ let test_argmin () =
   Alcotest.(check int) "argmin" 1 (Stats.argmin [| 3.; -1.; 7.; 0. |]);
   Alcotest.(check int) "first on ties" 0 (Stats.argmin [| 2.; 2.; 2. |])
 
-let test_two_smallest () =
-  let best, second = Stats.two_smallest [| 5.; 1.; 3.; 2. |] in
-  Alcotest.(check (float 0.)) "best" 1. best;
-  Alcotest.(check (float 0.)) "second" 2. second
-
-let test_two_smallest_duplicates () =
-  let best, second = Stats.two_smallest [| 4.; 4.; 9. |] in
-  Alcotest.(check (float 0.)) "best" 4. best;
-  Alcotest.(check (float 0.)) "second equals best" 4. second
-
-let test_two_smallest_singleton () =
-  let best, second = Stats.two_smallest [| 6. |] in
-  Alcotest.(check (float 0.)) "best" 6. best;
-  Alcotest.(check (float 0.)) "second = best" 6. second
-
 let test_sum () =
   Alcotest.(check (float 1e-12)) "sum" 10. (Stats.sum [| 1.; 2.; 3.; 4. |]);
   Alcotest.(check (float 0.)) "empty" 0. (Stats.sum [||])
@@ -115,9 +100,6 @@ let suite =
     Alcotest.test_case "stddev" `Quick test_stddev;
     Alcotest.test_case "min/max" `Quick test_min_max;
     Alcotest.test_case "argmin" `Quick test_argmin;
-    Alcotest.test_case "two smallest" `Quick test_two_smallest;
-    Alcotest.test_case "two smallest with duplicates" `Quick test_two_smallest_duplicates;
-    Alcotest.test_case "two smallest singleton" `Quick test_two_smallest_singleton;
     Alcotest.test_case "sum" `Quick test_sum;
     Alcotest.test_case "fequal" `Quick test_fequal;
     Alcotest.test_case "median" `Quick test_median;

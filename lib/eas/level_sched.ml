@@ -15,14 +15,15 @@ let c_energy = Noc_obs.Counters.counter "eas.assignment_energy.evaluations"
    be a Rule 4 member for a deadline-free task, which no generated
    graph produces. *)
 let assignment_energy kernel (ls : List_sched.t) i k =
-  let comm =
-    List.fold_left
-      (fun acc (e : Noc_ctg.Edge.t) ->
-        acc +. Kernel.comm_energy_inf kernel ~src:ls.pe.(e.src) ~dst:k ~bits:e.volume)
-      0.
-      (Noc_ctg.Ctg.in_edges ls.ctg i)
-  in
-  Kernel.exec_energy kernel ~task:i ~pe:k +. comm
+  (* The in-edges in [Ctg.in_edges] order, read from the CSR rows. *)
+  let comm = ref 0. in
+  for j = ls.in_start.(i) to ls.in_start.(i + 1) - 1 do
+    comm :=
+      !comm
+      +. Kernel.comm_energy_inf kernel ~src:ls.pe.(ls.pred.(j)) ~dst:k
+           ~bits:ls.volume.(ls.in_edge.(j))
+  done;
+  Kernel.exec_energy kernel ~task:i ~pe:k +. !comm
 
 let run ~kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
   Kernel.check kernel ~caller:"Level_sched.run" platform ctg;
@@ -72,16 +73,23 @@ let run ~kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
   let init_energy i =
     if energy_of.(i) == [||] then begin
       let row = Array.make n_pes infinity in
-      let order = ref [] in
-      for k = n_pes - 1 downto 0 do
+      let order = Array.make n_pes 0 and len = ref 0 in
+      for k = 0 to n_pes - 1 do
         if allowed i k then begin
           Noc_obs.Counters.incr c_energy;
           row.(k) <- assignment_energy kernel ls i k;
-          order := (row.(k), k) :: !order
+          order.(!len) <- k;
+          incr len
         end
       done;
+      let order = Array.sub order 0 !len in
+      Array.sort
+        (fun a b ->
+          let c = Float.compare row.(a) row.(b) in
+          if c <> 0 then c else Int.compare a b)
+        order;
       energy_of.(i) <- row;
-      energy_order.(i) <- Array.of_list (List.map snd (List.sort compare !order))
+      energy_order.(i) <- order
     end
   in
   (* Two-stage F(i,k) memo, revalidated by timeline versions.

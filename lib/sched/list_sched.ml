@@ -131,20 +131,21 @@ exception Unreachable of int
 
 (* The one Fig. 3 walk: sends task [i]'s in-edges to PE [k] in the Fig. 3
    order (sorted into [t.in_order]), reserving each window through the
-   journal and recording it in [tx_start]/[tx_finish], counts each
-   transaction on [counter], and returns the data-ready time, the latest
-   arrival ([0.] for none). A sender that cannot reach [k] raises
-   [Unreachable], after the windows before it were reserved. Every
-   branch of a window's start reads a float variable or array cell, so
-   the walk keeps its floats unboxed. *)
+   journal and recording it in [tx_start]/[tx_finish], counts the
+   transactions on [counter] (once per walk), and leaves the data-ready
+   time, the latest arrival ([0.] for none), in [t.window.(0)]: a float
+   result would be boxed. A sender that cannot reach [k] raises
+   [Unreachable], after the windows before it were reserved and
+   counted. Every branch of a window's start reads a float variable or
+   array cell, so the walk keeps its floats unboxed. *)
 let receive t counter i k =
   let order = t.in_order and window = t.window in
   let drt = ref 0. in
-  for j = 0 to fig3_order t order i - 1 do
+  let n = fig3_order t order i in
+  for j = 0 to n - 1 do
     let e = order.(j) in
     let src = t.edge_src.(e) in
     let src_pe = t.pe.(src) and sent = t.finish.(src) in
-    Noc_obs.Counters.incr counter;
     let pair = (src_pe * t.n_pes) + k in
     let h = t.hops.(pair) in
     let duration =
@@ -153,7 +154,10 @@ let receive t counter i k =
     in
     let start =
       if src_pe = k then sent
-      else if h < 0 then raise (Unreachable src_pe)
+      else if h < 0 then begin
+        Noc_obs.Counters.add counter (j + 1);
+        raise (Unreachable src_pe)
+      end
       else
         match t.comm_model with
         | Comm_sched.Fixed_delay -> sent
@@ -169,7 +173,8 @@ let receive t counter i k =
     t.tx_finish.(e) <- stop;
     if stop > !drt then drt := stop
   done;
-  !drt
+  if n > 0 then Noc_obs.Counters.add counter n;
+  window.(0) <- !drt
 
 (* The time task [i] may start at on [k] given its data-ready time
    [drt]: the later of [drt] and its release time. *)
@@ -179,14 +184,12 @@ let[@inline] available task ~drt =
   | Some _ | None -> drt
 
 let place t i k =
-  let drt =
-    try receive t c_transactions i k
-    with Unreachable src_pe ->
-      invalid_arg (Printf.sprintf "List_sched.place: no surviving route from %d to %d" src_pe k)
-  in
+  (try receive t c_transactions i k
+   with Unreachable src_pe ->
+     invalid_arg (Printf.sprintf "List_sched.place: no surviving route from %d to %d" src_pe k));
   let task = Noc_ctg.Ctg.task t.ctg i in
   let window = t.window in
-  window.(0) <- available task ~drt;
+  window.(0) <- available task ~drt:window.(0);
   window.(1) <- task.Noc_ctg.Task.exec_times.(k);
   Resource_state.reserve_pe_gap t.state ~pe:k window;
   let start = window.(0) in
@@ -198,7 +201,11 @@ let place t i k =
    of its reservations and a reset of the windows it recorded. *)
 let data_ready t i k =
   let m = Resource_state.mark t.state in
-  let drt = try receive t c_probe_transactions i k with Unreachable _ -> infinity in
+  let drt =
+    match receive t c_probe_transactions i k with
+    | () -> t.window.(0)
+    | exception Unreachable _ -> infinity
+  in
   Resource_state.rollback t.state m;
   for j = t.in_start.(i) to t.in_start.(i + 1) - 1 do
     t.tx_start.(t.in_edge.(j)) <- nan;
@@ -228,26 +235,30 @@ let data_ready_tables t i k =
   | Comm_sched.Contention_aware when not !cut -> Array.concat !routes
   | Comm_sched.Contention_aware | Comm_sched.Fixed_delay -> [||]
 
-let schedule t =
+let schedule_of t ~pe ~start ~finish ~tx_start ~tx_finish =
   let placements =
-    Array.init (Array.length t.pe) (fun i ->
-        { Schedule.task = i; pe = t.pe.(i); start = t.start.(i); finish = t.finish.(i) })
+    Array.init (Array.length pe) (fun i ->
+        { Schedule.task = i; pe = pe.(i); start = start.(i); finish = finish.(i) })
   in
   let transactions =
     Array.map
       (fun (e : Noc_ctg.Edge.t) ->
-        let src_pe = t.pe.(e.src) and dst_pe = t.pe.(e.dst) in
+        let src_pe = pe.(e.src) and dst_pe = pe.(e.dst) in
         {
           Schedule.edge = e.id;
           src_pe;
           dst_pe;
           route = t.routes.((src_pe * t.n_pes) + dst_pe);
-          start = t.tx_start.(e.id);
-          finish = t.tx_finish.(e.id);
+          start = tx_start.(e.id);
+          finish = tx_finish.(e.id);
         })
       (Noc_ctg.Ctg.edges t.ctg)
   in
   Schedule.make ~placements ~transactions
+
+let schedule t =
+  schedule_of t ~pe:t.pe ~start:t.start ~finish:t.finish ~tx_start:t.tx_start
+    ~tx_finish:t.tx_finish
 
 let lateness (task : Noc_ctg.Task.t) finish =
   match task.deadline with

@@ -125,6 +125,18 @@ val schedule : t -> Schedule.t
 (** The partial schedule, every task placed, as a {!Schedule.t}: each
     transaction's route read from [routes]. *)
 
+val schedule_of :
+  t ->
+  pe:int array ->
+  start:float array ->
+  finish:float array ->
+  tx_start:float array ->
+  tx_finish:float array ->
+  Schedule.t
+(** {!schedule} of placements and transaction windows held in the
+    caller's arrays, laid out as [t]'s own (a copy of a complete partial
+    schedule of [t]'s graph), with routes read from [t]. *)
+
 val lateness : Noc_ctg.Task.t -> float -> float
 (** [lateness task finish]: how far [finish] lies past the task's
     deadline when that is more than 1e-9, else [0.]. Every scheduler

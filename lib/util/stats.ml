@@ -19,7 +19,7 @@ let max_value arr =
   assert (Array.length arr > 0);
   Array.fold_left Float.max arr.(0) arr
 
-let argmin arr =
+let argmin (arr : float array) =
   assert (Array.length arr > 0);
   let best = ref 0 in
   for i = 1 to Array.length arr - 1 do

@@ -64,6 +64,28 @@ let release_slot t i ~starts ~stops d =
       (Format.asprintf "Timeline_reference.release_slot: [%g, %g) not at slot index %d"
          start stop i)
 
+(* The journal forms: the single ones over a stretch, stopping at the
+   first entry they reject. *)
+let reserve_slots tls ~ids ~slots ~starts ~stops lo hi =
+  let rec go d =
+    if d >= hi then hi
+    else
+      match reserve_slot tls.(ids.(d)) slots.(d) ~starts ~stops d with
+      | () -> go (d + 1)
+      | exception Invalid_argument _ -> d
+  in
+  go lo
+
+let release_slots tls ~ids ~slots ~starts ~stops lo hi =
+  let rec go d =
+    if d < lo then lo
+    else
+      match release_slot tls.(ids.(d)) slots.(d) ~starts ~stops d with
+      | () -> go (d - 1)
+      | exception Invalid_argument _ -> d + 1
+  in
+  go (hi - 1)
+
 let utilisation t ~horizon =
   assert (horizon > 0.);
   let covered =

@@ -18,6 +18,18 @@ val earliest_gap : t -> after:float -> duration:float -> float
 val reserve : t -> Noc_util.Interval.t -> unit
 val reserve_slot : t -> int -> starts:float array -> stops:float array -> int -> unit
 val release_slot : t -> int -> starts:float array -> stops:float array -> int -> unit
+
+val reserve_slots :
+  t array -> ids:int array -> slots:int array -> starts:float array -> stops:float array ->
+  int -> int -> int
+
+val release_slots :
+  t array -> ids:int array -> slots:int array -> starts:float array -> stops:float array ->
+  int -> int -> int
+(** {!Noc_util.Timeline}'s journal forms: {!reserve_slot} (or
+    {!release_slot}) over a stretch, stopping at the first entry it
+    rejects. *)
+
 val utilisation : t -> horizon:float -> float
 val span : t -> float
 val merged_busy : t list -> after:float -> Noc_util.Interval.t list

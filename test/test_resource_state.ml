@@ -5,7 +5,8 @@
    nested marks, empty-interval reserves that skip the journal, and
    marks invalidated by an enclosing rollback — plus the redo law the
    incremental repair search relies on: any mark of one journal can be
-   reached again by rollback or redo. *)
+   reached again by rollback or redo, through the mark tables and
+   reused journal copies the search keeps. *)
 
 module Resource_state = Noc_sched.Resource_state
 module Timeline = Noc_util.Timeline
@@ -169,44 +170,44 @@ let qcheck_rollback_redo =
   QCheck.Test.make ~name:"rollback then redo restores every table" ~count:300 gen
     (fun (reservations, walk) ->
       let state = Resource_state.create platform in
-      let stops =
-        List.map
-          (fun r ->
-            let m = Resource_state.mark state in
+      let n = List.length reservations in
+      let marks = Resource_state.marks state (n + 1) in
+      let seen =
+        List.mapi
+          (fun i r ->
+            Resource_state.set_mark state marks i;
             let seen = tables state in
             reserve_random state r;
-            (m, seen))
+            seen)
           reservations
       in
-      let stops = Array.of_list (stops @ [ (Resource_state.mark state, tables state) ]) in
+      Resource_state.set_mark state marks n;
+      let seen = Array.of_list (seen @ [ tables state ]) in
       let saved = Resource_state.save state in
-      let at = ref (Array.length stops - 1) in
+      let at = ref n in
       let walk_ok =
         List.for_all
           (fun pick ->
-            let target = pick mod Array.length stops in
-            let m, seen = stops.(target) in
-            if target <= !at then Resource_state.rollback state m
-            else Resource_state.redo state saved m;
+            let target = pick mod (n + 1) in
+            if target <= !at then Resource_state.rollback_to state marks target
+            else Resource_state.redo_to state saved marks target;
             at := target;
-            tables state = seen)
+            tables state = seen.(target))
           walk
       in
-      let first, seen_first = stops.(0) in
-      let last, _ = stops.(Array.length stops - 1) in
       (* An older mark than the current journal. *)
-      Resource_state.rollback state first;
-      Resource_state.redo state saved last;
-      let older_raises = raises (fun () -> Resource_state.redo state saved first) in
+      Resource_state.rollback_to state marks 0;
+      Resource_state.redo_to state saved marks n;
+      let older_raises = raises (fun () -> Resource_state.redo_to state saved marks 0) in
       (* A mark of a branch the journal left: back to the first stop,
          then a new reservation. *)
-      Resource_state.rollback state first;
+      Resource_state.rollback_to state marks 0;
       reserve_random state (0, 200, 1);
       let branched = tables state in
-      let branch_raises = raises (fun () -> Resource_state.redo state saved last) in
+      let branch_raises = raises (fun () -> Resource_state.redo_to state saved marks n) in
       let unchanged = tables state = branched in
-      Resource_state.rollback state first;
-      walk_ok && older_raises && branch_raises && unchanged && tables state = seen_first)
+      Resource_state.rollback_to state marks 0;
+      walk_ok && older_raises && branch_raises && unchanged && tables state = seen.(0))
 
 (* The table-array fast path against the route-list one: on equal
    states, [reserve_route_gap] over the route's link tables takes the
@@ -250,17 +251,27 @@ let qcheck_reserve_route_gap =
    entries, newest first, whose marks and saved copies are its tails.
    A rollback is valid when the mark's stack is a tail of the live one;
    a redo, when the live stack is a tail of the mark's and the mark's
-   of the saved copy's. After any interleaving of reservations (PE and
-   route), marks, saves, rollbacks and redos, every operation must raise
-   exactly when the model calls it invalid, and every table must hold
-   what replaying the model's entries on [Timeline_reference] gives. *)
+   of the saved copy's. Marks are taken both as [mark] records and into
+   one table of [n_slots] positions ([set_mark], every position at the
+   empty journal until set); copies are made by [save] or by
+   [save_into] an existing copy, which then holds only the live
+   journal, however much longer it was. After any interleaving of
+   reservations (PE and route), marks, saves, rollbacks and redos,
+   every operation must raise exactly when the model calls it invalid,
+   and every table must hold what replaying the model's entries on
+   [Timeline_reference] gives. *)
 type journal_op =
   | Reserve_pe of int * int * int
   | Reserve_route of int * int * int * int
   | Mark
+  | Set_mark of int
   | Save
+  | Save_into of int
   | Rollback of int
-  | Redo of int * int
+  | Rollback_to of int
+  | Redo_to of int * int
+
+let n_slots = 6
 
 let journal_op_gen =
   QCheck.Gen.(
@@ -272,19 +283,25 @@ let journal_op_gen =
             (fun (src, dst) (a, d) -> Reserve_route (src, dst, a, d))
             (pair (int_bound 3) (int_bound 3))
             (pair (int_bound 30) (int_bound 6)) );
-        (3, return Mark);
+        (2, return Mark);
+        (2, map (fun i -> Set_mark i) (int_bound (n_slots - 1)));
         (1, return Save);
-        (2, map (fun i -> Rollback i) (int_bound 100));
-        (2, map2 (fun i j -> Redo (i, j)) (int_bound 100) (int_bound 100));
+        (1, map (fun i -> Save_into i) (int_bound 100));
+        (1, map (fun i -> Rollback i) (int_bound 100));
+        (2, map (fun i -> Rollback_to i) (int_bound (n_slots - 1)));
+        (3, map2 (fun i j -> Redo_to (i, j)) (int_bound 100) (int_bound (n_slots - 1)));
       ])
 
 let pp_journal_op = function
   | Reserve_pe (pe, a, d) -> Printf.sprintf "Reserve_pe(%d,%d,%d)" pe a d
   | Reserve_route (s, t, a, d) -> Printf.sprintf "Reserve_route(%d,%d,%d,%d)" s t a d
   | Mark -> "Mark"
+  | Set_mark i -> Printf.sprintf "Set_mark(%d)" i
   | Save -> "Save"
+  | Save_into i -> Printf.sprintf "Save_into(%d)" i
   | Rollback i -> Printf.sprintf "Rollback(%d)" i
-  | Redo (i, j) -> Printf.sprintf "Redo(%d,%d)" i j
+  | Rollback_to i -> Printf.sprintf "Rollback_to(%d)" i
+  | Redo_to (i, j) -> Printf.sprintf "Redo_to(%d,%d)" i j
 
 let rec is_tail tail list = tail == list || match list with [] -> false | _ :: rest -> is_tail tail rest
 
@@ -309,6 +326,8 @@ let qcheck_journal_model =
         find 0
       in
       let live = ref [] and marks = ref [||] and saves = ref [||] in
+      let table_marks = Resource_state.marks state n_slots in
+      let table_stacks = Array.make n_slots [] in
       let pick a i = a.(i mod Array.length a) in
       let agrees valid f =
         let before = tables state in
@@ -340,8 +359,17 @@ let qcheck_journal_model =
         | Mark ->
           marks := Array.append !marks [| (Resource_state.mark state, !live) |];
           true
+        | Set_mark i ->
+          Resource_state.set_mark state table_marks i;
+          table_stacks.(i) <- !live;
+          true
         | Save ->
-          saves := Array.append !saves [| (Resource_state.save state, !live) |];
+          saves := Array.append !saves [| (Resource_state.save state, ref !live) |];
+          true
+        | Save_into i when Array.length !saves > 0 ->
+          let saved, saved_stack = pick !saves i in
+          Resource_state.save_into state saved;
+          saved_stack := !live;
           true
         | Rollback i when Array.length !marks > 0 ->
           let m, stack = pick !marks i in
@@ -349,13 +377,21 @@ let qcheck_journal_model =
           let ok = agrees valid (fun () -> Resource_state.rollback state m) in
           if valid then live := stack;
           ok
-        | Redo (i, j) when Array.length !marks > 0 && Array.length !saves > 0 ->
-          let saved, saved_stack = pick !saves i and m, stack = pick !marks j in
-          let valid = is_tail !live stack && is_tail stack saved_stack in
-          let ok = agrees valid (fun () -> Resource_state.redo state saved m) in
+        | Rollback_to i ->
+          let stack = table_stacks.(i) in
+          let valid = is_tail stack !live in
+          let ok = agrees valid (fun () -> Resource_state.rollback_to state table_marks i) in
           if valid then live := stack;
           ok
-        | Rollback _ | Redo _ -> true
+        | Redo_to (i, j) when Array.length !saves > 0 ->
+          let saved, saved_stack = pick !saves i and stack = table_stacks.(j) in
+          let valid = is_tail !live stack && is_tail stack !saved_stack in
+          let ok =
+            agrees valid (fun () -> Resource_state.redo_to state saved table_marks j)
+          in
+          if valid then live := stack;
+          ok
+        | Save_into _ | Rollback _ | Redo_to _ -> true
       in
       let replay () =
         let refs = Array.init (n + Array.length links) (fun _ -> Reference.create ()) in
@@ -367,8 +403,11 @@ let qcheck_journal_model =
       List.for_all (fun op -> step op && replay ()) ops)
 
 (* A slot that no longer holds the interval: a reservation before it
-   shifted it along, or it was released already. *)
-let release tl i start stop = Timeline.release_slot tl i ~starts:[| start |] ~stops:[| stop |] 0
+   shifted it along, or it was released already. A one-entry journal
+   stretch returns 0 when it released the slot, 1 when it did not. *)
+let release tl i start stop =
+  Timeline.release_slots [| tl |] ~ids:[| 0 |] ~slots:[| i |] ~starts:[| start |]
+    ~stops:[| stop |] 0 1
 
 let test_release_slot_checks () =
   let tl = Timeline.create () in
@@ -376,17 +415,70 @@ let test_release_slot_checks () =
   Timeline.reserve tl (iv 0. 5.);
   let busy = Timeline.busy tl and version = Timeline.version tl in
   let unchanged () = Timeline.busy tl = busy && Timeline.version tl = version in
-  Alcotest.(check bool) "shifted slot raises" true
-    (raises (fun () -> release tl 0 10. 20.));
+  Alcotest.(check int) "shifted slot refused" 1 (release tl 0 10. 20.);
   Alcotest.(check bool) "table unchanged" true (unchanged ());
-  Alcotest.(check bool) "slot past the end raises" true
-    (raises (fun () -> release tl 2 10. 20.));
+  Alcotest.(check int) "slot past the end refused" 1 (release tl 2 10. 20.);
   Alcotest.(check bool) "table still unchanged" true (unchanged ());
-  release tl 1 10. 20.;
-  Alcotest.(check bool) "released slot raises" true
-    (raises (fun () -> release tl 1 10. 20.));
+  Alcotest.(check int) "live slot released" 0 (release tl 1 10. 20.);
+  Alcotest.(check int) "released slot refused" 1 (release tl 1 10. 20.);
   Alcotest.(check (list (float 0.))) "only the live slot is left" [ 0.; 5. ]
     (List.concat_map (fun (i : Interval.t) -> [ i.start; i.stop ]) (Timeline.busy tl))
+
+(* A shorter journal saved into a longer copy: the copy's entries above
+   the new depth are stale, so a redo to a mark set while the copy was
+   longer must raise and change nothing, while a mark within the new
+   copy still redoes. *)
+let test_save_into_shorter_copy () =
+  let state = Resource_state.create platform in
+  let marks = Resource_state.marks state 4 in
+  Resource_state.set_mark state marks 0;
+  reserve_pe state ~pe:0 0. 1.;
+  Resource_state.set_mark state marks 1;
+  reserve_pe state ~pe:0 1. 2.;
+  reserve_pe state ~pe:1 0. 3.;
+  Resource_state.set_mark state marks 2;
+  let saved = Resource_state.save state in
+  Resource_state.rollback_to state marks 1;
+  Resource_state.save_into state saved;
+  Resource_state.rollback_to state marks 0;
+  let before = tables state in
+  Alcotest.(check bool) "redo above the new copy's depth raises" true
+    (raises (fun () -> Resource_state.redo_to state saved marks 2));
+  Alcotest.(check bool) "the raise changed nothing" true (tables state = before);
+  Resource_state.redo_to state saved marks 1;
+  Alcotest.(check int) "redo within the copy" 1 (busy_count state 0);
+  (* Reserving past the copy again and saving it grows the copy back. *)
+  reserve_pe state ~pe:2 0. 1.;
+  Resource_state.set_mark state marks 3;
+  Resource_state.save_into state saved;
+  Resource_state.rollback_to state marks 0;
+  Resource_state.redo_to state saved marks 3;
+  Alcotest.(check int) "redo to the grown copy's end" 1 (busy_count state 2);
+  Alcotest.(check bool) "the old mark names a branch the copy left" true
+    (raises (fun () -> Resource_state.redo_to state saved marks 2))
+
+(* Mark tables and copies belong to one state: setting, rolling back or
+   redoing through another's raises, before anything is touched. *)
+let test_marks_and_copies_of_another_state () =
+  let state = Resource_state.create platform and other = Resource_state.create platform in
+  let own = Resource_state.marks state 1 and foreign = Resource_state.marks other 1 in
+  Resource_state.set_mark state own 0;
+  Resource_state.set_mark other foreign 0;
+  let saved = Resource_state.save state and foreign_saved = Resource_state.save other in
+  reserve_pe state ~pe:0 0. 1.;
+  let before = tables state in
+  Alcotest.(check bool) "set_mark into another state's table raises" true
+    (raises (fun () -> Resource_state.set_mark state foreign 0));
+  Alcotest.(check bool) "save_into another state's copy raises" true
+    (raises (fun () -> Resource_state.save_into state foreign_saved));
+  Alcotest.(check bool) "rollback_to another state's mark raises" true
+    (raises (fun () -> Resource_state.rollback_to state foreign 0));
+  Alcotest.(check bool) "redo_to from another state's copy raises" true
+    (raises (fun () -> Resource_state.redo_to state foreign_saved own 0));
+  Alcotest.(check bool) "nothing changed" true (tables state = before);
+  Resource_state.rollback_to state own 0;
+  Resource_state.save_into state saved;
+  Alcotest.(check int) "the state's own mark still rolls back" 0 (busy_count state 0)
 
 let suite =
   [
@@ -405,4 +497,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_reserve_route_gap;
     QCheck_alcotest.to_alcotest qcheck_journal_model;
     Alcotest.test_case "release_slot checks its slot" `Quick test_release_slot_checks;
+    Alcotest.test_case "save_into a shorter journal" `Quick test_save_into_shorter_copy;
+    Alcotest.test_case "marks and copies of another state" `Quick
+      test_marks_and_copies_of_another_state;
   ]

@@ -64,11 +64,18 @@ let test_reserve_empty_ignored () =
   Timeline.reserve tl (iv 5. 5.);
   Alcotest.(check int) "nothing recorded" 0 (List.length (Timeline.busy tl))
 
+(* Releases slot [i] of [tl] as a one-entry journal stretch; returns
+   [Timeline.release_slots]'s result: 0 when released, 1 when the slot
+   does not hold [[start, stop)]. *)
+let release_at tl i start stop =
+  Timeline.release_slots [| tl |] ~ids:[| 0 |] ~slots:[| i |] ~starts:[| start |]
+    ~stops:[| stop |] 0 1
+
 let test_release () =
   let tl = Timeline.create () in
   Timeline.reserve tl (iv 0. 10.);
   Timeline.reserve tl (iv 20. 30.);
-  Timeline.release_slot tl 0 ~starts:[| 0. |] ~stops:[| 10. |] 0;
+  Alcotest.(check int) "released" 0 (release_at tl 0 0. 10.);
   Alcotest.(check int) "one left" 1 (List.length (Timeline.busy tl));
   Alcotest.(check (float 0.)) "freed slot usable" 0.
     (Timeline.earliest_gap tl ~after:0. ~duration:10.)
@@ -76,11 +83,8 @@ let test_release () =
 let test_release_unknown_rejected () =
   let tl = Timeline.create () in
   Timeline.reserve tl (iv 0. 10.);
-  Alcotest.(check bool) "unknown release raises" true
-    (try
-       Timeline.release_slot tl 0 ~starts:[| 2. |] ~stops:[| 4. |] 0;
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check int) "unknown release stops at its entry" 1 (release_at tl 0 2. 4.);
+  Alcotest.(check int) "nothing released" 1 (List.length (Timeline.busy tl))
 
 let test_is_free () =
   let tl = Timeline.create () in
@@ -200,12 +204,12 @@ let test_version_restored () =
   Timeline.reserve tl (iv 0. 10.);
   Timeline.reserve tl (iv 20. 30.);
   let before = Timeline.version tl in
+  let tls = [| tl |] and ids = [| 0 |] and slots = [| Timeline.slot tl 12. |] in
   let starts = [| 12. |] and stops = [| 15. |] in
-  let i = Timeline.slot tl 12. in
-  Timeline.reserve_slot tl i ~starts ~stops 0;
+  Alcotest.(check int) "reserved" 1 (Timeline.reserve_slots tls ~ids ~slots ~starts ~stops 0 1);
   Alcotest.(check bool) "a reservation moves the version" true
     (Timeline.version tl <> before);
-  Timeline.release_slot tl i ~starts ~stops 0;
+  Alcotest.(check int) "released" 0 (Timeline.release_slots tls ~ids ~slots ~starts ~stops 0 1);
   Alcotest.(check int) "its release moves it back" before (Timeline.version tl)
 
 (* Property: over random traces of reservations and releases, the
@@ -220,8 +224,7 @@ let qcheck_version_counts_busy =
           (if release && busy <> [] then begin
              let i = start mod List.length busy in
              let slot = List.nth busy i in
-             Timeline.release_slot tl i ~starts:[| slot.Interval.start |]
-               ~stops:[| slot.Interval.stop |] 0
+             ignore (release_at tl i slot.Interval.start slot.Interval.stop)
            end
            else
              let slot = iv (float_of_int start) (float_of_int (start + len)) in

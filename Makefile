@@ -207,11 +207,13 @@ examples:
 doc:
 	dune build @doc
 
-# The library's exported surface, the two counts change notes quote:
-# optional arguments and `val` declarations across lib/*/*.mli.
+# The library's size, the three counts change notes quote: optional
+# arguments and `val` declarations across lib/*/*.mli, and the lines of
+# lib/*/*.ml and lib/*/*.mli.
 surface:
 	@echo "optional arguments: $$(grep -ohE '\?[a-z_]+ *:' lib/*/*.mli | wc -l)"
 	@echo "exported vals: $$(grep -h '^val ' lib/*/*.mli | wc -l)"
+	@echo "lines under lib/: $$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 
 clean:
 	dune clean

@@ -434,25 +434,23 @@ let schedule_cmd =
   let run instance algo gantt input save utilization svg jobs map_search ladder obs =
     exit_unless_certified @@ with_obs obs @@ fun () ->
     let platform, ctg = load_instance instance input in
-    (* The map search and the pinned run it feeds share one kernel. *)
-    let pinned, kernel =
-      if not map_search then (None, None)
+    let pinned =
+      if not map_search then None
       else begin
         if algo = Noc_experiments.Runner.Edf then
           failwith "--map-search needs a placement-aware scheduler (eas or eas-base)";
-        let kernel = Noc_eas.Kernel.build platform ctg in
-        let r = Noc_map.Search.run ?jobs kernel in
+        let r = Noc_map.Search.run ?jobs (Noc_eas.Kernel.build platform ctg) in
         Noc_obs.Log.infof "map search: winner %s (static value %.6g)"
           (Noc_map.Search.origin_name r.Noc_map.Search.winner.origin)
           r.Noc_map.Search.winner.static_value;
-        (Some r.Noc_map.Search.winner.mapping, Some kernel)
+        Some r.Noc_map.Search.winner.mapping
       end
     in
     (* One scheduler run serves metrics, outputs and the decision log
        alike — a second run would duplicate every --decisions record
        and double the command's wall time. *)
     let r =
-      Pipeline.run platform ctg { (Pipeline.request algo) with pinned; ladder; kernel }
+      Pipeline.run platform ctg { (Pipeline.request algo) with pinned; ladder }
     in
     let metrics = r.metrics in
     Format.printf "%s on %a / %a@."

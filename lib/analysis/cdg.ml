@@ -100,10 +100,6 @@ let of_relation ~n_nodes ~next =
   done;
   finalize b
 
-let n_channels t = Array.length t.channels
-
-let n_dependencies t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.succs
-
 let find_cycle t =
   let n = Array.length t.channels in
   (* 0 = unvisited, 1 = on the current DFS path, 2 = done. *)

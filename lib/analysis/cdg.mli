@@ -32,12 +32,6 @@ val of_relation :
     single-valued relation this coincides with {!of_routes} over the
     per-pair routes. Deterministic and canonical like {!of_routes}. *)
 
-val n_channels : t -> int
-(** Channels used by at least one route. *)
-
-val n_dependencies : t -> int
-(** Distinct channel-to-channel dependency arcs. *)
-
 val find_cycle : t -> Noc_noc.Routing.link list option
 (** A cycle of channel dependencies if one exists: the returned channels
     each depend on the next, and the last depends on the first. The

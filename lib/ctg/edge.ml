@@ -6,5 +6,3 @@ let make ~id ~src ~dst ~volume =
   if not (volume >= 0. && Float.is_finite volume) then
     invalid_arg "Edge.make: volume must be non-negative";
   { id; src; dst; volume }
-
-let is_control_only t = t.volume = 0.

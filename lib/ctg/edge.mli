@@ -15,6 +15,3 @@ type t = {
 val make : id:int -> src:int -> dst:int -> volume:float -> t
 (** Raises [Invalid_argument] on negative volume, negative endpoints or a
     self-loop. *)
-
-val is_control_only : t -> bool
-(** True when [volume = 0]. *)

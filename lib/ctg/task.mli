@@ -39,9 +39,6 @@ val mean_exec_time : t -> float
 val exec_time_variance : t -> float
 (** [VAR_ri]: population variance of the execution times. *)
 
-val energy_variance : t -> float
-(** [VAR_ei]: population variance of the energies. *)
-
 val weight : t -> float
 (** [W_ti = VAR_ei * VAR_ri], the slack-budgeting weight of EAS Step 1.
     Tasks whose placement matters more (high spread in both energy and

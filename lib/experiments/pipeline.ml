@@ -11,10 +11,9 @@ type request = {
   algo : Runner.algo;
   pinned : int array option;
   ladder : Noc_dvfs.Vf_table.t option;
-  kernel : Noc_eas.Kernel.t option;
 }
 
-let request algo = { algo; pinned = None; ladder = None; kernel = None }
+let request algo = { algo; pinned = None; ladder = None }
 
 type dvfs = {
   reclaim : Reclaim.result;
@@ -54,11 +53,10 @@ let reclaim ~table platform ctg base =
         (Noc_dvfs.Vf_table.ratios table, r.annotations, r.schedule);
   }
 
-let schedule_of platform ctg { algo; pinned; kernel; ladder = _ } =
+let schedule_of platform ctg { algo; pinned; ladder = _ } =
   match algo with
-  | Runner.Eas -> (Noc_eas.Eas.schedule ?kernel ?pinned platform ctg).schedule
-  | Runner.Eas_base ->
-    (Noc_eas.Eas.schedule ~repair:false ?kernel ?pinned platform ctg).schedule
+  | Runner.Eas -> (Noc_eas.Eas.schedule ?pinned platform ctg).schedule
+  | Runner.Eas_base -> (Noc_eas.Eas.schedule ~repair:false ?pinned platform ctg).schedule
   | Runner.Edf ->
     if pinned <> None then invalid_arg "Pipeline.run: EDF does not take a pinned mapping";
     Noc_edf.Edf.schedule platform ctg

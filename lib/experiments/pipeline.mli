@@ -13,7 +13,6 @@ type request = {
   algo : Runner.algo;
   pinned : int array option;  (** Fixed task-to-PE mapping (EAS variants). *)
   ladder : Noc_dvfs.Vf_table.t option;  (** Reclaim slack on this ladder. *)
-  kernel : Noc_eas.Kernel.t option;  (** A prebuilt kernel for the EAS variants. *)
 }
 
 val request : Runner.algo -> request

@@ -39,18 +39,12 @@ let run ?jobs ?(n_tasks = 120) ?(map_search = false) () =
           else
             (* Winner of the annealed search, pinned and re-evaluated
                through the pipeline so the row is certified like the
-               others, on the kernel the search priced it with. The
-               inner [jobs] stays 1: this trial already runs on a pool
-               worker. *)
-            let kernel = Noc_eas.Kernel.build platform ctg in
-            let r = Noc_map.Search.run ~jobs:1 kernel in
+               others. The inner [jobs] stays 1: this trial already
+               runs on a pool worker. *)
+            let r = Noc_map.Search.run ~jobs:1 (Noc_eas.Kernel.build platform ctg) in
             Some
               (evaluate
-                 {
-                   (Pipeline.request Runner.Eas) with
-                   pinned = Some r.Noc_map.Search.winner.mapping;
-                   kernel = Some kernel;
-                 })
+                 { (Pipeline.request Runner.Eas) with pinned = Some r.Noc_map.Search.winner.mapping })
         in
         {
           topology;

@@ -11,7 +11,6 @@ let of_list faults =
 
 let empty = of_list []
 let is_empty t = t.faults = []
-let cardinal t = List.length t.faults
 
 let of_strings specs =
   let rec go acc = function

@@ -10,7 +10,6 @@ type t
 val empty : t
 val is_empty : t -> bool
 val of_list : Fault.t list -> t
-val cardinal : t -> int
 
 val of_strings : string list -> (t, string) result
 (** Parses a list of CLI fault specs (see {!Fault.of_string}). *)

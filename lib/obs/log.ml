@@ -1,7 +1,6 @@
 type level = Error | Warn | Info | Debug
 
 let to_int = function Error -> 0 | Warn -> 1 | Info -> 2 | Debug -> 3
-let of_int = function 0 -> Error | 1 -> Warn | 2 -> Info | _ -> Debug
 
 let to_string = function
   | Error -> "error"
@@ -12,7 +11,6 @@ let to_string = function
 let current = Atomic.make (to_int Info)
 
 let set_level l = Atomic.set current (to_int l)
-let level () = of_int (Atomic.get current)
 
 let of_string s =
   match String.lowercase_ascii (String.trim s) with

@@ -12,7 +12,6 @@
 type level = Error | Warn | Info | Debug
 
 val set_level : level -> unit
-val level : unit -> level
 
 val of_string : string -> level option
 (** Accepts ["error"]/["quiet"], ["warn"]/["warning"], ["info"],

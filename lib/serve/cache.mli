@@ -1,5 +1,5 @@
-(** Bounded SIEVE memo for certified schedules, warmed kernels, parsed
-    graphs and refusals.
+(** Bounded SIEVE memo for certified schedules, parsed graphs and
+    refusals.
 
     Keys are the server's content-digest strings. The daemon serves one
     request at a time, so the cache holds no lock. Eviction is SIEVE (Zhang et al., NSDI '24,
@@ -24,9 +24,6 @@ val length : 'a t -> int
 
 val find : 'a t -> string -> 'a option
 (** Records a hit (marking the entry visited) or a miss. *)
-
-val peek : 'a t -> string -> 'a option
-(** Like {!find}, but records nothing: no hit, no miss, no visited bit. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Inserts at the newest end of the queue, evicting one entry when a

@@ -33,7 +33,6 @@ type state = {
   platforms : (int * int, Platform.t * string) Hashtbl.t;
       (** Warm platform and its memoized content digest per mesh. *)
   schedules : entry Cache.t;
-  kernels : Noc_eas.Kernel.t Cache.t;
   parses : (Ctg.t * string) Cache.t;
       (** [ctg_text -> (parsed graph, Ctg.digest)]: a warm cache hit
           costs neither the text parse nor the canonical-serialization
@@ -54,7 +53,6 @@ let make_state config =
   {
     platforms = Hashtbl.create 4;
     schedules = Cache.create ~capacity:config.capacity;
-    kernels = Cache.create ~capacity:(max 8 config.capacity);
     parses = Cache.create ~capacity:(max 8 config.capacity);
     refusals = Cache.create ~capacity:(max 8 config.capacity);
     requests = 0;
@@ -73,25 +71,15 @@ let platform_for state (cols, rows) =
     Hashtbl.replace state.platforms (cols, rows) pd;
     pd
 
-(* The kernel cache's key: the graph's and the platform's digests. *)
-let kernel_key ~ctg_digest ~platform_digest = ctg_digest ^ ":" ^ platform_digest
-
-(* Parse-and-digest, memoized on the raw text (see [state.parses]). A
-   graph whose kernel is cached for [mesh] is replaced by the graph
-   value that kernel holds, so the daemon keeps one copy of it. *)
-let parse_graph state ~mesh ctg_text =
+(* Parse-and-digest, memoized on the raw text (see [state.parses]). *)
+let parse_graph state ctg_text =
   match Cache.find state.parses ctg_text with
   | Some v -> Ok v
   | None -> (
     match Ctg_io.of_string ctg_text with
     | Error _ as e -> e
     | Ok ctg ->
-      let ctg_digest = Ctg.digest ctg in
-      let kernel =
-        Option.bind (Hashtbl.find_opt state.platforms mesh) (fun (_, platform_digest) ->
-            Cache.peek state.kernels (kernel_key ~ctg_digest ~platform_digest))
-      in
-      let v = (Option.fold ~none:ctg ~some:Noc_eas.Kernel.ctg kernel, ctg_digest) in
+      let v = (ctg, Ctg.digest ctg) in
       Cache.add state.parses ctg_text v;
       Ok v)
 
@@ -150,34 +138,10 @@ let make_entry ?decisions ?dvfs ?(extra = []) ~energy ~misses schedule =
     extra;
   }
 
-let kernel_for state platform ctg ~ctg_digest ~platform_digest =
-  let key = kernel_key ~ctg_digest ~platform_digest in
-  match Cache.find state.kernels key with
-  | Some k -> k
-  | None ->
-    let k = Noc_eas.Kernel.build platform ctg in
-    Cache.add state.kernels key k;
-    k
-
 (* A cache miss through the pipeline, inside one decision-log capture
-   when [want_decisions]; a certification refusal is [Error]. Kernels
-   are reused across runs: [Kernel.build] is deterministic and the
-   kernel is read-only after construction, so reuse is bit-neutral.
-   A reused kernel is run on the graph and platform it records: the
-   kernel cache is keyed by content digest but the parse cache by raw
-   text, so another text of a digest-equal graph parses to another
-   [Ctg.t], which the kernel would refuse. EDF takes none. *)
-let run_fresh ?ladder state platform ctg algo ~digests ~want_decisions =
-  let ctg_digest, platform_digest = digests in
-  let run () =
-    let request = { (Pipeline.request algo) with ladder } in
-    match algo with
-    | Runner.Edf -> Pipeline.run platform ctg request
-    | Runner.Eas | Runner.Eas_base ->
-      let kernel = kernel_for state platform ctg ~ctg_digest ~platform_digest in
-      Pipeline.run (Noc_eas.Kernel.platform kernel) (Noc_eas.Kernel.ctg kernel)
-        { request with kernel = Some kernel }
-  in
+   when [want_decisions]; a certification refusal is [Error]. *)
+let run_fresh ?ladder platform ctg algo ~want_decisions =
+  let run () = Pipeline.run platform ctg { (Pipeline.request algo) with ladder } in
   let r, decisions =
     if want_decisions then
       let r, d = capture_decisions run in
@@ -203,7 +167,7 @@ let obtain state platform ctg algo ~digests ~want_decisions =
     match Cache.find state.refusals key with
     | Some msg -> Error msg
     | None -> (
-      match run_fresh state platform ctg algo ~digests ~want_decisions with
+      match run_fresh platform ctg algo ~want_decisions with
       | Error msg ->
         Cache.add state.refusals key msg;
         Error msg
@@ -237,7 +201,7 @@ let schedule_fields ~cached ~key ~algo (entry : entry) =
   @ entry.extra
 
 let with_graph state ?id ~ctg_text ~mesh k =
-  match parse_graph state ~mesh ctg_text with
+  match parse_graph state ctg_text with
   | Error msg -> Protocol.error_line ?id ("ctg: " ^ msg)
   | Ok (ctg, ctg_digest) ->
     let platform, platform_digest = platform_for state mesh in
@@ -282,7 +246,7 @@ let handle_dvfs_schedule state ?id ~algo ~decisions ~table platform ctg ~digests
   let fresh () =
     let base_result =
       if decisions then
-        run_fresh ~ladder:table state platform ctg algo ~digests ~want_decisions:true
+        run_fresh ~ladder:table platform ctg algo ~want_decisions:true
         |> Result.map (fun ((r : Pipeline.t), dlog) ->
                (r.metrics.total_energy, false, dlog, Option.get r.dvfs))
       else
@@ -418,7 +382,6 @@ let handle_stats state ?id () =
       ("requests", int_num state.requests);
       ("errors", int_num state.errors);
       ("cache", cache_json state.schedules);
-      ("kernel_cache", cache_json state.kernels);
       ("parse_cache", cache_json state.parses);
       ("refusal_cache", cache_json state.refusals);
       ("latency", Json.Obj latency);

@@ -5,13 +5,12 @@
     requests until a [shutdown] request arrives. Architecture:
 
     - {b Warm state.} Platforms (one per requested mesh geometry) are
-      built once, their route memos eagerly warmed, and kept resident;
-      flat-array {!Noc_eas.Kernel} matrices are memoized per
-      (CTG, platform) digest pair in their own {!Cache}, so a
-      cache-missed request pays the build at most once. A kernel
-      records the graph it was built for, and a fresh run schedules
-      and certifies that graph ({!Noc_eas.Kernel.ctg}), so another
-      text of a digest-equal graph reuses it.
+      built once, their route memos eagerly warmed, and kept resident.
+      Parsed graphs and their digests are memoized in a {!Cache} keyed
+      by the raw request text, so a repeated text is neither parsed nor
+      digested again. A cache-missed request runs
+      {!Noc_experiments.Pipeline.run}, which builds the EAS kernel it
+      schedules with.
     - {b Schedule cache.} Results are memoized in a SIEVE {!Cache}
       keyed by [algo:ctg:platform:faults:dvfs], content digests of
       everything a served schedule depends on: the algorithm, the
@@ -39,9 +38,10 @@
       caches and warm platforms therefore hold no lock. Responses go
       only to the connection that asked.
     - {b Observability.} Per-op request latencies land in
-      [serve/<op>] histograms and cache traffic in [serve.cache.*]
-      counters ({!Noc_obs.Counters}); the [stats] request (and the
-      CLI's [--stats]) surfaces p50/p99 and cache hit rates. *)
+      [serve/<op>] histograms ({!Noc_obs.Counters}); the [stats]
+      request (and the CLI's [--stats]) surfaces their p50/p99, and
+      each cache's traffic (entries, hits, misses, evictions) in one
+      object per cache. *)
 
 type config = {
   socket_path : string;
@@ -51,8 +51,8 @@ type config = {
 val default_config : socket_path:string -> config
 
 type state
-(** Warm platforms, kernel memo, schedule cache and refusal memo,
-    shared by every request the daemon serves. *)
+(** Warm platforms and three caches (schedules, parsed graphs and
+    refusals), shared by every request the daemon serves. *)
 
 val make_state : config -> state
 (** A server state without a socket — tests and the in-process bench

@@ -18,9 +18,6 @@ val overlaps : t -> t -> bool
     non-empty. Touching intervals ([a.stop = b.start]) do not overlap, and
     empty intervals overlap nothing. *)
 
-val shift : t -> float -> t
-(** [shift t dt] translates both bounds by [dt]. *)
-
 val merge : t -> t -> t
 (** Smallest interval covering both arguments. *)
 

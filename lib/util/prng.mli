@@ -36,11 +36,9 @@ val float_in : t -> min:float -> max:float -> float
 val bool : t -> bool
 (** Fair coin flip. *)
 
-val gaussian : t -> mean:float -> stddev:float -> float
-(** Normal deviate via the Box-Muller transform. *)
-
 val lognormal_factor : t -> sigma:float -> float
-(** A multiplicative noise factor with median 1.0: [exp (gaussian 0 sigma)].
+(** A multiplicative noise factor with median 1.0: [exp g] for a normal
+    deviate [g] (Box-Muller) of mean 0 and standard deviation [sigma].
     Used to perturb execution times and energies. *)
 
 val choose : t -> 'a array -> 'a

@@ -9,8 +9,6 @@ let variance arr =
   let acc = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. arr in
   acc /. float_of_int (Array.length arr)
 
-let stddev arr = sqrt (variance arr)
-
 let min_value arr =
   assert (Array.length arr > 0);
   Array.fold_left Float.min arr.(0) arr

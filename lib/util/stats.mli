@@ -7,15 +7,11 @@ val variance : float array -> float
 (** Population variance (the paper's [VAR] over the PE set is over the
     whole population of PEs, not a sample). Requires a non-empty array. *)
 
-val stddev : float array -> float
-
 val min_value : float array -> float
 val max_value : float array -> float
 
 val argmin : float array -> int
 (** Index of the smallest element (smallest index on ties). *)
-
-val sum : float array -> float
 
 val percentile : float array -> p:float -> float
 (** [percentile arr ~p] for [p] in [[0, 100]]: linear interpolation

@@ -38,7 +38,6 @@ let test_task_accessors () =
   Alcotest.(check int) "n_pes" 2 (Task.n_pes t);
   Alcotest.(check (float 1e-12)) "mean" 2. (Task.mean_exec_time t);
   Alcotest.(check (float 1e-12)) "time variance" 1. (Task.exec_time_variance t);
-  Alcotest.(check (float 1e-12)) "energy variance" 4. (Task.energy_variance t);
   Alcotest.(check (float 1e-12)) "weight = product" 4. (Task.weight t)
 
 let expect_invalid f =
@@ -66,12 +65,6 @@ let test_edge_validation () =
   expect_invalid (fun () -> Edge.make ~id:0 ~src:1 ~dst:1 ~volume:1.);
   expect_invalid (fun () -> Edge.make ~id:0 ~src:0 ~dst:1 ~volume:(-1.));
   expect_invalid (fun () -> Edge.make ~id:0 ~src:(-1) ~dst:1 ~volume:1.)
-
-let test_edge_control_only () =
-  Alcotest.(check bool) "control" true
-    (Edge.is_control_only (Edge.make ~id:0 ~src:0 ~dst:1 ~volume:0.));
-  Alcotest.(check bool) "data" false
-    (Edge.is_control_only (Edge.make ~id:0 ~src:0 ~dst:1 ~volume:5.))
 
 (* ------------------------------------------------------------------ *)
 (* Ctg *)
@@ -254,7 +247,6 @@ let suite =
     Alcotest.test_case "task validation" `Quick test_task_validation;
     Alcotest.test_case "task default name" `Quick test_task_default_name;
     Alcotest.test_case "edge validation" `Quick test_edge_validation;
-    Alcotest.test_case "edge control only" `Quick test_edge_control_only;
     Alcotest.test_case "graph accessors" `Quick test_graph_accessors;
     Alcotest.test_case "topological order" `Quick test_topological_order;
     Alcotest.test_case "cycle rejected" `Quick test_cycle_rejected;

@@ -62,7 +62,6 @@ let set_of specs =
 
 let test_set_queries () =
   let s = set_of [ "pe:5"; "link:1-2@50:"; "link:6-7@10:20" ] in
-  Alcotest.(check int) "cardinal" 3 (Fault_set.cardinal s);
   Alcotest.(check bool) "pe 5 down" true (Fault_set.pe_failed_at s ~pe:5 ~time:0.);
   Alcotest.(check bool) "pe 4 up" false (Fault_set.pe_failed_at s ~pe:4 ~time:0.);
   let l12 = { Routing.from_node = 1; to_node = 2 } in
@@ -88,7 +87,6 @@ let test_set_canonical_key () =
   let b = set_of [ "pe:3"; "pe:5"; "link:1-2"; "pe:5" ] in
   Alcotest.(check string) "order and duplicates do not matter"
     (Fault_set.key a) (Fault_set.key b);
-  Alcotest.(check int) "dedup" 3 (Fault_set.cardinal b);
   Alcotest.(check string) "empty key" "" (Fault_set.key Fault_set.empty)
 
 (* {1 Sampler} *)
@@ -102,7 +100,6 @@ let test_sampler_deterministic () =
   let distinct = List.sort_uniq String.compare keys in
   Alcotest.(check bool) "seeds vary" true (List.length distinct > 1);
   let s = sample 7 in
-  Alcotest.(check int) "one PE + one link" 2 (Fault_set.cardinal s);
   Alcotest.(check int) "one failed pe" 1 (List.length (Fault_set.failed_pes s));
   Alcotest.(check int) "one failed link" 1 (List.length (Fault_set.failed_links s))
 

@@ -25,11 +25,6 @@ let test_empty_overlaps_nothing () =
   Alcotest.(check bool) "empty vs full" false (Interval.overlaps (iv 1. 1.) (iv 0. 2.));
   Alcotest.(check bool) "full vs empty" false (Interval.overlaps (iv 0. 2.) (iv 1. 1.))
 
-let test_shift () =
-  let i = Interval.shift (iv 1. 3.) 10. in
-  Alcotest.(check (float 0.)) "start" 11. i.Interval.start;
-  Alcotest.(check (float 0.)) "stop" 13. i.Interval.stop
-
 let test_merge () =
   let m = Interval.merge (iv 0. 2.) (iv 5. 7.) in
   Alcotest.(check (float 0.)) "start" 0. m.Interval.start;
@@ -75,7 +70,6 @@ let suite =
     Alcotest.test_case "make empty" `Quick test_make_empty;
     Alcotest.test_case "overlaps basic" `Quick test_overlaps_basic;
     Alcotest.test_case "empty overlaps nothing" `Quick test_empty_overlaps_nothing;
-    Alcotest.test_case "shift" `Quick test_shift;
     Alcotest.test_case "merge" `Quick test_merge;
     Alcotest.test_case "compare_start" `Quick test_compare_start;
     Alcotest.test_case "equal" `Quick test_equal;

@@ -62,13 +62,7 @@ let test_log_levels () =
   List.iter round [ Log.Error; Log.Warn; Log.Info; Log.Debug ];
   Alcotest.(check bool) "quiet is error" true (Log.of_string "quiet" = Some Log.Error);
   Alcotest.(check bool) "warning alias" true (Log.of_string "WARNING" = Some Log.Warn);
-  Alcotest.(check bool) "unknown rejected" true (Log.of_string "chatty" = None);
-  let saved = Log.level () in
-  Fun.protect
-    ~finally:(fun () -> Log.set_level saved)
-    (fun () ->
-      Log.set_level Log.Debug;
-      Alcotest.(check string) "set/get" "debug" (Log.to_string (Log.level ())))
+  Alcotest.(check bool) "unknown rejected" true (Log.of_string "chatty" = None)
 
 (* Counters *)
 

@@ -12,10 +12,6 @@ let test_variance () =
     (Stats.variance [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |]);
   Alcotest.(check (float 1e-12)) "constant data" 0. (Stats.variance [| 3.; 3.; 3. |])
 
-let test_stddev () =
-  Alcotest.(check (float 1e-12)) "stddev" 2.
-    (Stats.stddev [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |])
-
 let test_min_max () =
   let arr = [| 3.; -1.; 7.; 0. |] in
   Alcotest.(check (float 0.)) "min" (-1.) (Stats.min_value arr);
@@ -24,10 +20,6 @@ let test_min_max () =
 let test_argmin () =
   Alcotest.(check int) "argmin" 1 (Stats.argmin [| 3.; -1.; 7.; 0. |]);
   Alcotest.(check int) "first on ties" 0 (Stats.argmin [| 2.; 2.; 2. |])
-
-let test_sum () =
-  Alcotest.(check (float 1e-12)) "sum" 10. (Stats.sum [| 1.; 2.; 3.; 4. |]);
-  Alcotest.(check (float 0.)) "empty" 0. (Stats.sum [||])
 
 let test_fequal () =
   Alcotest.(check bool) "exact" true (Stats.fequal 1. 1.);
@@ -97,10 +89,8 @@ let suite =
   [
     Alcotest.test_case "mean" `Quick test_mean;
     Alcotest.test_case "variance" `Quick test_variance;
-    Alcotest.test_case "stddev" `Quick test_stddev;
     Alcotest.test_case "min/max" `Quick test_min_max;
     Alcotest.test_case "argmin" `Quick test_argmin;
-    Alcotest.test_case "sum" `Quick test_sum;
     Alcotest.test_case "fequal" `Quick test_fequal;
     Alcotest.test_case "median" `Quick test_median;
     Alcotest.test_case "percentile" `Quick test_percentile;

@@ -10,6 +10,7 @@ type t = {
   route_tables : Timeline.t array array;
   route_ids : int array array;
   window : float array;
+  probe_mark : Resource_state.marks;
   link_bandwidth : float;
   router_latency : float;
   in_start : int array;
@@ -27,20 +28,29 @@ type t = {
   tx_finish : float array;
 }
 
-(* Row offsets and flattened entries of a per-task list adjacency. *)
-let csr n row =
-  let rows = List.init n row in
-  let offsets = Array.make (n + 1) 0 in
-  List.iteri (fun i r -> offsets.(i + 1) <- offsets.(i) + List.length r) rows;
-  (offsets, Array.concat (List.map Array.of_list rows))
+(* CSR rows of the edges: row [row e] holds [entry e] for each edge [e]
+   sent to it, in increasing edge id (the order of [Ctg.in_edges] and
+   [Ctg.out_edges]). Returns the row offsets and the entries. *)
+let csr n (edges : Noc_ctg.Edge.t array) row entry =
+  let start = Array.make (n + 1) 0 in
+  Array.iter (fun e -> start.(row e + 1) <- start.(row e + 1) + 1) edges;
+  for i = 1 to n do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let next = Array.sub start 0 n in
+  let entries = Array.make (Array.length edges) 0 in
+  Array.iter
+    (fun e ->
+      entries.(next.(row e)) <- entry e;
+      next.(row e) <- next.(row e) + 1)
+    edges;
+  (start, entries)
 
 let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
   let n = Noc_ctg.Ctg.n_tasks ctg and n_edges = Noc_ctg.Ctg.n_edges ctg in
   let edges = Noc_ctg.Ctg.edges ctg in
-  let in_start, in_edge =
-    csr n (fun i -> List.map (fun (e : Noc_ctg.Edge.t) -> e.id) (Noc_ctg.Ctg.in_edges ctg i))
-  in
-  let succ_start, succ = csr n (Noc_ctg.Ctg.succs ctg) in
+  let in_start, in_edge = csr n edges (fun e -> e.dst) (fun e -> e.id) in
+  let succ_start, succ = csr n edges (fun e -> e.src) (fun e -> e.dst) in
   let state = Resource_state.create platform in
   (* The route lookup, filled for every pair up front so that walks and
      [schedule] only read it. *)
@@ -79,14 +89,18 @@ let make ?(comm_model = Comm_sched.Contention_aware) ?degraded platform ctg =
     route_tables;
     route_ids;
     window = [| 0.; 0. |];
+    probe_mark = Resource_state.marks state 1;
     link_bandwidth = Noc_noc.Platform.link_bandwidth platform;
     router_latency = Noc_noc.Platform.router_latency platform;
     in_start;
     in_edge;
     in_order =
       Array.make
-        (Array.fold_left Int.max 0
-           (Array.init n (fun i -> in_start.(i + 1) - in_start.(i))))
+        (let widest = ref 0 in
+         for i = 0 to n - 1 do
+           widest := Int.max !widest (in_start.(i + 1) - in_start.(i))
+         done;
+         !widest)
         0;
     pred = Array.map (fun e -> edges.(e).Noc_ctg.Edge.src) in_edge;
     succ_start;
@@ -200,13 +214,13 @@ let place t i k =
 (* The paper's tentative F(i,k): the committing walk, then a rollback
    of its reservations and a reset of the windows it recorded. *)
 let data_ready t i k =
-  let m = Resource_state.mark t.state in
+  Resource_state.set_mark t.state t.probe_mark 0;
   let drt =
     match receive t c_probe_transactions i k with
     | () -> t.window.(0)
     | exception Unreachable _ -> infinity
   in
-  Resource_state.rollback t.state m;
+  Resource_state.rollback_to t.state t.probe_mark 0;
   for j = t.in_start.(i) to t.in_start.(i + 1) - 1 do
     t.tx_start.(t.in_edge.(j)) <- nan;
     t.tx_finish.(t.in_edge.(j)) <- nan
@@ -221,19 +235,25 @@ let probe t i k =
     Resource_state.earliest_pe_gap t.state ~pe:k ~after:(available task ~drt)
       ~duration:task.Noc_ctg.Task.exec_times.(k)
 
-let data_ready_tables t i k =
-  let routes = ref [] and cut = ref false in
-  for j = t.in_start.(i) to t.in_start.(i + 1) - 1 do
-    let src_pe = t.pe.(t.pred.(j)) in
-    if src_pe <> k then begin
-      let pair = (src_pe * t.n_pes) + k in
-      if t.hops.(pair) < 0 then cut := true;
-      routes := t.route_tables.(pair) :: !routes
-    end
-  done;
+let data_ready_stamp t i k =
   match t.comm_model with
-  | Comm_sched.Contention_aware when not !cut -> Array.concat !routes
-  | Comm_sched.Contention_aware | Comm_sched.Fixed_delay -> [||]
+  | Comm_sched.Fixed_delay -> 0
+  | Comm_sched.Contention_aware ->
+    let stamp = ref 0 and cut = ref false in
+    for j = t.in_start.(i) to t.in_start.(i + 1) - 1 do
+      let src_pe = t.pe.(t.pred.(j)) in
+      if src_pe <> k then begin
+        let pair = (src_pe * t.n_pes) + k in
+        if t.hops.(pair) < 0 then cut := true
+        else begin
+          let tables = t.route_tables.(pair) in
+          for r = 0 to Array.length tables - 1 do
+            stamp := !stamp + Timeline.version tables.(r)
+          done
+        end
+      end
+    done;
+    if !cut then 0 else !stamp
 
 let schedule_of t ~pe ~start ~finish ~tx_start ~tx_finish =
   let placements =

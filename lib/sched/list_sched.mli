@@ -40,6 +40,9 @@ type t = private {
           passed between modules is boxed; a float array cell is not, so
           a committed placement allocates nothing. Meaningless between
           calls. *)
+  probe_mark : Resource_state.marks;
+      (** One journal position: where {!data_ready} rolls back to, held
+          in int arrays so that a probe allocates no mark. *)
   link_bandwidth : float;
   router_latency : float;
   in_start : int array;
@@ -97,22 +100,25 @@ val data_ready : t -> int -> int -> float
 (** [data_ready t i k] is the data-ready time {!place} would give the
     unplaced task [i] on PE [k], its latest arrival ([0.] with no
     in-edges), or [infinity] when a sender cannot reach [k]. It reserves
-    and restores, as the paper times each F(i,k): a
-    {!Resource_state.mark}, {!place}'s walk of the in-edges, then a
-    {!Resource_state.rollback} and [nan] back in the in-edges'
+    and restores, as the paper times each F(i,k): a mark in
+    [probe_mark] ({!Resource_state.set_mark}), {!place}'s walk of the
+    in-edges, then a {!Resource_state.rollback_to} it and [nan] back in
+    the in-edges'
     [tx_start]/[tx_finish]. The tables' busy sets and versions, the
     journal's position and the partial schedule end as they were (the
     journal's serial counter and the resource-state counters move). *)
 
-val data_ready_tables : t -> int -> int -> Noc_util.Timeline.t array
-(** The shared tables {!data_ready}[ t i k] reads: the link tables of
-    the routes of [i]'s in-edges towards [k]. [data_ready] is a function
-    of their busy sets alone, so a value cached against their
-    {!Noc_util.Timeline.version}s stays exact while the versions hold
-    and the tables only gain intervals (probes restore theirs).
-    [[||]] when nothing can change it: a sender that cannot reach [k]
-    (the value stays [infinity]), the [Fixed_delay] model, or only
-    same-tile senders. *)
+val data_ready_stamp : t -> int -> int -> int
+(** The sum of the {!Noc_util.Timeline.version}s of the shared tables
+    {!data_ready}[ t i k] reads: the link tables of the routes of [i]'s
+    in-edges towards [k], each counted once per in-edge routed over it;
+    [0] when nothing can change {!data_ready}'s value (a sender that
+    cannot reach [k], where it stays [infinity], the [Fixed_delay]
+    model, or only same-tile senders). {!data_ready} is a function of
+    those tables' busy sets alone. While the tables only gain intervals
+    (probes restore theirs) each version can only grow, so the sum is
+    unchanged exactly when every version is: a value cached against the
+    stamp stays exact while the stamp holds. Allocates nothing. *)
 
 val probe : t -> int -> int -> float
 (** [probe t i k] is the start {!place} would give the unplaced task [i]

@@ -1,4 +1,11 @@
-let sum arr = Array.fold_left ( +. ) 0. arr
+(* Plain loops summing left to right, as [Array.fold_left] would: the
+   polymorphic fold boxes every element and partial sum. *)
+let sum (arr : float array) =
+  let acc = ref 0. in
+  for i = 0 to Array.length arr - 1 do
+    acc := !acc +. arr.(i)
+  done;
+  !acc
 
 let mean arr =
   assert (Array.length arr > 0);
@@ -6,8 +13,12 @@ let mean arr =
 
 let variance arr =
   let m = mean arr in
-  let acc = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0. arr in
-  acc /. float_of_int (Array.length arr)
+  let acc = ref 0. in
+  for i = 0 to Array.length arr - 1 do
+    let x = arr.(i) in
+    acc := !acc +. ((x -. m) *. (x -. m))
+  done;
+  !acc /. float_of_int (Array.length arr)
 
 let min_value arr =
   assert (Array.length arr > 0);

@@ -23,12 +23,24 @@
     reference, the PE gap and all prices come from the {!Kernel}
     matrices. Both stages are memoized and revalidated against the
     {!Noc_util.Timeline.version}s of the tables they read
-    ({!Noc_sched.List_sched.data_ready_tables} and PE [k]'s table), so
+    ({!Noc_sched.List_sched.data_ready_stamp} and PE [k]'s table), so
     each commit only re-probes the (i,k) pairs it actually invalidated.
     A commit places the chosen task through
     {!Noc_sched.List_sched.place}, the step every other scheduler places
     with. Both paths produce bit-identical schedules and decision logs;
-    [test_kernel_diff] enforces this. *)
+    [test_kernel_diff] enforces this.
+
+    The memo, the prices, each task's energy order and the ready list
+    live in flat arrays, and the rules are loops over them: per
+    candidate and per iteration, Step 2 builds no list, closure or
+    option. Under the dev profile's [-opaque] every float crossing a
+    module boundary is boxed, so prices read the kernel's arrays, not
+    its accessors; the floats still boxed are those of a probe's two
+    calls ({!Noc_sched.List_sched.data_ready} and the PE gap query).
+    [test_level_sched] holds a run's allocation to a budget per placed
+    task. The counters it feeds
+    ([eas.finish_time.evaluations], [eas.finish_time.reused],
+    [eas.assignment_energy.evaluations]) are added once per run. *)
 
 val run :
   kernel:Kernel.t ->

@@ -302,7 +302,8 @@ let test_probe_unreachable_rolls_back () =
    side. Before each placement, two probes (one on the PE about to be
    used) must leave the partial schedule, every table and the journal
    as they were; the first must predict the start and its data-ready
-   time the reference's. Placements, transaction
+   time the reference's. Every ready task's data-ready time on that PE
+   must repeat whenever its [data_ready_stamp] does. Placements, transaction
    windows, the final schedules and the tables' busy sets must agree
    exactly. *)
 let qcheck_list_sched_matches_reference =
@@ -326,10 +327,27 @@ let qcheck_list_sched_matches_reference =
       let transactions = Array.make (Noc_ctg.Ctg.n_edges ctg) None in
       let ok = ref true in
       let expect b = if not b then ok := false in
+      let stamped = Hashtbl.create 64 in
       Array.iter
         (fun i ->
           let k = Noc_util.Prng.choose rng alive in
           let other = Noc_util.Prng.choose rng alive in
+          (* While a ready task's stamp on [k] holds, so does its
+             data-ready time there. *)
+          Array.iteri
+            (fun j placement ->
+              if
+                placement = None
+                && List.for_all (fun p -> placements.(p) <> None) (Noc_ctg.Ctg.preds ctg j)
+              then begin
+                let stamp = List_sched.data_ready_stamp ls j k in
+                let ready_at = List_sched.data_ready ls j k in
+                (match Hashtbl.find_opt stamped (j, k) with
+                | Some (seen, at) when seen = stamp -> expect (at = ready_at)
+                | Some _ | None -> ());
+                Hashtbl.replace stamped (j, k) (stamp, ready_at)
+              end)
+            placements;
           let probed, kept = unchanged_by ls (fun () -> List_sched.probe ls i k) in
           expect kept;
           let ready_at, kept = unchanged_by ls (fun () -> List_sched.data_ready ls i k) in

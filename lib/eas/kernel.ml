@@ -92,11 +92,9 @@ let check t ~caller platform ctg =
 let pe_alive t pe =
   match t.degraded with None -> true | Some view -> Noc_noc.Degraded.pe_alive view pe
 
-let exec_time t ~task ~pe = t.tasks.(task).Noc_ctg.Task.exec_times.(pe)
 let exec_energy t ~task ~pe = t.tasks.(task).Noc_ctg.Task.energies.(pe)
 let mean_time t task = t.mean_times.(task)
 let weight t task = t.weights.(task)
-let release t task = t.releases.(task)
 let hops t ~src ~dst = t.hops.((src * t.n_pes) + dst)
 let reachable t ~src ~dst = t.hops.((src * t.n_pes) + dst) >= 0
 

@@ -46,7 +46,7 @@ let qcheck_task_matrices_match_ctg =
         for k = 0 to n_pes - 1 do
           ok :=
             !ok
-            && feq (Kernel.exec_time kernel ~task:i ~pe:k)
+            && feq kernel.Kernel.tasks.(i).Noc_ctg.Task.exec_times.(k)
                  task.Noc_ctg.Task.exec_times.(k)
             && feq (Kernel.exec_energy kernel ~task:i ~pe:k)
                  task.Noc_ctg.Task.energies.(k)
@@ -55,7 +55,7 @@ let qcheck_task_matrices_match_ctg =
           !ok
           && feq (Kernel.mean_time kernel i) (Noc_ctg.Task.mean_exec_time task)
           && feq (Kernel.weight kernel i) (Noc_ctg.Task.weight task)
-          && feq (Kernel.release kernel i)
+          && feq kernel.Kernel.releases.(i)
                (match task.Noc_ctg.Task.release with
                | None -> neg_infinity
                | Some r -> r)

@@ -89,6 +89,9 @@ let run ~kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
   let drt_stamp = Array.make size (-1) in
   let pe_version = Array.make size (-1) in
   let pe_tables = Array.init n_pes (Resource_state.pe_table ls.state) in
+  (* Both stages pass their floats through the partial schedule's
+     window, so that none is boxed on the way. *)
+  let window = ls.window in
   (* The counters, added locally and flushed once per run. *)
   let n_energy = ref 0 and n_fik = ref 0 and n_reused = ref 0 in
   (* Brings entry [idx] up to date, re-probing only the stages whose
@@ -104,7 +107,8 @@ let run ~kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
     else begin
       if not drt_held then begin
         incr n_fik;
-        drt.(idx) <- List_sched.data_ready ls i k;
+        List_sched.data_ready ls i k;
+        drt.(idx) <- window.(0);
         drt_stamp.(idx) <- stamp
       end;
       let d = drt.(idx) in
@@ -112,8 +116,10 @@ let run ~kernel ?pinned ?jobs:_ platform ctg (budget : Budget.t) =
         (if d = infinity then infinity
          else begin
            let exec = tasks.(i).Noc_ctg.Task.exec_times.(k) in
-           let ready = Float.max d releases.(i) in
-           Timeline.earliest_gap pe_table ~after:ready ~duration:exec +. exec
+           window.(0) <- Float.max d releases.(i);
+           window.(1) <- exec;
+           Resource_state.earliest_pe_gap ls.state ~pe:k window;
+           window.(0) +. exec
          end);
       pe_version.(idx) <- Timeline.version pe_table;
       (* F only grows, so exceeding the budgeted deadline is permanent. *)

@@ -62,9 +62,6 @@ let link_failed_at t ~(link : Routing.link) ~time =
       | Fault.Pe _ -> false)
     t.faults
 
-let route_failed_at t ~links ~time =
-  List.exists (fun link -> link_failed_at t ~link ~time) links
-
 let failed_pes t =
   List.filter_map
     (fun (f : Fault.t) -> match f.element with Fault.Pe i -> Some i | Fault.Link _ -> None)

@@ -30,7 +30,6 @@ val pp : Format.formatter -> t -> unit
 
 val pe_failed_at : t -> pe:int -> time:float -> bool
 val link_failed_at : t -> link:Noc_noc.Routing.link -> time:float -> bool
-val route_failed_at : t -> links:Noc_noc.Routing.link list -> time:float -> bool
 
 (** {1 Whole-horizon queries (conservative rescheduling view)} *)
 

@@ -215,25 +215,26 @@ let place t i k =
    of its reservations and a reset of the windows it recorded. *)
 let data_ready t i k =
   Resource_state.set_mark t.state t.probe_mark 0;
-  let drt =
-    match receive t c_probe_transactions i k with
-    | () -> t.window.(0)
-    | exception Unreachable _ -> infinity
-  in
+  (match receive t c_probe_transactions i k with
+  | () -> ()
+  | exception Unreachable _ -> t.window.(0) <- infinity);
   Resource_state.rollback_to t.state t.probe_mark 0;
   for j = t.in_start.(i) to t.in_start.(i + 1) - 1 do
     t.tx_start.(t.in_edge.(j)) <- nan;
     t.tx_finish.(t.in_edge.(j)) <- nan
-  done;
-  drt
+  done
 
 let probe t i k =
-  let drt = data_ready t i k in
+  data_ready t i k;
+  let drt = t.window.(0) in
   if drt = infinity then infinity
-  else
+  else begin
     let task = Noc_ctg.Ctg.task t.ctg i in
-    Resource_state.earliest_pe_gap t.state ~pe:k ~after:(available task ~drt)
-      ~duration:task.Noc_ctg.Task.exec_times.(k)
+    t.window.(0) <- available task ~drt;
+    t.window.(1) <- task.Noc_ctg.Task.exec_times.(k);
+    Resource_state.earliest_pe_gap t.state ~pe:k t.window;
+    t.window.(0)
+  end
 
 let data_ready_stamp t i k =
   match t.comm_model with

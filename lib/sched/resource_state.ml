@@ -103,8 +103,7 @@ let reserve_link t link (interval : Noc_util.Interval.t) =
     t.stops.(d) <- interval.stop
   end
 
-let earliest_pe_gap t ~pe ~after ~duration =
-  Timeline.earliest_gap t.tables.(pe) ~after ~duration
+let earliest_pe_gap t ~pe window = Timeline.earliest_gap_window t.tables.(pe) window
 
 (* The journal gets one entry per table, in array order: the entries
    [reserve_link] would have pushed over a route. *)

@@ -43,7 +43,12 @@ val reserve_link : t -> Noc_noc.Routing.link -> Noc_util.Interval.t -> unit
 (** Journalled link reservation. Raises [Invalid_argument] on overlap;
     an empty interval reserves and journals nothing. *)
 
-val earliest_pe_gap : t -> pe:int -> after:float -> duration:float -> float
+val earliest_pe_gap : t -> pe:int -> float array -> unit
+(** [earliest_pe_gap t ~pe window] writes into [window.(0)] the earliest
+    start at or after [window.(0)] of a gap of [window.(1)] on PE [pe]'s
+    table ({!Noc_util.Timeline.earliest_gap_window}); it reserves
+    nothing. *)
+
 val reserve_route_gap : t -> Noc_util.Timeline.t array -> int array -> float array -> unit
 (** [reserve_route_gap t tables ids window] finds the earliest window of
     [duration = window.(1)] at or after [after = window.(0)] free on

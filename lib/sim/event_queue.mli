@@ -1,13 +1,22 @@
-(** A minimal priority queue of timestamped events.
+(** A minimal priority queue of timestamped events, in flat arrays.
 
-    Events with equal timestamps are delivered in insertion order, which
-    keeps the discrete-event simulation deterministic. *)
+    An event is an [int] payload at a [float] time; the caller encodes
+    what it means. Events with equal timestamps are delivered in
+    insertion order, which keeps the discrete-event simulation
+    deterministic. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val push : 'a t -> time:float -> 'a -> unit
+val is_empty : t -> bool
 
-val pop : 'a t -> (float * 'a) option
-(** Earliest event, or [None] when empty. *)
+val push : t -> time:float -> int -> unit
+
+val pop : t -> int
+(** Removes the earliest event and returns its payload; {!time} then
+    reads its timestamp. Raises [Invalid_argument] when empty. *)
+
+val time : t -> float
+(** The timestamp of the event the last {!pop} returned ([nan] before
+    the first). *)

@@ -48,7 +48,7 @@ let is_free t (iv : Interval.t) =
   let i = first_stop_after t iv.Interval.start in
   i >= t.len || t.starts.(i) >= iv.Interval.stop
 
-let earliest_gap t ~after ~duration =
+let[@inline] gap t after duration =
   assert (duration >= 0.);
   if duration = 0. then after
   else begin
@@ -64,6 +64,9 @@ let earliest_gap t ~after ~duration =
     done;
     !candidate
   end
+
+let earliest_gap t ~after ~duration = gap t after duration
+let earliest_gap_window t window = window.(0) <- gap t window.(0) window.(1)
 
 let ensure_capacity t n =
   let cap = Array.length t.starts in

@@ -45,6 +45,12 @@ val earliest_gap : t -> after:float -> duration:float -> float
     such that [s, s + duration) is free. Always succeeds (time is
     unbounded to the right). [duration] must be non-negative. *)
 
+val earliest_gap_window : t -> float array -> unit
+(** [earliest_gap_window t window] is {!earliest_gap} with [after =
+    window.(0)] and [duration = window.(1)], its result written into
+    [window.(0)]: the window form, whose floats cross no module boundary
+    boxed (see {!reserve_gap_multi}). *)
+
 val reserve : t -> Interval.t -> unit
 (** [reserve t iv] marks [iv] busy. Raises [Invalid_argument] if [iv]
     overlaps an existing busy interval. Empty intervals are ignored. *)

@@ -42,7 +42,7 @@ let place ?comm_model ?degraded ~pendings ctg partial i k =
     | None -> drt
     | Some release -> Float.max drt release
   in
-  let start = Resource_state.earliest_pe_gap partial.state ~pe:k ~after:ready ~duration:exec_time in
+  let start = (let w = [| ready; exec_time |] in Resource_state.earliest_pe_gap partial.state ~pe:k w; w.(0)) in
   let placement = { Schedule.task = i; pe = k; start; finish = start +. exec_time } in
   (placement, transactions)
 

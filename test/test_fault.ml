@@ -72,11 +72,6 @@ let test_set_queries () =
   (* Directed: the reverse link stays up. *)
   Alcotest.(check bool) "reverse link up" false
     (Fault_set.link_failed_at s ~link:{ Routing.from_node = 2; to_node = 1 } ~time:60.);
-  let route_links = Platform.route_links platform ~src:0 ~dst:3 in
-  Alcotest.(check bool) "route through 1->2 fails at 60" true
-    (Fault_set.route_failed_at s ~links:route_links ~time:60.);
-  Alcotest.(check bool) "route fine at 0" false
-    (Fault_set.route_failed_at s ~links:route_links ~time:0.);
   Alcotest.(check (list int)) "failed pes" [ 5 ] (Fault_set.failed_pes s);
   Alcotest.(check int) "failed links" 2 (List.length (Fault_set.failed_links s));
   Alcotest.(check (list (float 1e-9))) "boundaries" [ 10.; 20.; 50. ]

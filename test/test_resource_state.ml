@@ -128,7 +128,7 @@ let test_rollback_interleaved_resources () =
   (* The state is reusable afterwards. *)
   reserve_pe state ~pe:0 0. 10.;
   Alcotest.(check (float 0.)) "gap after rollback" 10.
-    (Resource_state.earliest_pe_gap state ~pe:0 ~after:0. ~duration:1.)
+    ((let w = [| 0.; 1. |] in Resource_state.earliest_pe_gap state ~pe:0 w; w.(0)))
 
 (* Every PE and link table's busy list: the observable state. *)
 let tables state =

@@ -72,9 +72,9 @@ let test_reserve_and_gap () =
   let st = Resource_state.create platform in
   Resource_state.reserve_pe_gap st ~pe:0 [| 0.; 10. |];
   Alcotest.(check (float 0.)) "gap after busy" 10.
-    (Resource_state.earliest_pe_gap st ~pe:0 ~after:0. ~duration:5.);
+    ((let w = [| 0.; 5. |] in Resource_state.earliest_pe_gap st ~pe:0 w; w.(0)));
   Alcotest.(check (float 0.)) "other PE free" 0.
-    (Resource_state.earliest_pe_gap st ~pe:1 ~after:0. ~duration:5.)
+    ((let w = [| 0.; 5. |] in Resource_state.earliest_pe_gap st ~pe:1 w; w.(0)))
 
 (* The start [reserve_route_gap] takes for a window of [duration] at or
    after [after] on [route], rolled back again. *)
@@ -96,7 +96,7 @@ let test_rollback_undoes_everything () =
   Resource_state.reserve_link st { Noc_noc.Routing.from_node = 0; to_node = 1 } (iv 0. 5.);
   Resource_state.rollback st mark;
   Alcotest.(check (float 0.)) "pe reservation undone" 10.
-    (Resource_state.earliest_pe_gap st ~pe:0 ~after:0. ~duration:1.);
+    ((let w = [| 0.; 1. |] in Resource_state.earliest_pe_gap st ~pe:0 w; w.(0)));
   Alcotest.(check (float 0.)) "link reservation undone" 0.
     (route_gap st [ { Noc_noc.Routing.from_node = 0; to_node = 1 } ] ~after:0. ~duration:5.)
 
@@ -108,10 +108,10 @@ let test_nested_marks () =
   Resource_state.reserve_pe_gap st ~pe:2 [| 1.; 1. |];
   Resource_state.rollback st inner;
   Alcotest.(check (float 0.)) "inner undone, outer kept" 1.
-    (Resource_state.earliest_pe_gap st ~pe:2 ~after:0. ~duration:1.);
+    ((let w = [| 0.; 1. |] in Resource_state.earliest_pe_gap st ~pe:2 w; w.(0)));
   Resource_state.rollback st outer;
   Alcotest.(check (float 0.)) "all undone" 0.
-    (Resource_state.earliest_pe_gap st ~pe:2 ~after:0. ~duration:1.)
+    ((let w = [| 0.; 1. |] in Resource_state.earliest_pe_gap st ~pe:2 w; w.(0)))
 
 let test_route_gap_merges_links () =
   let st = Resource_state.create platform in
@@ -285,7 +285,7 @@ let test_probe_unreachable_rolls_back () =
   let probed, kept = unchanged_by ls (fun () -> List_sched.probe ls t2 0) in
   Alcotest.(check (float 0.)) "probe reads infinity" infinity probed;
   Alcotest.(check bool) "probe leaves the state" true kept;
-  let ready_at, kept = unchanged_by ls (fun () -> List_sched.data_ready ls t2 0) in
+  let ready_at, kept = unchanged_by ls (fun () -> (List_sched.data_ready ls t2 0; ls.window.(0))) in
   Alcotest.(check (float 0.)) "data_ready reads infinity" infinity ready_at;
   Alcotest.(check bool) "data_ready leaves the state" true kept;
   Alcotest.(check int) "link 1->0 free after the probes" 0
@@ -341,7 +341,7 @@ let qcheck_list_sched_matches_reference =
                 && List.for_all (fun p -> placements.(p) <> None) (Noc_ctg.Ctg.preds ctg j)
               then begin
                 let stamp = List_sched.data_ready_stamp ls j k in
-                let ready_at = List_sched.data_ready ls j k in
+                let ready_at = (List_sched.data_ready ls j k; ls.window.(0)) in
                 (match Hashtbl.find_opt stamped (j, k) with
                 | Some (seen, at) when seen = stamp -> expect (at = ready_at)
                 | Some _ | None -> ());
@@ -350,7 +350,7 @@ let qcheck_list_sched_matches_reference =
             placements;
           let probed, kept = unchanged_by ls (fun () -> List_sched.probe ls i k) in
           expect kept;
-          let ready_at, kept = unchanged_by ls (fun () -> List_sched.data_ready ls i k) in
+          let ready_at, kept = unchanged_by ls (fun () -> (List_sched.data_ready ls i k; ls.window.(0))) in
           expect kept;
           expect (snd (unchanged_by ls (fun () -> List_sched.probe ls i other)));
           List_sched.place ls i k;

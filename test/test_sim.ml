@@ -8,56 +8,61 @@ module Validate = Noc_sched.Validate
 (* ------------------------------------------------------------------ *)
 (* Event queue *)
 
+(* Drains the queue into (time, payload) pairs. *)
+let drain q =
+  let rec go acc =
+    if Event_queue.is_empty q then List.rev acc
+    else
+      let v = Event_queue.pop q in
+      go ((Event_queue.time q, v) :: acc)
+  in
+  go []
+
 let test_queue_ordering () =
   let q = Event_queue.create () in
-  Event_queue.push q ~time:3. "c";
-  Event_queue.push q ~time:1. "a";
-  Event_queue.push q ~time:2. "b";
-  let drain () =
-    let rec go acc =
-      match Event_queue.pop q with
-      | None -> List.rev acc
-      | Some (_, v) -> go (v :: acc)
-    in
-    go []
-  in
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (drain ())
+  Event_queue.push q ~time:3. 3;
+  Event_queue.push q ~time:1. 1;
+  Event_queue.push q ~time:2. 2;
+  Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.map snd (drain q))
 
 let test_queue_fifo_on_ties () =
   let q = Event_queue.create () in
   for i = 0 to 9 do
     Event_queue.push q ~time:5. i
   done;
-  let rec drain acc =
-    match Event_queue.pop q with None -> List.rev acc | Some (_, v) -> drain (v :: acc)
-  in
   Alcotest.(check (list int)) "insertion order on equal time" (List.init 10 Fun.id)
-    (drain [])
+    (List.map snd (drain q))
 
 let test_queue_interleaved () =
   let q = Event_queue.create () in
   let pop label want =
-    Alcotest.(check (option (pair (float 0.) int))) label want (Event_queue.pop q)
+    Alcotest.(check (pair (float 0.) int)) label want
+      (let v = Event_queue.pop q in
+       (Event_queue.time q, v))
   in
   Event_queue.push q ~time:2. 2;
   Event_queue.push q ~time:1. 1;
-  pop "earlier push jumps ahead" (Some (1., 1));
+  pop "earlier push jumps ahead" (1., 1);
   Event_queue.push q ~time:0.5 0;
-  pop "earliest" (Some (0.5, 0));
-  pop "last one left" (Some (2., 2));
-  pop "empty at the end" None
+  pop "earliest" (0.5, 0);
+  pop "last one left" (2., 2);
+  Alcotest.(check bool) "empty at the end" true (Event_queue.is_empty q);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Event_queue.pop: empty queue")
+    (fun () -> ignore (Event_queue.pop q))
 
 let test_queue_random_sorts () =
   let q = Event_queue.create () in
   let rng = Noc_util.Prng.create ~seed:3 in
   let times = Array.init 500 (fun _ -> Noc_util.Prng.float rng ~bound:100.) in
-  Array.iter (fun t -> Event_queue.push q ~time:t ()) times;
-  let rec drain last =
-    match Event_queue.pop q with
-    | None -> true
-    | Some (t, ()) -> t >= last && drain t
-  in
-  Alcotest.(check bool) "nondecreasing" true (drain neg_infinity)
+  Array.iteri (fun i t -> Event_queue.push q ~time:t i) times;
+  let drained = drain q in
+  Alcotest.(check bool) "nondecreasing" true
+    (fst
+       (List.fold_left
+          (fun (ok, last) (t, _) -> (ok && t >= last, t))
+          (true, neg_infinity) drained));
+  Alcotest.(check bool) "every payload at its time" true
+    (List.for_all (fun (t, i) -> times.(i) = t) drained)
 
 (* ------------------------------------------------------------------ *)
 (* Executor *)

@@ -48,7 +48,9 @@ type outcome = {
           an input whose transaction could not traverse a failed link.
           Empty when the fault set is empty. *)
   deadline_misses : int list;
-      (** Tasks with a deadline that finished late or were lost. *)
+      (** Tasks with a deadline that were lost or finished late by
+          {!Noc_sched.List_sched.lateness}, the rule the schedulers
+          count misses with. *)
 }
 
 val run :
